@@ -6,10 +6,8 @@ eigenfunction is exactly the eigenvalue modulus, so the table below
 reproduces the spectrum without ever diagonalizing "by eye".
 """
 
-import numpy as np
-
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, assemble,
-                      decompose, variational_functional)
+                      decompose, eigenfunction, variational_functional)
 
 
 def main():
@@ -19,13 +17,13 @@ def main():
 
     print(" k   lambda_k      F(phi_k)      |diff|")
     for k in range(10):
-        phi = sd.operator.embed(sd.eigenvectors[:, k])
+        phi = eigenfunction(sd, k)
         f_val = variational_functional(sd, phi, n=2)
         lam = sd.eigenvalues[k]
         print(" %2d  % .6f   % .6f   %.2e"
               % (k, lam, f_val, abs(f_val - abs(lam))))
 
-    phi = sd.operator.embed(sd.eigenvectors[:, 0])
+    phi = eigenfunction(sd, 0)
     print("\n0-homogeneity: F(phi) = %.10f, F(7 phi) = %.10f"
           % (variational_functional(sd, phi, n=2),
              variational_functional(sd, 7.0 * phi, n=2)))

@@ -6,13 +6,14 @@ from .conditions import (AnalyticConstants, BootstrapTrace, ConditionReport,
                          bootstrap_exponents, c3_lambda_threshold,
                          check_conditions, derive_exponents, el_transform,
                          estimate_gn_ratio, variational_functional)
-from .grids import (Grid1D, NormSpec, SpinorField, load_field_csv, lp_norm,
+from .grids import (Grid1D, SpinorField, load_field_csv, lp_norm,
                     nonlinearity, save_field_csv, slobodeckij_norm, w1q_norm)
 from .operators import (AssembledOperator, BoundaryCondition, ModelSpec,
                         apply_D, assemble, boundary_residual, dump_matrix)
 from .scheme import (IterationReport, IterationState, SchemeConfig, run,
                      scale_problem, step, verify_solution)
 from .spectral import (SpectralData, apply_fractional, apply_inverse,
-                       decompose, estimate_constants, graph_norm, split_pm)
+                       apply_operator, decompose, eigenfunction,
+                       estimate_constants, graph_norm, split_pm)
 
 __version__ = "0.1.0"

@@ -1,12 +1,13 @@
 """Batch front end: config-driven subcommands writing CSV/JSON artifacts.
 
 Subcommands: spectrum, solve, check, sweep, bootstrap, functional.
-Common flags: --config <path>, --out <dir>, --workers <k>, --seed <int>.
-Outputs are deterministic for a fixed config and seed.
+Common flags: --config <path>, --out <dir>, --workers <k>.
+Outputs are deterministic for a fixed config.
 """
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -38,13 +39,11 @@ def _write_json(path, payload):
 
 
 def _prepare(cfg):
-    op = cfg.build_operator()
-    sd = spectral.decompose(op)
-    return op, sd
+    return spectral.decompose(cfg.build_operator())
 
 
 def cmd_spectrum(cfg, out_dir):
-    _, sd = _prepare(cfg)
+    sd = _prepare(cfg)
     rows = [[k, repr(float(lam))] for k, lam in enumerate(sd.eigenvalues)]
     _write_csv(os.path.join(out_dir, "eigenvalues.csv"), ["k", "lambda_k"],
                rows)
@@ -58,17 +57,12 @@ def cmd_spectrum(cfg, out_dir):
 
 
 def _certify(cfg, sd, scheme_cfg):
-    est = None
-    needs_est = cfg.get("constants", "c1").strip() == "empirical" \
-        or cfg.get("constants", "c_half").strip() in ("empirical", "formula")
-    if needs_est and sd.invertible:
-        est = spectral.estimate_constants(sd, iota=cfg.iota)
-    consts = cfg.build_constants(sd, scheme_cfg, estimates=est)
+    consts = cfg.build_constants(sd, scheme_cfg)
     return conditions.check_conditions(consts, cfg.condition_mode), consts
 
 
 def cmd_solve(cfg, out_dir):
-    _, sd = _prepare(cfg)
+    sd = _prepare(cfg)
     model = sd.operator.spec
     scheme_cfg = cfg.build_scheme(model)
     certified = None
@@ -86,20 +80,12 @@ def cmd_solve(cfg, out_dir):
 
 
 def cmd_check(cfg, out_dir):
-    _, sd = _prepare(cfg)
+    sd = _prepare(cfg)
     scheme_cfg = cfg.build_scheme(sd.operator.spec)
     cond_report, consts = _certify(cfg, sd, scheme_cfg)
     payload = cond_report.to_dict()
-    payload["constants"] = {
-        "n": consts.n, "p": consts.p, "p_A": consts.p_A,
-        "c_h": consts.c_h, "C_h": consts.C_h,
-        "c1": consts.c1, "c_half": consts.c_half,
-        "K_GN": consts.K_GN, "K_GN2": consts.K_GN2, "K_FGN": consts.K_FGN,
-        "lambda_abs": consts.lambda_abs, "lambda1_abs": consts.lambda1_abs,
-        "Dg_L2": consts.Dg_L2, "g_L2T": consts.g_L2T, "g_H1T": consts.g_H1T,
-        "Xi": consts.Xi, "Lambda_cap": consts.Lambda_cap,
-    }
-    payload["provenance"] = consts.provenance
+    payload["constants"] = dataclasses.asdict(consts)
+    payload["provenance"] = payload["constants"].pop("provenance")
     payload["c3_lambda_threshold"] = conditions.c3_lambda_threshold(consts)
     _write_json(os.path.join(out_dir, "conditions.json"), payload)
     return 0
@@ -109,7 +95,7 @@ def _sweep_point(cfg, values):
     point = cfg
     for (path, *_), val in zip(cfg.sweep.axes, values):
         point = point.with_override(path, val)
-    _, sd = _prepare(point)
+    sd = _prepare(point)
     scheme_cfg = point.build_scheme(sd.operator.spec)
     certified = False
     try:
@@ -173,12 +159,12 @@ def cmd_bootstrap(cfg, out_dir):
 
 def cmd_functional(cfg, out_dir):
     from .config import _as_int
-    _, sd = _prepare(cfg)
+    sd = _prepare(cfg)
     m = min(_as_int(cfg.get("functional", "m"), "functional.m"), sd.size)
     n = _as_int(cfg.get("constants", "n"), "constants.n")
     rows = []
     for k in range(m):
-        phi = sd.operator.embed(sd.eigenvectors[:, k])
+        phi = spectral.eigenfunction(sd, k)
         f_val = conditions.variational_functional(sd, phi, n)
         rows.append([k, repr(float(sd.eigenvalues[k])), repr(f_val)])
     _write_csv(os.path.join(out_dir, "functional.csv"),
@@ -211,7 +197,6 @@ def main(argv=None):
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=None)
         cmd.add_argument("--workers", type=int, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -221,8 +206,6 @@ def main(argv=None):
             os.path.abspath(args.config)))
         if args.workers is not None:
             cfg.raw["run"]["workers"] = str(args.workers)
-        if args.seed is not None:
-            cfg.raw["run"]["seed"] = str(args.seed)
         return run_command(cfg, args.command, out_dir=args.out)
     except (DiracBVPError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegeneratePairingError, NumericalError, ParameterError
 from .grids import CIRCLE, SpinorField, lp_norm, w1q_norm
-from .spectral import graph_norm
+from .spectral import apply_operator, graph_norm
 
 MODE_C = "C_final"
 MODE_B = "B_explicit"
@@ -252,9 +252,7 @@ def variational_functional(sd, phi, n):
     """
     if n < 2:
         raise ParameterError("need n >= 2, got %r" % (n,))
-    op = sd.operator
-    c = sd.eigenvectors.conj().T @ op.project(phi)
-    dphi = op.embed(sd.eigenvectors @ (sd.eigenvalues * c))
+    dphi = apply_operator(sd, phi)
     q = 2.0 * n / (n + 1.0)
     num = lp_norm(dphi, q) ** q
     w = phi.grid.weights()
@@ -268,9 +266,7 @@ def variational_functional(sd, phi, n):
 
 def el_transform(sd, phi, q):
     """Transformed spinor Psi = |D phi|^{q-2} D phi (pointwise)."""
-    op = sd.operator
-    c = sd.eigenvectors.conj().T @ op.project(phi)
-    dphi = op.embed(sd.eigenvectors @ (sd.eigenvalues * c))
+    dphi = apply_operator(sd, phi)
     m = dphi.modulus()
     fac = np.zeros_like(m)
     nz = m > 0

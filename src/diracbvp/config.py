@@ -30,6 +30,7 @@ from .operators import (ANTIPERIODIC, BAG1D, DIRAC_2SPINOR, PERIODIC,
                         SCALAR_DERIVATIVE, BoundaryCondition, ModelSpec,
                         assemble)
 from .scheme import AUTO, SchemeConfig
+from .spectral import estimate_constants
 
 _EVAL_NAMES = {"pi": math.pi, "e": math.e}
 _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
@@ -92,7 +93,7 @@ _SCHEMA = {
                   "iota": "1", "k_gn": "1", "k_gn2": "1", "k_fgn": "1",
                   "c1": "empirical", "c_half": "empirical",
                   "mode": MODE_C},
-    "run": {"output_dir": "out", "seed": "0", "workers": "1"},
+    "run": {"output_dir": "out", "workers": "1"},
     "sweep": {"param": None, "min": None, "max": None, "count": None,
               "scale": "lin", "param2": None, "min2": None, "max2": None,
               "count2": None, "scale2": "lin"},
@@ -214,8 +215,12 @@ class RunConfig:
             tol_residual=_as_real(self.get("scheme", "tol_residual"),
                                   "scheme.tol_residual"))
 
-    def build_constants(self, sd, scheme_cfg, estimates=None):
-        """AnalyticConstants from the config plus measured quantities."""
+    def build_constants(self, sd, scheme_cfg):
+        """AnalyticConstants from the config plus measured quantities.
+
+        Runs estimate_constants when c1 or c_half asks for empirical or
+        formula values.
+        """
         from .grids import lp_norm, w1q_norm
         from .operators import apply_D
 
@@ -228,10 +233,7 @@ class RunConfig:
         c1_raw = self.get("constants", "c1").strip()
         c_half_raw = self.get("constants", "c_half").strip()
         if c1_raw == "empirical" or c_half_raw in ("empirical", "formula"):
-            if estimates is None:
-                raise ConfigParseError(
-                    "empirical constants requested but no estimates supplied",
-                    key="constants.c1")
+            estimates = estimate_constants(sd, iota=self.iota)
         if c1_raw == "empirical":
             c1, provenance["c1"] = estimates.c1_emp, "computed"
         else:
@@ -274,10 +276,6 @@ class RunConfig:
     @property
     def output_dir(self):
         return self.get("run", "output_dir")
-
-    @property
-    def seed(self):
-        return _as_int(self.get("run", "seed"), "run.seed")
 
     @property
     def workers(self):

@@ -119,32 +119,6 @@ def check_compatible(f, g):
             "fields have ranks %d and %d" % (f.rank, g.rank))
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Named norm with its parameter: Lp(p), W1q(q) or SlobodeckijHs(s)."""
-    kind: str
-    parameter: float
-
-    _RANGES = {"Lp": (1.0, np.inf), "W1q": (1.0, np.inf),
-               "SlobodeckijHs": (0.0, 1.0)}
-
-    def __post_init__(self):
-        if self.kind not in self._RANGES:
-            raise ParameterError("unknown norm kind %r" % (self.kind,))
-        lo, hi = self._RANGES[self.kind]
-        if not lo < self.parameter < hi:
-            raise ParameterError(
-                "%s parameter %r outside (%g, %g)"
-                % (self.kind, self.parameter, lo, hi))
-
-    def evaluate(self, f):
-        if self.kind == "Lp":
-            return lp_norm(f, self.parameter)
-        if self.kind == "W1q":
-            return w1q_norm(f, self.parameter)
-        return slobodeckij_norm(f, self.parameter)
-
-
 def _check_p(p, lo=1.0):
     if not np.isfinite(p) or p <= lo:
         raise ParameterError("exponent must exceed %g, got %r" % (lo, p))
@@ -180,18 +154,12 @@ def w1q_norm(f, q):
                  ** (1.0 / q))
 
 
-_slobodeckij_cache = {}
-
-
 def slobodeckij_form(grid, s):
     """Dense quadratic form Q with  seminorm^2 = sum_c f_c^H Q f_c.
 
     Q_xy encodes the double integral of |f(x)-f(y)|^2 / d(x,y)^(1+2s)
     with the diagonal excluded and arc distance on circles.
     """
-    key = (grid, s)
-    if key in _slobodeckij_cache:
-        return _slobodeckij_cache[key]
     x = grid.points()
     w = grid.weights()
     d = np.abs(x[:, None] - x[None, :])
@@ -204,7 +172,6 @@ def slobodeckij_form(grid, s):
     q = -kern
     np.fill_diagonal(q, np.sum(kern, axis=1))
     q *= 2.0
-    _slobodeckij_cache[key] = q
     return q
 
 

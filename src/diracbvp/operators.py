@@ -5,7 +5,8 @@ Three models:
     discretized exactly in the half-integer Fourier modes exp(i(2k+1)pi x/L);
   * periodic scalar on a circle: D = -i d/dx, spectral, has a zero mode;
   * bag1d 2-spinor on an interval: D = -i sigma_1 d/dx with rank-1 projector
-    conditions at each endpoint, 6th-order finite differences.
+    conditions at each endpoint, 2nd-order summation-by-parts differences
+    (fd_matrix).
 
 assemble() builds the full-grid operator, compresses it by an orthonormal
 basis of the discrete kernel of the boundary operator P, and symmetrizes,
@@ -104,6 +105,10 @@ def fd_matrix(n, h):
     trapezoid weight matrix W this satisfies W D + D^T W = e_n e_n^T -
     e_0 e_0^T exactly, the discrete integration-by-parts identity, which
     is what makes the compressed bag operator Hermitian to rounding.
+
+    It is not grids.derivative: that closes the ends with 2nd-order
+    one-sided rows, which are accurate but break the SBP identity, and the
+    norms (w1q_norm, estimate_constants) keep that convention.
     """
     mat = np.zeros((n, n))
     for j in range(1, n - 1):

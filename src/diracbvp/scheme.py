@@ -93,10 +93,6 @@ class IterationReport:
         }
 
 
-def _coeffs_of(sd, f):
-    return sd.eigenvectors.conj().T @ sd.operator.project(f)
-
-
 def step(sd, cfg, u_k):
     """One iteration step; returns u_{k+1} = utilde_{k+1} + g."""
     r_scale = cfg.resolve_R(sd)
@@ -110,11 +106,11 @@ def step(sd, cfg, u_k):
     u_tilde = u_k - cfg.g
     rhs = r_scale * cfg.lam * nonlinearity(u_k, cfg.p) \
         - r_scale * apply_D(sd.operator.spec, cfg.g)
-    rhs_c = _coeffs_of(sd, rhs) - cfg.a * _coeffs_of(sd, u_tilde)
+    rhs_c = sd.to_coeffs(rhs) - cfg.a * sd.to_coeffs(u_tilde)
     if not np.all(np.isfinite(rhs_c)):
         raise DivergenceError("iterate overflowed to non-finite values")
     new_c = rhs_c / shifted
-    return sd.operator.embed(sd.eigenvectors @ new_c) + cfg.g
+    return sd.from_coeffs(new_c) + cfg.g
 
 
 def verify_solution(sd, cfg, u):

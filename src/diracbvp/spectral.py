@@ -1,9 +1,11 @@
 """Eigendecomposition of D_P and the functional calculus built on it.
 
 Everything downstream of the dense Hermitian eigensolve lives here:
-inverses (optionally shifted), fractional powers |D_P|^s, the +/- spectral
-splitting, graph norms of H^s_D, and the empirical regularity constants
-c1 and c_{1/2} as generalized Rayleigh quotients.
+the eigen-coefficient transform (SpectralData.to_coeffs/from_coeffs), the
+application of D_P, inverses (optionally shifted), fractional powers
+|D_P|^s, the +/- spectral splitting, graph norms of H^s_D, and the
+empirical regularity constants c1 and c_{1/2} as generalized Rayleigh
+quotients.  No other module reads the eigenvectors.
 """
 
 from collections import namedtuple
@@ -15,7 +17,7 @@ import scipy.linalg
 from .errors import (ConfigurationError, DegenerateFormError, NearSingularError,
                      NumericalError, ParameterError, SingularPowerError,
                      UndefinedSplittingError)
-from .grids import CIRCLE, SpinorField, slobodeckij_form
+from .grids import SpinorField, derivative, slobodeckij_form
 
 ConstantEstimates = namedtuple("ConstantEstimates",
                                ["c1_emp", "c_half_emp", "c_half_formula"])
@@ -32,6 +34,17 @@ class SpectralData:
     @property
     def size(self):
         return self.eigenvalues.size
+
+    def to_coeffs(self, f):
+        """Eigen-coefficients of a SpinorField or constrained coordinates."""
+        return self.eigenvectors.conj().T @ self.operator.project(f)
+
+    def from_coeffs(self, coeff, like=None):
+        """Inverse of to_coeffs; a raw vector when like is an ndarray."""
+        c = self.eigenvectors @ coeff
+        if isinstance(like, np.ndarray):
+            return c
+        return self.operator.embed(c)
 
 
 def decompose(op):
@@ -58,24 +71,16 @@ def decompose(op):
                         lambda1=float(lambda1), invertible=invertible)
 
 
-def coefficients(sd, f):
-    """Expansion coefficients of f in the eigenbasis.
-
-    Accepts a SpinorField (projected to constrained coordinates through the
-    quadrature inner product) or a raw coefficient vector.
-    """
-    if isinstance(f, SpinorField):
-        c = sd.operator.project(f)
-    else:
-        c = np.asarray(f, dtype=complex)
-    return sd.eigenvectors.conj().T @ c
+def apply_operator(sd, f):
+    """D_P f through the eigenexpansion."""
+    return sd.from_coeffs(sd.eigenvalues * sd.to_coeffs(f), f)
 
 
-def _rebuild(sd, f, coeff):
-    c = sd.eigenvectors @ coeff
-    if isinstance(f, SpinorField):
-        return sd.operator.embed(c)
-    return c
+def eigenfunction(sd, k):
+    """Normalized eigenfunction k (eigenvalue order) as a SpinorField."""
+    coeff = np.zeros(sd.size)
+    coeff[k] = 1.0
+    return sd.from_coeffs(coeff)
 
 
 def apply_inverse(sd, f, a=0.0):
@@ -85,7 +90,7 @@ def apply_inverse(sd, f, a=0.0):
     if dist[k] <= 1e-8:
         raise NearSingularError(
             "shift a=%r within 1e-8 of eigenvalue %r" % (a, sd.eigenvalues[k]))
-    return _rebuild(sd, f, coefficients(sd, f) / (sd.eigenvalues - a))
+    return sd.from_coeffs(sd.to_coeffs(f) / (sd.eigenvalues - a), f)
 
 
 def apply_fractional(sd, s, f):
@@ -95,17 +100,17 @@ def apply_fractional(sd, s, f):
     if not sd.invertible and s < 1.0:
         raise SingularPowerError(
             "fractional power %r of a non-invertible operator" % (s,))
-    return _rebuild(sd, f, np.abs(sd.eigenvalues) ** s * coefficients(sd, f))
+    return sd.from_coeffs(np.abs(sd.eigenvalues) ** s * sd.to_coeffs(f), f)
 
 
 def split_pm(sd, f):
     """Orthogonal projections of f onto positive/negative spectral subspaces."""
     if not sd.invertible:
         raise UndefinedSplittingError("zero eigenvalue present, +/- split undefined")
-    a = coefficients(sd, f)
+    a = sd.to_coeffs(f)
     pos = sd.eigenvalues > 0
-    return (_rebuild(sd, f, np.where(pos, a, 0.0)),
-            _rebuild(sd, f, np.where(pos, 0.0, a)))
+    return (sd.from_coeffs(np.where(pos, a, 0.0), f),
+            sd.from_coeffs(np.where(pos, 0.0, a), f))
 
 
 def graph_norm(sd, s, f):
@@ -115,25 +120,9 @@ def graph_norm(sd, s, f):
     if not sd.invertible and s < 1.0:
         raise SingularPowerError(
             "graph norm of order %r needs an invertible operator" % (s,))
-    a = coefficients(sd, f)
+    a = sd.to_coeffs(f)
     return float(np.sqrt(np.sum(np.abs(a) ** 2
                                 * (1.0 + np.abs(sd.eigenvalues) ** (2 * s)))))
-
-
-def derivative_matrix(grid):
-    """Matrix of the d/dx convention used by w1q_norm (per component)."""
-    n = grid.n_points
-    if grid.topology == CIRCLE:
-        xi = 2j * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-        eye = np.eye(n)
-        return np.fft.ifft(xi[:, None] * np.fft.fft(eye, axis=0), axis=0)
-    h = grid.spacing
-    mat = np.zeros((n, n))
-    for j in range(1, n - 1):
-        mat[j, j - 1], mat[j, j + 1] = -0.5 / h, 0.5 / h
-    mat[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    mat[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-    return mat
 
 
 def estimate_constants(sd, c_h=1.0, iota=1.0):
@@ -154,10 +143,11 @@ def estimate_constants(sd, c_h=1.0, iota=1.0):
     m = mat.shape[0]
     eye = np.eye(m)
 
-    dmat = derivative_matrix(grid)
-    if r > 1:
-        dmat = np.kron(dmat, np.eye(r))
-    dv = dmat @ vmap
+    # d/dx of the identity's columns is the matrix of grids.derivative;
+    # drop it once applied, it is a dense complex N x N array
+    dmat = derivative(SpinorField(grid, np.eye(grid.n_points))).values
+    dv = (np.kron(dmat, np.eye(r)) if r > 1 else dmat) @ vmap
+    del dmat
     num1 = eye + dv.conj().T @ (w[:, None] * dv)
     den1 = eye + mat @ mat
     try:

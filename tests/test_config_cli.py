@@ -35,7 +35,8 @@ def test_defaults():
     assert cfg.get("model", "operator") == "scalar_derivative"
     assert cfg.get("model", "boundary") == "antiperiodic"
     assert cfg.get("scheme", "p") == "4"
-    assert cfg.seed == 0 and cfg.workers == 1
+    assert cfg.workers == 1
+    assert "seed" not in cfg.raw["run"]
     assert cfg.output_dir == "out"
     assert cfg.sweep is None
     model = cfg.build_model()
@@ -281,14 +282,29 @@ def test_main_end_to_end(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
-def test_main_seed_workers_flags(tmp_path):
+def test_main_workers_flag(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE + "[sweep]\nparam = scheme.lambda\n"
                                           "min = 0\nmax = 0.2\ncount = 3\n")
     out = tmp_path / "cli_sweep"
     rc = main(["sweep", "--config", str(cfg_path), "--out", str(out),
-               "--workers", "2", "--seed", "42"])
+               "--workers", "2"])
     assert rc == 0
     assert len(read_csv(out / "sweep.csv")) == 4
+    with pytest.raises(SystemExit):  # --seed was removed; nothing read it
+        main(["sweep", "--config", str(cfg_path), "--out", str(out),
+              "--seed", "42"])
+
+
+def test_main_check_periodic_empirical_names_cause(tmp_path, capsys):
+    # the periodic model has a zero mode, so empirical constants cannot be
+    # estimated; the error must say so, not blame a missing input
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = periodic\n"
+                                   "n_points = 32\n")
+    rc = main(["check", "--config", str(cfg_path),
+               "--out", str(tmp_path / "chk")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() \
+        == "error: estimate_constants needs an invertible operator"
 
 
 def test_main_error_paths(tmp_path, capsys):

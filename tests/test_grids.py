@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracbvp import (Grid1D, NormSpec, SpinorField, load_field_csv, lp_norm,
+from diracbvp import (Grid1D, SpinorField, load_field_csv, lp_norm,
                       nonlinearity, save_field_csv, slobodeckij_norm, w1q_norm)
 from diracbvp.errors import (GridError, IncompatibleFieldsError,
                              InvalidFieldError, ParameterError)
@@ -200,22 +200,6 @@ def test_triangle_inequality(seed):
     for norm in (lambda u: lp_norm(u, 2.5), lambda u: w1q_norm(u, 2.0),
                  lambda u: slobodeckij_norm(u, 0.5)):
         assert norm(f + h) <= norm(f) + norm(h) + 1e-12
-
-
-# ------------------------------------------------------------ NormSpec
-
-def test_normspec_dispatch_and_ranges():
-    g = Grid1D(1.0, 32)
-    f = random_field(g)
-    assert NormSpec("Lp", 2.0).evaluate(f) == lp_norm(f, 2.0)
-    assert NormSpec("W1q", 2.0).evaluate(f) == w1q_norm(f, 2.0)
-    assert NormSpec("SlobodeckijHs", 0.5).evaluate(f) == slobodeckij_norm(f, 0.5)
-    with pytest.raises(ParameterError):
-        NormSpec("Lp", 1.0)
-    with pytest.raises(ParameterError):
-        NormSpec("SlobodeckijHs", 1.0)
-    with pytest.raises(ParameterError):
-        NormSpec("Sobolev", 2.0)
 
 
 # ------------------------------------------------------------------ csv

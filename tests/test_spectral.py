@@ -3,8 +3,9 @@ import pytest
 
 from conftest import mode_field
 from diracbvp import (AssembledOperator, SpinorField, apply_fractional,
-                      apply_inverse, decompose, estimate_constants, graph_norm,
-                      lp_norm, slobodeckij_norm, split_pm)
+                      apply_inverse, apply_operator, decompose,
+                      estimate_constants, graph_norm, lp_norm,
+                      slobodeckij_norm, split_pm)
 from diracbvp.errors import (ConfigurationError, NearSingularError,
                              ParameterError, SingularPowerError,
                              UndefinedSplittingError)
@@ -52,6 +53,33 @@ def test_reconstruction(anti_sd):
     a = anti_sd.eigenvectors.conj().T @ anti_sd.operator.project(f)
     back = anti_sd.operator.embed(anti_sd.eigenvectors @ a)
     assert lp_norm(back - f, 2) < 1e-10 * lp_norm(f, 2)
+
+
+MODELS = ["anti_sd", "periodic_sd", "bag_sd"]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_coeff_roundtrip(model, request):
+    sd = request.getfixturevalue(model)
+    f = random_constrained_field(sd, np.random.default_rng(0))
+    back = sd.from_coeffs(sd.to_coeffs(f))
+    assert lp_norm(back - f, 2) < 1e-10 * lp_norm(f, 2)
+    raw = sd.operator.project(f)
+    assert np.max(np.abs(sd.from_coeffs(sd.to_coeffs(raw), raw) - raw)) \
+        < 1e-10 * np.max(np.abs(raw))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_apply_operator_matches_dense_matrix(model, request):
+    # the dense reference every structured backend must reproduce
+    sd = request.getfixturevalue(model)
+    op = sd.operator
+    f = random_constrained_field(sd, np.random.default_rng(3))
+    ref = op.embed(op.matrix @ op.project(f))
+    assert lp_norm(apply_operator(sd, f) - ref, 2) < 1e-10 * lp_norm(ref, 2)
+    raw = op.project(f)
+    assert np.max(np.abs(apply_operator(sd, raw) - op.matrix @ raw)) \
+        < 1e-10 * np.max(np.abs(op.matrix @ raw))
 
 
 # --------------------------------------------------------- apply_inverse
