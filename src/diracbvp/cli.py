@@ -1,7 +1,10 @@
 """Batch front end: config-driven subcommands writing CSV/JSON artifacts.
 
 Subcommands: spectrum, solve, check, sweep, bootstrap, functional.
-Common flags: --config <path>, --out <dir>, --workers <k>.
+Common flags: --config <path>, --out <dir>, --workers <k>.  sweep
+evaluates its points one after another, reusing the decomposed model
+while consecutive points share the [model] section; --workers (and
+run.workers) is accepted for compatibility and changes nothing.
 Outputs are deterministic for a fixed config.
 """
 
@@ -11,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import conditions, scheme, spectral
 from .config import parse_config
@@ -91,11 +93,25 @@ def cmd_check(cfg, out_dir):
     return 0
 
 
-def _sweep_point(cfg, values):
+def _sweep_model(point, cache):
+    """SpectralData of the point's model, from cache when it is the latest.
+
+    cache maps the [model] section of the last point built to its
+    SpectralData (and so its memoized constant estimates); it holds one
+    entry, dropped before the next model is built.
+    """
+    key = tuple(sorted(point.raw["model"].items()))
+    if key not in cache:
+        cache.clear()
+        cache[key] = _prepare(point)
+    return cache[key]
+
+
+def _sweep_point(cfg, values, cache):
     point = cfg
     for (path, *_), val in zip(cfg.sweep.axes, values):
         point = point.with_override(path, val)
-    sd = _prepare(point)
+    sd = _sweep_model(point, cache)
     scheme_cfg = point.build_scheme(sd.operator.spec)
     certified = False
     try:
@@ -111,29 +127,18 @@ def _sweep_point(cfg, values):
 def cmd_sweep(cfg, out_dir):
     if cfg.sweep is None:
         raise DiracBVPError("sweep command needs a [sweep] section")
-    points = cfg.sweep.grid()
     names = [axis[0] for axis in cfg.sweep.axes]
-
-    def evaluate(idx_values):
-        idx, values = idx_values
-        try:
-            return idx, values, _sweep_point(cfg, values)
-        except DiracBVPError as exc:
-            return idx, values, ("error: %s" % exc, 0, float("nan"),
-                                 float("nan"), False, False)
-
-    tasks = list(enumerate(points))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(evaluate, tasks))
-    else:
-        results = [evaluate(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-
     header = ["index"] + names + ["verdict", "iterations", "pde_residual",
                                   "max_ratio", "certified", "bounds_held"]
+    cache = {}
     rows = []
-    for idx, values, (verdict, iters, resid, ratio, cert, bounds) in results:
+    for idx, values in enumerate(cfg.sweep.grid()):
+        try:
+            verdict, iters, resid, ratio, cert, bounds = \
+                _sweep_point(cfg, values, cache)
+        except DiracBVPError as exc:
+            verdict, iters, resid, ratio, cert, bounds = \
+                "error: %s" % exc, 0, float("nan"), float("nan"), False, False
         rows.append([idx] + [repr(float(v)) for v in values]
                     + [verdict, iters, repr(resid), repr(ratio),
                        str(bool(cert)).lower(), str(bool(bounds)).lower()])
@@ -196,7 +201,8 @@ def main(argv=None):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--out", default=None)
-        cmd.add_argument("--workers", type=int, default=None)
+        cmd.add_argument("--workers", type=int, default=None,
+                         help="accepted for compatibility; no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -204,8 +210,6 @@ def main(argv=None):
             text = fh.read()
         cfg = parse_config(text, base_dir=os.path.dirname(
             os.path.abspath(args.config)))
-        if args.workers is not None:
-            cfg.raw["run"]["workers"] = str(args.workers)
         return run_command(cfg, args.command, out_dir=args.out)
     except (DiracBVPError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -62,7 +62,14 @@ def eval_number(text, key="<value>"):
             return _BINOPS[type(node.op)](ev(node.left), ev(node.right))
         raise ConfigParseError("disallowed construct in %r" % (text,), key=key)
 
-    return ev(tree)
+    try:
+        return ev(tree)
+    except ZeroDivisionError as exc:
+        raise ConfigParseError("division by zero in %r" % (text,),
+                               key=key) from exc
+    except OverflowError as exc:
+        raise ConfigParseError("%r is out of floating-point range" % (text,),
+                               key=key) from exc
 
 
 def _as_real(text, key):
@@ -77,7 +84,7 @@ def _as_real(text, key):
 
 def _as_int(text, key):
     val = _as_real(text, key)
-    if val != int(val):
+    if not math.isfinite(val) or val != int(val):
         raise ConfigParseError("expected an integer, got %r" % (text,), key=key)
     return int(val)
 
@@ -279,6 +286,7 @@ class RunConfig:
 
     @property
     def workers(self):
+        """run.workers; accepted for compatibility, sweeps run serially."""
         return _as_int(self.get("run", "workers"), "run.workers")
 
 

@@ -118,16 +118,27 @@ def fd_matrix(n, h):
     return mat
 
 
+def _antiperiodic_freqs(grid):
+    """Frequencies mu_k = (2k+1) pi / L of the antiperiodic modes.
+
+    k runs over the m = N-1 integers -(m//2) .. m - m//2 - 1, listed in FFT
+    order (k >= 0 first, then the negative k), so mu[k mod m] belongs to
+    bin k of np.fft.fft on m points.
+    """
+    m = grid.n_points - 1
+    ks = np.fft.ifftshift(np.arange(-(m // 2), m - m // 2))
+    return (2 * ks + 1) * np.pi / grid.length
+
+
 def _antiperiodic_modes(grid):
     """Unitary mode matrix U and frequencies mu of the antiperiodic model.
 
     Columns of U sample exp(i mu_k x)/sqrt(m) at the first m = N-1 grid
-    points; D = -i d/dx acts as U diag(mu) U^H there.
+    points, in increasing mu; D = -i d/dx acts as U diag(mu) U^H there.
     """
     m = grid.n_points - 1
     x = grid.points()[:m]
-    ks = np.arange(-(m // 2), m - m // 2)
-    mu = (2 * ks + 1) * np.pi / grid.length
+    mu = np.fft.fftshift(_antiperiodic_freqs(grid))
     u = np.exp(1j * np.outer(x, mu)) / np.sqrt(m)
     return u, mu
 
@@ -246,11 +257,17 @@ def apply_D(spec, f):
         out = np.fft.ifft(xi[:, None] * np.fft.fft(v, axis=0), axis=0)
     elif spec.bc.kind == ANTIPERIODIC:
         # split off the constant offset so the remainder matches the
-        # antiperiodic endpoint pairing, then differentiate in modes
-        u, mu = _antiperiodic_modes(spec.grid)
+        # antiperiodic endpoint pairing, then differentiate in modes: the
+        # mode matrix of _antiperiodic_modes is diag(phase) times the
+        # unitary DFT, phase_j = exp(i pi j/m), so U diag(mu) U^H y is a
+        # modulated FFT
+        m = spec.grid.n_points - 1
+        mu = _antiperiodic_freqs(spec.grid)[:, None]
+        phase = np.exp(1j * np.pi * np.arange(m) / m)[:, None]
         c = 0.5 * (v[0] + v[-1])
         y = v[:-1] - c
-        d = (u * mu) @ (u.conj().T @ y)
+        d = phase * np.fft.ifft(mu * np.fft.fft(phase.conj() * y, axis=0),
+                                axis=0)
         out = np.vstack([d, -d[:1]])
     else:  # bag1d
         dx = fd_matrix(spec.grid.n_points, spec.grid.spacing)

@@ -30,6 +30,9 @@ class SpectralData:
     eigenvectors: np.ndarray = field(repr=False)  # orthonormal columns
     lambda1: float
     invertible: bool
+    # (c1_emp, c_half_emp) once estimate_constants has computed them
+    _rayleigh_maxima: tuple = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def size(self):
@@ -89,7 +92,8 @@ def apply_inverse(sd, f, a=0.0):
     k = int(np.argmin(dist))
     if dist[k] <= 1e-8:
         raise NearSingularError(
-            "shift a=%r within 1e-8 of eigenvalue %r" % (a, sd.eigenvalues[k]))
+            "shift a=%r within 1e-8 of eigenvalue %r"
+            % (complex(a), float(sd.eigenvalues[k])))
     return sd.from_coeffs(sd.to_coeffs(f) / (sd.eigenvalues - a), f)
 
 
@@ -131,8 +135,18 @@ def estimate_constants(sd, c_h=1.0, iota=1.0):
     c1_emp maximizes ||psi||_{W^{1,2}}^2 / (||psi||_{L2}^2 + ||D_P psi||^2)
     over the constraint space; c_half_emp does the same with the s = 1/2
     Slobodeckij numerator and |D_P|^{1/2} denominator.  c_half_formula is
-    the plug-in bound 2 * c1_emp * c_h^2 * iota^2.
+    the plug-in bound 2 * c1_emp * c_h^2 * iota^2.  The two maxima depend
+    on sd alone; they are computed on the first call and kept on sd.
     """
+    if sd._rayleigh_maxima is None:
+        sd._rayleigh_maxima = _rayleigh_maxima(sd)
+    c1_emp, c_half_emp = sd._rayleigh_maxima
+    return ConstantEstimates(c1_emp=c1_emp, c_half_emp=c_half_emp,
+                             c_half_formula=2.0 * c1_emp * c_h ** 2 * iota ** 2)
+
+
+def _rayleigh_maxima(sd):
+    """Largest generalized eigenvalues behind c1_emp and c_half_emp."""
     op = sd.operator
     if op.spec is None or op.constraint_map is None:
         raise ConfigurationError("estimate_constants needs a grid-backed operator")
@@ -169,8 +183,7 @@ def estimate_constants(sd, c_h=1.0, iota=1.0):
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise DegenerateFormError("singular denominator form: %s" % exc) from exc
 
-    return ConstantEstimates(c1_emp=c1_emp, c_half_emp=c_half_emp,
-                             c_half_formula=2.0 * c1_emp * c_h ** 2 * iota ** 2)
+    return c1_emp, c_half_emp
 
 
 def random_constrained_field(sd, rng):

@@ -227,6 +227,46 @@ def test_cmd_sweep_parallel_matches_serial(tmp_path):
         == (parallel / "sweep.csv").read_bytes()
 
 
+def test_cmd_sweep_decomposes_once_per_model(tmp_path, monkeypatch):
+    import diracbvp.spectral
+    calls = []
+    decompose = diracbvp.spectral.decompose
+
+    def counting(op):
+        calls.append(op.n_constrained)
+        return decompose(op)
+
+    monkeypatch.setattr(diracbvp.spectral, "decompose", counting)
+    text = BASE + ("[sweep]\nparam = scheme.lambda\nmin = 0\nmax = 0.3\n"
+                   "count = 3\nparam2 = scheme.p\nmin2 = 3\nmax2 = 4\n"
+                   "count2 = 2\n")
+    assert run_command(parse_config(text), "sweep", str(tmp_path)) == 0
+    assert len(read_csv(tmp_path / "sweep.csv")) == 7
+    assert calls == [127]
+
+
+def test_cmd_sweep_model_axis_matches_uncached(tmp_path, monkeypatch):
+    # model.length varies on the outer axis, so the cache both misses and
+    # hits; emptying it before every point must not change a byte
+    import diracbvp.cli
+    text = BASE + ("[sweep]\nparam = model.length\nmin = 1\nmax = 1.5\n"
+                   "count = 2\nparam2 = scheme.lambda\nmin2 = 0\n"
+                   "max2 = 0.2\ncount2 = 2\n")
+    cached, uncached = tmp_path / "cached", tmp_path / "uncached"
+    assert run_command(parse_config(text), "sweep", str(cached)) == 0
+    sweep_model = diracbvp.cli._sweep_model
+
+    def emptied(point, cache):
+        cache.clear()
+        return sweep_model(point, cache)
+
+    monkeypatch.setattr(diracbvp.cli, "_sweep_model", emptied)
+    assert run_command(parse_config(text), "sweep", str(uncached)) == 0
+    assert (cached / "sweep.csv").read_bytes() \
+        == (uncached / "sweep.csv").read_bytes()
+    assert read_csv(cached / "sweep.csv")[1][1] == "1.0"
+
+
 def test_cmd_sweep_requires_section(tmp_path):
     from diracbvp.errors import DiracBVPError
     with pytest.raises(DiracBVPError):
@@ -313,3 +353,32 @@ def test_main_error_paths(tmp_path, capsys):
     bad = write_cfg(tmp_path, "[scheme]\nlambda = exec\n", name="bad.ini")
     assert main(["solve", "--config", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_singular_shift_message_has_plain_numbers(tmp_path, capsys):
+    # a = 0 hits the zero mode of the periodic model in the first step
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = periodic\n"
+                                   "n_points = 32\n[scheme]\n"
+                                   "lambda = 0.01\na = 0\n")
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: R*lambda - a = ")
+    assert "np." not in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("scheme", "lambda", "1/0"),
+    ("scheme", "lambda", "10.0**400"),
+    ("scheme", "a", "(1e200j)**3"),
+    ("model", "n_points", "1e400"),
+    ("scheme", "max_iter", "1e400 - 1e400"),
+])
+def test_main_arithmetic_errors_name_the_key(tmp_path, capsys, section, key,
+                                             value):
+    cfg_path = write_cfg(tmp_path, "[%s]\n%s = %s\n" % (section, key, value))
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s.%s: " % (section, key))
+    assert "Traceback" not in err

@@ -94,6 +94,25 @@ def test_apply_D_bag_swaps_components(bag_spec):
     assert np.max(np.abs(out.values[1:-1] - expected[1:-1])) < 5e-3
 
 
+@pytest.mark.parametrize("n_points", [8, 9, 64, 257, 1024])
+def test_apply_D_antiperiodic_matches_dense_modes(n_points):
+    # the FFT path against the dense mode-matrix product U diag(mu) U^H,
+    # the reference oracle; m = N-1 takes both parities
+    from diracbvp.operators import _antiperiodic_modes
+    grid = Grid1D(1.3, n_points)
+    spec = ModelSpec(grid, "scalar_derivative",
+                     BoundaryCondition("antiperiodic"))
+    rng = np.random.default_rng(n_points)
+    v = rng.standard_normal((n_points, 1)) \
+        + 1j * rng.standard_normal((n_points, 1))
+    u, mu = _antiperiodic_modes(grid)
+    y = v[:-1] - 0.5 * (v[0] + v[-1])
+    d = (u * mu) @ (u.conj().T @ y)
+    dense = np.vstack([d, -d[:1]])
+    out = apply_D(spec, SpinorField(grid, v)).values
+    assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
 def test_apply_D_rank_mismatch(anti_spec):
     f = SpinorField(anti_spec.grid, np.ones((256, 2)))
     with pytest.raises(IncompatibleFieldsError):

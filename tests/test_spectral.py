@@ -109,8 +109,9 @@ def test_inverse_near_singular_shift(diag_sd, periodic_sd):
         apply_inverse(diag_sd, np.ones(2), a=2.0 + 1e-12)
     rng = np.random.default_rng(2)
     f = random_constrained_field(periodic_sd, rng)
-    with pytest.raises(NearSingularError):
+    with pytest.raises(NearSingularError) as exc:
         apply_inverse(periodic_sd, f)  # zero mode, a = 0
+    assert "np." not in str(exc.value)
     # a away from the spectrum works even without invertibility
     out = apply_inverse(periodic_sd, f, a=0.5j)
     assert np.isfinite(out.values).all()
@@ -236,6 +237,30 @@ def test_estimate_constants_formula_plugin(anti_sd):
     est = estimate_constants(anti_sd, c_h=2.0, iota=0.5)
     assert est.c_half_formula == pytest.approx(
         2.0 * est.c1_emp * 4.0 * 0.25, rel=1e-14)
+
+
+def test_estimate_constants_computed_once_per_decomposition(anti_spec_128,
+                                                           monkeypatch):
+    import diracbvp.spectral
+    from diracbvp import assemble
+    calls = []
+    maxima = diracbvp.spectral._rayleigh_maxima
+
+    def counting(sd):
+        calls.append(sd)
+        return maxima(sd)
+
+    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_maxima", counting)
+    sd = decompose(assemble(anti_spec_128))
+    first = estimate_constants(sd)
+    second = estimate_constants(sd, c_h=2.0, iota=0.5)
+    assert calls == [sd]
+    assert (second.c1_emp, second.c_half_emp) == (first.c1_emp,
+                                                  first.c_half_emp)
+    assert second.c_half_formula == 2.0 * first.c1_emp * 2.0 ** 2 * 0.5 ** 2
+    # a new decomposition of the same model computes them afresh
+    assert estimate_constants(decompose(assemble(anti_spec_128))) == first
+    assert len(calls) == 2
 
 
 def test_estimate_constants_needs_grid(diag_sd):
