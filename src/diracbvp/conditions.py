@@ -111,7 +111,10 @@ class ConditionReport:
             "A": self.A,
             "B": self.B,
             "eps": self.eps,
-            "contraction_bound": self.contraction_bound,
+            # strict JSON has no Infinity; null marks "no bound"
+            "contraction_bound": (self.contraction_bound
+                                  if math.isfinite(self.contraction_bound)
+                                  else None),
             "certified": self.certified,
         }
 

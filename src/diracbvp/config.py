@@ -16,6 +16,7 @@ On rank-2 models the scalar expressions fill component 0.
 """
 
 import ast
+import cmath
 import math
 import os
 from configparser import ConfigParser
@@ -63,7 +64,11 @@ def eval_number(text, key="<value>"):
         raise ConfigParseError("disallowed construct in %r" % (text,), key=key)
 
     try:
-        return ev(tree)
+        val = ev(tree)
+        # cmath.isfinite raises OverflowError on ints beyond float range
+        if not cmath.isfinite(val):
+            raise ConfigParseError("%r is not finite" % (text,), key=key)
+        return val
     except ZeroDivisionError as exc:
         raise ConfigParseError("division by zero in %r" % (text,),
                                key=key) from exc
@@ -84,7 +89,7 @@ def _as_real(text, key):
 
 def _as_int(text, key):
     val = _as_real(text, key)
-    if not math.isfinite(val) or val != int(val):
+    if val != int(val):
         raise ConfigParseError("expected an integer, got %r" % (text,), key=key)
     return int(val)
 

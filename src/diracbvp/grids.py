@@ -218,6 +218,8 @@ def load_field_csv(grid, path):
     """Read a field written by save_field_csv; grid must match row count."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise InvalidFieldError("%s is empty" % (path,))
     header, body = rows[0], rows[1:]
     if len(body) != grid.n_points:
         raise InvalidFieldError(
@@ -225,6 +227,14 @@ def load_field_csv(grid, path):
     rank = (len(header) - 1) // 2
     vals = np.zeros((grid.n_points, rank), dtype=complex)
     for j, row in enumerate(body):
-        nums = [float(t) for t in row[1:]]
+        # line numbers count the header as line 1
+        if len(row) != len(header):
+            raise InvalidFieldError("%s line %d has %d cells, header has %d"
+                                    % (path, j + 2, len(row), len(header)))
+        try:
+            nums = [float(t) for t in row[1:]]
+        except ValueError as exc:
+            raise InvalidFieldError("%s line %d: %s"
+                                    % (path, j + 2, exc)) from exc
         vals[j] = [nums[2 * c] + 1j * nums[2 * c + 1] for c in range(rank)]
     return SpinorField(grid, vals)

@@ -2,15 +2,19 @@
 
 Three models:
   * antiperiodic scalar on an interval: D = -i d/dx with psi(L) = -psi(0),
-    discretized exactly in the half-integer Fourier modes exp(i(2k+1)pi x/L);
-  * periodic scalar on a circle: D = -i d/dx, spectral, has a zero mode;
+    discretized exactly in the half-integer Fourier modes exp(i(2k+1)pi x/L)
+    (a modulated FFT);
+  * periodic scalar on a circle: D = -i d/dx, spectral (FFT), has a zero mode;
   * bag1d 2-spinor on an interval: D = -i sigma_1 d/dx with rank-1 projector
     conditions at each endpoint, 2nd-order summation-by-parts differences
-    (fd_matrix).
+    (_sbp_derivative).
 
-assemble() builds the full-grid operator, compresses it by an orthonormal
-basis of the discrete kernel of the boundary operator P, and symmetrizes,
-so the constrained matrix is Hermitian by construction.
+_apply_D_values is the one definition of each model's D; apply_D applies
+it to a field.  assemble() applies it to the columns of the constraint map
+V, an orthonormal basis of the discrete kernel of the boundary operator P,
+and compresses: D_P = sym(V^H W D V), with W the quadrature weights and
+sym(M) = (M + M^H)/2, so the constrained matrix is Hermitian by
+construction.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, IncompatibleFieldsError, ParameterError
+from .errors import ConfigurationError, IncompatibleFieldsError
 from .grids import CIRCLE, INTERVAL, Grid1D, SpinorField, check_compatible
 
 ANTIPERIODIC = "antiperiodic"
@@ -27,8 +31,6 @@ BAG1D = "bag1d"
 
 SCALAR_DERIVATIVE = "scalar_derivative"
 DIRAC_2SPINOR = "dirac_2spinor"
-
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 # default bag1d endpoint kernel directions: <sigma_1 v, v> = 0 at both ends,
 # which kills the integration-by-parts boundary term
@@ -98,11 +100,11 @@ class ModelSpec:
         return 1 if self.operator_kind == SCALAR_DERIVATIVE else 2
 
 
-def fd_matrix(n, h):
-    """Summation-by-parts first-derivative matrix on n equispaced points.
+def _sbp_derivative(v, h):
+    """Summation-by-parts first derivative along axis 0 of equispaced samples.
 
-    Central differences inside, one-sided rows at the ends.  With the
-    trapezoid weight matrix W this satisfies W D + D^T W = e_n e_n^T -
+    Central differences inside, one-sided rows at the ends.  As a matrix D
+    with the trapezoid weight matrix W this satisfies W D + D^T W = e_n e_n^T -
     e_0 e_0^T exactly, the discrete integration-by-parts identity, which
     is what makes the compressed bag operator Hermitian to rounding.
 
@@ -110,12 +112,11 @@ def fd_matrix(n, h):
     one-sided rows, which are accurate but break the SBP identity, and the
     norms (w1q_norm, estimate_constants) keep that convention.
     """
-    mat = np.zeros((n, n))
-    for j in range(1, n - 1):
-        mat[j, j - 1], mat[j, j + 1] = -0.5 / h, 0.5 / h
-    mat[0, 0], mat[0, 1] = -1.0 / h, 1.0 / h
-    mat[-1, -2], mat[-1, -1] = -1.0 / h, 1.0 / h
-    return mat
+    dv = np.empty_like(v)
+    dv[1:-1] = (v[2:] - v[:-2]) * (0.5 / h)
+    dv[0] = (v[1] - v[0]) * (1.0 / h)
+    dv[-1] = (v[-1] - v[-2]) * (1.0 / h)
+    return dv
 
 
 def _antiperiodic_freqs(grid):
@@ -135,6 +136,7 @@ def _antiperiodic_modes(grid):
 
     Columns of U sample exp(i mu_k x)/sqrt(m) at the first m = N-1 grid
     points, in increasing mu; D = -i d/dx acts as U diag(mu) U^H there.
+    Dense reference for the tests; the package applies D by FFT.
     """
     m = grid.n_points - 1
     x = grid.points()[:m]
@@ -198,23 +200,20 @@ class AssembledOperator:
         flat = f.values.reshape(-1)
         return self.constraint_map.conj().T @ (self.weights * flat)
 
-    def lift(self, coeffs, g=None):
-        """Embed constrained coordinates and add the boundary datum g."""
-        u = self.embed(coeffs)
-        return u if g is None else u + g
-
 
 def assemble(spec):
-    """Build the constrained Hermitian operator D_P for a model spec."""
+    """Build the constrained Hermitian operator D_P for a model spec.
+
+    D_P = sym(V^H W D V): D from _apply_D_values on the columns of the
+    constraint map V, W the quadrature weights, sym(M) = (M + M^H)/2.
+    Only V depends on the boundary condition.
+    """
     grid = spec.grid
-    n = grid.n_points
+    n, r = grid.n_points, spec.rank
     w_pt = grid.weights()
-    weights = np.repeat(w_pt, spec.rank)
+    weights = np.repeat(w_pt, r)
 
     if spec.bc.kind == ANTIPERIODIC:
-        u, mu = _antiperiodic_modes(grid)
-        matrix = (u * mu) @ u.conj().T
-        matrix = 0.5 * (matrix + matrix.conj().T)
         m = n - 1
         vmap = np.zeros((n, m), dtype=complex)
         # first constrained dof pairs the two endpoints antiperiodically
@@ -224,14 +223,8 @@ def assemble(spec):
             vmap[j, j] = 1.0
         vmap /= np.sqrt(grid.spacing)
     elif spec.bc.kind == PERIODIC:
-        xi = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-        dft = np.fft.fft(np.eye(n), axis=0) / np.sqrt(n)  # unitary
-        matrix = dft.conj().T @ (xi[:, None] * dft)
-        matrix = 0.5 * (matrix + matrix.conj().T)
         vmap = np.eye(n, dtype=complex) / np.sqrt(grid.spacing)
     else:  # bag1d
-        dx = fd_matrix(n, grid.spacing)
-        dfull = -1j * np.kron(dx, SIGMA1)
         m = 2 * n - 2
         vmap = np.zeros((2 * n, m), dtype=complex)
         vmap[0:2, 0] = BAG_V_LEFT / np.sqrt(w_pt[0])
@@ -239,40 +232,54 @@ def assemble(spec):
             vmap[2 * j, 2 * j - 1] = 1.0 / np.sqrt(w_pt[j])
             vmap[2 * j + 1, 2 * j] = 1.0 / np.sqrt(w_pt[j])
         vmap[2 * n - 2:2 * n, m - 1] = BAG_V_RIGHT / np.sqrt(w_pt[n - 1])
-        compressed = vmap.conj().T @ (weights[:, None] * (dfull @ vmap))
-        matrix = 0.5 * (compressed + compressed.conj().T)
 
+    # V's rows are point-major, so (N, rank, columns) is a reshape
+    dv = _apply_D_values(spec, vmap.reshape(n, r, -1)).reshape(vmap.shape)
+    dv *= weights[:, None]
+    matrix = vmap.conj().T @ dv
+    del dv
+    # sym in place: one temporary fewer at the memory peak
+    matrix += matrix.conj().T
+    matrix *= 0.5
     return AssembledOperator(matrix=matrix, spec=spec,
                              constraint_map=vmap, weights=weights)
+
+
+def _apply_D_values(spec, v):
+    """The model's D along axis 0 of samples v of shape (N, rank, ...).
+
+    No boundary condition is imposed; this is the one definition of each
+    model's differential operator.
+    """
+    grid = spec.grid
+    # frequency vectors broadcast along axis 0
+    col = (-1,) + (1,) * (v.ndim - 1)
+    if spec.bc.kind == PERIODIC:
+        xi = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
+        return np.fft.ifft(xi.reshape(col) * np.fft.fft(v, axis=0), axis=0)
+    if spec.bc.kind == ANTIPERIODIC:
+        # split off the constant offset so the remainder matches the
+        # antiperiodic endpoint pairing, then differentiate in modes: the
+        # mode matrix of _antiperiodic_modes is diag(phase) times the
+        # unitary DFT, phase_j = exp(i pi j/m), so U diag(mu) U^H y is a
+        # modulated FFT
+        m = grid.n_points - 1
+        mu = _antiperiodic_freqs(grid).reshape(col)
+        phase = np.exp(1j * np.pi * np.arange(m) / m).reshape(col)
+        c = 0.5 * (v[0] + v[-1])
+        y = v[:-1] - c
+        d = phase * np.fft.ifft(mu * np.fft.fft(phase.conj() * y, axis=0),
+                                axis=0)
+        return np.concatenate([d, -d[:1]])
+    # bag1d: -i sigma_1 d/dx, sigma_1 swaps the two components
+    return -1j * _sbp_derivative(v, grid.spacing)[:, ::-1]
 
 
 def apply_D(spec, f):
     """Apply the unconstrained differential operator (no boundary condition)."""
     if f.grid != spec.grid or f.rank != spec.rank:
         raise IncompatibleFieldsError("field does not match the model spec")
-    v = f.values
-    if spec.bc.kind == PERIODIC:
-        xi = 2.0 * np.pi * np.fft.fftfreq(spec.grid.n_points,
-                                          d=spec.grid.spacing)
-        out = np.fft.ifft(xi[:, None] * np.fft.fft(v, axis=0), axis=0)
-    elif spec.bc.kind == ANTIPERIODIC:
-        # split off the constant offset so the remainder matches the
-        # antiperiodic endpoint pairing, then differentiate in modes: the
-        # mode matrix of _antiperiodic_modes is diag(phase) times the
-        # unitary DFT, phase_j = exp(i pi j/m), so U diag(mu) U^H y is a
-        # modulated FFT
-        m = spec.grid.n_points - 1
-        mu = _antiperiodic_freqs(spec.grid)[:, None]
-        phase = np.exp(1j * np.pi * np.arange(m) / m)[:, None]
-        c = 0.5 * (v[0] + v[-1])
-        y = v[:-1] - c
-        d = phase * np.fft.ifft(mu * np.fft.fft(phase.conj() * y, axis=0),
-                                axis=0)
-        out = np.vstack([d, -d[:1]])
-    else:  # bag1d
-        dx = fd_matrix(spec.grid.n_points, spec.grid.spacing)
-        out = -1j * (dx @ v) @ SIGMA1.T
-    return SpinorField(f.grid, out)
+    return SpinorField(f.grid, _apply_D_values(spec, f.values))
 
 
 def boundary_residual(spec, u, g):

@@ -157,11 +157,10 @@ def _rayleigh_maxima(sd):
     m = mat.shape[0]
     eye = np.eye(m)
 
-    # d/dx of the identity's columns is the matrix of grids.derivative;
-    # drop it once applied, it is a dense complex N x N array
-    dmat = derivative(SpinorField(grid, np.eye(grid.n_points))).values
-    dv = (np.kron(dmat, np.eye(r)) if r > 1 else dmat) @ vmap
-    del dmat
+    # d/dx of every column of V, each spinor component on its own: V's
+    # rows are point-major, so (N, r*m) puts the points along axis 0
+    dv = derivative(SpinorField(grid, vmap.reshape(grid.n_points, -1)))
+    dv = dv.values.reshape(vmap.shape)
     num1 = eye + dv.conj().T @ (w[:, None] * dv)
     den1 = eye + mat @ mat
     try:

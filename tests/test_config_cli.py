@@ -373,6 +373,8 @@ def test_main_singular_shift_message_has_plain_numbers(tmp_path, capsys):
     ("scheme", "a", "(1e200j)**3"),
     ("model", "n_points", "1e400"),
     ("scheme", "max_iter", "1e400 - 1e400"),
+    ("scheme", "lambda", "1e308*10"),
+    ("scheme", "lambda", "10**400"),
 ])
 def test_main_arithmetic_errors_name_the_key(tmp_path, capsys, section, key,
                                              value):
@@ -382,3 +384,40 @@ def test_main_arithmetic_errors_name_the_key(tmp_path, capsys, section, key,
     err = capsys.readouterr().err
     assert err.startswith("error: %s.%s: " % (section, key))
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("x,re_0,im_0\n0.0,1.0,abc\n", "line 2: could not convert"),
+    ("", "is empty"),
+    ("x,re_0,im_0\n0.0,1.0\n", "line 2 has 2 cells, header has 3"),
+])
+def test_main_malformed_sample_file(tmp_path, capsys, text, where):
+    # pad to the grid's 8 rows so the row-count check passes and the
+    # malformed line is reached
+    data = tmp_path / "g.csv"
+    rows = text.count("\n") - 1
+    data.write_text(text + "0.0,1.0,0.0\n" * max(8 - rows, 0)
+                    if text else "", encoding="utf-8")
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 8\n"
+                                   "[scheme]\ng = sample_file(g.csv)\n")
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s" % data)
+    assert where in err
+    assert "Traceback" not in err
+
+
+def test_main_check_writes_strict_json_without_bound(tmp_path):
+    # A_raw on a long interval has A >= 1, so there is no contraction bound
+    cfg_path = write_cfg(tmp_path, "[model]\nlength = 4\nn_points = 32\n"
+                                   "[constants]\nmode = A_raw\n")
+    out = tmp_path / "chk"
+    assert main(["check", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError("non-finite JSON constant %s" % name)
+
+    with open(out / "conditions.json", encoding="utf-8") as fh:
+        payload = json.load(fh, parse_constant=reject)
+    assert payload["contraction_bound"] is None

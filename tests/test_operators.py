@@ -27,6 +27,58 @@ def test_antiperiodic_smallest_eigenvalue(anti_sd):
     assert abs(anti_sd.lambda1) == pytest.approx(np.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind, n_points", [
+    ("antiperiodic", 8), ("antiperiodic", 9), ("antiperiodic", 64),
+    ("antiperiodic", 257), ("antiperiodic", 1024),
+    ("periodic", 8), ("periodic", 9), ("periodic", 64),
+    ("bag1d", 8), ("bag1d", 9), ("bag1d", 64),
+])
+def test_assemble_matches_dense_reference(kind, n_points):
+    # assemble compresses apply_D's D; check it against each model's
+    # dense matrix formula
+    from diracbvp.operators import _antiperiodic_modes, _sbp_derivative
+    if kind == "periodic":
+        grid = Grid1D(2.0 * np.pi, n_points, "circle")
+    else:
+        grid = Grid1D(1.3, n_points)
+    operator = "dirac_2spinor" if kind == "bag1d" else "scalar_derivative"
+    op = assemble(ModelSpec(grid, operator, BoundaryCondition(kind)))
+    if kind == "antiperiodic":
+        u, mu = _antiperiodic_modes(grid)
+        dense = (u * mu) @ u.conj().T
+    elif kind == "periodic":
+        xi = 2.0 * np.pi * np.fft.fftfreq(n_points, d=grid.spacing)
+        k = np.arange(n_points)
+        dft = np.exp(-2j * np.pi * np.outer(k, k) / n_points) \
+            / np.sqrt(n_points)  # unitary
+        dense = dft.conj().T @ (xi[:, None] * dft)
+    else:
+        sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        dsbp = _sbp_derivative(np.eye(n_points), grid.spacing)
+        dfull = -1j * np.kron(dsbp, sigma1)
+        vmap, w = op.constraint_map, op.weights
+        compressed = vmap.conj().T @ (w[:, None] * (dfull @ vmap))
+        dense = 0.5 * (compressed + compressed.conj().T)
+        assert np.array_equal(op.matrix, dense)
+        return
+    assert np.linalg.norm(op.matrix - dense) \
+        <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("n_points", [8, 9, 64, 257])
+def test_sbp_identity(n_points):
+    # W D + D^T W = e_N e_N^T - e_0 e_0^T: discrete integration by parts.
+    # Interior entries cancel exactly; the corners round h/2 * 1/h
+    from diracbvp.operators import _sbp_derivative
+    grid = Grid1D(1.3, n_points)
+    d = _sbp_derivative(np.eye(n_points), grid.spacing)
+    w = np.diag(grid.weights())
+    boundary = np.zeros((n_points, n_points))
+    boundary[-1, -1], boundary[0, 0] = 1.0, -1.0
+    assert np.max(np.abs(w @ d + d.T @ w - boundary)) \
+        <= 2 * np.finfo(float).eps
+
+
 def test_bag_hermiticity(bag_spec):
     op = assemble(bag_spec)
     scale = np.max(np.abs(op.matrix))
@@ -119,16 +171,16 @@ def test_apply_D_rank_mismatch(anti_spec):
         apply_D(anti_spec, f)
 
 
-def test_matrix_consistent_with_apply_D(anti_sd, bag_sd):
+def test_matrix_consistent_with_apply_D(anti_sd, bag_sd, periodic_sd):
     # matrix action on a constrained field agrees with the unconstrained
-    # operator away from the endpoints
-    for sd, skip in ((anti_sd, 1), (bag_sd, 2)):
+    # operator away from the endpoints, to rounding: the matrix is the
+    # compression of apply_D's D
+    for sd, skip in ((anti_sd, 1), (bag_sd, 2), (periodic_sd, 0)):
         op = sd.operator
         rng = np.random.default_rng(3)
         c = rng.standard_normal(op.n_constrained) \
             + 1j * rng.standard_normal(op.n_constrained)
-        # smooth the field spectrally so the finite-difference operator
-        # is accurate: use a low-eigenvalue band
+        # a smooth field: a low-eigenvalue band
         a = np.zeros(op.n_constrained, dtype=complex)
         a[:8] = c[:8]
         c = sd.eigenvectors @ a
@@ -138,8 +190,7 @@ def test_matrix_consistent_with_apply_D(anti_sd, bag_sd):
         interior = slice(skip, f.grid.n_points - skip)
         diff = np.max(np.abs(via_matrix.values[interior]
                              - direct.values[interior]))
-        tol = 1e-10 if sd is anti_sd else 5e-2
-        assert diff < tol * max(1.0, np.max(np.abs(direct.values)))
+        assert diff < 2e-13 * max(1.0, np.max(np.abs(direct.values)))
 
 
 def test_self_adjointness_pairing(anti_sd, bag_sd, periodic_sd):
