@@ -26,7 +26,7 @@ import numpy as np
 
 from .conditions import MODE_A, MODE_B, MODE_C, AnalyticConstants
 from .errors import ConfigParseError
-from .grids import CIRCLE, INTERVAL, Grid1D, SpinorField, load_field_csv
+from .grids import CIRCLE, INTERVAL, Grid1D, SpinorField, read_field_csv
 from .operators import (ANTIPERIODIC, BAG1D, DIRAC_2SPINOR, PERIODIC,
                         SCALAR_DERIVATIVE, BoundaryCondition, ModelSpec,
                         assemble)
@@ -36,7 +36,9 @@ from .spectral import estimate_constants
 _EVAL_NAMES = {"pi": math.pi, "e": math.e}
 _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
            ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b,
-           ast.Pow: lambda a, b: a ** b}
+           # in floating point: an integer power is exact and unbounded,
+           # so 9**9**9 would run for minutes; a float one overflows at once
+           ast.Pow: lambda a, b: (float(a) if isinstance(a, int) else a) ** b}
 
 
 def eval_number(text, key="<value>"):
@@ -200,7 +202,17 @@ class RunConfig:
             if not os.path.exists(path):
                 raise ConfigParseError("file %r does not exist" % (path,),
                                        key=key)
-            return load_field_csv(grid, path)
+            vals = read_field_csv(path, grid.n_points)
+            if vals.shape[1] != rank:
+                raise ConfigParseError(
+                    "%s has %d components, the model needs %d"
+                    % (path, vals.shape[1], rank), key=key)
+            bad = np.flatnonzero(~np.all(np.isfinite(vals), axis=1))
+            if bad.size:
+                # line numbers count the header as line 1
+                raise ConfigParseError("%s line %d: non-finite value"
+                                       % (path, bad[0] + 2), key=key)
+            return SpinorField(grid, vals)
         raise ConfigParseError("cannot parse field expression %r" % (expr,),
                                key=key)
 

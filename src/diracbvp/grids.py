@@ -216,16 +216,26 @@ def save_field_csv(f, path):
 
 def load_field_csv(grid, path):
     """Read a field written by save_field_csv; grid must match row count."""
+    return SpinorField(grid, read_field_csv(path, grid.n_points))
+
+
+def read_field_csv(path, n_points):
+    """Values (n_points, rank) of a save_field_csv file, unvalidated.
+
+    Raises InvalidFieldError naming the path (and line) when the file is
+    empty, has another row count, a short or long row, or a non-numeric
+    cell; whether the values fit a model is left to the caller.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise InvalidFieldError("%s is empty" % (path,))
     header, body = rows[0], rows[1:]
-    if len(body) != grid.n_points:
+    if len(body) != n_points:
         raise InvalidFieldError(
-            "%s has %d rows, grid expects %d" % (path, len(body), grid.n_points))
+            "%s has %d rows, grid expects %d" % (path, len(body), n_points))
     rank = (len(header) - 1) // 2
-    vals = np.zeros((grid.n_points, rank), dtype=complex)
+    vals = np.zeros((n_points, rank), dtype=complex)
     for j, row in enumerate(body):
         # line numbers count the header as line 1
         if len(row) != len(header):
@@ -237,4 +247,4 @@ def load_field_csv(grid, path):
             raise InvalidFieldError("%s line %d: %s"
                                     % (path, j + 2, exc)) from exc
         vals[j] = [nums[2 * c] + 1j * nums[2 * c + 1] for c in range(rank)]
-    return SpinorField(grid, vals)
+    return vals

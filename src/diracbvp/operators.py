@@ -10,11 +10,13 @@ Three models:
     (_sbp_derivative).
 
 _apply_D_values is the one definition of each model's D; apply_D applies
-it to a field.  assemble() applies it to the columns of the constraint map
-V, an orthonormal basis of the discrete kernel of the boundary operator P,
-and compresses: D_P = sym(V^H W D V), with W the quadrature weights and
-sym(M) = (M + M^H)/2, so the constrained matrix is Hermitian by
-construction.
+it to a field.  The scalar models are diagonal in Fourier modes, and
+fourier_modes gives their frequencies and modulation phase, which both
+_apply_D_values and the Fourier spectral backend read.  assemble() builds
+the constraint map V, an orthonormal basis of the discrete kernel of the
+boundary operator P; the matrix D_P = sym(V^H W D V), with W the
+quadrature weights and sym(M) = (M + M^H)/2, is computed from V the first
+time AssembledOperator.matrix is read, so it is Hermitian by construction.
 """
 
 from dataclasses import dataclass, field
@@ -131,6 +133,24 @@ def _antiperiodic_freqs(grid):
     return (2 * ks + 1) * np.pi / grid.length
 
 
+def fourier_modes(spec):
+    """Frequencies (FFT order) and modulation phase of a scalar model.
+
+    On the m free samples y (antiperiodic: the first m = N-1 points after
+    the endpoint pairing; periodic: all m = N points) D acts as
+    phase * ifft(freqs * fft(conj(phase) * y)), that is as U diag(freqs) U^H
+    with the unitary U = diag(phase) F^H / sqrt(m), F the DFT matrix.
+    Periodic: freqs = 2 pi fftfreq, phase = 1; antiperiodic: the
+    half-integer frequencies of _antiperiodic_freqs, phase_j = exp(i pi j/m).
+    """
+    grid = spec.grid
+    if spec.bc.kind == PERIODIC:
+        xi = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
+        return xi, np.ones(grid.n_points)
+    m = grid.n_points - 1
+    return _antiperiodic_freqs(grid), np.exp(1j * np.pi * np.arange(m) / m)
+
+
 def _antiperiodic_modes(grid):
     """Unitary mode matrix U and frequencies mu of the antiperiodic model.
 
@@ -145,36 +165,47 @@ def _antiperiodic_modes(grid):
     return u, mu
 
 
+def _check_hermitian(matrix):
+    defect = np.max(np.abs(matrix - matrix.conj().T))
+    scale = max(np.max(np.abs(matrix)), 1e-300)
+    if defect > 1e-12 * scale:
+        raise ConfigurationError(
+            "matrix is not Hermitian (defect %.3e)" % defect)
+    return matrix
+
+
 @dataclass
 class AssembledOperator:
-    """Hermitian matrix of D restricted to the discrete kernel of P.
+    """D restricted to the discrete kernel of P, as a Hermitian operator.
 
     constraint_map V embeds constrained coordinates into full-grid fields
     (flattened point-major, component-minor); its columns are orthonormal
-    in the quadrature inner product, i.e. V^H W V = I.
+    in the quadrature inner product, i.e. V^H W V = I.  The dense matrix
+    D_P = sym(V^H W D V) is computed and checked for Hermiticity the first
+    time `matrix` is read; only the dense spectral backend reads it.
     """
-    matrix: np.ndarray = field(repr=False)
     spec: Optional[ModelSpec] = None
     constraint_map: Optional[np.ndarray] = field(default=None, repr=False)
     weights: Optional[np.ndarray] = field(default=None, repr=False)
+    _matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        defect = np.max(np.abs(m - m.conj().T))
-        scale = max(np.max(np.abs(m)), 1e-300)
-        if defect > 1e-12 * scale:
-            raise ConfigurationError(
-                "matrix is not Hermitian (defect %.3e)" % defect)
-        self.matrix = m
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = _check_hermitian(_compress(self))
+        return self._matrix
 
     @property
     def n_constrained(self):
-        return self.matrix.shape[0]
+        if self.constraint_map is None:
+            return self.matrix.shape[0]
+        return self.constraint_map.shape[1]
 
     @classmethod
     def from_matrix(cls, matrix):
         """Wrap a hand-built Hermitian matrix with no grid attached."""
-        return cls(matrix=np.asarray(matrix, dtype=complex))
+        matrix = np.asarray(matrix, dtype=complex)
+        return cls(_matrix=_check_hermitian(matrix))
 
     def _need_grid(self):
         if self.spec is None or self.constraint_map is None:
@@ -202,11 +233,11 @@ class AssembledOperator:
 
 
 def assemble(spec):
-    """Build the constrained Hermitian operator D_P for a model spec.
+    """Build the constrained operator D_P for a model spec.
 
-    D_P = sym(V^H W D V): D from _apply_D_values on the columns of the
-    constraint map V, W the quadrature weights, sym(M) = (M + M^H)/2.
-    Only V depends on the boundary condition.
+    Builds the constraint map V and the weights W; the matrix
+    D_P = sym(V^H W D V) is left to the first read of
+    AssembledOperator.matrix.  Only V depends on the boundary condition.
     """
     grid = spec.grid
     n, r = grid.n_points, spec.rank
@@ -232,17 +263,22 @@ def assemble(spec):
             vmap[2 * j, 2 * j - 1] = 1.0 / np.sqrt(w_pt[j])
             vmap[2 * j + 1, 2 * j] = 1.0 / np.sqrt(w_pt[j])
         vmap[2 * n - 2:2 * n, m - 1] = BAG_V_RIGHT / np.sqrt(w_pt[n - 1])
+    return AssembledOperator(spec=spec, constraint_map=vmap, weights=weights)
 
+
+def _compress(op):
+    """D_P = sym(V^H W D V): D from _apply_D_values on the columns of V."""
+    spec, vmap = op.spec, op.constraint_map
+    n, r = spec.grid.n_points, spec.rank
     # V's rows are point-major, so (N, rank, columns) is a reshape
     dv = _apply_D_values(spec, vmap.reshape(n, r, -1)).reshape(vmap.shape)
-    dv *= weights[:, None]
+    dv *= op.weights[:, None]
     matrix = vmap.conj().T @ dv
     del dv
     # sym in place: one temporary fewer at the memory peak
     matrix += matrix.conj().T
     matrix *= 0.5
-    return AssembledOperator(matrix=matrix, spec=spec,
-                             constraint_map=vmap, weights=weights)
+    return matrix
 
 
 def _apply_D_values(spec, v):
@@ -251,28 +287,22 @@ def _apply_D_values(spec, v):
     No boundary condition is imposed; this is the one definition of each
     model's differential operator.
     """
-    grid = spec.grid
-    # frequency vectors broadcast along axis 0
-    col = (-1,) + (1,) * (v.ndim - 1)
-    if spec.bc.kind == PERIODIC:
-        xi = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
-        return np.fft.ifft(xi.reshape(col) * np.fft.fft(v, axis=0), axis=0)
-    if spec.bc.kind == ANTIPERIODIC:
-        # split off the constant offset so the remainder matches the
-        # antiperiodic endpoint pairing, then differentiate in modes: the
-        # mode matrix of _antiperiodic_modes is diag(phase) times the
-        # unitary DFT, phase_j = exp(i pi j/m), so U diag(mu) U^H y is a
-        # modulated FFT
-        m = grid.n_points - 1
-        mu = _antiperiodic_freqs(grid).reshape(col)
-        phase = np.exp(1j * np.pi * np.arange(m) / m).reshape(col)
-        c = 0.5 * (v[0] + v[-1])
-        y = v[:-1] - c
-        d = phase * np.fft.ifft(mu * np.fft.fft(phase.conj() * y, axis=0),
+    if spec.bc.kind in (PERIODIC, ANTIPERIODIC):
+        # frequency and phase vectors broadcast along axis 0
+        col = (-1,) + (1,) * (v.ndim - 1)
+        freqs, phase = (a.reshape(col) for a in fourier_modes(spec))
+        y = v
+        if spec.bc.kind == ANTIPERIODIC:
+            # split off the constant offset so the remainder matches the
+            # antiperiodic endpoint pairing; the last sample mirrors the first
+            y = v[:-1] - 0.5 * (v[0] + v[-1])
+        d = phase * np.fft.ifft(freqs * np.fft.fft(phase.conj() * y, axis=0),
                                 axis=0)
+        if spec.bc.kind == PERIODIC:
+            return d
         return np.concatenate([d, -d[:1]])
     # bag1d: -i sigma_1 d/dx, sigma_1 swaps the two components
-    return -1j * _sbp_derivative(v, grid.spacing)[:, ::-1]
+    return -1j * _sbp_derivative(v, spec.grid.spacing)[:, ::-1]
 
 
 def apply_D(spec, f):

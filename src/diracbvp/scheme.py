@@ -54,6 +54,10 @@ class SchemeConfig:
 
     def resolve_R(self, sd):
         if self.R == AUTO:
+            if not sd.invertible:
+                raise ParameterError(
+                    "scheme.R: 'auto' is 2/|lambda_1| and needs an "
+                    "invertible operator, but lambda_1 = %r" % sd.lambda1)
             return 2.0 / abs(sd.lambda1)
         return float(np.real(self.R))
 

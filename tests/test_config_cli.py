@@ -48,6 +48,11 @@ def test_eval_number():
     assert eval_number("8/3") == pytest.approx(8.0 / 3.0)
     assert eval_number("-2**3") == -8
     assert eval_number("1e-8") == 1e-8
+    # ** is evaluated in floating point, so a tower overflows at once
+    assert parse_config("[model]\nn_points = 2**10\n").build_model() \
+        .grid.n_points == 1024
+    with pytest.raises(ConfigParseError, match="out of floating-point range"):
+        eval_number("9**9**9")
     with pytest.raises(ConfigParseError):
         eval_number("__import__('os')")
     with pytest.raises(ConfigParseError):
@@ -375,6 +380,7 @@ def test_main_singular_shift_message_has_plain_numbers(tmp_path, capsys):
     ("scheme", "max_iter", "1e400 - 1e400"),
     ("scheme", "lambda", "1e308*10"),
     ("scheme", "lambda", "10**400"),
+    ("scheme", "lambda", "9**9**9"),
 ])
 def test_main_arithmetic_errors_name_the_key(tmp_path, capsys, section, key,
                                              value):
@@ -421,3 +427,59 @@ def test_main_check_writes_strict_json_without_bound(tmp_path):
     with open(out / "conditions.json", encoding="utf-8") as fh:
         payload = json.load(fh, parse_constant=reject)
     assert payload["contraction_bound"] is None
+
+
+def test_main_solve_periodic_shifted(tmp_path):
+    # the shifted scheme steps around the zero mode, and the H^{1/2}_D
+    # graph norm of the increments is finite on it
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = periodic\n"
+                                   "n_points = 64\n[scheme]\nlambda = 0.01\n"
+                                   "a = 0.5\ng = exp_mode(1, 0.1)\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = read_json(out / "report.json")
+    assert report["verdict"] == "converged"
+    assert report["pde_residual"] < 1e-8
+    assert report["lambda1"] == 0.0
+
+
+def test_main_check_periodic_assumed_constants_refused(tmp_path, capsys):
+    # the conditions divide by |lambda_1|, which is exactly 0 here
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = periodic\n"
+                                   "n_points = 32\n[constants]\nc1 = 2\n"
+                                   "c_half = 2\n")
+    assert main(["check", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "chk")]) == 1
+    assert capsys.readouterr().err.strip() \
+        == "error: lambda1_abs must be positive"
+
+
+def test_main_auto_R_needs_invertible(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = periodic\n"
+                                   "n_points = 32\n[scheme]\nlambda = 0.01\n"
+                                   "a = 0.5\nr = auto\n")
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scheme.R: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model, text, where", [
+    ("[model]\n", "x,re_0,im_0\n" + "0.0,1.0,0.0\n" * 2 + "0.0,nan,0.0\n"
+     + "0.0,1.0,0.0\n" * 5, "line 4: non-finite value"),
+    ("[model]\noperator = dirac_2spinor\nboundary = bag1d\n",
+     "x,re_0,im_0\n" + "0.0,1.0,0.0\n" * 8,
+     "has 1 components, the model needs 2"),
+])
+def test_main_sample_file_does_not_fit(tmp_path, capsys, model, text, where):
+    # the file parses, but its values cannot be a datum of the model
+    data = tmp_path / "g.csv"
+    data.write_text(text, encoding="utf-8")
+    cfg_path = write_cfg(tmp_path, model + "n_points = 8\n"
+                                   "[scheme]\ng = sample_file(g.csv)\n")
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scheme.g: %s" % data)
+    assert where in err

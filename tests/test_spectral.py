@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import mode_field
-from diracbvp import (AssembledOperator, SpinorField, apply_fractional,
-                      apply_inverse, apply_operator, decompose,
+from diracbvp import (AssembledOperator, BoundaryCondition, Grid1D,
+                      ModelSpec, SpinorField, apply_fractional, apply_inverse,
+                      apply_operator, assemble, decompose, eigenfunction,
                       estimate_constants, graph_norm, lp_norm,
                       slobodeckij_norm, split_pm)
 from diracbvp.errors import (ConfigurationError, NearSingularError,
-                             ParameterError, SingularPowerError,
-                             UndefinedSplittingError)
-from diracbvp.spectral import random_constrained_field
+                             NumericalError, ParameterError,
+                             SingularPowerError, UndefinedSplittingError)
+from diracbvp.spectral import (FourierSpectralData, decompose_dense,
+                               random_constrained_field)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,84 @@ def test_apply_operator_matches_dense_matrix(model, request):
     raw = op.project(f)
     assert np.max(np.abs(apply_operator(sd, raw) - op.matrix @ raw)) \
         < 1e-10 * np.max(np.abs(op.matrix @ raw))
+
+
+def scalar_op(kind, n_points):
+    if kind == "periodic":
+        grid = Grid1D(2.0 * np.pi, n_points, "circle")
+    else:
+        grid = Grid1D(1.3, n_points)
+    return assemble(ModelSpec(grid, "scalar_derivative",
+                              BoundaryCondition(kind)))
+
+
+@pytest.mark.parametrize("kind", ["antiperiodic", "periodic"])
+@pytest.mark.parametrize("n_points", [8, 9, 64, 256])
+def test_fourier_backend_matches_dense(kind, n_points):
+    op = scalar_op(kind, n_points)
+    fast, dense = decompose(op), decompose_dense(op)
+    assert isinstance(fast, FourierSpectralData)
+    scale = np.max(np.abs(dense.eigenvalues))
+    # equal moduli may come in either order from eigh
+    assert np.max(np.abs(np.sort(fast.eigenvalues)
+                         - np.sort(dense.eigenvalues))) <= 1e-12 * scale
+    assert fast.invertible == dense.invertible == (kind == "antiperiodic")
+    assert abs(fast.lambda1 - dense.lambda1) <= 1e-12 * scale
+
+    f = random_constrained_field(dense, np.random.default_rng(n_points))
+
+    def close(a, b):
+        return lp_norm(a - b, 2) <= 1e-10 * lp_norm(b, 2)
+
+    a = 0.0 if fast.invertible else 0.5
+    for sd_op in (apply_operator, lambda sd, g: apply_inverse(sd, g, a=a),
+                  lambda sd, g: apply_fractional(sd, 1.0, g)):
+        assert close(sd_op(fast, f), sd_op(dense, f))
+    assert graph_norm(fast, 0.5, f) \
+        == pytest.approx(graph_norm(dense, 0.5, f), rel=1e-10)
+    if fast.invertible:
+        assert close(apply_fractional(fast, 0.5, f),
+                     apply_fractional(dense, 0.5, f))
+        for part_fast, part_dense in zip(split_pm(fast, f),
+                                         split_pm(dense, f)):
+            assert close(part_fast, part_dense)
+        for c_fast, c_dense in zip(estimate_constants(fast),
+                                   estimate_constants(dense)):
+            assert c_fast == pytest.approx(c_dense, rel=1e-10)
+
+    # eigenfunctions agree up to a unit phase, matched by eigenvalue
+    for k in list(range(min(fast.size, 6))) + [fast.size - 1]:
+        j = int(np.argmin(np.abs(dense.eigenvalues - fast.eigenvalues[k])))
+        phi, psi = eigenfunction(fast, k), eigenfunction(dense, j)
+        overlap = np.vdot(psi.values, phi.values)
+        phase = overlap / abs(overlap)
+        assert lp_norm(phi - psi * phase, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["antiperiodic", "periodic"])
+def test_scalar_models_never_build_the_matrix(kind, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense operator work on a scalar model")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(AssembledOperator, "matrix", property(refuse))
+    sd = decompose(scalar_op(kind, 64))
+    f = random_constrained_field(sd, np.random.default_rng(0))
+    apply_inverse(sd, f, a=0.5)
+    graph_norm(sd, 0.5, f)
+    if sd.invertible:
+        estimate_constants(sd)
+
+
+@pytest.mark.parametrize("kind", ["antiperiodic", "periodic"])
+def test_fourier_probe_catches_a_corrupt_transform(kind, monkeypatch):
+    # a transform with the wrong DFT sign maps each frequency to its mirror
+    def mirrored(self, y):
+        return np.fft.ifft(self.phase.conj() * y, norm="ortho")[self.order]
+
+    monkeypatch.setattr(FourierSpectralData, "_analyze", mirrored)
+    with pytest.raises(NumericalError, match="probe residual"):
+        decompose(scalar_op(kind, 64))
 
 
 # --------------------------------------------------------- apply_inverse
