@@ -10,13 +10,33 @@ Three models:
     (_sbp_derivative).
 
 _apply_D_values is the one definition of each model's D; apply_D applies
-it to a field.  The scalar models are diagonal in Fourier modes, and
-fourier_modes gives their frequencies and modulation phase, which both
-_apply_D_values and the Fourier spectral backend read.  assemble() builds
-the constraint map V, an orthonormal basis of the discrete kernel of the
-boundary operator P; the matrix D_P = sym(V^H W D V), with W the
-quadrature weights and sym(M) = (M + M^H)/2, is computed from V the first
-time AssembledOperator.matrix is read, so it is Hermitian by construction.
+it to a field.  assemble() builds the constraint map V, an orthonormal
+basis of the discrete kernel of the boundary operator P, from the index
+arrays of _constraint_entries.  The compressed operator is
+D_P = sym(V^H W D V), with W the quadrature weights and
+sym(M) = (M + M^H)/2.
+
+Every model's D_P is diagonal in modulated Fourier modes, and
+fourier_modes gives their frequencies, modulation phase and the
+permutation of the constrained coordinates they act on; the Fourier
+spectral backend reads nothing else.  The scalar models are diagonal in
+Fourier modes by construction.  For bag1d, sigma_1 and the central
+differences couple each component at point j only to the other component
+at j-1 and j+1: the 2N samples form two chains that meet only at the
+endpoints, and V merges the two samples of each endpoint, so D_P has two
+nonzeros per row on one cycle of m = 2N-2 nodes, every edge of modulus
+1/(2h).  A diagonal unitary gauge along the cycle turns it into the real
+symmetric shift, twisted by theta = 0 (N even) or 1/2 (N odd), whose
+eigenvalues are cos(2 pi (k + theta)/m)/h, k = 0..m-1.  Each of them is
+doubly degenerate, bar +-1/h when theta = 0: this is fermion doubling of
+the central-difference stencil (Nielsen-Ninomiya), whereas the continuum
+eigenvalues +-(j + 1/2) pi/L are simple.  The smallest positive
+eigenvalue, sin(pi/m)/h -> pi/(2L), has multiplicity 2.
+
+The dense matrix D_P is computed from V the first time
+AssembledOperator.matrix is read, so it is Hermitian by construction; no
+command reads it for a grid-backed model, only dump_matrix and the tests'
+dense reference, spectral.decompose_dense.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, IncompatibleFieldsError
+from .errors import ConfigurationError, IncompatibleFieldsError, NumericalError
 from .grids import CIRCLE, INTERVAL, Grid1D, SpinorField, check_compatible
 
 ANTIPERIODIC = "antiperiodic"
@@ -64,14 +84,20 @@ class BoundaryCondition:
         if self.kind not in (ANTIPERIODIC, PERIODIC, BAG1D):
             raise ConfigurationError("unknown boundary kind %r" % (self.kind,))
         if self.kind == BAG1D:
-            if self.projector_left is None:
-                self.projector_left = np.eye(2) - np.outer(BAG_V_LEFT,
-                                                           BAG_V_LEFT.conj())
-            if self.projector_right is None:
-                self.projector_right = np.eye(2) - np.outer(BAG_V_RIGHT,
-                                                            BAG_V_RIGHT.conj())
-            self.projector_left = _check_projector(self.projector_left)
-            self.projector_right = _check_projector(self.projector_right)
+            for side, v, text in (("left", BAG_V_LEFT, "(1, i)"),
+                                  ("right", BAG_V_RIGHT, "(1, -i)")):
+                name = "projector_" + side
+                default = np.eye(2) - np.outer(v, v.conj())
+                proj = getattr(self, name)
+                proj = default if proj is None else _check_projector(proj)
+                # assemble builds V from the default kernel directions, so
+                # any other projector would be validated and then ignored
+                if np.max(np.abs(proj - default)) > 1e-12:
+                    raise ConfigurationError(
+                        "bag1d %s projector is not the default I - v v^H, "
+                        "v = %s/sqrt(2): the constraint map is built for "
+                        "the default condition only" % (side, text))
+                setattr(self, name, proj)
 
 
 @dataclass
@@ -134,21 +160,95 @@ def _antiperiodic_freqs(grid):
 
 
 def fourier_modes(spec):
-    """Frequencies (FFT order) and modulation phase of a scalar model.
+    """Frequencies (FFT order), modulation phase and permutation of D_P.
 
-    On the m free samples y (antiperiodic: the first m = N-1 points after
-    the endpoint pairing; periodic: all m = N points) D acts as
-    phase * ifft(freqs * fft(conj(phase) * y)), that is as U diag(freqs) U^H
-    with the unitary U = diag(phase) F^H / sqrt(m), F the DFT matrix.
-    Periodic: freqs = 2 pi fftfreq, phase = 1; antiperiodic: the
-    half-integer frequencies of _antiperiodic_freqs, phase_j = exp(i pi j/m).
+    D_P acts on constrained coordinates y as
+    z = y[perm];  z -> phase * ifft(freqs * fft(conj(phase) * z)),
+    scattered back to y[perm]: D_P = P^T U diag(freqs) U^H P with the
+    unitary U = diag(phase) F^H / sqrt(m), F the DFT matrix and P the
+    permutation.  Periodic: freqs = 2 pi fftfreq, phase = 1; antiperiodic:
+    the half-integer frequencies of _antiperiodic_freqs, phase_j =
+    exp(i pi j/m); both have perm the identity (y holds the free samples up
+    to V's factor 1/sqrt(h)).  bag1d: see _bag_modes.
     """
     grid = spec.grid
+    if spec.bc.kind == BAG1D:
+        return _bag_modes(spec)
     if spec.bc.kind == PERIODIC:
-        xi = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
-        return xi, np.ones(grid.n_points)
-    m = grid.n_points - 1
-    return _antiperiodic_freqs(grid), np.exp(1j * np.pi * np.arange(m) / m)
+        m = grid.n_points
+        freqs = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
+        phase = np.ones(m)
+    else:
+        m = grid.n_points - 1
+        freqs = _antiperiodic_freqs(grid)
+        phase = np.exp(1j * np.pi * np.arange(m) / m)
+    return freqs, phase, np.arange(m)
+
+
+def _bag_modes(spec):
+    """fourier_modes of bag1d: D_P gauged into a twisted symmetric shift.
+
+    The walk starts at the left endpoint's component-1 row, runs along
+    chain A (component j mod 2 at point j) to the right endpoint and back
+    along chain B; V merges each endpoint's two rows, so the columns met,
+    repeats dropped, are the cycle perm: left endpoint, chain A, right
+    endpoint, chain B reversed.  The edge values
+    e_k = D_P[perm[k+1], perm[k]] are read off _apply_D_values on three
+    probes, V's nonzeros at the points j = 0, 1, 2 (mod 3): the stencil
+    reaches one point each way, so every row meets one column of each
+    probe at most.  With the gauge g_k = prod_{l<k} e_l/|e_l|,
+    diag(g)^H D_P diag(g) is s = |e_k| times the symmetric shift closed
+    by s g_m, g_m = +1 (theta = 0) or -1 (theta = 1/2); its eigenvalues
+    are 2 s cos(2 pi (k + theta)/m), with phase_k = g_k exp(2 pi i theta
+    k/m).  NumericalError when the |e_k| differ or g_m is not real.
+    """
+    n = spec.grid.n_points
+    cols, vals = _constraint_entries(spec)
+    j = np.arange(n)
+    chain_a, chain_b = 2 * j + j % 2, 2 * j + 1 - j % 2
+    walk = np.concatenate([chain_b[:1], chain_a, chain_b[:0:-1]])
+    col = cols[walk]
+    start = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    perm = col[start]
+    m = perm.size
+    row_in = walk[start]  # node k's row next to node k-1
+    row_out = walk[np.r_[start[1:], walk.size] - 1]  # ... next to node k+1
+    row_next = np.roll(row_in, -1)
+
+    point = np.arange(2 * n) // 2
+    probes = np.zeros((2 * n, 3), dtype=complex)
+    probes[np.arange(2 * n), point % 3] = vals
+    dq = _apply_D_values(spec, probes.reshape(n, 2, 3)).reshape(2 * n, 3)
+    w = np.repeat(spec.grid.weights(), 2)
+
+    def entry(row, other):
+        # <V_a, W D V_b>, a the column of `row` and b that of `other`: the
+        # probe holding b, after D, is D V_b alone at `row`
+        return vals[row].conj() * w[row] * dq[row, point[other] % 3]
+
+    edges = 0.5 * (entry(row_next, row_out) + entry(row_out, row_next).conj())
+    moduli = np.abs(edges)
+    s = np.mean(moduli)
+    spread = np.max(np.abs(moduli - s))
+    if spread > 1e-12 * s:
+        raise NumericalError("bag1d cycle edges differ in modulus by %.3e"
+                             % spread)
+    gauge = np.cumprod(edges / moduli)
+    closing = gauge[-1]
+    if abs(abs(closing.real) - 1.0) > 1e-12 or abs(closing.imag) > 1e-12:
+        raise NumericalError("bag1d closing edge is not real (phase %r)"
+                             % complex(closing))
+    theta = 0.0 if closing.real > 0 else 0.5
+    # 2 s cos(2 pi (k + theta)/m) = 2 s sin(2 pi x/m) with the half-integer
+    # x = m/4 - k - theta; folding x into [-m/4, m/4] by the symmetries of
+    # sin makes each degenerate pair and each +- pair exactly equal
+    x = (0.75 * m - np.arange(m) - theta) % m - 0.5 * m  # in [-m/2, m/2)
+    x = np.where(x > 0.25 * m, 0.5 * m - x,
+                 np.where(x < -0.25 * m, -0.5 * m - x, x))
+    freqs = 2.0 * s * np.sin(2.0 * np.pi * x / m)
+    phase = np.r_[1.0, gauge[:-1]] \
+        * np.exp(2j * np.pi * theta * np.arange(m) / m)
+    return freqs, phase, perm
 
 
 def _antiperiodic_modes(grid):
@@ -182,7 +282,8 @@ class AssembledOperator:
     (flattened point-major, component-minor); its columns are orthonormal
     in the quadrature inner product, i.e. V^H W V = I.  The dense matrix
     D_P = sym(V^H W D V) is computed and checked for Hermiticity the first
-    time `matrix` is read; only the dense spectral backend reads it.
+    time `matrix` is read; decompose_dense (bare matrices, the tests'
+    reference) and dump_matrix read it.
     """
     spec: Optional[ModelSpec] = None
     constraint_map: Optional[np.ndarray] = field(default=None, repr=False)
@@ -228,41 +329,48 @@ class AssembledOperator:
         if isinstance(f, np.ndarray):
             return np.asarray(f, dtype=complex)
         self._need_grid()
-        flat = f.values.reshape(-1)
-        return self.constraint_map.conj().T @ (self.weights * flat)
+        # conj(V^T conj(W f)) = V^H W f without copying conj(V)
+        wf = self.weights * f.values.reshape(-1)
+        return (self.constraint_map.T @ wf.conj()).conj()
+
+
+def _constraint_entries(spec):
+    """The constraint map V as index arrays: V[i, cols[i]] = vals[i].
+
+    Rows index the flattened field (point-major, component-minor); every
+    row of V holds exactly one nonzero and every column at most two.
+    Only V depends on the boundary condition.
+    """
+    grid = spec.grid
+    n = grid.n_points
+    if spec.bc.kind == PERIODIC:
+        return np.arange(n), np.full(n, 1.0 / np.sqrt(grid.spacing),
+                                     dtype=complex)
+    if spec.bc.kind == ANTIPERIODIC:
+        # the first constrained dof pairs the two endpoints antiperiodically
+        vals = np.ones(n, dtype=complex)
+        vals[-1] = -1.0
+        vals /= np.sqrt(grid.spacing)
+        return np.r_[np.arange(n - 1), 0], vals
+    # bag1d: the endpoints along their kernel directions, one column per
+    # interior component
+    m = 2 * n - 2
+    vals = np.concatenate([BAG_V_LEFT, np.ones(2 * n - 4), BAG_V_RIGHT])
+    return np.r_[0, np.arange(m), m - 1], vals / np.sqrt(
+        np.repeat(grid.weights(), 2))
 
 
 def assemble(spec):
     """Build the constrained operator D_P for a model spec.
 
-    Builds the constraint map V and the weights W; the matrix
-    D_P = sym(V^H W D V) is left to the first read of
-    AssembledOperator.matrix.  Only V depends on the boundary condition.
+    Builds the constraint map V from _constraint_entries and the weights
+    W; the dense matrix D_P = sym(V^H W D V) is left to the first read of
+    AssembledOperator.matrix.
     """
-    grid = spec.grid
-    n, r = grid.n_points, spec.rank
-    w_pt = grid.weights()
-    weights = np.repeat(w_pt, r)
-
-    if spec.bc.kind == ANTIPERIODIC:
-        m = n - 1
-        vmap = np.zeros((n, m), dtype=complex)
-        # first constrained dof pairs the two endpoints antiperiodically
-        vmap[0, 0] = 1.0
-        vmap[n - 1, 0] = -1.0
-        for j in range(1, m):
-            vmap[j, j] = 1.0
-        vmap /= np.sqrt(grid.spacing)
-    elif spec.bc.kind == PERIODIC:
-        vmap = np.eye(n, dtype=complex) / np.sqrt(grid.spacing)
-    else:  # bag1d
-        m = 2 * n - 2
-        vmap = np.zeros((2 * n, m), dtype=complex)
-        vmap[0:2, 0] = BAG_V_LEFT / np.sqrt(w_pt[0])
-        for j in range(1, n - 1):
-            vmap[2 * j, 2 * j - 1] = 1.0 / np.sqrt(w_pt[j])
-            vmap[2 * j + 1, 2 * j] = 1.0 / np.sqrt(w_pt[j])
-        vmap[2 * n - 2:2 * n, m - 1] = BAG_V_RIGHT / np.sqrt(w_pt[n - 1])
+    cols, vals = _constraint_entries(spec)
+    vmap = np.zeros((cols.size, cols.max() + 1), dtype=complex)
+    vmap[np.arange(cols.size), cols] = vals
+    weights = np.repeat(spec.grid.weights(), spec.rank)
     return AssembledOperator(spec=spec, constraint_map=vmap, weights=weights)
 
 
@@ -290,7 +398,7 @@ def _apply_D_values(spec, v):
     if spec.bc.kind in (PERIODIC, ANTIPERIODIC):
         # frequency and phase vectors broadcast along axis 0
         col = (-1,) + (1,) * (v.ndim - 1)
-        freqs, phase = (a.reshape(col) for a in fourier_modes(spec))
+        freqs, phase, _ = (a.reshape(col) for a in fourier_modes(spec))
         y = v
         if spec.bc.kind == ANTIPERIODIC:
             # split off the constant offset so the remainder matches the

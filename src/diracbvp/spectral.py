@@ -1,16 +1,18 @@
 """Spectral decomposition of D_P and the functional calculus built on it.
 
-decompose has two backends behind one interface, SpectralData: the
-scalar models (antiperiodic, periodic) are diagonal in Fourier modes, so
-their eigenvalues are the analytic frequencies of operators.fourier_modes
-and their eigen-coefficient transform is an FFT (FourierSpectralData);
-bag1d and bare matrices go through the dense Hermitian eigensolve
-decompose_dense (DenseSpectralData), which is also the tests' reference.
-Everything downstream lives here: the eigen-coefficient transform
-(SpectralData.to_coeffs/from_coeffs), the application of D_P, inverses
-(optionally shifted), fractional powers |D_P|^s, the +/- spectral
-splitting, graph norms of H^s_D, and the empirical regularity constants
-c1 and c_{1/2} as generalized Rayleigh quotients.  No other module reads
+decompose has two backends behind one interface, SpectralData.  Every
+grid-backed model (antiperiodic, periodic, bag1d) is diagonal in
+modulated Fourier modes, so its eigenvalues are the frequencies of
+operators.fourier_modes and its eigen-coefficient transform is permute,
+demodulate, FFT (FourierSpectralData), in O(m log m) time and O(m)
+memory.  Only bare matrices (AssembledOperator.from_matrix) go through
+the dense Hermitian eigensolve decompose_dense (DenseSpectralData), which
+is also the tests' reference.  Everything downstream lives here: the
+eigen-coefficient transform (SpectralData.to_coeffs/from_coeffs), the
+application of D_P, inverses (optionally shifted), fractional powers
+|D_P|^s, the +/- spectral splitting, graph norms of H^s_D, and the
+empirical regularity constants c1 and c_{1/2} as generalized Rayleigh
+quotients, the one part that imports scipy.  No other module reads
 the eigenvectors.
 """
 
@@ -19,13 +21,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConfigurationError, DegenerateFormError, NearSingularError,
                      NumericalError, ParameterError, SingularPowerError,
                      UndefinedSplittingError)
 from .grids import SpinorField, derivative, slobodeckij_form
-from .operators import SCALAR_DERIVATIVE, apply_D, fourier_modes
+from .operators import apply_D, fourier_modes
 
 ConstantEstimates = namedtuple("ConstantEstimates",
                                ["c1_emp", "c_half_emp", "c_half_formula"])
@@ -78,31 +79,38 @@ class DenseSpectralData(SpectralData):
 
 @dataclass
 class FourierSpectralData(SpectralData):
-    """Backend of the scalar models: U = diag(phase) F^H / sqrt(m).
+    """Fourier backend: eigenvectors P^T diag(phase) F^H / sqrt(m).
 
-    order[k] is the FFT bin of eigenvalue k, phase the modulation of
-    operators.fourier_modes; U^H y = fft(conj(phase) y, norm="ortho") and
-    U a = phase ifft(a, norm="ortho"), with the bins permuted into
-    eigenvalue order.
+    order[k] is the FFT bin of eigenvalue k; phase and perm are the
+    modulation and coordinate permutation of operators.fourier_modes.
+    to_coeffs is y -> fft(conj(phase) y[perm], norm="ortho") and from_coeffs
+    its inverse, with the bins permuted into eigenvalue order.
     """
     order: np.ndarray = field(repr=False)
     phase: np.ndarray = field(repr=False)
+    perm: np.ndarray = field(repr=False)
 
     def _analyze(self, y):
-        return np.fft.fft(self.phase.conj() * y, norm="ortho")[self.order]
+        z = self.phase.conj() * y[self.perm]
+        return np.fft.fft(z, norm="ortho")[self.order]
 
     def _synthesize(self, coeff):
         bins = np.empty(self.size, dtype=complex)
         bins[self.order] = coeff
-        return self.phase * np.fft.ifft(bins, norm="ortho")
+        out = np.empty(self.size, dtype=complex)
+        out[self.perm] = self.phase * np.fft.ifft(bins, norm="ortho")
+        return out
 
     @cached_property
     def eigenvectors(self):
-        """The dense modulated DFT U, built by FFT on first read."""
-        perm = np.eye(self.size, dtype=complex)[:, self.order]
-        vecs = np.fft.ifft(perm, axis=0, norm="ortho")
+        """The dense eigenvector matrix, built by FFT on first read."""
+        vecs = np.zeros((self.size, self.size), dtype=complex)
+        vecs[self.order, np.arange(self.size)] = 1.0
+        vecs = np.fft.ifft(vecs, axis=0, norm="ortho")
         vecs *= self.phase[:, None]
-        return vecs
+        out = np.empty_like(vecs)
+        out[self.perm] = vecs
+        return out
 
 
 def _order_spectrum(vals):
@@ -128,19 +136,20 @@ def _order_spectrum(vals):
 def decompose(op):
     """Spectral decomposition of D_P, sorted by increasing modulus.
 
-    A scalar model gets the Fourier backend: analytic eigenvalues, FFT
-    transforms, no dense matrix.  Its transform is checked once on a fixed
-    unit probe vector c: D_P c through the eigenexpansion must match
+    A grid-backed operator, on every model, gets the Fourier backend:
+    eigenvalues and transform from operators.fourier_modes, no dense
+    matrix and no eigh.  Its transform is checked once on a fixed unit
+    probe vector c: D_P c through the eigenexpansion must match
     project(apply_D(embed(c))) to 1e-9 * max(max |lambda|, 1), else
-    NumericalError.  Every other operator goes through decompose_dense.
+    NumericalError.  A bare matrix goes through decompose_dense.
     """
-    if op.spec is None or op.spec.operator_kind != SCALAR_DERIVATIVE:
+    if op.spec is None:
         return decompose_dense(op)
-    freqs, phase = fourier_modes(op.spec)
+    freqs, phase, perm = fourier_modes(op.spec)
     order, lambda1, invertible = _order_spectrum(freqs)
     sd = FourierSpectralData(operator=op, eigenvalues=freqs[order],
                              lambda1=lambda1, invertible=invertible,
-                             order=order, phase=phase)
+                             order=order, phase=phase, perm=perm)
 
     rng = np.random.default_rng(0)
     c = rng.standard_normal(sd.size) + 1j * rng.standard_normal(sd.size)
@@ -155,9 +164,9 @@ def decompose(op):
 def decompose_dense(op):
     """Dense Hermitian eigendecomposition of op.matrix, by modulus.
 
-    The backend of bag1d and bare matrices, and the reference the Fourier
-    backend is tested against.  Raises NumericalError when an eigenpair
-    residual exceeds 1e-9 * max(max |lambda|, 1).
+    O(m^3): the backend of bare matrices only, and the reference the
+    Fourier backend is tested against.  Raises NumericalError when an
+    eigenpair residual exceeds 1e-9 * max(max |lambda|, 1).
     """
     try:
         vals, vecs = np.linalg.eigh(op.matrix)
@@ -247,6 +256,9 @@ def estimate_constants(sd, c_h=1.0, iota=1.0):
 
 def _rayleigh_maxima(sd):
     """Largest generalized eigenvalues behind c1_emp and c_half_emp."""
+    # imported here: scipy.linalg is the largest part of the start-up time
+    # of every command, and nothing else needs it
+    import scipy.linalg
     op = sd.operator
     if op.spec is None or op.constraint_map is None:
         raise ConfigurationError("estimate_constants needs a grid-backed operator")
@@ -265,7 +277,7 @@ def _rayleigh_maxima(sd):
     try:
         c1_emp = float(np.max(scipy.linalg.eigh(num1, den1,
                                                 eigvals_only=True)))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise DegenerateFormError("singular denominator form: %s" % exc) from exc
 
     q = slobodeckij_form(grid, 0.5)
@@ -277,7 +289,7 @@ def _rayleigh_maxima(sd):
     try:
         c_half_emp = float(np.max(scipy.linalg.eigh(num_h, den_h,
                                                     eigvals_only=True)))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise DegenerateFormError("singular denominator form: %s" % exc) from exc
 
     return c1_emp, c_half_emp

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,20 @@ def read_csv(path):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+# ------------------------------------------------------------ cold start
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.linalg is most of the CLI's start-up time and only the
+    # empirical constants need it, so it is imported there
+    import diracbvp
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracbvp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, diracbvp.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # --------------------------------------------------------------- parsing

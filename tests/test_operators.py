@@ -122,6 +122,44 @@ def test_bag_projector_validation():
                           projector_left=np.array([[0.5, 0.5j], [0.5j, 0.5]]))
 
 
+def test_bag_refuses_an_admissible_but_unsupported_projector():
+    # a valid rank-1 projector whose kernel is not the default direction
+    # (1, i)/sqrt(2): assemble would ignore it, so it is refused up front
+    def kernel_projector(v):
+        return np.eye(2) - np.outer(v, v.conj())
+
+    v = np.array([1.0, -1.0j]) / np.sqrt(2.0)
+    with pytest.raises(ConfigurationError, match="default"):
+        BoundaryCondition("bag1d", projector_left=kernel_projector(v))
+    with pytest.raises(ConfigurationError, match="default"):
+        BoundaryCondition("bag1d", projector_right=np.diag([1.0, 0.0]))
+    # the default, passed explicitly, is accepted
+    v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    bc = BoundaryCondition("bag1d", projector_left=kernel_projector(v))
+    assert np.allclose(bc.projector_left @ v, 0.0)
+
+
+@pytest.mark.parametrize("n_points", [8, 9, 64, 65])
+def test_bag_spectrum_closed_form_and_doubling(n_points):
+    # D_P is a twisted symmetric shift on m = 2N-2 nodes: eigenvalues
+    # cos(2 pi (k + theta)/m)/h, theta = 0 (N even) or 1/2 (N odd), each
+    # doubled by the central-difference stencil (fermion doubling)
+    from diracbvp import decompose
+    from diracbvp.spectral import decompose_dense
+    grid = Grid1D(1.0, n_points)
+    op = assemble(ModelSpec(grid, "dirac_2spinor",
+                            BoundaryCondition("bag1d")))
+    m, h = 2 * n_points - 2, grid.spacing
+    theta = 0.0 if n_points % 2 == 0 else 0.5
+    closed = np.sort(np.cos(2.0 * np.pi * (np.arange(m) + theta) / m) / h)
+    for sd in (decompose(op), decompose_dense(op)):
+        vals = np.sort(sd.eigenvalues)
+        assert np.max(np.abs(vals - closed)) <= 1e-12 / h
+        smallest = np.min(vals[vals > 0])
+        assert np.sum(np.abs(vals - smallest) <= 1e-9 / h) == 2
+        assert smallest == pytest.approx(np.sin(np.pi / m) / h, rel=1e-12)
+
+
 # -------------------------------------------------------------- apply_D
 
 def test_apply_D_constant_is_zero(anti_spec):

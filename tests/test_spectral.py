@@ -3,10 +3,10 @@ import pytest
 
 from conftest import mode_field
 from diracbvp import (AssembledOperator, BoundaryCondition, Grid1D,
-                      ModelSpec, SpinorField, apply_fractional, apply_inverse,
-                      apply_operator, assemble, decompose, eigenfunction,
-                      estimate_constants, graph_norm, lp_norm,
-                      slobodeckij_norm, split_pm)
+                      ModelSpec, SchemeConfig, SpinorField, apply_fractional,
+                      apply_inverse, apply_operator, assemble, decompose,
+                      eigenfunction, estimate_constants, graph_norm, lp_norm,
+                      run, slobodeckij_norm, split_pm)
 from diracbvp.errors import (ConfigurationError, NearSingularError,
                              NumericalError, ParameterError,
                              SingularPowerError, UndefinedSplittingError)
@@ -84,29 +84,26 @@ def test_apply_operator_matches_dense_matrix(model, request):
         < 1e-10 * np.max(np.abs(op.matrix @ raw))
 
 
-def scalar_op(kind, n_points):
+def model_op(kind, n_points):
     if kind == "periodic":
         grid = Grid1D(2.0 * np.pi, n_points, "circle")
     else:
         grid = Grid1D(1.3, n_points)
-    return assemble(ModelSpec(grid, "scalar_derivative",
-                              BoundaryCondition(kind)))
+    operator = "dirac_2spinor" if kind == "bag1d" else "scalar_derivative"
+    return assemble(ModelSpec(grid, operator, BoundaryCondition(kind)))
 
 
-@pytest.mark.parametrize("kind", ["antiperiodic", "periodic"])
-@pytest.mark.parametrize("n_points", [8, 9, 64, 256])
-def test_fourier_backend_matches_dense(kind, n_points):
-    op = scalar_op(kind, n_points)
-    fast, dense = decompose(op), decompose_dense(op)
+def assert_backends_agree(fast, dense, seed):
+    """Eigenvalues and every eigenspace-only operation, fast vs dense."""
     assert isinstance(fast, FourierSpectralData)
     scale = np.max(np.abs(dense.eigenvalues))
     # equal moduli may come in either order from eigh
     assert np.max(np.abs(np.sort(fast.eigenvalues)
                          - np.sort(dense.eigenvalues))) <= 1e-12 * scale
-    assert fast.invertible == dense.invertible == (kind == "antiperiodic")
+    assert fast.invertible == dense.invertible
     assert abs(fast.lambda1 - dense.lambda1) <= 1e-12 * scale
 
-    f = random_constrained_field(dense, np.random.default_rng(n_points))
+    f = random_constrained_field(dense, np.random.default_rng(seed))
 
     def close(a, b):
         return lp_norm(a - b, 2) <= 1e-10 * lp_norm(b, 2)
@@ -127,6 +124,15 @@ def test_fourier_backend_matches_dense(kind, n_points):
                                    estimate_constants(dense)):
             assert c_fast == pytest.approx(c_dense, rel=1e-10)
 
+
+@pytest.mark.parametrize("kind", ["antiperiodic", "periodic"])
+@pytest.mark.parametrize("n_points", [8, 9, 64, 256])
+def test_fourier_backend_matches_dense(kind, n_points):
+    op = model_op(kind, n_points)
+    fast, dense = decompose(op), decompose_dense(op)
+    assert_backends_agree(fast, dense, n_points)
+    assert fast.invertible == (kind == "antiperiodic")
+
     # eigenfunctions agree up to a unit phase, matched by eigenvalue
     for k in list(range(min(fast.size, 6))) + [fast.size - 1]:
         j = int(np.argmin(np.abs(dense.eigenvalues - fast.eigenvalues[k])))
@@ -136,30 +142,53 @@ def test_fourier_backend_matches_dense(kind, n_points):
         assert lp_norm(phi - psi * phase, 2) <= 1e-10
 
 
-@pytest.mark.parametrize("kind", ["antiperiodic", "periodic"])
-def test_scalar_models_never_build_the_matrix(kind, monkeypatch):
+@pytest.mark.parametrize("n_points", [8, 9, 64, 65, 256, 257])
+def test_bag_fourier_backend_matches_dense(n_points):
+    op = model_op("bag1d", n_points)
+    fast, dense = decompose(op), decompose_dense(op)
+    assert_backends_agree(fast, dense, n_points)
+    assert fast.invertible
+
+    # every eigenvalue is doubly degenerate (bar +-1/h), so eigenfunctions
+    # agree only up to a unitary within each eigenspace: compare the
+    # spectral projectors P_fast, P_dense of each eigenspace.  For equal
+    # dimensions ||P_fast - P_dense||_2 = ||(I - P_dense) U_fast||_2
+    vals, h = fast.eigenvalues, op.spec.grid.spacing
+    for lam in np.unique(vals * h):
+        mine = np.abs(vals * h - lam) <= 1e-9
+        theirs = np.abs(dense.eigenvalues * h - lam) <= 1e-9
+        assert mine.sum() == theirs.sum() <= 2
+        u, v = fast.eigenvectors[:, mine], dense.eigenvectors[:, theirs]
+        assert np.linalg.norm(u - v @ (v.conj().T @ u), 2) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["antiperiodic", "periodic", "bag1d"])
+def test_models_never_build_the_matrix(kind, monkeypatch):
     def refuse(*args):
-        raise AssertionError("dense operator work on a scalar model")
+        raise AssertionError("dense operator work on a grid-backed model")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(AssembledOperator, "matrix", property(refuse))
-    sd = decompose(scalar_op(kind, 64))
+    sd = decompose(model_op(kind, 64))
     f = random_constrained_field(sd, np.random.default_rng(0))
     apply_inverse(sd, f, a=0.5)
     graph_norm(sd, 0.5, f)
     if sd.invertible:
         estimate_constants(sd)
+        report = run(sd, SchemeConfig(lam=0.01, p=4, g=0.05 * f))
+        assert report.verdict == "converged"
 
 
-@pytest.mark.parametrize("kind", ["antiperiodic", "periodic"])
+@pytest.mark.parametrize("kind", ["antiperiodic", "periodic", "bag1d"])
 def test_fourier_probe_catches_a_corrupt_transform(kind, monkeypatch):
     # a transform with the wrong DFT sign maps each frequency to its mirror
     def mirrored(self, y):
-        return np.fft.ifft(self.phase.conj() * y, norm="ortho")[self.order]
+        z = self.phase.conj() * y[self.perm]
+        return np.fft.ifft(z, norm="ortho")[self.order]
 
     monkeypatch.setattr(FourierSpectralData, "_analyze", mirrored)
     with pytest.raises(NumericalError, match="probe residual"):
-        decompose(scalar_op(kind, 64))
+        decompose(model_op(kind, 64))
 
 
 # --------------------------------------------------------- apply_inverse
