@@ -188,7 +188,14 @@ def run_command(cfg, command, out_dir=None):
         raise DiracBVPError("unknown command %r" % (command,))
     out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    return _COMMANDS[command](cfg, out_dir)
+    try:
+        return _COMMANDS[command](cfg, out_dir)
+    except MemoryError as exc:
+        from .config import _as_int
+        n_points = _as_int(cfg.get("model", "n_points"), "model.n_points")
+        message = str(exc) or "out of memory"
+        raise DiracBVPError("model.n_points = %d: %s"
+                            % (n_points, message)) from exc
 
 
 def main(argv=None):

@@ -41,10 +41,6 @@ class UndefinedSplittingError(DiracBVPError):
     """Positive/negative spectral splitting with a zero mode present."""
 
 
-class DegenerateFormError(DiracBVPError):
-    """Singular denominator quadratic form in a generalized eigenproblem."""
-
-
 class DegeneratePairingError(DiracBVPError):
     """Vanishing denominator in the variational functional."""
 

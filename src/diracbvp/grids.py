@@ -154,33 +154,66 @@ def w1q_norm(f, q):
                  ** (1.0 / q))
 
 
-def slobodeckij_form(grid, s):
-    """Dense quadratic form Q with  seminorm^2 = sum_c f_c^H Q f_c.
+def derivative_adjoint(f):
+    """The Euclidean adjoint of derivative (its conjugate transpose) on f.
 
-    Q_xy encodes the double integral of |f(x)-f(y)|^2 / d(x,y)^(1+2s)
-    with the diagonal excluded and arc distance on circles.
+    The spectral derivative of a circle is anti-Hermitian, so this is
+    -derivative(f) there; on intervals it is the transpose of the
+    difference stencil, one-sided closures included.
     """
-    x = grid.points()
-    w = grid.weights()
-    d = np.abs(x[:, None] - x[None, :])
+    if f.grid.topology == CIRCLE:
+        return -derivative(f)
+    u = f.values
+    du = np.zeros_like(u)
+    du[2:] += u[1:-1]
+    du[:-2] -= u[1:-1]
+    du[:3] += np.multiply.outer([-3.0, 4.0, -1.0], u[0])
+    du[-3:] += np.multiply.outer([1.0, -4.0, 3.0], u[-1])
+    du /= 2 * f.grid.spacing
+    return SpinorField(f.grid, du)
+
+
+def slobodeckij_operator(grid, s):
+    """The map f -> Q f of the Slobodeckij form, in O(N log N).
+
+    seminorm^2 = sum_c f_c^H Q f_c for the double integral of
+    |f(x)-f(y)|^2 / d(x,y)^(1+2s), diagonal excluded: Q = 2 (diag(K 1) - K)
+    with K_xy = w_x w_y / d(x,y)^(1+2s), d the distance on intervals and
+    the arc distance on circles.  K = W T W with T_xy = 1/(h k)^(1+2s),
+    k the index distance, so T is circulant on circles and Toeplitz on
+    intervals, applied by FFT through its 2N-point circulant embedding.
+    The returned function acts on values of shape (N, r), each component
+    on its own.
+    """
+    n, h = grid.n_points, grid.spacing
+    w = grid.weights()[:, None]
+    k = np.arange(n)
     if grid.topology == CIRCLE:
-        d = np.minimum(d, grid.length - d)
-    np.fill_diagonal(d, 1.0)  # dummy, diagonal is zeroed below
-    kern = (w[:, None] * w[None, :]) / d ** (1.0 + 2.0 * s)
-    np.fill_diagonal(kern, 0.0)
-    # |f(x)-f(y)|^2 expands to a quadratic form 2*(diag(rowsum) - kern)
-    q = -kern
-    np.fill_diagonal(q, np.sum(kern, axis=1))
-    q *= 2.0
-    return q
+        dist = np.minimum(k, n - k)
+    else:
+        dist = np.r_[k, 0, k[:0:-1]]  # the entry at N is free: set to 0
+    kern = np.zeros(dist.size)
+    kern[dist > 0] = (h * dist[dist > 0]) ** -(1.0 + 2.0 * s)
+    kern_hat = np.fft.fft(kern).real  # a symmetric kernel: real spectrum
+
+    def toeplitz(v):
+        vh = np.fft.fft(v, n=dist.size, axis=0)
+        return np.fft.ifft(kern_hat[:, None] * vh, axis=0)[:n]
+
+    diag = w * toeplitz(w).real
+
+    def apply(v):
+        return 2.0 * (diag * v - w * toeplitz(w * v))
+
+    return apply
 
 
 def slobodeckij_norm(f, s):
     """Fractional Sobolev norm (||f||_L2^2 + double-integral seminorm^2)^(1/2)."""
     if not 0.0 < s < 1.0:
         raise ParameterError("s must lie in (0,1), got %r" % (s,))
-    q = slobodeckij_form(f.grid, s)
-    semi2 = float(np.real(np.einsum("xc,xy,yc->", f.values.conj(), q, f.values)))
+    qf = slobodeckij_operator(f.grid, s)(f.values)
+    semi2 = float(np.vdot(f.values, qf).real)
     return float(np.sqrt(lp_norm(f, 2) ** 2 + max(semi2, 0.0)))
 
 

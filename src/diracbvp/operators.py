@@ -10,9 +10,11 @@ Three models:
     (_sbp_derivative).
 
 _apply_D_values is the one definition of each model's D; apply_D applies
-it to a field.  assemble() builds the constraint map V, an orthonormal
-basis of the discrete kernel of the boundary operator P, from the index
-arrays of _constraint_entries.  The compressed operator is
+it to a field.  The constraint map V is an orthonormal basis of the
+discrete kernel of the boundary operator P, with one nonzero per row;
+assemble() keeps it as the index arrays of _constraint_entries, so
+embed (V c) and project (V^H W f) cost O(N), and the dense V is built
+only for the tests' reference.  The compressed operator is
 D_P = sym(V^H W D V), with W the quadrature weights and
 sym(M) = (M + M^H)/2.
 
@@ -40,6 +42,7 @@ dense reference, spectral.decompose_dense.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -251,20 +254,6 @@ def _bag_modes(spec):
     return freqs, phase, perm
 
 
-def _antiperiodic_modes(grid):
-    """Unitary mode matrix U and frequencies mu of the antiperiodic model.
-
-    Columns of U sample exp(i mu_k x)/sqrt(m) at the first m = N-1 grid
-    points, in increasing mu; D = -i d/dx acts as U diag(mu) U^H there.
-    Dense reference for the tests; the package applies D by FFT.
-    """
-    m = grid.n_points - 1
-    x = grid.points()[:m]
-    mu = np.fft.fftshift(_antiperiodic_freqs(grid))
-    u = np.exp(1j * np.outer(x, mu)) / np.sqrt(m)
-    return u, mu
-
-
 def _check_hermitian(matrix):
     defect = np.max(np.abs(matrix - matrix.conj().T))
     scale = max(np.max(np.abs(matrix)), 1e-300)
@@ -278,15 +267,20 @@ def _check_hermitian(matrix):
 class AssembledOperator:
     """D restricted to the discrete kernel of P, as a Hermitian operator.
 
-    constraint_map V embeds constrained coordinates into full-grid fields
-    (flattened point-major, component-minor); its columns are orthonormal
-    in the quadrature inner product, i.e. V^H W V = I.  The dense matrix
-    D_P = sym(V^H W D V) is computed and checked for Hermiticity the first
-    time `matrix` is read; decompose_dense (bare matrices, the tests'
-    reference) and dump_matrix read it.
+    The constraint map V embeds constrained coordinates into full-grid
+    fields (flattened point-major, component-minor); its columns are
+    orthonormal in the quadrature inner product, V^H W V = I.  V has one
+    nonzero per row and is kept as the index arrays of
+    _constraint_entries, V[i, cols[i]] = vals[i], so embed is a scatter
+    and project a gather, both O(N).  constraint_map builds the dense V
+    on each read, for the tests' reference only.  The dense matrix
+    D_P = sym(V^H W D V) is computed and checked for Hermiticity the
+    first time `matrix` is read; decompose_dense (bare matrices, the
+    tests' reference) and dump_matrix read it.
     """
     spec: Optional[ModelSpec] = None
-    constraint_map: Optional[np.ndarray] = field(default=None, repr=False)
+    cols: Optional[np.ndarray] = field(default=None, repr=False)
+    vals: Optional[np.ndarray] = field(default=None, repr=False)
     weights: Optional[np.ndarray] = field(default=None, repr=False)
     _matrix: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -296,11 +290,19 @@ class AssembledOperator:
             self._matrix = _check_hermitian(_compress(self))
         return self._matrix
 
-    @property
+    @cached_property
     def n_constrained(self):
-        if self.constraint_map is None:
+        if self.cols is None:
             return self.matrix.shape[0]
-        return self.constraint_map.shape[1]
+        return int(self.cols.max()) + 1
+
+    @property
+    def constraint_map(self):
+        """The dense N*rank x m matrix V, built anew on every read."""
+        self._need_grid()
+        vmap = np.zeros((self.cols.size, self.n_constrained), dtype=complex)
+        vmap[np.arange(self.cols.size), self.cols] = self.vals
+        return vmap
 
     @classmethod
     def from_matrix(cls, matrix):
@@ -309,14 +311,14 @@ class AssembledOperator:
         return cls(_matrix=_check_hermitian(matrix))
 
     def _need_grid(self):
-        if self.spec is None or self.constraint_map is None:
+        if self.spec is None or self.cols is None:
             raise ConfigurationError(
                 "operation needs a grid-backed operator, not a bare matrix")
 
     def embed(self, coeffs):
         """Constrained coordinates -> full-grid SpinorField."""
         self._need_grid()
-        flat = self.constraint_map @ np.asarray(coeffs, dtype=complex)
+        flat = self.vals * np.asarray(coeffs, dtype=complex)[self.cols]
         n, r = self.spec.grid.n_points, self.spec.rank
         return SpinorField(self.spec.grid, flat.reshape(n, r))
 
@@ -329,9 +331,14 @@ class AssembledOperator:
         if isinstance(f, np.ndarray):
             return np.asarray(f, dtype=complex)
         self._need_grid()
-        # conj(V^T conj(W f)) = V^H W f without copying conj(V)
-        wf = self.weights * f.values.reshape(-1)
-        return (self.constraint_map.T @ wf.conj()).conj()
+        return self.adjoint(self.weights * f.values.reshape(-1))
+
+    def adjoint(self, flat):
+        """V^H y for a flattened full-grid vector y: gather and bincount."""
+        terms = self.vals.conj() * flat
+        m = self.n_constrained
+        return np.bincount(self.cols, terms.real, m) \
+            + 1j * np.bincount(self.cols, terms.imag, m)
 
 
 def _constraint_entries(spec):
@@ -363,15 +370,14 @@ def _constraint_entries(spec):
 def assemble(spec):
     """Build the constrained operator D_P for a model spec.
 
-    Builds the constraint map V from _constraint_entries and the weights
-    W; the dense matrix D_P = sym(V^H W D V) is left to the first read of
-    AssembledOperator.matrix.
+    Keeps the constraint map V as the index arrays of _constraint_entries,
+    with the weights W; the dense matrix D_P = sym(V^H W D V) is left to
+    the first read of AssembledOperator.matrix.
     """
     cols, vals = _constraint_entries(spec)
-    vmap = np.zeros((cols.size, cols.max() + 1), dtype=complex)
-    vmap[np.arange(cols.size), cols] = vals
     weights = np.repeat(spec.grid.weights(), spec.rank)
-    return AssembledOperator(spec=spec, constraint_map=vmap, weights=weights)
+    return AssembledOperator(spec=spec, cols=cols, vals=vals,
+                             weights=weights)
 
 
 def _compress(op):

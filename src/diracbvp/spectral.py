@@ -11,9 +11,11 @@ is also the tests' reference.  Everything downstream lives here: the
 eigen-coefficient transform (SpectralData.to_coeffs/from_coeffs), the
 application of D_P, inverses (optionally shifted), fractional powers
 |D_P|^s, the +/- spectral splitting, graph norms of H^s_D, and the
-empirical regularity constants c1 and c_{1/2} as generalized Rayleigh
-quotients, the one part that imports scipy.  No other module reads
-the eigenvectors.
+empirical regularity constants c1 and c_{1/2}: the largest generalized
+Rayleigh quotients, found matrix-free by a capped Lanczos iteration on
+products with the transform, the constraint map and O(N log N) grid
+stencils, with no dense form and no scipy.  No production path reads
+the dense eigenvectors.
 """
 
 from collections import namedtuple
@@ -22,10 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigurationError, DegenerateFormError, NearSingularError,
-                     NumericalError, ParameterError, SingularPowerError,
+from .errors import (ConfigurationError, NearSingularError, NumericalError,
+                     ParameterError, SingularPowerError,
                      UndefinedSplittingError)
-from .grids import SpinorField, derivative, slobodeckij_form
+from .grids import (SpinorField, derivative, derivative_adjoint,
+                    slobodeckij_operator)
 from .operators import apply_D, fourier_modes
 
 ConstantEstimates = namedtuple("ConstantEstimates",
@@ -255,51 +258,114 @@ def estimate_constants(sd, c_h=1.0, iota=1.0):
 
 
 def _rayleigh_maxima(sd):
-    """Largest generalized eigenvalues behind c1_emp and c_half_emp."""
-    # imported here: scipy.linalg is the largest part of the start-up time
-    # of every command, and nothing else needs it
-    import scipy.linalg
+    """Largest generalized eigenvalues behind c1_emp and c_half_emp.
+
+    Each is max over constrained y of y^H N y / y^H Den y.  Both
+    denominators, I + D_P^2 and I + |D_P|, are diagonal in the
+    eigenbasis U, Den = U diag(d) U^H, so the maximum is the largest
+    eigenvalue of the standard form d^{-1/2} U^H N U d^{-1/2}, found by
+    _lanczos_max from products with it alone: synthesize, embed, apply
+    the numerator on the grid, V^H, analyze, scale.  The numerators are
+    I + V^H G^H W G V (G the grids.derivative stencil, W the quadrature
+    weights) and I + V^H Q V (Q of grids.slobodeckij_operator, s = 1/2).
+    """
     op = sd.operator
-    if op.spec is None or op.constraint_map is None:
+    if op.spec is None:
         raise ConfigurationError("estimate_constants needs a grid-backed operator")
     if not sd.invertible:
         raise SingularPowerError("estimate_constants needs an invertible operator")
-    grid, r = op.spec.grid, op.spec.rank
-    vmap, w, vals = op.constraint_map, op.weights, sd.eigenvalues
-    eye = np.eye(sd.size)
+    grid, lam = op.spec.grid, sd.eigenvalues
+    w = grid.weights()[:, None]
 
-    # d/dx of every column of V, each spinor component on its own: V's
-    # rows are point-major, so (N, r*m) puts the points along axis 0
-    dv = derivative(SpinorField(grid, vmap.reshape(grid.n_points, -1)))
-    dv = dv.values.reshape(vmap.shape)
-    num1 = eye + dv.conj().T @ (w[:, None] * dv)
-    den1 = _eigen_form(sd, 1.0 + vals ** 2)  # I + D_P^2
-    try:
-        c1_emp = float(np.max(scipy.linalg.eigh(num1, den1,
-                                                eigvals_only=True)))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFormError("singular denominator form: %s" % exc) from exc
+    def sobolev(v):  # G^H W G
+        dv = derivative(SpinorField(grid, v))
+        return derivative_adjoint(SpinorField(grid, w * dv.values)).values
 
-    q = slobodeckij_form(grid, 0.5)
-    if r > 1:
-        q = np.kron(q, np.eye(r))
-    num_h = eye + vmap.conj().T @ (q @ vmap)
-    num_h = 0.5 * (num_h + num_h.conj().T)
-    den_h = _eigen_form(sd, 1.0 + np.abs(vals))  # I + |D_P|
-    try:
-        c_half_emp = float(np.max(scipy.linalg.eigh(num_h, den_h,
-                                                    eigvals_only=True)))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFormError("singular denominator form: %s" % exc) from exc
+    def standard_form_max(numerator, d):
+        scale = 1.0 / np.sqrt(d)
 
+        def matvec(x):
+            y = sd._synthesize(scale * x)
+            ny = y + op.adjoint(numerator(op.embed(y).values).reshape(-1))
+            return scale * sd._analyze(ny)
+        return _lanczos_max(matvec, sd.size)
+
+    c1_emp = standard_form_max(sobolev, 1.0 + lam ** 2)
+    c_half_emp = standard_form_max(slobodeckij_operator(grid, 0.5),
+                                   1.0 + np.abs(lam))
     return c1_emp, c_half_emp
 
 
-def _eigen_form(sd, d):
-    """The Hermitian form sym(U diag(d) U^H) over the eigenvectors U."""
-    u = sd.eigenvectors
-    form = (u * d) @ u.conj().T
-    return 0.5 * (form + form.conj().T)
+# Lanczos steps allowed before _lanczos_max gives up.  Measured on the
+# c_half form of the antiperiodic model, the slowest to converge: 136
+# steps at N=512, 264 at N=2048, 376 at N=4096, 552 at N=8192 (beyond
+# the cap); bag1d needs at most 16 up to N=4096.
+LANCZOS_MAX_STEPS = 512
+# steps between two convergence checks of the top Ritz pair
+_LANCZOS_CHECK_EVERY = 8
+
+
+def _lanczos_max(matvec, m):
+    """Largest eigenvalue of a Hermitian positive definite map of C^m.
+
+    Lanczos from a fixed seeded start vector, with the three-term
+    recurrence followed by one full reorthogonalization against the
+    basis, written as einsum products, not BLAS matrix-vector calls.
+    Every few steps the top Ritz pair (theta, s) of the tridiagonal is
+    checked; the run stops when its residual beta_k |s_k| is at most
+    1e-10 theta, or at step m, where theta is exact.  NumericalError
+    when LANCZOS_MAX_STEPS steps do not converge; the basis never holds
+    more than that many vectors.
+    """
+    steps = min(m, LANCZOS_MAX_STEPS)
+    # rows are written one per step, so memory grows with the steps taken
+    basis = np.empty((steps, m), dtype=complex)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    basis[0] = q / np.linalg.norm(q)
+    for k in range(steps):
+        q, prev = basis[k], basis[:k + 1]
+        v = matvec(q)
+        if k:
+            v -= beta[k - 1] * basis[k - 1]
+        alpha[k] = np.vdot(q, v).real
+        v -= alpha[k] * q
+        # full reorthogonalization: v -= Q (Q^H v)
+        v -= np.einsum("ij,i->j", prev, np.einsum("ij,j->i", prev,
+                                                   v.conj()).conj())
+        beta[k] = np.linalg.norm(v)
+        if (k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == steps \
+                or beta[k] == 0.0:
+            theta, s = _top_ritz_pair(alpha[:k + 1], beta[:k])
+            resid = beta[k] * abs(s)
+            if resid <= 1e-10 * theta or k + 1 == m:
+                return float(theta)
+            if k + 1 == steps:
+                raise NumericalError(
+                    "Lanczos did not converge in %d steps (residual %.3e "
+                    "of %.6e)" % (steps, resid, theta))
+        basis[k + 1] = v / beta[k]
+
+
+def _top_ritz_pair(alpha, beta):
+    """Top eigenvalue of the Lanczos tridiagonal T, last entry of its vector.
+
+    The eigenvalue theta comes from eigvalsh; the eigenvector from two
+    steps of inverse iteration with sigma I - T, sigma = theta (1 + 1e-11)
+    just above the spectrum, so the system is positive definite.  T's
+    off-diagonal beta is positive, so its top eigenvector is positive
+    (Perron-Frobenius) and the start vector of ones is never orthogonal
+    to it.
+    """
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    theta = np.linalg.eigvalsh(t)[-1]
+    shifted = np.diag(np.full(alpha.size, theta * (1.0 + 1e-11))) - t
+    x = np.ones(alpha.size)
+    for _ in range(2):
+        x = np.linalg.solve(shifted, x)
+        x /= np.linalg.norm(x)
+    return theta, x[-1]
 
 
 def random_constrained_field(sd, rng):

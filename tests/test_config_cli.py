@@ -32,9 +32,9 @@ def read_json(path):
 
 # ------------------------------------------------------------ cold start
 
-def test_cli_import_does_not_load_scipy():
-    # scipy.linalg is most of the CLI's start-up time and only the
-    # empirical constants need it, so it is imported there
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # importing scipy is most of a command's start-up time, and nothing
+    # needs it: not the import, and not spectrum's empirical constants
     import diracbvp
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracbvp.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -42,6 +42,16 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 64\n")
+    code = ("import sys; from diracbvp.cli import main; "
+            "rc = main(['spectrum', '--config', sys.argv[1], '--out', "
+            "sys.argv[2]]); print(rc, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg_path),
+                          str(tmp_path / "out")], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
+    assert "c1_emp" in read_json(tmp_path / "out" / "summary.json")
 
 
 # --------------------------------------------------------------- parsing
@@ -374,6 +384,27 @@ def test_main_error_paths(tmp_path, capsys):
     bad = write_cfg(tmp_path, "[scheme]\nlambda = exec\n", name="bad.ini")
     assert main(["solve", "--config", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_out_of_memory_names_n_points(tmp_path, capsys):
+    # the first array of 10**15 points (16 PB) exceeds any address space,
+    # so its allocation fails at once, whatever the overcommit policy
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 10**15\n")
+    assert main(["spectrum", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model.n_points = 1000000000000000: ")
+    assert "Traceback" not in err
+
+
+def test_main_lanczos_cap_is_an_error(tmp_path, capsys, monkeypatch):
+    import diracbvp.spectral
+    monkeypatch.setattr(diracbvp.spectral, "LANCZOS_MAX_STEPS", 4)
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 64\n")
+    assert main(["spectrum", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: Lanczos did not converge in 4 steps")
 
 
 def test_main_singular_shift_message_has_plain_numbers(tmp_path, capsys):

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import derivative_matrix, slobodeckij_form
 from diracbvp import (Grid1D, SpinorField, load_field_csv, lp_norm,
                       nonlinearity, save_field_csv, slobodeckij_norm, w1q_norm)
 from diracbvp.errors import (GridError, IncompatibleFieldsError,
                              InvalidFieldError, ParameterError)
-from diracbvp.grids import derivative
+from diracbvp.grids import (derivative, derivative_adjoint,
+                            slobodeckij_operator)
 
 
 def random_field(grid, rank=1, seed=0):
@@ -107,6 +109,31 @@ def test_interval_derivative_second_order():
 
 
 # ---------------------------------------------------------- slobodeckij
+
+@pytest.mark.parametrize("topology", ["interval", "circle"])
+@pytest.mark.parametrize("n_points", [8, 9, 64, 257])
+def test_slobodeckij_operator_matches_dense_form(topology, n_points):
+    # the FFT Toeplitz / circulant product against the dense form Q
+    g = Grid1D(1.3, n_points, topology)
+    f = random_field(g, rank=2, seed=n_points)
+    for s in (0.5, 0.25):
+        dense = slobodeckij_form(g, s) @ f.values
+        fast = slobodeckij_operator(g, s)(f.values)
+        assert np.linalg.norm(fast - dense) <= 1e-12 * np.linalg.norm(dense)
+        semi2 = np.real(np.vdot(f.values, dense))
+        ref = np.sqrt(lp_norm(f, 2) ** 2 + semi2)
+        assert slobodeckij_norm(f, s) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("topology", ["interval", "circle"])
+@pytest.mark.parametrize("n_points", [8, 9, 64, 257])
+def test_derivative_adjoint_is_the_conjugate_transpose(topology, n_points):
+    g = Grid1D(1.3, n_points, topology)
+    f = random_field(g, rank=2, seed=n_points)
+    dense = derivative_matrix(g).conj().T @ f.values
+    assert np.linalg.norm(derivative_adjoint(f).values - dense) \
+        <= 1e-12 * np.linalg.norm(dense)
+
 
 def test_slobodeckij_zero_and_constant():
     g = Grid1D(2.0, 64)

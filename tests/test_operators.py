@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mode_field
+from conftest import antiperiodic_modes, mode_field
 from diracbvp import (AssembledOperator, BoundaryCondition, Grid1D, ModelSpec,
                       SpinorField, apply_D, assemble, boundary_residual,
                       dump_matrix)
@@ -36,7 +36,7 @@ def test_antiperiodic_smallest_eigenvalue(anti_sd):
 def test_assemble_matches_dense_reference(kind, n_points):
     # assemble compresses apply_D's D; check it against each model's
     # dense matrix formula
-    from diracbvp.operators import _antiperiodic_modes, _sbp_derivative
+    from diracbvp.operators import _sbp_derivative
     if kind == "periodic":
         grid = Grid1D(2.0 * np.pi, n_points, "circle")
     else:
@@ -44,7 +44,7 @@ def test_assemble_matches_dense_reference(kind, n_points):
     operator = "dirac_2spinor" if kind == "bag1d" else "scalar_derivative"
     op = assemble(ModelSpec(grid, operator, BoundaryCondition(kind)))
     if kind == "antiperiodic":
-        u, mu = _antiperiodic_modes(grid)
+        u, mu = antiperiodic_modes(grid)
         dense = (u * mu) @ u.conj().T
     elif kind == "periodic":
         xi = 2.0 * np.pi * np.fft.fftfreq(n_points, d=grid.spacing)
@@ -99,6 +99,30 @@ def test_constraint_map_orthonormal(anti_sd, bag_sd, periodic_sd):
         gram = op.constraint_map.conj().T @ (op.weights[:, None]
                                              * op.constraint_map)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["antiperiodic", "periodic", "bag1d"])
+@pytest.mark.parametrize("n_points", [8, 9, 64, 257])
+def test_embed_project_match_dense_constraint_map(kind, n_points):
+    # the scatter / bincount maps against V and V^H W as dense products
+    if kind == "periodic":
+        grid = Grid1D(2.0 * np.pi, n_points, "circle")
+    else:
+        grid = Grid1D(1.3, n_points)
+    operator = "dirac_2spinor" if kind == "bag1d" else "scalar_derivative"
+    op = assemble(ModelSpec(grid, operator, BoundaryCondition(kind)))
+    vmap, m = op.constraint_map, op.n_constrained
+    assert vmap.shape == (n_points * op.spec.rank, m)
+    rng = np.random.default_rng(n_points)
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    dense = vmap @ c
+    assert np.max(np.abs(op.embed(c).values.reshape(-1) - dense)) \
+        <= 1e-15 * np.max(np.abs(dense))
+    f = SpinorField(grid, rng.standard_normal((n_points, op.spec.rank))
+                    + 1j * rng.standard_normal((n_points, op.spec.rank)))
+    dense = vmap.conj().T @ (op.weights * f.values.reshape(-1))
+    assert np.max(np.abs(op.project(f) - dense)) \
+        <= 1e-15 * np.max(np.abs(dense))
 
 
 def test_incompatible_specs_rejected():
@@ -188,14 +212,13 @@ def test_apply_D_bag_swaps_components(bag_spec):
 def test_apply_D_antiperiodic_matches_dense_modes(n_points):
     # the FFT path against the dense mode-matrix product U diag(mu) U^H,
     # the reference oracle; m = N-1 takes both parities
-    from diracbvp.operators import _antiperiodic_modes
     grid = Grid1D(1.3, n_points)
     spec = ModelSpec(grid, "scalar_derivative",
                      BoundaryCondition("antiperiodic"))
     rng = np.random.default_rng(n_points)
     v = rng.standard_normal((n_points, 1)) \
         + 1j * rng.standard_normal((n_points, 1))
-    u, mu = _antiperiodic_modes(grid)
+    u, mu = antiperiodic_modes(grid)
     y = v[:-1] - 0.5 * (v[0] + v[-1])
     d = (u * mu) @ (u.conj().T @ y)
     dense = np.vstack([d, -d[:1]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mode_field
+from conftest import dense_rayleigh_maxima, mode_field
 from diracbvp import (AssembledOperator, BoundaryCondition, Grid1D,
                       ModelSpec, SchemeConfig, SpinorField, apply_fractional,
                       apply_inverse, apply_operator, assemble, decompose,
@@ -169,6 +169,9 @@ def test_models_never_build_the_matrix(kind, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(AssembledOperator, "matrix", property(refuse))
+    monkeypatch.setattr(AssembledOperator, "constraint_map", property(refuse))
+    monkeypatch.setattr(FourierSpectralData, "eigenvectors",
+                        property(refuse))
     sd = decompose(model_op(kind, 64))
     f = random_constrained_field(sd, np.random.default_rng(0))
     apply_inverse(sd, f, a=0.5)
@@ -370,6 +373,25 @@ def test_estimate_constants_computed_once_per_decomposition(anti_spec_128,
     # a new decomposition of the same model computes them afresh
     assert estimate_constants(decompose(assemble(anti_spec_128))) == first
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["antiperiodic", "bag1d"])
+@pytest.mark.parametrize("n_points", [8, 9, 64, 65, 256, 257])
+def test_estimate_constants_match_dense_standard_form(kind, n_points):
+    # Lanczos on products against eigvalsh of the dense standard forms
+    sd = decompose(model_op(kind, n_points))
+    est = estimate_constants(sd)
+    c1, c_half = dense_rayleigh_maxima(sd)
+    assert est.c1_emp == pytest.approx(c1, rel=1e-10)
+    assert est.c_half_emp == pytest.approx(c_half, rel=1e-10)
+
+
+def test_lanczos_cap_raises(monkeypatch):
+    # too few steps to converge: an error, never an unconverged constant
+    import diracbvp.spectral
+    monkeypatch.setattr(diracbvp.spectral, "LANCZOS_MAX_STEPS", 4)
+    with pytest.raises(NumericalError, match="did not converge in 4 steps"):
+        estimate_constants(decompose(model_op("antiperiodic", 64)))
 
 
 def test_estimate_constants_needs_grid(diag_sd):
