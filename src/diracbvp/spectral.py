@@ -351,21 +351,65 @@ def _lanczos_max(matvec, m):
 def _top_ritz_pair(alpha, beta):
     """Top eigenvalue of the Lanczos tridiagonal T, last entry of its vector.
 
-    The eigenvalue theta comes from eigvalsh; the eigenvector from two
+    Both come from O(k) scalar recurrences on the entries of T, with no
+    LAPACK call: LAPACK on a k x k matrix hands its inner products to
+    the threaded BLAS once k passes about 100, and on two threads the
+    wake-ups of the BLAS workers cost more than the whole check and vary
+    tenfold from one run to the next.  theta is found by bisection on
+    Sturm counts between max(alpha), a Rayleigh quotient of T, and the
+    Gershgorin bound, to the last bit.  The eigenvector comes from two
     steps of inverse iteration with sigma I - T, sigma = theta (1 + 1e-11)
-    just above the spectrum, so the system is positive definite.  T's
-    off-diagonal beta is positive, so its top eigenvector is positive
-    (Perron-Frobenius) and the start vector of ones is never orthogonal
-    to it.
+    just above the spectrum, so the system is positive definite and is
+    solved without pivoting.  T's off-diagonal beta is positive, so its
+    top eigenvector is positive (Perron-Frobenius) and the start vector
+    of ones is never orthogonal to it.
     """
-    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    theta = np.linalg.eigvalsh(t)[-1]
-    shifted = np.diag(np.full(alpha.size, theta * (1.0 + 1e-11))) - t
-    x = np.ones(alpha.size)
+    mag = np.abs(beta)
+    lo = float(np.max(alpha))
+    hi = float(np.max(alpha + np.append(mag, 0.0) + np.append(0.0, mag)))
+    a, b = alpha.tolist(), beta.tolist()
+    b2 = [x * x for x in b]
+    pivmin = np.finfo(float).tiny * max(b2 + [1.0])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _count_below(a, b2, mid, pivmin) == len(a):
+            hi = mid
+        else:
+            lo = mid
+    theta = hi
+    # pivots of sigma I - T = L diag(piv) L^T, then two solves with it
+    sigma = theta * (1.0 + 1e-11)
+    piv = [sigma - a[0]]
+    for ai, bi2 in zip(a[1:], b2):
+        piv.append(sigma - ai - bi2 / piv[-1])
+    x = [1.0] * len(a)
     for _ in range(2):
-        x = np.linalg.solve(shifted, x)
-        x /= np.linalg.norm(x)
+        for i, bi in enumerate(b):  # forward: L y = x
+            x[i + 1] += bi / piv[i] * x[i]
+        x[-1] /= piv[-1]
+        for i in range(len(b) - 1, -1, -1):  # back: diag(piv) L^T x = y
+            x[i] = x[i] / piv[i] + b[i] / piv[i] * x[i + 1]
+        norm = sum(v * v for v in x) ** 0.5
+        x = [v / norm for v in x]
     return theta, x[-1]
+
+
+def _count_below(a, b2, sigma, pivmin):
+    """Sturm count: eigenvalues of the tridiagonal (a, sqrt(b2)) below sigma.
+
+    The number of negative pivots of the LDL^T factorization of
+    T - sigma I; a pivot smaller than pivmin in modulus is replaced by
+    -pivmin, as in LAPACK's dlaebz.
+    """
+    count, d = 0, a[0] - sigma
+    for ai, bi2 in zip(a[1:], b2):
+        if abs(d) < pivmin:
+            d = -pivmin
+        count += d < 0.0
+        d = ai - sigma - bi2 / d
+    return count + (d < pivmin)
 
 
 def random_constrained_field(sd, rng):

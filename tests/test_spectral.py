@@ -10,7 +10,8 @@ from diracbvp import (AssembledOperator, BoundaryCondition, Grid1D,
 from diracbvp.errors import (ConfigurationError, NearSingularError,
                              NumericalError, ParameterError,
                              SingularPowerError, UndefinedSplittingError)
-from diracbvp.spectral import (FourierSpectralData, decompose_dense,
+from diracbvp.spectral import (FourierSpectralData, _count_below,
+                               _top_ritz_pair, decompose_dense,
                                random_constrained_field)
 
 
@@ -392,6 +393,43 @@ def test_lanczos_cap_raises(monkeypatch):
     monkeypatch.setattr(diracbvp.spectral, "LANCZOS_MAX_STEPS", 4)
     with pytest.raises(NumericalError, match="did not converge in 4 steps"):
         estimate_constants(decompose(model_op("antiperiodic", 64)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 137])
+def test_top_ritz_pair_matches_eigh(k):
+    # the recurrences against LAPACK on the dense tridiagonal
+    rng = np.random.default_rng(k)
+    for scale in (1e-3, 1.0, 1e4):
+        alpha = scale * rng.uniform(0.5, 3.0, k)
+        beta = scale * rng.uniform(1e-3, 1.0, k - 1)
+        vals, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
+                                    + np.diag(beta, -1))
+        theta, s = _top_ritz_pair(alpha, beta)
+        assert theta == pytest.approx(vals[-1], rel=1e-14)
+        assert abs(s) == pytest.approx(abs(vecs[-1, -1]), rel=1e-9, abs=1e-14)
+
+
+def test_count_below_is_the_sturm_count():
+    rng = np.random.default_rng(3)
+    alpha, beta = rng.uniform(-2.0, 2.0, 40), rng.uniform(0.1, 1.0, 39)
+    vals = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1)
+                              + np.diag(beta, -1))
+    shifts = np.concatenate([vals - 1e-9, vals + 1e-9, [-10.0, 10.0]])
+    for sigma in shifts:
+        assert _count_below(alpha.tolist(), (beta ** 2).tolist(), sigma,
+                            1e-300) == np.sum(vals < sigma)
+
+
+def test_estimate_constants_calls_no_lapack(monkeypatch):
+    # threaded BLAS under LAPACK made the Lanczos checks slow and erratic
+    sd = decompose(model_op("antiperiodic", 256))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call in estimate_constants")
+    for name in ("eigvalsh", "eigh", "solve", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    est = estimate_constants(sd)
+    assert est.c1_emp > 1.0 and est.c_half_emp > 1.0
 
 
 def test_estimate_constants_needs_grid(diag_sd):
