@@ -17,7 +17,7 @@ import sys
 
 from . import conditions, scheme, spectral
 from .config import parse_config
-from .errors import DiracBVPError
+from .errors import ConfigParseError, DiracBVPError
 
 
 def _write_csv(path, header, rows):
@@ -164,9 +164,12 @@ def cmd_bootstrap(cfg, out_dir):
 
 def cmd_functional(cfg, out_dir):
     from .config import _as_int
-    sd = _prepare(cfg)
-    m = min(_as_int(cfg.get("functional", "m"), "functional.m"), sd.size)
+    m = _as_int(cfg.get("functional", "m"), "functional.m")
+    if m < 1:
+        raise ConfigParseError("must be >= 1, got %d" % m, key="functional.m")
     n = _as_int(cfg.get("constants", "n"), "constants.n")
+    sd = _prepare(cfg)
+    m = min(m, sd.size)
     rows = []
     for k in range(m):
         phi = spectral.eigenfunction(sd, k)

@@ -11,7 +11,6 @@ lower-bound estimators for the Gagliardo-Nirenberg constants.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -219,6 +218,10 @@ def bootstrap_exponents(n, p, l0, max_steps=64):
     (p-1)^M (1/l0 - 1/(n(p-2))) + 1/(n(p-2)) in lockstep, including at the
     fixed point of the affine map.
     """
+    # imported here, its only use: fractions and decimal cost every other
+    # command 4-13 ms at start-up
+    from fractions import Fraction
+
     if n < 3:
         raise ParameterError("bootstrap needs n >= 3, got %r" % (n,))
     pf = Fraction(p)

@@ -48,6 +48,9 @@ def eval_number(text, key="<value>"):
     except SyntaxError as exc:
         raise ConfigParseError("not a numeric expression: %r" % (text,),
                                key=key) from exc
+    except RecursionError as exc:
+        raise ConfigParseError("expression nested too deeply",
+                               key=key) from exc
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -76,6 +79,9 @@ def eval_number(text, key="<value>"):
                                key=key) from exc
     except OverflowError as exc:
         raise ConfigParseError("%r is out of floating-point range" % (text,),
+                               key=key) from exc
+    except RecursionError as exc:
+        raise ConfigParseError("expression nested too deeply",
                                key=key) from exc
 
 
@@ -139,6 +145,9 @@ class RunConfig:
     raw: dict
     base_dir: str = "."
     sweep: SweepSpec = None
+    # resolved sample_file path -> (n_points, values read at that size),
+    # shared with every with_override copy: a sweep reads each file once
+    _samples: dict = field(default_factory=dict, repr=False, compare=False)
 
     def get(self, section, key):
         return self.raw[section][key]
@@ -148,7 +157,8 @@ class RunConfig:
         section, key = _split_path(path)
         raw = {s: dict(kv) for s, kv in self.raw.items()}
         raw[section][key] = repr(float(value))
-        return RunConfig(raw=raw, base_dir=self.base_dir, sweep=self.sweep)
+        return RunConfig(raw=raw, base_dir=self.base_dir, sweep=self.sweep,
+                         _samples=self._samples)
 
     # -- builders -----------------------------------------------------
 
@@ -202,7 +212,7 @@ class RunConfig:
             if not os.path.exists(path):
                 raise ConfigParseError("file %r does not exist" % (path,),
                                        key=key)
-            vals = read_field_csv(path, grid.n_points)
+            vals = self._read_sample(path, grid.n_points)
             if vals.shape[1] != rank:
                 raise ConfigParseError(
                     "%s has %d components, the model needs %d"
@@ -212,9 +222,23 @@ class RunConfig:
                 # line numbers count the header as line 1
                 raise ConfigParseError("%s line %d: non-finite value"
                                        % (path, bad[0] + 2), key=key)
-            return SpinorField(grid, vals)
+            # a copy: the array read is kept for the next sweep point
+            return SpinorField(grid, vals.copy())
         raise ConfigParseError("cannot parse field expression %r" % (expr,),
                                key=key)
+
+    def _read_sample(self, path, n_points):
+        """read_field_csv(path, n_points), kept per resolved path.
+
+        The file is read again only when the size differs from the last
+        read of that path, as on a model.n_points sweep axis.
+        """
+        resolved = os.path.realpath(path)
+        size, vals = self._samples.get(resolved, (None, None))
+        if size != n_points:
+            vals = read_field_csv(path, n_points)
+            self._samples[resolved] = (n_points, vals)
+        return vals
 
     def build_scheme(self, model):
         g = self._build_field(self.get("scheme", "g"), model, "scheme.g")
@@ -355,10 +379,15 @@ def _validate_enums(raw):
                                    key="%s.%s" % (sect, key))
 
 
+# most points a sweep may have: at a few ms to seconds a point, more
+# would run for days, and sweep.csv is written from rows kept in memory
+MAX_SWEEP_POINTS = 10 ** 5
+
+
 def _parse_sweep(sweep_raw):
     if sweep_raw["param"] is None:
         return None
-    axes = []
+    axes, points = [], 1
     for suffix in ("", "2"):
         param = sweep_raw["param" + suffix]
         if param is None:
@@ -368,13 +397,35 @@ def _parse_sweep(sweep_raw):
             if sweep_raw[req + suffix] is None:
                 raise ConfigParseError("missing for axis %r" % (param,),
                                        key="sweep.%s%s" % (req, suffix))
-        count = _as_int(sweep_raw["count" + suffix], "sweep.count" + suffix)
+        count_key = "sweep.count" + suffix
+        count = _as_int(sweep_raw["count" + suffix], count_key)
         if count < 2:
-            raise ConfigParseError("axis count must be >= 2",
-                                   key="sweep.count" + suffix)
-        axes.append((param,
-                     _as_real(sweep_raw["min" + suffix], "sweep.min" + suffix),
-                     _as_real(sweep_raw["max" + suffix], "sweep.max" + suffix),
-                     count,
-                     sweep_raw["scale" + suffix]))
+            raise ConfigParseError("axis count must be >= 2", key=count_key)
+        points *= count
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigParseError("the sweep would have %d points, more "
+                                   "than the limit of %d"
+                                   % (points, MAX_SWEEP_POINTS), key=count_key)
+        lo = _as_real(sweep_raw["min" + suffix], "sweep.min" + suffix)
+        hi = _as_real(sweep_raw["max" + suffix], "sweep.max" + suffix)
+        scale = sweep_raw["scale" + suffix]
+        _check_axis_range(lo, hi, scale, suffix)
+        axes.append((param, lo, hi, count, scale))
     return SweepSpec(axes=axes)
+
+
+def _check_axis_range(lo, hi, scale, suffix):
+    """Refuse endpoints that the axis's spacing cannot take to finite values."""
+    if scale == "log":
+        for name, val in (("min", lo), ("max", hi)):
+            if val == 0.0:
+                raise ConfigParseError("a log axis cannot reach 0",
+                                       key="sweep.%s%s" % (name, suffix))
+        if (lo < 0.0) != (hi < 0.0):
+            raise ConfigParseError(
+                "a log axis needs min and max of one sign, got %r and %r"
+                % (lo, hi), key="sweep.min" + suffix)
+    elif not math.isfinite(hi - lo):
+        raise ConfigParseError("the span from %r to %r is out of "
+                               "floating-point range" % (lo, hi),
+                               key="sweep.max" + suffix)

@@ -130,6 +130,19 @@ class ModelSpec:
     def rank(self):
         return 1 if self.operator_kind == SCALAR_DERIVATIVE else 2
 
+    @cached_property
+    def modes(self):
+        """fourier_modes(self), computed on the first read and kept.
+
+        Every apply_D on the scalar models and every decompose reads it,
+        so a model pays for its frequencies and phase once.  The arrays
+        are read-only, as every reader shares them.
+        """
+        modes = fourier_modes(self)
+        for arr in modes:
+            arr.flags.writeable = False
+        return modes
+
 
 def _sbp_derivative(v, h):
     """Summation-by-parts first derivative along axis 0 of equispaced samples.
@@ -404,7 +417,7 @@ def _apply_D_values(spec, v):
     if spec.bc.kind in (PERIODIC, ANTIPERIODIC):
         # frequency and phase vectors broadcast along axis 0
         col = (-1,) + (1,) * (v.ndim - 1)
-        freqs, phase, _ = (a.reshape(col) for a in fourier_modes(spec))
+        freqs, phase, _ = (a.reshape(col) for a in spec.modes)
         y = v
         if spec.bc.kind == ANTIPERIODIC:
             # split off the constant offset so the remainder matches the

@@ -29,7 +29,7 @@ from .errors import (ConfigurationError, NearSingularError, NumericalError,
                      UndefinedSplittingError)
 from .grids import (SpinorField, derivative, derivative_adjoint,
                     slobodeckij_operator)
-from .operators import apply_D, fourier_modes
+from .operators import apply_D
 
 ConstantEstimates = namedtuple("ConstantEstimates",
                                ["c1_emp", "c_half_emp", "c_half_formula"])
@@ -140,28 +140,49 @@ def decompose(op):
     """Spectral decomposition of D_P, sorted by increasing modulus.
 
     A grid-backed operator, on every model, gets the Fourier backend:
-    eigenvalues and transform from operators.fourier_modes, no dense
-    matrix and no eigh.  Its transform is checked once on a fixed unit
-    probe vector c: D_P c through the eigenexpansion must match
+    eigenvalues and transform from the model's fourier_modes
+    (ModelSpec.modes), no dense matrix and no eigh.  Its transform is checked once on the probe
+    c = _fixed_unit_vector(m): D_P c through the eigenexpansion must match
     project(apply_D(embed(c))) to 1e-9 * max(max |lambda|, 1), else
     NumericalError.  A bare matrix goes through decompose_dense.
     """
     if op.spec is None:
         return decompose_dense(op)
-    freqs, phase, perm = fourier_modes(op.spec)
+    freqs, phase, perm = op.spec.modes
     order, lambda1, invertible = _order_spectrum(freqs)
     sd = FourierSpectralData(operator=op, eigenvalues=freqs[order],
                              lambda1=lambda1, invertible=invertible,
                              order=order, phase=phase, perm=perm)
 
-    rng = np.random.default_rng(0)
-    c = rng.standard_normal(sd.size) + 1j * rng.standard_normal(sd.size)
-    c /= np.linalg.norm(c)
+    c = _fixed_unit_vector(sd.size)
     ref = op.project(apply_D(op.spec, op.embed(c)))
     resid = np.max(np.abs(apply_operator(sd, c) - ref))
     if resid > 1e-9 * max(np.max(np.abs(freqs)), 1.0):
         raise NumericalError("Fourier probe residual %.3e too large" % resid)
     return sd
+
+
+def _fixed_unit_vector(m):
+    """A fixed pseudo-random unit vector of C^m, the same on every run.
+
+    Before normalization the real and imaginary parts of entry j are
+    uniform in (-1/2, 1/2): the high and low 32-bit halves of splitmix64's
+    output for the counter j + 1 (Steele, Lea & Flood 2014), computed by
+    a few whole-array uint64 operations, so the cost is O(m) with no
+    Python loop over m.  numpy.random is not used: importing it costs
+    every command about 13 ms and 6 MiB.
+    """
+    z = np.arange(1, m + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    # big-endian words: the high half first on any platform
+    x = z.astype(">u8").view(">u4") * 2.0 ** -32
+    x -= 0.5 - 2.0 ** -33
+    c = x.view(complex)
+    return c / np.linalg.norm(c)
 
 
 def decompose_dense(op):
@@ -303,17 +324,23 @@ def _rayleigh_maxima(sd):
 LANCZOS_MAX_STEPS = 512
 # steps between two convergence checks of the top Ritz pair
 _LANCZOS_CHECK_EVERY = 8
+# relative width of the bracket on theta in an intermediate check
+_RITZ_RTOL = 1e-8
 
 
 def _lanczos_max(matvec, m):
     """Largest eigenvalue of a Hermitian positive definite map of C^m.
 
-    Lanczos from a fixed seeded start vector, with the three-term
-    recurrence followed by one full reorthogonalization against the
-    basis, written as einsum products, not BLAS matrix-vector calls.
-    Every few steps the top Ritz pair (theta, s) of the tridiagonal is
-    checked; the run stops when its residual beta_k |s_k| is at most
-    1e-10 theta, or at step m, where theta is exact.  NumericalError
+    Lanczos from the fixed start vector _fixed_unit_vector(m), with the
+    three-term recurrence followed by one full reorthogonalization
+    against the basis, written as einsum products, not BLAS
+    matrix-vector calls.  Every few steps the top Ritz pair (theta, s) of
+    the tridiagonal is checked; the run stops when its residual
+    beta_k |s_k| is at most 1e-10 theta, or at step m, where theta is
+    exact.  A check first asks the cheaper _surely_unconverged and
+    computes the pair to the last bit only when that cannot rule
+    convergence out, so the stopping step and the returned float are
+    those of checks done to the last bit throughout.  NumericalError
     when LANCZOS_MAX_STEPS steps do not converge; the basis never holds
     more than that many vectors.
     """
@@ -321,9 +348,7 @@ def _lanczos_max(matvec, m):
     # rows are written one per step, so memory grows with the steps taken
     basis = np.empty((steps, m), dtype=complex)
     alpha, beta = np.zeros(steps), np.zeros(steps)
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    basis[0] = q / np.linalg.norm(q)
+    basis[0] = _fixed_unit_vector(m)
     for k in range(steps):
         q, prev = basis[k], basis[:k + 1]
         v = matvec(q)
@@ -335,8 +360,10 @@ def _lanczos_max(matvec, m):
         v -= np.einsum("ij,i->j", prev, np.einsum("ij,j->i", prev,
                                                    v.conj()).conj())
         beta[k] = np.linalg.norm(v)
-        if (k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == steps \
-                or beta[k] == 0.0:
+        check = (k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == steps \
+            or beta[k] == 0.0
+        if check and (k + 1 == steps or not _surely_unconverged(
+                alpha[:k + 1], beta[:k], beta[k])):
             theta, s = _top_ritz_pair(alpha[:k + 1], beta[:k])
             resid = beta[k] * abs(s)
             if resid <= 1e-10 * theta or k + 1 == m:
@@ -355,30 +382,83 @@ def _top_ritz_pair(alpha, beta):
     LAPACK call: LAPACK on a k x k matrix hands its inner products to
     the threaded BLAS once k passes about 100, and on two threads the
     wake-ups of the BLAS workers cost more than the whole check and vary
-    tenfold from one run to the next.  theta is found by bisection on
-    Sturm counts between max(alpha), a Rayleigh quotient of T, and the
-    Gershgorin bound, to the last bit.  The eigenvector comes from two
-    steps of inverse iteration with sigma I - T, sigma = theta (1 + 1e-11)
-    just above the spectrum, so the system is positive definite and is
-    solved without pivoting.  T's off-diagonal beta is positive, so its
-    top eigenvector is positive (Perron-Frobenius) and the start vector
-    of ones is never orthogonal to it.
+    tenfold from one run to the next.  theta is found by _bisect_top to
+    the last bit, the least float above which T has no eigenvalue, and
+    the vector by _last_component.
     """
-    mag = np.abs(beta)
-    lo = float(np.max(alpha))
-    hi = float(np.max(alpha + np.append(mag, 0.0) + np.append(0.0, mag)))
     a, b = alpha.tolist(), beta.tolist()
+    theta = _bisect_top(a, b, 0.0)[1]
+    return theta, _last_component(a, b, theta)
+
+
+def _surely_unconverged(alpha, beta, beta_k):
+    """True only if _top_ritz_pair would find beta_k |s| > 1e-10 theta.
+
+    A cheaper check of the same residual: theta is bracketed to
+    _RITZ_RTOL only, lo <= lambda_1 <= hi, about 26 Sturm counts instead
+    of 52, and s comes from _last_component at hi.  That s is off by the
+    share of the other eigenvectors left after two steps of inverse
+    iteration, at most sqrt(k) r^2 in the 2-norm (the start vector of
+    ones has norm sqrt(k) and a component >= 1 along the positive top
+    eigenvector), where r = e / (e + d) bounds |sigma - lambda_1| /
+    |sigma - lambda_j| over j >= 2: e = sigma - lo, and d = lo - q,
+    with q a bisection point shown to lie above lambda_2 by its count.
+    The same bound holds for the s of _top_ritz_pair, whose sigma lies
+    between lambda_1 and this one.  The answer is True only when the
+    residual stays above the threshold with |s| lowered by both bounds
+    and by rounding, so it never differs from the full check's.
+    """
+    a, b = alpha.tolist(), beta.tolist()
+    lo, hi, q = _bisect_top(a, b, _RITZ_RTOL)
+    if q is None:  # no room between lambda_2 and lambda_1 was seen
+        return False
+    e = hi * (1.0 + 1e-11) - lo
+    r = e / (e + lo - q)
+    err = 2.0 * len(a) ** 0.5 * r * r + 8 * len(a) * np.finfo(float).eps
+    return beta_k * (abs(_last_component(a, b, hi)) - err) > 1e-10 * hi
+
+
+def _bisect_top(a, b, rtol):
+    """Bracket lo <= lambda_1 <= hi on the top eigenvalue of T = (a, b).
+
+    Bisection on Sturm counts between max(a), a Rayleigh quotient of T,
+    and the Gershgorin bound, until hi - lo <= rtol * hi, or to the last
+    bit when rtol = 0.  Also returns q, the first bisection point below
+    which T has all but one eigenvalue (so lambda_2 < q <= lambda_1), or
+    None when no bisection point fell between the two.
+    """
     b2 = [x * x for x in b]
+    mag = [abs(x) for x in b]
+    lo = max(a)
+    hi = max(ai + right + left for ai, right, left
+             in zip(a, mag + [0.0], [0.0] + mag))
     pivmin = np.finfo(float).tiny * max(b2 + [1.0])
-    while True:
+    q = None
+    while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if _count_below(a, b2, mid, pivmin) == len(a):
+        count = _count_below(a, b2, mid, pivmin)
+        if count == len(a):
             hi = mid
         else:
+            if q is None and count == len(a) - 1:
+                q = mid
             lo = mid
-    theta = hi
+    return lo, hi, q
+
+
+def _last_component(a, b, theta):
+    """Last entry of T's top eigenvector, by inverse iteration near theta.
+
+    Two steps of inverse iteration with sigma I - T, sigma =
+    theta (1 + 1e-11) above the spectrum when theta >= lambda_1, so the
+    system is positive definite and is solved without pivoting.  T's
+    off-diagonal beta is positive, so its top eigenvector is positive
+    (Perron-Frobenius) and the start vector of ones is never orthogonal
+    to it.
+    """
+    b2 = [x * x for x in b]
     # pivots of sigma I - T = L diag(piv) L^T, then two solves with it
     sigma = theta * (1.0 + 1e-11)
     piv = [sigma - a[0]]
@@ -393,7 +473,7 @@ def _top_ritz_pair(alpha, beta):
             x[i] = x[i] / piv[i] + b[i] / piv[i] * x[i + 1]
         norm = sum(v * v for v in x) ** 0.5
         x = [v / norm for v in x]
-    return theta, x[-1]
+    return x[-1]
 
 
 def _count_below(a, b2, sigma, pivmin):
@@ -405,9 +485,11 @@ def _count_below(a, b2, sigma, pivmin):
     """
     count, d = 0, a[0] - sigma
     for ai, bi2 in zip(a[1:], b2):
-        if abs(d) < pivmin:
+        # chained comparisons and a branch: no call in this hot loop
+        if -pivmin < d < pivmin:
             d = -pivmin
-        count += d < 0.0
+        if d < 0.0:
+            count += 1
         d = ai - sigma - bi2 / d
     return count + (d < pivmin)
 

@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracbvp import Grid1D, SpinorField, save_field_csv
 from diracbvp.cli import main, run_command
@@ -34,7 +37,9 @@ def read_json(path):
 
 def test_cli_import_does_not_load_scipy(tmp_path):
     # importing scipy is most of a command's start-up time, and nothing
-    # needs it: not the import, and not spectrum's empirical constants
+    # needs it: not the import, and not spectrum's empirical constants.
+    # numpy.random (13 ms, 6 MiB) and fractions (4-13 ms) are not needed
+    # by spectrum, solve or sweep either
     import diracbvp
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracbvp.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -52,6 +57,19 @@ def test_cli_import_does_not_load_scipy(tmp_path):
                          capture_output=True, text=True).stdout
     assert out.split() == ["0", "False"]
     assert "c1_emp" in read_json(tmp_path / "out" / "summary.json")
+
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 64\n[sweep]\n"
+                                   "param = scheme.lambda\nmin = 0\n"
+                                   "max = 0.1\ncount = 2\n")
+    code = ("import sys; from diracbvp.cli import main; "
+            "print([main([c, '--config', sys.argv[1], '--out', sys.argv[2]]) "
+            "for c in ('spectrum', 'solve', 'sweep')], "
+            "[m for m in ('scipy', 'numpy.random', 'fractions') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code, str(cfg_path),
+                          str(tmp_path / "out2")], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[0, 0, 0] []"
 
 
 # --------------------------------------------------------------- parsing
@@ -159,6 +177,66 @@ def test_with_override():
     new = cfg.with_override("scheme.lambda", np.float64(0.25))
     assert new.get("scheme", "lambda") == "0.25"
     assert cfg.get("scheme", "lambda") == "0"  # original untouched
+
+
+# ------------------------------------------------------ property: parsing
+
+_NUMBERS = ["0", "1", "-1", "2", "3", "11", "50", "51", "0.5", "-0.5",
+            "1e-300", "5e-324", "1e308", "-1.7e308", "1.7e308", "1e400",
+            "pi", "-e", "2**10", "10**12", "9**9**9", "1/0", "1e400 - 1e400",
+            "2.5", "1j", "3+0j", "0.05*pi", "-" * 1200 + "1"]
+_WORDS = ["", "x", "lin", "log", "zero", "g", "const(1)", "exp_mode(1)",
+          "scheme.lambda", "scheme.p", "model.n_points", "model.length",
+          "model.bogus", "sweep.min", "antiperiodic", "bag1d", "C_final",
+          "[model]", "=", "%", "\\"]
+_KEYS = sorted({key for keys in
+                [["operator", "boundary", "length", "n_points"],
+                 ["lambda", "p", "g", "f0", "a", "r", "max_iter"],
+                 ["n", "p_a", "c1", "c_half", "mode"], ["output_dir"],
+                 ["param", "min", "max", "count", "scale", "param2", "min2",
+                  "max2", "count2", "scale2"], ["m"], ["bogus"]]
+                for key in keys})
+_VALUES = st.sampled_from(_NUMBERS + _WORDS) | st.text(max_size=8)
+_SECTIONS = ["model", "scheme", "constants", "run", "sweep", "bootstrap",
+             "functional", "bogus", "DEFAULT"]
+
+
+def _section_text(name, pairs):
+    return "[%s]\n" % name + "".join("%s = %s\n" % kv for kv in pairs)
+
+
+_SWEEP_AXIS = st.fixed_dictionaries({
+    "param": st.sampled_from(["scheme.lambda", "scheme.p", "model.length",
+                              "scheme.nope"]),
+    "min": st.sampled_from(_NUMBERS), "max": st.sampled_from(_NUMBERS),
+    "count": st.sampled_from(["2", "3", "11", "50", "1", "-2", "2.5",
+                              "10**12"]),
+    "scale": st.sampled_from(["lin", "log", "geo"])})
+_CONFIG_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.tuples(st.sampled_from(_SECTIONS),
+                       st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES),
+                                max_size=4)), max_size=4)
+    .map(lambda sections: "".join(_section_text(*sec) for sec in sections)),
+    st.tuples(_SWEEP_AXIS, st.none() | _SWEEP_AXIS).map(
+        lambda axes: _section_text(
+            "sweep", list(axes[0].items())
+            + [(key + "2", val) for key, val in (axes[1] or {}).items()])))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(text=_CONFIG_TEXTS)
+def test_every_config_text_parses_or_is_refused(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigParseError:
+        return
+    if cfg.sweep is None or any(axis[3] > 50 for axis in cfg.sweep.axes):
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = cfg.sweep.grid()
+    assert grid and all(math.isfinite(v) for point in grid for v in point)
 
 
 # ----------------------------------------------------------- subcommands
@@ -296,6 +374,74 @@ def test_cmd_sweep_model_axis_matches_uncached(tmp_path, monkeypatch):
     assert (cached / "sweep.csv").read_bytes() \
         == (uncached / "sweep.csv").read_bytes()
     assert read_csv(cached / "sweep.csv")[1][1] == "1.0"
+
+
+def test_cmd_sweep_computes_fourier_modes_once_per_model(tmp_path,
+                                                        monkeypatch):
+    # every apply_D and decompose of a model reads the modes it cached
+    import diracbvp.operators
+    calls = []
+    fourier_modes = diracbvp.operators.fourier_modes
+
+    def counting(spec):
+        calls.append(spec.grid.n_points)
+        return fourier_modes(spec)
+
+    monkeypatch.setattr(diracbvp.operators, "fourier_modes", counting)
+    text = BASE + ("[sweep]\nparam = model.n_points\nmin = 32\nmax = 33\n"
+                   "count = 2\nparam2 = scheme.lambda\nmin2 = 0\n"
+                   "max2 = 0.3\ncount2 = 3\n")
+    assert run_command(parse_config(text), "sweep", str(tmp_path)) == 0
+    rows = read_csv(tmp_path / "sweep.csv")
+    assert [row[3] for row in rows[1:]] == ["converged"] * 6
+    assert calls == [32, 33]
+
+
+def test_cmd_sweep_reads_sample_file_once_per_size(tmp_path, monkeypatch):
+    import diracbvp.config
+    grid = Grid1D(1.0, 32)
+    save_field_csv(SpinorField(grid, 0.1 * np.exp(1j * np.pi
+                                                  * grid.points())),
+                   tmp_path / "g.csv")
+    reads = []
+    read_field_csv = diracbvp.config.read_field_csv
+
+    def counting(path, n_points):
+        reads.append(n_points)
+        return read_field_csv(path, n_points)
+
+    monkeypatch.setattr(diracbvp.config, "read_field_csv", counting)
+    text = BASE.replace("exp_mode(1, 0.1)", "sample_file(g.csv)") \
+        .replace("n_points = 128", "n_points = 32")
+    sweep = ("[sweep]\nparam = scheme.lambda\nmin = 0\nmax = 0.3\n"
+             "count = 4\n")
+    cfg_path = write_cfg(tmp_path, text + sweep)
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "lam")]) == 0
+    assert reads == [32]
+    rows = read_csv(tmp_path / "lam" / "sweep.csv")
+    assert [row[2] for row in rows[1:]] == ["converged"] * 4
+
+    # one sweep matches an uncached run of each point: the same data
+    point = parse_config(text.replace("lambda = 0.05*pi", "lambda = 0.2"),
+                         base_dir=str(tmp_path))
+    assert run_command(point, "solve", str(tmp_path / "one")) == 0
+    assert read_json(tmp_path / "one" / "report.json")["iterations"] \
+        == int(rows[3][3])
+
+    # on a model.n_points axis each size reads the file again: 32 rows
+    # fit the first point and not the second
+    reads.clear()
+    cfg_path = write_cfg(tmp_path, text + sweep.replace(
+        "scheme.lambda\nmin = 0\nmax = 0.3\ncount = 4",
+        "model.n_points\nmin = 32\nmax = 33\ncount = 2"))
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "size")]) == 0
+    assert reads == [32, 33]
+    rows = read_csv(tmp_path / "size" / "sweep.csv")
+    assert rows[1][2] == "converged"
+    assert rows[2][2].startswith("error: ") \
+        and rows[2][2].endswith("has 32 rows, grid expects 33")
 
 
 def test_cmd_sweep_requires_section(tmp_path):
@@ -437,6 +583,65 @@ def test_main_arithmetic_errors_name_the_key(tmp_path, capsys, section, key,
     err = capsys.readouterr().err
     assert err.startswith("error: %s.%s: " % (section, key))
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("axes, key, where", [
+    ("scale = log\nmin = 0\nmax = 1\ncount = 3\n", "sweep.min",
+     "a log axis cannot reach 0"),
+    ("scale = log\nmin = 1e-3\nmax = 0\ncount = 3\n", "sweep.max",
+     "a log axis cannot reach 0"),
+    ("scale = log\nmin = -1\nmax = 0.01\ncount = 3\n", "sweep.min",
+     "a log axis needs min and max of one sign, got -1.0 and 0.01"),
+    ("min = 0\nmax = 1\ncount = 2\nparam2 = scheme.p\nscale2 = log\n"
+     "min2 = 4\nmax2 = -4\ncount2 = 2\n", "sweep.min2", "of one sign"),
+    ("min = -1.7e308\nmax = 1.7e308\ncount = 3\n", "sweep.max",
+     "out of floating-point range"),
+    ("min = 0\nmax = 1\ncount = 10**12\n", "sweep.count",
+     "the sweep would have 1000000000000 points, more than the limit "
+     "of 100000"),
+    ("min = 0\nmax = 1\ncount = 1000\nparam2 = scheme.p\nmin2 = 3\n"
+     "max2 = 4\ncount2 = 1000\n", "sweep.count2", "1000000 points"),
+])
+def test_main_sweep_axis_errors_name_the_key(tmp_path, capsys, axes, key,
+                                             where):
+    # each used to end in a traceback, a nan point with exit status 0, or
+    # an allocation error blamed on model.n_points
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 16\n[sweep]\n"
+                                   "param = scheme.lambda\n" + axes)
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % key)
+    assert where in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_log_sweep_of_negative_values():
+    cfg = parse_config("[sweep]\nparam = scheme.lambda\nscale = log\n"
+                       "min = -1\nmax = -100\ncount = 3\n")
+    assert [v for (v,) in cfg.sweep.grid()] == pytest.approx([-1, -10, -100])
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_main_functional_needs_a_row(tmp_path, capsys, value):
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 16\n[functional]\n"
+                                   "m = %s\n" % value)
+    assert main(["functional", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() \
+        == "error: functional.m: must be >= 1, got %s" % value
+    assert not (tmp_path / "out" / "functional.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-" * 3000 + "16", "+".join(["1"] * 3000)])
+def test_main_deeply_nested_expression_names_the_key(tmp_path, capsys,
+                                                     value):
+    # ast.parse and the evaluator both recurse once per nesting level
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = %s\n" % value)
+    assert main(["spectrum", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() \
+        == "error: model.n_points: expression nested too deeply"
 
 
 @pytest.mark.parametrize("text, where", [

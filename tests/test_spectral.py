@@ -10,7 +10,8 @@ from diracbvp import (AssembledOperator, BoundaryCondition, Grid1D,
 from diracbvp.errors import (ConfigurationError, NearSingularError,
                              NumericalError, ParameterError,
                              SingularPowerError, UndefinedSplittingError)
-from diracbvp.spectral import (FourierSpectralData, _count_below,
+from diracbvp.spectral import (FourierSpectralData, _bisect_top,
+                               _count_below, _fixed_unit_vector,
                                _top_ritz_pair, decompose_dense,
                                random_constrained_field)
 
@@ -407,6 +408,85 @@ def test_top_ritz_pair_matches_eigh(k):
         theta, s = _top_ritz_pair(alpha, beta)
         assert theta == pytest.approx(vals[-1], rel=1e-14)
         assert abs(s) == pytest.approx(abs(vecs[-1, -1]), rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [2, 7, 64, 137])
+def test_bisect_top_brackets_the_top_two_eigenvalues(k):
+    rng = np.random.default_rng(k)
+    alpha, beta = rng.uniform(0.5, 3.0, k), rng.uniform(1e-3, 1.0, k - 1)
+    vals = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1)
+                              + np.diag(beta, -1))
+    for rtol in (1e-4, 1e-8):
+        lo, hi, q = _bisect_top(alpha.tolist(), beta.tolist(), rtol)
+        assert lo <= vals[-1] * (1 + 1e-15) and vals[-1] <= hi
+        assert hi - lo <= rtol * hi
+        assert vals[-2] < q <= vals[-1] * (1 + 1e-15)
+
+
+@pytest.mark.parametrize("kind", ["antiperiodic", "bag1d"])
+@pytest.mark.parametrize("n_points", [8, 9, 64, 256, 512])
+def test_cheap_ritz_checks_stop_where_full_checks_do(kind, n_points,
+                                                     monkeypatch):
+    # every run of the two Lanczos solves: steps taken and theta's bits,
+    # with _surely_unconverged screening the checks and with every check
+    # done to the last bit
+    import diracbvp.spectral as spectral
+    lanczos = spectral._lanczos_max
+
+    full_checks = []
+    pair = spectral._top_ritz_pair
+
+    def counting_pair(alpha, beta):
+        full_checks.append(alpha.size)
+        return pair(alpha, beta)
+    monkeypatch.setattr(spectral, "_top_ritz_pair", counting_pair)
+
+    def runs_of():
+        runs = []
+
+        def recording(matvec, m):
+            steps = []
+
+            def counted(x):
+                steps.append(x)
+                return matvec(x)
+            theta = lanczos(counted, m)
+            runs.append((len(steps), theta.hex()))
+            return theta
+        monkeypatch.setattr(spectral, "_lanczos_max", recording)
+        spectral._rayleigh_maxima(decompose(model_op(kind, n_points)))
+        return runs
+
+    screened = runs_of()
+    screened_checks = len(full_checks)
+    monkeypatch.setattr(spectral, "_surely_unconverged", lambda *args: False)
+    assert len(screened) == 2
+    assert screened == runs_of()
+    # and the screen did spare full checks wherever a run took several
+    if kind == "antiperiodic" and n_points >= 64:
+        assert 2 * screened_checks < len(full_checks) - screened_checks
+
+
+def test_fixed_unit_vector_is_splitmix64():
+    # whole-array uint64 arithmetic against the scalar recurrence
+    def splitmix64(j):
+        mask = (1 << 64) - 1
+        z = j * 0x9E3779B97F4A7C15 & mask
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        return z ^ z >> 31
+
+    def unif(word):
+        return (word + 0.5) * 2.0 ** -32 - 0.5
+    ref = np.array([unif(w >> 32) + 1j * unif(w & 0xFFFFFFFF)
+                    for w in map(splitmix64, range(1, 101))])
+    ref /= np.linalg.norm(ref)
+    assert np.max(np.abs(_fixed_unit_vector(100) - ref)) < 1e-15
+    for m in (1, 7, 1000):
+        z = _fixed_unit_vector(m)
+        assert z.shape == (m,) and np.all(np.isfinite(z))
+        assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-14)
+        assert _fixed_unit_vector(m).tobytes() == z.tobytes()
 
 
 def test_count_below_is_the_sturm_count():
