@@ -9,7 +9,7 @@ from .conditions import (AnalyticConstants, BootstrapTrace, ConditionReport,
 from .grids import (Grid1D, SpinorField, load_field_csv, lp_norm,
                     nonlinearity, save_field_csv, slobodeckij_norm, w1q_norm)
 from .operators import (AssembledOperator, BoundaryCondition, ModelSpec,
-                        apply_D, assemble, boundary_residual, dump_matrix)
+                        apply_D, assemble, boundary_residual)
 from .scheme import (IterationReport, IterationState, SchemeConfig, run,
                      scale_problem, step, verify_solution)
 from .spectral import (SpectralData, apply_fractional, apply_inverse,

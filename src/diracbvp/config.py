@@ -343,7 +343,9 @@ def _split_path(path):
 
 def parse_config(text, base_dir="."):
     """Parse configuration text into a validated RunConfig."""
-    parser = ConfigParser(interpolation=None)
+    # no section can be named "\n", so [DEFAULT] is an unknown section
+    # like any other, not defaults merged into every section
+    parser = ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(text)
     except Exception as exc:
@@ -360,7 +362,8 @@ def parse_config(text, base_dir="."):
 
     _validate_enums(raw)
     cfg = RunConfig(raw=raw, base_dir=base_dir)
-    cfg.sweep = _parse_sweep(raw["sweep"])
+    given = set(parser["sweep"]) if parser.has_section("sweep") else set()
+    cfg.sweep = _parse_sweep(raw["sweep"], given)
     return cfg
 
 
@@ -384,14 +387,23 @@ def _validate_enums(raw):
 MAX_SWEEP_POINTS = 10 ** 5
 
 
-def _parse_sweep(sweep_raw):
-    if sweep_raw["param"] is None:
-        return None
+def _parse_sweep(sweep_raw, given):
+    """SweepSpec of the [sweep] keys, None when the text gives none.
+
+    given holds the keys the text sets.  Each of them needs param, and
+    those of the second axis need param2 as well, so none is ignored.
+    """
     axes, points = [], 1
     for suffix in ("", "2"):
         param = sweep_raw["param" + suffix]
         if param is None:
-            continue
+            orphans = sorted(key for key in given if key.endswith(suffix))
+            if orphans:
+                raise ConfigParseError(
+                    "missing, but %s given"
+                    % ", ".join("sweep." + key for key in orphans),
+                    key="sweep.param" + suffix)
+            break
         _split_path(param)  # validates the path
         for req in ("min", "max", "count"):
             if sweep_raw[req + suffix] is None:
@@ -411,7 +423,7 @@ def _parse_sweep(sweep_raw):
         scale = sweep_raw["scale" + suffix]
         _check_axis_range(lo, hi, scale, suffix)
         axes.append((param, lo, hi, count, scale))
-    return SweepSpec(axes=axes)
+    return SweepSpec(axes=axes) if axes else None
 
 
 def _check_axis_range(lo, hi, scale, suffix):

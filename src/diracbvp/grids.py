@@ -77,16 +77,6 @@ class SpinorField:
     def zero(cls, grid, rank=1):
         return cls(grid, np.zeros((grid.n_points, rank), dtype=complex))
 
-    @classmethod
-    def from_function(cls, grid, func, rank=1):
-        """Sample func(x) -> scalar or length-r vector on the grid."""
-        x = grid.points()
-        vals = np.array([np.atleast_1d(func(xi)) for xi in x], dtype=complex)
-        if vals.shape[1] != rank:
-            raise InvalidFieldError(
-                "function returned rank %d, expected %d" % (vals.shape[1], rank))
-        return cls(grid, vals)
-
     def copy(self):
         return SpinorField(self.grid, self.values.copy())
 

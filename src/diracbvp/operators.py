@@ -37,8 +37,8 @@ eigenvalue, sin(pi/m)/h -> pi/(2L), has multiplicity 2.
 
 The dense matrix D_P is computed from V the first time
 AssembledOperator.matrix is read, so it is Hermitian by construction; no
-command reads it for a grid-backed model, only dump_matrix and the tests'
-dense reference, spectral.decompose_dense.
+command reads it for a grid-backed model, only the tests' dense
+reference, spectral.decompose_dense.
 """
 
 from dataclasses import dataclass, field
@@ -288,8 +288,8 @@ class AssembledOperator:
     and project a gather, both O(N).  constraint_map builds the dense V
     on each read, for the tests' reference only.  The dense matrix
     D_P = sym(V^H W D V) is computed and checked for Hermiticity the
-    first time `matrix` is read; decompose_dense (bare matrices, the
-    tests' reference) and dump_matrix read it.
+    first time `matrix` is read; only decompose_dense (bare matrices, the
+    tests' reference) reads it.
     """
     spec: Optional[ModelSpec] = None
     cols: Optional[np.ndarray] = field(default=None, repr=False)
@@ -452,8 +452,3 @@ def boundary_residual(spec, u, g):
     res = np.linalg.norm(spec.bc.projector_left @ d[0])
     res += np.linalg.norm(spec.bc.projector_right @ d[-1])
     return float(res)
-
-
-def dump_matrix(op, path):
-    """Row-major little-endian complex128 binary dump of the matrix."""
-    np.ascontiguousarray(op.matrix).astype("<c16").tofile(path)

@@ -11,7 +11,6 @@ stationary for every admissible (a, R).  Convergence is monitored through
 the increments Delta_k = u_k - u_{k-1} in the H^{1/2}_D graph norm.
 """
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -212,10 +211,3 @@ def trace_rows(report):
                      repr(st.l2t_norm), repr(st.h1t_norm),
                      repr(st.pde_residual)])
     return rows
-
-
-def report_json(report, certified=None):
-    d = report.to_dict()
-    if certified is not None:
-        d["conditions_certified"] = bool(certified)
-    return json.dumps(d, sort_keys=True, indent=2)

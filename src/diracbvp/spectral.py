@@ -12,10 +12,11 @@ eigen-coefficient transform (SpectralData.to_coeffs/from_coeffs), the
 application of D_P, inverses (optionally shifted), fractional powers
 |D_P|^s, the +/- spectral splitting, graph norms of H^s_D, and the
 empirical regularity constants c1 and c_{1/2}: the largest generalized
-Rayleigh quotients, found matrix-free by a capped Lanczos iteration on
-products with the transform, the constraint map and O(N log N) grid
-stencils, with no dense form and no scipy.  No production path reads
-the dense eigenvectors.
+Rayleigh quotients, found matrix-free by the plain three-term Lanczos
+recurrence, capped in steps and O(m) in memory, on products with the
+transform, the constraint map and O(N log N) grid stencils, with no
+dense form and no scipy.  No production path reads the dense
+eigenvectors.
 """
 
 from collections import namedtuple
@@ -317,62 +318,51 @@ def _rayleigh_maxima(sd):
     return c1_emp, c_half_emp
 
 
-# Lanczos steps allowed before _lanczos_max gives up.  Measured on the
-# c_half form of the antiperiodic model, the slowest to converge: 136
-# steps at N=512, 264 at N=2048, 376 at N=4096, 552 at N=8192 (beyond
-# the cap); bag1d needs at most 16 up to N=4096.
-LANCZOS_MAX_STEPS = 512
+# Lanczos steps allowed before _lanczos_max gives up.  Only the run time
+# grows with the steps: the recurrence keeps two vectors of C^m whatever
+# the count.  Measured on the c_half form of the antiperiodic model, the
+# slowest to converge: 104 steps at N=256, 144 at N=512, 216 at N=1024,
+# 296 at N=2048, 416 at N=4096, 592 at N=8192 and 840 at N=16384; bag1d
+# needs at most 16 up to N=4096.
+LANCZOS_MAX_STEPS = 1024
 # steps between two convergence checks of the top Ritz pair
 _LANCZOS_CHECK_EVERY = 8
-# relative width of the bracket on theta in an intermediate check
-_RITZ_RTOL = 1e-8
 
 
 def _lanczos_max(matvec, m):
     """Largest eigenvalue of a Hermitian positive definite map of C^m.
 
-    Lanczos from the fixed start vector _fixed_unit_vector(m), with the
-    three-term recurrence followed by one full reorthogonalization
-    against the basis, written as einsum products, not BLAS
-    matrix-vector calls.  Every few steps the top Ritz pair (theta, s) of
-    the tridiagonal is checked; the run stops when its residual
-    beta_k |s_k| is at most 1e-10 theta, or at step m, where theta is
-    exact.  A check first asks the cheaper _surely_unconverged and
-    computes the pair to the last bit only when that cannot rule
-    convergence out, so the stopping step and the returned float are
-    those of checks done to the last bit throughout.  NumericalError
-    when LANCZOS_MAX_STEPS steps do not converge; the basis never holds
-    more than that many vectors.
+    The plain three-term Lanczos recurrence from the fixed start vector
+    _fixed_unit_vector(m), with no reorthogonalization: it keeps the last
+    two basis vectors and the tridiagonal's entries only, so its memory
+    is O(m) however many steps it takes.  Every _LANCZOS_CHECK_EVERY
+    steps, and at the last step allowed, the top Ritz pair (theta, s) of
+    the tridiagonal is computed to the last bit by _top_ritz_pair, and
+    the run stops when its residual beta_k |s_k| is at most 1e-10 theta.
+    Lost orthogonality does not spoil that test for the top eigenvalue
+    (Paige, Lin. Alg. Appl. 34, 1980): it brings only copies of Ritz
+    values that have already converged.  Nor is step m an exit, since
+    the basis is no longer orthogonal by then: a run may go on past m
+    steps.  NumericalError when LANCZOS_MAX_STEPS steps do not converge.
     """
-    steps = min(m, LANCZOS_MAX_STEPS)
-    # rows are written one per step, so memory grows with the steps taken
-    basis = np.empty((steps, m), dtype=complex)
-    alpha, beta = np.zeros(steps), np.zeros(steps)
-    basis[0] = _fixed_unit_vector(m)
-    for k in range(steps):
-        q, prev = basis[k], basis[:k + 1]
+    alpha, beta = [], []
+    q, q_prev = _fixed_unit_vector(m), None
+    for k in range(LANCZOS_MAX_STEPS):
         v = matvec(q)
         if k:
-            v -= beta[k - 1] * basis[k - 1]
-        alpha[k] = np.vdot(q, v).real
-        v -= alpha[k] * q
-        # full reorthogonalization: v -= Q (Q^H v)
-        v -= np.einsum("ij,i->j", prev, np.einsum("ij,j->i", prev,
-                                                   v.conj()).conj())
-        beta[k] = np.linalg.norm(v)
-        check = (k + 1) % _LANCZOS_CHECK_EVERY == 0 or k + 1 == steps \
-            or beta[k] == 0.0
-        if check and (k + 1 == steps or not _surely_unconverged(
-                alpha[:k + 1], beta[:k], beta[k])):
-            theta, s = _top_ritz_pair(alpha[:k + 1], beta[:k])
-            resid = beta[k] * abs(s)
-            if resid <= 1e-10 * theta or k + 1 == m:
+            v -= beta[-1] * q_prev
+        alpha.append(np.vdot(q, v).real)
+        v -= alpha[-1] * q
+        beta.append(np.linalg.norm(v))
+        if ((k + 1) % _LANCZOS_CHECK_EVERY == 0 or beta[-1] == 0.0
+                or k + 1 == LANCZOS_MAX_STEPS):
+            theta, s = _top_ritz_pair(alpha, beta[:-1])
+            resid = beta[-1] * abs(s)
+            if resid <= 1e-10 * theta:
                 return float(theta)
-            if k + 1 == steps:
-                raise NumericalError(
-                    "Lanczos did not converge in %d steps (residual %.3e "
-                    "of %.6e)" % (steps, resid, theta))
-        basis[k + 1] = v / beta[k]
+        q_prev, q = q, v / beta[-1]
+    raise NumericalError("Lanczos did not converge in %d steps (residual "
+                         "%.3e of %.6e)" % (LANCZOS_MAX_STEPS, resid, theta))
 
 
 def _top_ritz_pair(alpha, beta):
@@ -386,46 +376,18 @@ def _top_ritz_pair(alpha, beta):
     the last bit, the least float above which T has no eigenvalue, and
     the vector by _last_component.
     """
-    a, b = alpha.tolist(), beta.tolist()
-    theta = _bisect_top(a, b, 0.0)[1]
+    a, b = [float(x) for x in alpha], [float(x) for x in beta]
+    theta = _bisect_top(a, b)
     return theta, _last_component(a, b, theta)
 
 
-def _surely_unconverged(alpha, beta, beta_k):
-    """True only if _top_ritz_pair would find beta_k |s| > 1e-10 theta.
-
-    A cheaper check of the same residual: theta is bracketed to
-    _RITZ_RTOL only, lo <= lambda_1 <= hi, about 26 Sturm counts instead
-    of 52, and s comes from _last_component at hi.  That s is off by the
-    share of the other eigenvectors left after two steps of inverse
-    iteration, at most sqrt(k) r^2 in the 2-norm (the start vector of
-    ones has norm sqrt(k) and a component >= 1 along the positive top
-    eigenvector), where r = e / (e + d) bounds |sigma - lambda_1| /
-    |sigma - lambda_j| over j >= 2: e = sigma - lo, and d = lo - q,
-    with q a bisection point shown to lie above lambda_2 by its count.
-    The same bound holds for the s of _top_ritz_pair, whose sigma lies
-    between lambda_1 and this one.  The answer is True only when the
-    residual stays above the threshold with |s| lowered by both bounds
-    and by rounding, so it never differs from the full check's.
-    """
-    a, b = alpha.tolist(), beta.tolist()
-    lo, hi, q = _bisect_top(a, b, _RITZ_RTOL)
-    if q is None:  # no room between lambda_2 and lambda_1 was seen
-        return False
-    e = hi * (1.0 + 1e-11) - lo
-    r = e / (e + lo - q)
-    err = 2.0 * len(a) ** 0.5 * r * r + 8 * len(a) * np.finfo(float).eps
-    return beta_k * (abs(_last_component(a, b, hi)) - err) > 1e-10 * hi
-
-
-def _bisect_top(a, b, rtol):
-    """Bracket lo <= lambda_1 <= hi on the top eigenvalue of T = (a, b).
+def _bisect_top(a, b):
+    """Top eigenvalue of T = (a, b), bisected to the last bit.
 
     Bisection on Sturm counts between max(a), a Rayleigh quotient of T,
-    and the Gershgorin bound, until hi - lo <= rtol * hi, or to the last
-    bit when rtol = 0.  Also returns q, the first bisection point below
-    which T has all but one eigenvalue (so lambda_2 < q <= lambda_1), or
-    None when no bisection point fell between the two.
+    and the Gershgorin bound, until no float lies strictly between the
+    ends; returns the upper end, the least float above which T has no
+    eigenvalue.
     """
     b2 = [x * x for x in b]
     mag = [abs(x) for x in b]
@@ -433,19 +395,14 @@ def _bisect_top(a, b, rtol):
     hi = max(ai + right + left for ai, right, left
              in zip(a, mag + [0.0], [0.0] + mag))
     pivmin = np.finfo(float).tiny * max(b2 + [1.0])
-    q = None
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        count = _count_below(a, b2, mid, pivmin)
-        if count == len(a):
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _count_below(a, b2, mid, pivmin) == len(a):
             hi = mid
         else:
-            if q is None and count == len(a) - 1:
-                q = mid
             lo = mid
-    return lo, hi, q
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def _last_component(a, b, theta):

@@ -616,6 +616,42 @@ def test_main_sweep_axis_errors_name_the_key(tmp_path, capsys, axes, key,
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nn_points = 64\n",
+    "[model]\nn_points = 16\n[scheme]\nlambda = 0.1\n"
+    "[DEFAULT]\nn_points = 64\n",
+])
+def test_main_refuses_a_default_section(tmp_path, capsys, text):
+    # configparser would merge [DEFAULT] into every section: alone it was
+    # ignored (a 256-point run, exit 0), beside others blamed on scheme
+    cfg_path = write_cfg(tmp_path, text)
+    assert main(["spectrum", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() \
+        == "error: DEFAULT: unknown section"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "spectrum"])
+@pytest.mark.parametrize("axes, key, given", [
+    ("min = 0\nmax = 1\ncount = 3\n", "sweep.param",
+     "sweep.count, sweep.max, sweep.min"),
+    ("param2 = scheme.p\nmin2 = 3\nmax2 = 4\ncount2 = 2\n", "sweep.param",
+     "sweep.count2, sweep.max2, sweep.min2, sweep.param2"),
+    ("param = scheme.lambda\nmin = 0\nmax = 1\ncount = 2\nscale2 = log\n",
+     "sweep.param2", "sweep.scale2"),
+])
+def test_main_sweep_keys_need_their_param(tmp_path, capsys, command, axes,
+                                          key, given):
+    # sweep used to say the [sweep] section was missing, and every other
+    # command ignored the keys
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 16\n[sweep]\n" + axes)
+    assert main([command, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() \
+        == "error: %s: missing, but %s given" % (key, given)
+
+
 def test_log_sweep_of_negative_values():
     cfg = parse_config("[sweep]\nparam = scheme.lambda\nscale = log\n"
                        "min = -1\nmax = -100\ncount = 3\n")

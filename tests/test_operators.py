@@ -3,8 +3,7 @@ import pytest
 
 from conftest import antiperiodic_modes, mode_field
 from diracbvp import (AssembledOperator, BoundaryCondition, Grid1D, ModelSpec,
-                      SpinorField, apply_D, assemble, boundary_residual,
-                      dump_matrix)
+                      SpinorField, apply_D, assemble, boundary_residual)
 from diracbvp.errors import ConfigurationError, IncompatibleFieldsError
 
 
@@ -299,15 +298,6 @@ def test_boundary_residual_bag(bag_spec, bag_sd):
 
 
 # ----------------------------------------------------------- misc I/O
-
-def test_dump_matrix_binary(tmp_path):
-    mat = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]])
-    op = AssembledOperator.from_matrix(mat)
-    path = tmp_path / "op.bin"
-    dump_matrix(op, path)
-    back = np.fromfile(path, dtype="<c16").reshape(2, 2)
-    assert np.array_equal(back, mat)
-
 
 def test_from_matrix_rejects_non_hermitian():
     with pytest.raises(ConfigurationError):

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from diracbvp import (SchemeConfig, SpinorField, lp_norm, run, scale_problem,
                       step, verify_solution)
 from diracbvp.errors import (NearSingularError, ParameterError,
                              UndefinedScalingError)
-from diracbvp.scheme import report_json, trace_rows
+from diracbvp.scheme import trace_rows
 from diracbvp.spectral import random_constrained_field
 
 
@@ -195,7 +194,8 @@ def test_trace_and_report_serialization(anti_sd, anti_spec):
     rows = trace_rows(rep)
     assert len(rows) == len(rep.states)
     assert rows[0][0] == 0 and rows[0][2] == ""  # no ratio at step 0
-    payload = json.loads(report_json(rep, certified=True))
+    rep.conditions_certified = True
+    payload = rep.to_dict()
     assert payload["verdict"] == "converged"
     assert payload["conditions_certified"] is True
     assert set(payload) == {"verdict", "iterations", "pde_residual",

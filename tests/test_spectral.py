@@ -10,8 +10,8 @@ from diracbvp import (AssembledOperator, BoundaryCondition, Grid1D,
 from diracbvp.errors import (ConfigurationError, NearSingularError,
                              NumericalError, ParameterError,
                              SingularPowerError, UndefinedSplittingError)
-from diracbvp.spectral import (FourierSpectralData, _bisect_top,
-                               _count_below, _fixed_unit_vector,
+from diracbvp.spectral import (FourierSpectralData, _count_below,
+                               _fixed_unit_vector, _lanczos_max,
                                _top_ritz_pair, decompose_dense,
                                random_constrained_field)
 
@@ -410,61 +410,44 @@ def test_top_ritz_pair_matches_eigh(k):
         assert abs(s) == pytest.approx(abs(vecs[-1, -1]), rel=1e-9, abs=1e-14)
 
 
-@pytest.mark.parametrize("k", [2, 7, 64, 137])
-def test_bisect_top_brackets_the_top_two_eigenvalues(k):
-    rng = np.random.default_rng(k)
-    alpha, beta = rng.uniform(0.5, 3.0, k), rng.uniform(1e-3, 1.0, k - 1)
-    vals = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1)
-                              + np.diag(beta, -1))
-    for rtol in (1e-4, 1e-8):
-        lo, hi, q = _bisect_top(alpha.tolist(), beta.tolist(), rtol)
-        assert lo <= vals[-1] * (1 + 1e-15) and vals[-1] <= hi
-        assert hi - lo <= rtol * hi
-        assert vals[-2] < q <= vals[-1] * (1 + 1e-15)
+@pytest.mark.parametrize("m", [1, 2, 7, 64])
+def test_lanczos_max_on_known_spectra(m):
+    # diagonal maps with spread, square-root and top-clustered spectra,
+    # each also with its top pair 1e-6 apart.  With no reorthogonalization
+    # there is no exit at step m: m = 2 and 7 stop at their first check,
+    # step 8, and the harder spectra of m = 64 run past m steps too
+    spectra = [np.geomspace(0.1, 10.0, m), 1.0 + np.sqrt(np.linspace(0, 1, m)),
+               2.0 - np.geomspace(1.0, 1e-6, m)]
+    for d in spectra[:3 if m > 1 else 0]:
+        pair = d.copy()
+        pair[-2] = pair[-1] * (1.0 - 1e-6)
+        spectra.append(pair)
+    steps = []
+    for d in spectra:
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return d * x
+        theta = _lanczos_max(matvec, m)
+        assert theta == pytest.approx(d.max(), rel=1e-12)
+        steps.append(len(calls))
+    if m > 1:
+        assert max(steps) > m
 
 
-@pytest.mark.parametrize("kind", ["antiperiodic", "bag1d"])
-@pytest.mark.parametrize("n_points", [8, 9, 64, 256, 512])
-def test_cheap_ritz_checks_stop_where_full_checks_do(kind, n_points,
-                                                     monkeypatch):
-    # every run of the two Lanczos solves: steps taken and theta's bits,
-    # with _surely_unconverged screening the checks and with every check
-    # done to the last bit
-    import diracbvp.spectral as spectral
-    lanczos = spectral._lanczos_max
-
-    full_checks = []
-    pair = spectral._top_ritz_pair
-
-    def counting_pair(alpha, beta):
-        full_checks.append(alpha.size)
-        return pair(alpha, beta)
-    monkeypatch.setattr(spectral, "_top_ritz_pair", counting_pair)
-
-    def runs_of():
-        runs = []
-
-        def recording(matvec, m):
-            steps = []
-
-            def counted(x):
-                steps.append(x)
-                return matvec(x)
-            theta = lanczos(counted, m)
-            runs.append((len(steps), theta.hex()))
-            return theta
-        monkeypatch.setattr(spectral, "_lanczos_max", recording)
-        spectral._rayleigh_maxima(decompose(model_op(kind, n_points)))
-        return runs
-
-    screened = runs_of()
-    screened_checks = len(full_checks)
-    monkeypatch.setattr(spectral, "_surely_unconverged", lambda *args: False)
-    assert len(screened) == 2
-    assert screened == runs_of()
-    # and the screen did spare full checks wherever a run took several
-    if kind == "antiperiodic" and n_points >= 64:
-        assert 2 * screened_checks < len(full_checks) - screened_checks
+def test_lanczos_memory_does_not_grow_with_the_steps():
+    # two vectors and scratch for the products, not a basis of 200-400
+    # stored vectors
+    import tracemalloc
+    sd = decompose(model_op("antiperiodic", 2048))
+    tracemalloc.start()
+    try:
+        estimate_constants(sd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 16 * sd.size
 
 
 def test_fixed_unit_vector_is_splitmix64():
