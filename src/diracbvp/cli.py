@@ -126,7 +126,8 @@ def _sweep_point(cfg, values, cache):
 
 def cmd_sweep(cfg, out_dir):
     if cfg.sweep is None:
-        raise DiracBVPError("sweep command needs a [sweep] section")
+        raise ConfigParseError("missing, the sweep command needs at least "
+                               "one axis", key="sweep.param")
     names = [axis[0] for axis in cfg.sweep.axes]
     header = ["index"] + names + ["verdict", "iterations", "pde_residual",
                                   "max_ratio", "certified", "bounds_held"]

@@ -13,10 +13,9 @@ _apply_D_values is the one definition of each model's D; apply_D applies
 it to a field.  The constraint map V is an orthonormal basis of the
 discrete kernel of the boundary operator P, with one nonzero per row;
 assemble() keeps it as the index arrays of _constraint_entries, so
-embed (V c) and project (V^H W f) cost O(N), and the dense V is built
-only for the tests' reference.  The compressed operator is
+embed (V c) and project (V^H W f) cost O(N).  The compressed operator is
 D_P = sym(V^H W D V), with W the quadrature weights and
-sym(M) = (M + M^H)/2.
+sym(M) = (M + M^H)/2; it is never formed as a matrix.
 
 Every model's D_P is diagonal in modulated Fourier modes, and
 fourier_modes gives their frequencies, modulation phase and the
@@ -34,11 +33,6 @@ doubly degenerate, bar +-1/h when theta = 0: this is fermion doubling of
 the central-difference stencil (Nielsen-Ninomiya), whereas the continuum
 eigenvalues +-(j + 1/2) pi/L are simple.  The smallest positive
 eigenvalue, sin(pi/m)/h -> pi/(2L), has multiplicity 2.
-
-The dense matrix D_P is computed from V the first time
-AssembledOperator.matrix is read, so it is Hermitian by construction; no
-command reads it for a grid-backed model, only the tests' dense
-reference, spectral.decompose_dense.
 """
 
 from dataclasses import dataclass, field
@@ -267,15 +261,6 @@ def _bag_modes(spec):
     return freqs, phase, perm
 
 
-def _check_hermitian(matrix):
-    defect = np.max(np.abs(matrix - matrix.conj().T))
-    scale = max(np.max(np.abs(matrix)), 1e-300)
-    if defect > 1e-12 * scale:
-        raise ConfigurationError(
-            "matrix is not Hermitian (defect %.3e)" % defect)
-    return matrix
-
-
 @dataclass
 class AssembledOperator:
     """D restricted to the discrete kernel of P, as a Hermitian operator.
@@ -285,65 +270,29 @@ class AssembledOperator:
     orthonormal in the quadrature inner product, V^H W V = I.  V has one
     nonzero per row and is kept as the index arrays of
     _constraint_entries, V[i, cols[i]] = vals[i], so embed is a scatter
-    and project a gather, both O(N).  constraint_map builds the dense V
-    on each read, for the tests' reference only.  The dense matrix
-    D_P = sym(V^H W D V) is computed and checked for Hermiticity the
-    first time `matrix` is read; only decompose_dense (bare matrices, the
-    tests' reference) reads it.
+    and project a gather, both O(N).  weights holds W per flattened row.
     """
-    spec: Optional[ModelSpec] = None
-    cols: Optional[np.ndarray] = field(default=None, repr=False)
-    vals: Optional[np.ndarray] = field(default=None, repr=False)
-    weights: Optional[np.ndarray] = field(default=None, repr=False)
-    _matrix: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = _check_hermitian(_compress(self))
-        return self._matrix
+    spec: ModelSpec
+    cols: np.ndarray = field(repr=False)
+    vals: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @cached_property
     def n_constrained(self):
-        if self.cols is None:
-            return self.matrix.shape[0]
         return int(self.cols.max()) + 1
-
-    @property
-    def constraint_map(self):
-        """The dense N*rank x m matrix V, built anew on every read."""
-        self._need_grid()
-        vmap = np.zeros((self.cols.size, self.n_constrained), dtype=complex)
-        vmap[np.arange(self.cols.size), self.cols] = self.vals
-        return vmap
-
-    @classmethod
-    def from_matrix(cls, matrix):
-        """Wrap a hand-built Hermitian matrix with no grid attached."""
-        matrix = np.asarray(matrix, dtype=complex)
-        return cls(_matrix=_check_hermitian(matrix))
-
-    def _need_grid(self):
-        if self.spec is None or self.cols is None:
-            raise ConfigurationError(
-                "operation needs a grid-backed operator, not a bare matrix")
 
     def embed(self, coeffs):
         """Constrained coordinates -> full-grid SpinorField."""
-        self._need_grid()
         flat = self.vals * np.asarray(coeffs, dtype=complex)[self.cols]
         n, r = self.spec.grid.n_points, self.spec.rank
         return SpinorField(self.spec.grid, flat.reshape(n, r))
 
     def project(self, f):
-        """Full-grid field (or raw coefficient vector) -> constrained coords.
+        """Full-grid SpinorField -> constrained coordinates.
 
         Adjoint of embed in the quadrature inner product; acts as the
         orthogonal projection onto the discrete kernel of P.
         """
-        if isinstance(f, np.ndarray):
-            return np.asarray(f, dtype=complex)
-        self._need_grid()
         return self.adjoint(self.weights * f.values.reshape(-1))
 
     def adjoint(self, flat):
@@ -384,28 +333,12 @@ def assemble(spec):
     """Build the constrained operator D_P for a model spec.
 
     Keeps the constraint map V as the index arrays of _constraint_entries,
-    with the weights W; the dense matrix D_P = sym(V^H W D V) is left to
-    the first read of AssembledOperator.matrix.
+    with the weights W; D_P itself is applied through spectral.decompose.
     """
     cols, vals = _constraint_entries(spec)
     weights = np.repeat(spec.grid.weights(), spec.rank)
     return AssembledOperator(spec=spec, cols=cols, vals=vals,
                              weights=weights)
-
-
-def _compress(op):
-    """D_P = sym(V^H W D V): D from _apply_D_values on the columns of V."""
-    spec, vmap = op.spec, op.constraint_map
-    n, r = spec.grid.n_points, spec.rank
-    # V's rows are point-major, so (N, rank, columns) is a reshape
-    dv = _apply_D_values(spec, vmap.reshape(n, r, -1)).reshape(vmap.shape)
-    dv *= op.weights[:, None]
-    matrix = vmap.conj().T @ dv
-    del dv
-    # sym in place: one temporary fewer at the memory peak
-    matrix += matrix.conj().T
-    matrix *= 0.5
-    return matrix
 
 
 def _apply_D_values(spec, v):

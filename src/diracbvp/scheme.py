@@ -65,7 +65,6 @@ class SchemeConfig:
 class IterationState:
     k: int
     u: SpinorField
-    u_tilde: SpinorField
     delta_norm_H12D: float  # ||u_k - u_{k-1}|| in the graph norm, 0 at k=0
     l2t_norm: float
     h1t_norm: float
@@ -130,7 +129,7 @@ def run(sd, cfg):
 
     def make_state(k, u_cur, delta):
         return IterationState(
-            k=k, u=u_cur, u_tilde=u_cur - cfg.g, delta_norm_H12D=delta,
+            k=k, u=u_cur, delta_norm_H12D=delta,
             l2t_norm=lp_norm(u_cur, 2), h1t_norm=w1q_norm(u_cur, 2),
             pde_residual=verify_solution(sd, cfg, u_cur)[0])
 

@@ -1,33 +1,26 @@
 """Spectral decomposition of D_P and the functional calculus built on it.
 
-decompose has two backends behind one interface, SpectralData.  Every
-grid-backed model (antiperiodic, periodic, bag1d) is diagonal in
-modulated Fourier modes, so its eigenvalues are the frequencies of
-operators.fourier_modes and its eigen-coefficient transform is permute,
-demodulate, FFT (FourierSpectralData), in O(m log m) time and O(m)
-memory.  Only bare matrices (AssembledOperator.from_matrix) go through
-the dense Hermitian eigensolve decompose_dense (DenseSpectralData), which
-is also the tests' reference.  Everything downstream lives here: the
-eigen-coefficient transform (SpectralData.to_coeffs/from_coeffs), the
-application of D_P, inverses (optionally shifted), fractional powers
-|D_P|^s, the +/- spectral splitting, graph norms of H^s_D, and the
+Every model (antiperiodic, periodic, bag1d) is diagonal in modulated
+Fourier modes, so decompose reads its eigenvalues off the frequencies of
+operators.fourier_modes, and its eigen-coefficient transform is permute,
+demodulate, FFT: O(m log m) time and O(m) memory, with no dense matrix
+and no stored eigenvectors.  Everything downstream lives here: the
+transform (SpectralData.to_coeffs/from_coeffs), the application of D_P,
+inverses (optionally shifted), fractional powers |D_P|^s, the +/-
+spectral splitting and graph norms of H^s_D, all on SpinorFields, and the
 empirical regularity constants c1 and c_{1/2}: the largest generalized
 Rayleigh quotients, found matrix-free by the plain three-term Lanczos
 recurrence, capped in steps and O(m) in memory, on products with the
-transform, the constraint map and O(N log N) grid stencils, with no
-dense form and no scipy.  No production path reads the dense
-eigenvectors.
+transform, the constraint map and O(N log N) grid stencils.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigurationError, NearSingularError, NumericalError,
-                     ParameterError, SingularPowerError,
-                     UndefinedSplittingError)
+from .errors import (NearSingularError, NumericalError, ParameterError,
+                     SingularPowerError, UndefinedSplittingError)
 from .grids import (SpinorField, derivative, derivative_adjoint,
                     slobodeckij_operator)
 from .operators import apply_D
@@ -41,14 +34,21 @@ class SpectralData:
     """Eigenvalues of D_P and the eigen-coefficient transform.
 
     eigenvalues are sorted by increasing modulus, the positive one first
-    on a tie; each backend supplies the transform (_analyze/_synthesize on
-    constrained coordinates) and `eigenvectors`, the orthonormal
-    eigenvector columns in the same order.
+    on a tie.  The eigenvectors are P^T diag(phase) F^H / sqrt(m), never
+    stored: order[k] is the FFT bin of eigenvalue k; phase and perm are
+    the modulation and coordinate permutation of operators.fourier_modes.
+    On constrained coordinates y, _analyze is y -> fft(conj(phase)
+    y[perm], norm="ortho") with the bins permuted into eigenvalue order,
+    and _synthesize its inverse; to_coeffs and from_coeffs add project
+    and embed.
     """
     operator: object
     eigenvalues: np.ndarray = field(repr=False)
     lambda1: float
     invertible: bool
+    order: np.ndarray = field(repr=False)
+    phase: np.ndarray = field(repr=False)
+    perm: np.ndarray = field(repr=False)
     # (c1_emp, c_half_emp) once estimate_constants has computed them
     _rayleigh_maxima: tuple = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -58,41 +58,12 @@ class SpectralData:
         return self.eigenvalues.size
 
     def to_coeffs(self, f):
-        """Eigen-coefficients of a SpinorField or constrained coordinates."""
+        """Eigen-coefficients of a SpinorField."""
         return self._analyze(self.operator.project(f))
 
-    def from_coeffs(self, coeff, like=None):
-        """Inverse of to_coeffs; a raw vector when like is an ndarray."""
-        c = self._synthesize(coeff)
-        if isinstance(like, np.ndarray):
-            return c
-        return self.operator.embed(c)
-
-
-@dataclass
-class DenseSpectralData(SpectralData):
-    """Backend of decompose_dense: stored eigenvectors, dense products."""
-    eigenvectors: np.ndarray = field(repr=False)
-
-    def _analyze(self, y):
-        return self.eigenvectors.conj().T @ y
-
-    def _synthesize(self, coeff):
-        return self.eigenvectors @ coeff
-
-
-@dataclass
-class FourierSpectralData(SpectralData):
-    """Fourier backend: eigenvectors P^T diag(phase) F^H / sqrt(m).
-
-    order[k] is the FFT bin of eigenvalue k; phase and perm are the
-    modulation and coordinate permutation of operators.fourier_modes.
-    to_coeffs is y -> fft(conj(phase) y[perm], norm="ortho") and from_coeffs
-    its inverse, with the bins permuted into eigenvalue order.
-    """
-    order: np.ndarray = field(repr=False)
-    phase: np.ndarray = field(repr=False)
-    perm: np.ndarray = field(repr=False)
+    def from_coeffs(self, coeff):
+        """Inverse of to_coeffs: the SpinorField with these coefficients."""
+        return self.operator.embed(self._synthesize(coeff))
 
     def _analyze(self, y):
         z = self.phase.conj() * y[self.perm]
@@ -103,17 +74,6 @@ class FourierSpectralData(SpectralData):
         bins[self.order] = coeff
         out = np.empty(self.size, dtype=complex)
         out[self.perm] = self.phase * np.fft.ifft(bins, norm="ortho")
-        return out
-
-    @cached_property
-    def eigenvectors(self):
-        """The dense eigenvector matrix, built by FFT on first read."""
-        vecs = np.zeros((self.size, self.size), dtype=complex)
-        vecs[self.order, np.arange(self.size)] = 1.0
-        vecs = np.fft.ifft(vecs, axis=0, norm="ortho")
-        vecs *= self.phase[:, None]
-        out = np.empty_like(vecs)
-        out[self.perm] = vecs
         return out
 
 
@@ -140,24 +100,22 @@ def _order_spectrum(vals):
 def decompose(op):
     """Spectral decomposition of D_P, sorted by increasing modulus.
 
-    A grid-backed operator, on every model, gets the Fourier backend:
-    eigenvalues and transform from the model's fourier_modes
-    (ModelSpec.modes), no dense matrix and no eigh.  Its transform is checked once on the probe
-    c = _fixed_unit_vector(m): D_P c through the eigenexpansion must match
-    project(apply_D(embed(c))) to 1e-9 * max(max |lambda|, 1), else
-    NumericalError.  A bare matrix goes through decompose_dense.
+    Eigenvalues and transform come from the model's fourier_modes
+    (ModelSpec.modes): no dense matrix and no eigh.  The transform is
+    checked once on the probe c = _fixed_unit_vector(m): D_P c through
+    the eigenexpansion must match project(apply_D(embed(c))) to
+    1e-9 * max(max |lambda|, 1), else NumericalError.
     """
-    if op.spec is None:
-        return decompose_dense(op)
     freqs, phase, perm = op.spec.modes
     order, lambda1, invertible = _order_spectrum(freqs)
-    sd = FourierSpectralData(operator=op, eigenvalues=freqs[order],
-                             lambda1=lambda1, invertible=invertible,
-                             order=order, phase=phase, perm=perm)
+    sd = SpectralData(operator=op, eigenvalues=freqs[order], lambda1=lambda1,
+                      invertible=invertible, order=order, phase=phase,
+                      perm=perm)
 
     c = _fixed_unit_vector(sd.size)
     ref = op.project(apply_D(op.spec, op.embed(c)))
-    resid = np.max(np.abs(apply_operator(sd, c) - ref))
+    resid = np.max(np.abs(sd._synthesize(sd.eigenvalues * sd._analyze(c))
+                          - ref))
     if resid > 1e-9 * max(np.max(np.abs(freqs)), 1.0):
         raise NumericalError("Fourier probe residual %.3e too large" % resid)
     return sd
@@ -186,31 +144,9 @@ def _fixed_unit_vector(m):
     return c / np.linalg.norm(c)
 
 
-def decompose_dense(op):
-    """Dense Hermitian eigendecomposition of op.matrix, by modulus.
-
-    O(m^3): the backend of bare matrices only, and the reference the
-    Fourier backend is tested against.  Raises NumericalError when an
-    eigenpair residual exceeds 1e-9 * max(max |lambda|, 1).
-    """
-    try:
-        vals, vecs = np.linalg.eigh(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigendecomposition failed: %s" % exc) from exc
-    order, lambda1, invertible = _order_spectrum(vals)
-    vals, vecs = vals[order], vecs[:, order]
-
-    scale = max(np.max(np.abs(vals)), 1.0)
-    resid = np.max(np.abs(op.matrix @ vecs - vecs * vals))
-    if resid > 1e-9 * scale:
-        raise NumericalError("eigenpair residual %.3e too large" % resid)
-    return DenseSpectralData(operator=op, eigenvalues=vals, eigenvectors=vecs,
-                             lambda1=lambda1, invertible=invertible)
-
-
 def apply_operator(sd, f):
     """D_P f through the eigenexpansion."""
-    return sd.from_coeffs(sd.eigenvalues * sd.to_coeffs(f), f)
+    return sd.from_coeffs(sd.eigenvalues * sd.to_coeffs(f))
 
 
 def eigenfunction(sd, k):
@@ -228,7 +164,7 @@ def apply_inverse(sd, f, a=0.0):
         raise NearSingularError(
             "shift a=%r within 1e-8 of eigenvalue %r"
             % (complex(a), float(sd.eigenvalues[k])))
-    return sd.from_coeffs(sd.to_coeffs(f) / (sd.eigenvalues - a), f)
+    return sd.from_coeffs(sd.to_coeffs(f) / (sd.eigenvalues - a))
 
 
 def apply_fractional(sd, s, f):
@@ -238,7 +174,7 @@ def apply_fractional(sd, s, f):
     if not sd.invertible and s < 1.0:
         raise SingularPowerError(
             "fractional power %r of a non-invertible operator" % (s,))
-    return sd.from_coeffs(np.abs(sd.eigenvalues) ** s * sd.to_coeffs(f), f)
+    return sd.from_coeffs(np.abs(sd.eigenvalues) ** s * sd.to_coeffs(f))
 
 
 def split_pm(sd, f):
@@ -247,8 +183,8 @@ def split_pm(sd, f):
         raise UndefinedSplittingError("zero eigenvalue present, +/- split undefined")
     a = sd.to_coeffs(f)
     pos = sd.eigenvalues > 0
-    return (sd.from_coeffs(np.where(pos, a, 0.0), f),
-            sd.from_coeffs(np.where(pos, 0.0, a), f))
+    return (sd.from_coeffs(np.where(pos, a, 0.0)),
+            sd.from_coeffs(np.where(pos, 0.0, a)))
 
 
 def graph_norm(sd, s, f):
@@ -292,8 +228,6 @@ def _rayleigh_maxima(sd):
     weights) and I + V^H Q V (Q of grids.slobodeckij_operator, s = 1/2).
     """
     op = sd.operator
-    if op.spec is None:
-        raise ConfigurationError("estimate_constants needs a grid-backed operator")
     if not sd.invertible:
         raise SingularPowerError("estimate_constants needs an invertible operator")
     grid, lam = op.spec.grid, sd.eigenvalues
@@ -303,18 +237,19 @@ def _rayleigh_maxima(sd):
         dv = derivative(SpinorField(grid, v))
         return derivative_adjoint(SpinorField(grid, w * dv.values)).values
 
-    def standard_form_max(numerator, d):
+    def standard_form_max(numerator, d, what):
         scale = 1.0 / np.sqrt(d)
 
         def matvec(x):
             y = sd._synthesize(scale * x)
             ny = y + op.adjoint(numerator(op.embed(y).values).reshape(-1))
             return scale * sd._analyze(ny)
-        return _lanczos_max(matvec, sd.size)
+        return _lanczos_max(matvec, sd.size, what)
 
-    c1_emp = standard_form_max(sobolev, 1.0 + lam ** 2)
+    where = "at model.n_points = %d" % grid.n_points
+    c1_emp = standard_form_max(sobolev, 1.0 + lam ** 2, "c1_emp " + where)
     c_half_emp = standard_form_max(slobodeckij_operator(grid, 0.5),
-                                   1.0 + np.abs(lam))
+                                   1.0 + np.abs(lam), "c_half_emp " + where)
     return c1_emp, c_half_emp
 
 
@@ -329,7 +264,7 @@ LANCZOS_MAX_STEPS = 1024
 _LANCZOS_CHECK_EVERY = 8
 
 
-def _lanczos_max(matvec, m):
+def _lanczos_max(matvec, m, what):
     """Largest eigenvalue of a Hermitian positive definite map of C^m.
 
     The plain three-term Lanczos recurrence from the fixed start vector
@@ -343,7 +278,8 @@ def _lanczos_max(matvec, m):
     (Paige, Lin. Alg. Appl. 34, 1980): it brings only copies of Ritz
     values that have already converged.  Nor is step m an exit, since
     the basis is no longer orthogonal by then: a run may go on past m
-    steps.  NumericalError when LANCZOS_MAX_STEPS steps do not converge.
+    steps.  NumericalError, naming `what`, when LANCZOS_MAX_STEPS steps
+    do not converge.
     """
     alpha, beta = [], []
     q, q_prev = _fixed_unit_vector(m), None
@@ -361,8 +297,9 @@ def _lanczos_max(matvec, m):
             if resid <= 1e-10 * theta:
                 return float(theta)
         q_prev, q = q, v / beta[-1]
-    raise NumericalError("Lanczos did not converge in %d steps (residual "
-                         "%.3e of %.6e)" % (LANCZOS_MAX_STEPS, resid, theta))
+    raise NumericalError("Lanczos did not converge in %d steps for %s "
+                         "(residual %.3e of %.6e)"
+                         % (LANCZOS_MAX_STEPS, what, resid, theta))
 
 
 def _top_ritz_pair(alpha, beta):
@@ -450,9 +387,3 @@ def _count_below(a, b2, sigma, pivmin):
         d = ai - sigma - bi2 / d
     return count + (d < pivmin)
 
-
-def random_constrained_field(sd, rng):
-    """Random field in the discrete constraint space (unit coefficient scale)."""
-    m = sd.size
-    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return sd.operator.embed(c / np.sqrt(2 * m))

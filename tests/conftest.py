@@ -1,10 +1,14 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpinorField,
                       assemble, decompose)
+from diracbvp.errors import ConfigurationError, NumericalError
 from diracbvp.grids import derivative
-from diracbvp.operators import _antiperiodic_freqs
+from diracbvp.operators import _antiperiodic_freqs, _apply_D_values
+from diracbvp.spectral import _order_spectrum
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +102,114 @@ def derivative_matrix(grid):
     return derivative(SpinorField(grid, np.eye(grid.n_points))).values
 
 
+def random_constrained_field(sd, rng):
+    """Random field in the discrete constraint space (unit coefficient scale)."""
+    m = sd.size
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return sd.operator.embed(c / np.sqrt(2 * m))
+
+
+def dense_constraint_map(op):
+    """The dense N*rank x m constraint map V of an AssembledOperator."""
+    vmap = np.zeros((op.cols.size, op.n_constrained), dtype=complex)
+    vmap[np.arange(op.cols.size), op.cols] = op.vals
+    return vmap
+
+
+def _check_hermitian(matrix):
+    defect = np.max(np.abs(matrix - matrix.conj().T))
+    scale = max(np.max(np.abs(matrix)), 1e-300)
+    if defect > 1e-12 * scale:
+        raise ConfigurationError(
+            "matrix is not Hermitian (defect %.3e)" % defect)
+    return matrix
+
+
+def _compress(op):
+    """D_P = sym(V^H W D V): D from _apply_D_values on the columns of V."""
+    spec, vmap = op.spec, dense_constraint_map(op)
+    n, r = spec.grid.n_points, spec.rank
+    # V's rows are point-major, so (N, rank, columns) is a reshape
+    dv = _apply_D_values(spec, vmap.reshape(n, r, -1)).reshape(vmap.shape)
+    dv *= op.weights[:, None]
+    matrix = vmap.conj().T @ dv
+    del dv
+    # sym in place: one temporary fewer at the memory peak
+    matrix += matrix.conj().T
+    matrix *= 0.5
+    return matrix
+
+
+def dense_matrix(op):
+    """The dense matrix D_P, checked for Hermiticity."""
+    return _check_hermitian(_compress(op))
+
+
+def dense_eigenvectors(sd):
+    """The dense eigenvector matrix of a SpectralData, built by FFT."""
+    vecs = np.zeros((sd.size, sd.size), dtype=complex)
+    vecs[sd.order, np.arange(sd.size)] = 1.0
+    vecs = np.fft.ifft(vecs, axis=0, norm="ortho")
+    vecs *= sd.phase[:, None]
+    out = np.empty_like(vecs)
+    out[sd.perm] = vecs
+    return out
+
+
+@dataclass
+class DenseSpectralData:
+    """decompose_dense's result: stored eigenvectors, dense products.
+
+    Stands in for spectral.SpectralData in the functional calculus and
+    estimate_constants, which read only these fields and methods.
+    """
+    operator: object
+    eigenvalues: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
+    lambda1: float
+    invertible: bool
+    _rayleigh_maxima: tuple = field(default=None, repr=False)
+
+    @property
+    def size(self):
+        return self.eigenvalues.size
+
+    def to_coeffs(self, f):
+        return self._analyze(self.operator.project(f))
+
+    def from_coeffs(self, coeff):
+        return self.operator.embed(self._synthesize(coeff))
+
+    def _analyze(self, y):
+        return self.eigenvectors.conj().T @ y
+
+    def _synthesize(self, coeff):
+        return self.eigenvectors @ coeff
+
+
+def decompose_dense(op):
+    """Dense Hermitian eigendecomposition of D_P, by modulus.
+
+    O(m^3): the reference spectral.decompose is tested against.  Raises
+    NumericalError when an eigenpair residual exceeds
+    1e-9 * max(max |lambda|, 1).
+    """
+    matrix = dense_matrix(op)
+    try:
+        vals, vecs = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigendecomposition failed: %s" % exc) from exc
+    order, lambda1, invertible = _order_spectrum(vals)
+    vals, vecs = vals[order], vecs[:, order]
+
+    scale = max(np.max(np.abs(vals)), 1.0)
+    resid = np.max(np.abs(matrix @ vecs - vecs * vals))
+    if resid > 1e-9 * scale:
+        raise NumericalError("eigenpair residual %.3e too large" % resid)
+    return DenseSpectralData(operator=op, eigenvalues=vals, eigenvectors=vecs,
+                             lambda1=lambda1, invertible=invertible)
+
+
 def dense_rayleigh_maxima(sd):
     """c1_emp and c_half_emp from dense standard forms and eigvalsh.
 
@@ -107,7 +219,7 @@ def dense_rayleigh_maxima(sd):
     """
     op = sd.operator
     grid, r = op.spec.grid, op.spec.rank
-    vmap, w, u = op.constraint_map, op.weights, sd.eigenvectors
+    vmap, w, u = dense_constraint_map(op), op.weights, dense_eigenvectors(sd)
     eye = np.eye(sd.size)
     g = np.kron(derivative_matrix(grid), np.eye(r)) @ vmap
     num1 = eye + g.conj().T @ (w[:, None] * g)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mode_field
+from conftest import dense_eigenvectors, mode_field
 from diracbvp import (AnalyticConstants, bootstrap_exponents,
                       c3_lambda_threshold, check_conditions, el_transform,
                       estimate_gn_ratio, variational_functional)
@@ -199,9 +199,9 @@ def test_bootstrap_random_triples_agree():
 # ------------------------------------------------------------ functional
 
 def test_functional_recovers_eigenvalues(anti_sd, anti_spec):
-    op = anti_sd.operator
+    op, vecs = anti_sd.operator, dense_eigenvectors(anti_sd)
     for k in (0, 2, 4):
-        phi = op.embed(anti_sd.eigenvectors[:, k])
+        phi = op.embed(vecs[:, k])
         val = variational_functional(anti_sd, phi, n=2)
         assert val == pytest.approx(abs(anti_sd.eigenvalues[k]), rel=1e-10)
 
@@ -216,8 +216,8 @@ def test_functional_zero_homogeneous(anti_sd, anti_spec):
 
 def test_functional_degenerate_pairing(anti_sd, anti_spec):
     # equal-weight +pi and -pi modes cancel the pairing exactly
-    op = anti_sd.operator
-    phi = op.embed(anti_sd.eigenvectors[:, 0] + anti_sd.eigenvectors[:, 1])
+    vecs = dense_eigenvectors(anti_sd)
+    phi = anti_sd.operator.embed(vecs[:, 0] + vecs[:, 1])
     with pytest.raises(DegeneratePairingError):
         variational_functional(anti_sd, phi, n=2)
     with pytest.raises(ParameterError):

@@ -450,6 +450,16 @@ def test_cmd_sweep_requires_section(tmp_path):
         run_command(parse_config(BASE), "sweep", str(tmp_path / "x"))
 
 
+@pytest.mark.parametrize("text", ["[model]\nn_points = 16\n",
+                                  "[model]\nn_points = 16\n[sweep]\n"])
+def test_main_sweep_without_an_axis_names_sweep_param(tmp_path, capsys, text):
+    # no [sweep] section, or an empty one: the missing key is named
+    cfg_path = write_cfg(tmp_path, text)
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: sweep.param: missing")
+
+
 def test_cmd_bootstrap(tmp_path):
     text = "[bootstrap]\nn = 3\np = 3\nl0 = 6\n"
     out = tmp_path / "boot"

@@ -1,24 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import dense_rayleigh_maxima, mode_field
-from diracbvp import (AssembledOperator, BoundaryCondition, Grid1D,
-                      ModelSpec, SchemeConfig, SpinorField, apply_fractional,
-                      apply_inverse, apply_operator, assemble, decompose,
-                      eigenfunction, estimate_constants, graph_norm, lp_norm,
-                      run, slobodeckij_norm, split_pm)
-from diracbvp.errors import (ConfigurationError, NearSingularError,
-                             NumericalError, ParameterError,
-                             SingularPowerError, UndefinedSplittingError)
-from diracbvp.spectral import (FourierSpectralData, _count_below,
-                               _fixed_unit_vector, _lanczos_max,
-                               _top_ritz_pair, decompose_dense,
-                               random_constrained_field)
-
-
-@pytest.fixture(scope="module")
-def diag_sd():
-    return decompose(AssembledOperator.from_matrix(np.diag([-1.0, 2.0])))
+from conftest import (decompose_dense, dense_eigenvectors, dense_matrix,
+                      dense_rayleigh_maxima, mode_field,
+                      random_constrained_field)
+from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpectralData,
+                      SpinorField, apply_fractional, apply_inverse,
+                      apply_operator, assemble, decompose, eigenfunction,
+                      estimate_constants, graph_norm, lp_norm,
+                      slobodeckij_norm, split_pm)
+from diracbvp.cli import run_command
+from diracbvp.config import parse_config
+from diracbvp.errors import (DiracBVPError, NearSingularError, NumericalError,
+                             ParameterError, SingularPowerError,
+                             UndefinedSplittingError)
+from diracbvp.spectral import (_count_below, _fixed_unit_vector,
+                               _lanczos_max, _order_spectrum, _top_ritz_pair)
 
 
 # ------------------------------------------------------------ decompose
@@ -35,27 +34,30 @@ def test_decompose_periodic_flags_zero_mode(periodic_sd):
     assert abs(periodic_sd.lambda1) < 1e-12
 
 
-def test_decompose_diag(diag_sd):
-    assert diag_sd.lambda1 == -1.0
-    assert list(diag_sd.eigenvalues) == [-1.0, 2.0]
+def test_decompose_diag():
+    vals = np.array([-1.0, 2.0])
+    order, lambda1, invertible = _order_spectrum(vals)
+    assert lambda1 == -1.0 and invertible
+    assert list(vals[order]) == [-1.0, 2.0]
 
 
 def test_positive_tie_break():
-    sd = decompose(AssembledOperator.from_matrix(np.diag([-1.0, 1.0, 2.0])))
-    assert sd.lambda1 == 1.0
+    assert _order_spectrum(np.array([-1.0, 1.0, 2.0]))[1] == 1.0
 
 
 def test_eigenvector_gram(anti_sd, bag_sd):
     for sd in (anti_sd, bag_sd):
-        gram = sd.eigenvectors.conj().T @ sd.eigenvectors
+        vecs = dense_eigenvectors(sd)
+        gram = vecs.conj().T @ vecs
         assert np.max(np.abs(gram - np.eye(sd.size))) < 1e-10
 
 
 def test_reconstruction(anti_sd):
     rng = np.random.default_rng(0)
     f = random_constrained_field(anti_sd, rng)
-    a = anti_sd.eigenvectors.conj().T @ anti_sd.operator.project(f)
-    back = anti_sd.operator.embed(anti_sd.eigenvectors @ a)
+    vecs = dense_eigenvectors(anti_sd)
+    a = vecs.conj().T @ anti_sd.operator.project(f)
+    back = anti_sd.operator.embed(vecs @ a)
     assert lp_norm(back - f, 2) < 1e-10 * lp_norm(f, 2)
 
 
@@ -68,9 +70,6 @@ def test_coeff_roundtrip(model, request):
     f = random_constrained_field(sd, np.random.default_rng(0))
     back = sd.from_coeffs(sd.to_coeffs(f))
     assert lp_norm(back - f, 2) < 1e-10 * lp_norm(f, 2)
-    raw = sd.operator.project(f)
-    assert np.max(np.abs(sd.from_coeffs(sd.to_coeffs(raw), raw) - raw)) \
-        < 1e-10 * np.max(np.abs(raw))
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -79,11 +78,8 @@ def test_apply_operator_matches_dense_matrix(model, request):
     sd = request.getfixturevalue(model)
     op = sd.operator
     f = random_constrained_field(sd, np.random.default_rng(3))
-    ref = op.embed(op.matrix @ op.project(f))
+    ref = op.embed(dense_matrix(op) @ op.project(f))
     assert lp_norm(apply_operator(sd, f) - ref, 2) < 1e-10 * lp_norm(ref, 2)
-    raw = op.project(f)
-    assert np.max(np.abs(apply_operator(sd, raw) - op.matrix @ raw)) \
-        < 1e-10 * np.max(np.abs(op.matrix @ raw))
 
 
 def model_op(kind, n_points):
@@ -97,7 +93,7 @@ def model_op(kind, n_points):
 
 def assert_backends_agree(fast, dense, seed):
     """Eigenvalues and every eigenspace-only operation, fast vs dense."""
-    assert isinstance(fast, FourierSpectralData)
+    assert isinstance(fast, SpectralData)
     scale = np.max(np.abs(dense.eigenvalues))
     # equal moduli may come in either order from eigh
     assert np.max(np.abs(np.sort(fast.eigenvalues)
@@ -160,28 +156,43 @@ def test_bag_fourier_backend_matches_dense(n_points):
         mine = np.abs(vals * h - lam) <= 1e-9
         theirs = np.abs(dense.eigenvalues * h - lam) <= 1e-9
         assert mine.sum() == theirs.sum() <= 2
-        u, v = fast.eigenvectors[:, mine], dense.eigenvectors[:, theirs]
+        u, v = dense_eigenvectors(fast)[:, mine], dense.eigenvectors[:, theirs]
         assert np.linalg.norm(u - v @ (v.conj().T @ u), 2) <= 1e-10
 
 
-@pytest.mark.parametrize("kind", ["antiperiodic", "periodic", "bag1d"])
-def test_models_never_build_the_matrix(kind, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("dense operator work on a grid-backed model")
+# the periodic model's zero mode ends these commands in their own errors
+PERIODIC_ERRORS = {"solve": "too close to zero",
+                   "check": "needs an invertible operator",
+                   "functional": "pairing"}
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(AssembledOperator, "matrix", property(refuse))
-    monkeypatch.setattr(AssembledOperator, "constraint_map", property(refuse))
-    monkeypatch.setattr(FourierSpectralData, "eigenvectors",
-                        property(refuse))
-    sd = decompose(model_op(kind, 64))
-    f = random_constrained_field(sd, np.random.default_rng(0))
-    apply_inverse(sd, f, a=0.5)
-    graph_norm(sd, 0.5, f)
-    if sd.invertible:
-        estimate_constants(sd)
-        report = run(sd, SchemeConfig(lam=0.01, p=4, g=0.05 * f))
-        assert report.verdict == "converged"
+
+@pytest.mark.parametrize("kind", ["antiperiodic", "periodic", "bag1d"])
+def test_models_never_build_the_matrix(kind, tmp_path, monkeypatch):
+    # every command runs on the Fourier backend alone: no dense
+    # eigensolver, linear solve or inverse is ever reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra on a model")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    operator = "dirac_2spinor" if kind == "bag1d" else "scalar_derivative"
+    cfg = parse_config(
+        "[model]\noperator = %s\nboundary = %s\nn_points = 64\n"
+        "[scheme]\nlambda = 0.01\ng = exp_mode(1, 0.05)\n"
+        "[sweep]\nparam = scheme.lambda\nmin = 0\nmax = 0.02\ncount = 2\n"
+        "[functional]\nm = 4\n" % (operator, kind))
+    for command in ("spectrum", "solve", "check", "sweep", "functional"):
+        out = str(tmp_path / command)
+        if kind == "periodic" and command in PERIODIC_ERRORS:
+            with pytest.raises(DiracBVPError,
+                               match=PERIODIC_ERRORS[command]) as exc:
+                run_command(cfg, command, out)
+            assert not isinstance(exc.value, AssertionError)
+        else:
+            assert run_command(cfg, command, out) == 0
+    if kind != "periodic":
+        with open(tmp_path / "solve" / "report.json") as fh:
+            assert json.load(fh)["verdict"] == "converged"
 
 
 @pytest.mark.parametrize("kind", ["antiperiodic", "periodic", "bag1d"])
@@ -191,7 +202,7 @@ def test_fourier_probe_catches_a_corrupt_transform(kind, monkeypatch):
         z = self.phase.conj() * y[self.perm]
         return np.fft.ifft(z, norm="ortho")[self.order]
 
-    monkeypatch.setattr(FourierSpectralData, "_analyze", mirrored)
+    monkeypatch.setattr(SpectralData, "_analyze", mirrored)
     with pytest.raises(NumericalError, match="probe residual"):
         decompose(model_op(kind, 64))
 
@@ -208,19 +219,26 @@ def test_inverse_composition(anti_sd):
     rng = np.random.default_rng(1)
     f = random_constrained_field(anti_sd, rng)
     df = anti_sd.operator.embed(
-        anti_sd.operator.matrix @ anti_sd.operator.project(f))
+        dense_matrix(anti_sd.operator) @ anti_sd.operator.project(f))
     back = apply_inverse(anti_sd, df)
     assert lp_norm(back - f, 2) <= 1e-9 * lp_norm(f, 2)
 
 
-def test_inverse_diag(diag_sd):
-    out = apply_inverse(diag_sd, np.array([1.0, 1.0]))
-    assert np.allclose(out, [-1.0, 0.5])
+def test_inverse_diag(anti_sd):
+    # eigenvalues pi and -3 pi: each coefficient divided by its own
+    lam = anti_sd.eigenvalues
+    phi, psi = eigenfunction(anti_sd, 0), eigenfunction(anti_sd, 3)
+    assert (lam[0], lam[3]) == pytest.approx((np.pi, -3.0 * np.pi))
+    out = apply_inverse(anti_sd, phi + psi)
+    assert lp_norm(out - (phi * (1.0 / lam[0]) + psi * (1.0 / lam[3])), 2) \
+        < 1e-12
 
 
-def test_inverse_near_singular_shift(diag_sd, periodic_sd):
-    with pytest.raises(NearSingularError):
-        apply_inverse(diag_sd, np.ones(2), a=2.0 + 1e-12)
+def test_inverse_near_singular_shift(anti_sd, periodic_sd):
+    for k in (0, 3):
+        with pytest.raises(NearSingularError):
+            apply_inverse(anti_sd, eigenfunction(anti_sd, k),
+                          a=anti_sd.eigenvalues[k] + 1e-12)
     rng = np.random.default_rng(2)
     f = random_constrained_field(periodic_sd, rng)
     with pytest.raises(NearSingularError) as exc:
@@ -260,7 +278,8 @@ def test_fractional_equals_signed_split(anti_sd):
     f = random_constrained_field(anti_sd, rng)
     fp, fm = split_pm(anti_sd, f)
     op = anti_sd.operator
-    apply_mat = lambda u: op.embed(op.matrix @ op.project(u))
+    matrix = dense_matrix(op)
+    apply_mat = lambda u: op.embed(matrix @ op.project(u))
     signed = apply_mat(fp) - apply_mat(fm)
     out = apply_fractional(anti_sd, 1.0, f)
     assert lp_norm(signed - out, 2) <= 1e-10 * lp_norm(out, 2)
@@ -294,9 +313,12 @@ def test_split_pythagoras(anti_sd):
     assert lp_norm(fp + fm - f, 2) < 1e-10
 
 
-def test_split_diag(diag_sd):
-    fp, fm = split_pm(diag_sd, np.array([1.0, 1.0]))
-    assert np.allclose(fp, [0.0, 1.0]) and np.allclose(fm, [1.0, 0.0])
+def test_split_diag(anti_sd):
+    # eigenvalues -pi and 3 pi: one eigenfunction on each side
+    phi, psi = eigenfunction(anti_sd, 1), eigenfunction(anti_sd, 2)
+    assert anti_sd.eigenvalues[1] < 0 < anti_sd.eigenvalues[2]
+    fp, fm = split_pm(anti_sd, phi + psi)
+    assert lp_norm(fp - psi, 2) < 1e-12 and lp_norm(fm - phi, 2) < 1e-12
 
 
 def test_split_needs_invertibility(periodic_sd):
@@ -388,11 +410,32 @@ def test_estimate_constants_match_dense_standard_form(kind, n_points):
     assert est.c_half_emp == pytest.approx(c_half, rel=1e-10)
 
 
+def test_c_half_emp_refines_like_n_to_the_minus_half():
+    # nested grids, L = 1: each doubling shrinks the increment of
+    # c_half_emp by about 2^(-1/2) (0.708 measured)
+    values = []
+    for n_points in (65, 129, 257, 513):
+        spec = ModelSpec(Grid1D(1.0, n_points), "scalar_derivative",
+                         BoundaryCondition("antiperiodic"))
+        values.append(estimate_constants(decompose(assemble(spec))).c_half_emp)
+    steps = np.diff(values)
+    assert np.all(steps > 0)
+    ratios = steps[1:] / steps[:-1]
+    assert np.all((0.68 <= ratios) & (ratios <= 0.74))
+
+
 def test_lanczos_cap_raises(monkeypatch):
-    # too few steps to converge: an error, never an unconverged constant
+    # too few steps to converge: an error, never an unconverged constant,
+    # naming the constant and the grid size
     import diracbvp.spectral
     monkeypatch.setattr(diracbvp.spectral, "LANCZOS_MAX_STEPS", 4)
-    with pytest.raises(NumericalError, match="did not converge in 4 steps"):
+    with pytest.raises(NumericalError, match="did not converge in 4 steps "
+                       r"for c1_emp at model\.n_points = 64 \(residual"):
+        estimate_constants(decompose(model_op("antiperiodic", 64)))
+    # c1_emp converges within 40 steps at this size, c_half_emp does not
+    monkeypatch.setattr(diracbvp.spectral, "LANCZOS_MAX_STEPS", 40)
+    with pytest.raises(NumericalError, match="did not converge in 40 steps "
+                       r"for c_half_emp at model\.n_points = 64 \("):
         estimate_constants(decompose(model_op("antiperiodic", 64)))
 
 
@@ -429,7 +472,7 @@ def test_lanczos_max_on_known_spectra(m):
         def matvec(x):
             calls.append(1)
             return d * x
-        theta = _lanczos_max(matvec, m)
+        theta = _lanczos_max(matvec, m, "a test spectrum")
         assert theta == pytest.approx(d.max(), rel=1e-12)
         steps.append(len(calls))
     if m > 1:
@@ -493,11 +536,6 @@ def test_estimate_constants_calls_no_lapack(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     est = estimate_constants(sd)
     assert est.c1_emp > 1.0 and est.c_half_emp > 1.0
-
-
-def test_estimate_constants_needs_grid(diag_sd):
-    with pytest.raises(ConfigurationError):
-        estimate_constants(diag_sd)
 
 
 # ------------------------------------------- fractional regularity ratio
