@@ -6,6 +6,9 @@ evaluates its points one after another, reusing the decomposed model
 while consecutive points share the [model] section; --workers (and
 run.workers) is accepted for compatibility and changes nothing.
 Outputs are deterministic for a fixed config.
+
+Each command imports the array layers it uses when it runs, so
+`bootstrap`, `--help`, usage errors and refused configs load no numpy.
 """
 
 import argparse
@@ -15,8 +18,7 @@ import json
 import os
 import sys
 
-from . import conditions, scheme, spectral
-from .config import parse_config
+from .config import _as_int, _as_real, parse_config
 from .errors import ConfigParseError, DiracBVPError
 
 
@@ -41,10 +43,12 @@ def _write_json(path, payload):
 
 
 def _prepare(cfg):
+    from . import spectral
     return spectral.decompose(cfg.build_operator())
 
 
 def cmd_spectrum(cfg, out_dir):
+    from . import spectral
     sd = _prepare(cfg)
     rows = [[k, repr(float(lam))] for k, lam in enumerate(sd.eigenvalues)]
     _write_csv(os.path.join(out_dir, "eigenvalues.csv"), ["k", "lambda_k"],
@@ -59,11 +63,13 @@ def cmd_spectrum(cfg, out_dir):
 
 
 def _certify(cfg, sd, scheme_cfg):
+    from . import conditions
     consts = cfg.build_constants(sd, scheme_cfg)
     return conditions.check_conditions(consts, cfg.condition_mode), consts
 
 
 def cmd_solve(cfg, out_dir):
+    from . import scheme
     sd = _prepare(cfg)
     model = sd.operator.spec
     scheme_cfg = cfg.build_scheme(model)
@@ -82,6 +88,7 @@ def cmd_solve(cfg, out_dir):
 
 
 def cmd_check(cfg, out_dir):
+    from . import conditions
     sd = _prepare(cfg)
     scheme_cfg = cfg.build_scheme(sd.operator.spec)
     cond_report, consts = _certify(cfg, sd, scheme_cfg)
@@ -108,6 +115,7 @@ def _sweep_model(point, cache):
 
 
 def _sweep_point(cfg, values, cache):
+    from . import scheme
     point = cfg
     for (path, *_), val in zip(cfg.sweep.axes, values):
         point = point.with_override(path, val)
@@ -148,8 +156,8 @@ def cmd_sweep(cfg, out_dir):
 
 
 def cmd_bootstrap(cfg, out_dir):
-    from .config import _as_int, _as_real
-    trace = conditions.bootstrap_exponents(
+    from .bootstrap import bootstrap_exponents
+    trace = bootstrap_exponents(
         _as_int(cfg.get("bootstrap", "n"), "bootstrap.n"),
         _as_real(cfg.get("bootstrap", "p"), "bootstrap.p"),
         _as_real(cfg.get("bootstrap", "l0"), "bootstrap.l0"))
@@ -164,7 +172,7 @@ def cmd_bootstrap(cfg, out_dir):
 
 
 def cmd_functional(cfg, out_dir):
-    from .config import _as_int
+    from . import conditions, spectral
     m = _as_int(cfg.get("functional", "m"), "functional.m")
     if m < 1:
         raise ConfigParseError("must be >= 1, got %d" % m, key="functional.m")
@@ -195,7 +203,6 @@ def run_command(cfg, command, out_dir=None):
     try:
         return _COMMANDS[command](cfg, out_dir)
     except MemoryError as exc:
-        from .config import _as_int
         n_points = _as_int(cfg.get("model", "n_points"), "model.n_points")
         message = str(exc) or "out of memory"
         raise DiracBVPError("model.n_points = %d: %s"
@@ -217,8 +224,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError("%s: not UTF-8 text: %s"
+                                   % (args.config, exc)) from exc
         cfg = parse_config(text, base_dir=os.path.dirname(
             os.path.abspath(args.config)))
         return run_command(cfg, args.command, out_dir=args.out)

@@ -1,12 +1,12 @@
-"""Explicit constants, sufficient conditions, bootstrap exponents and the
-variational functional.
+"""Explicit constants, sufficient conditions and the variational functional.
 
 Everything in this module is arithmetic on scalars plus a few quadrature
 evaluations: the Hoelder/Gagliardo-Nirenberg exponents theta_A, theta_B,
 p_B, the constant kappa, the condition families (A1)-(A4), (B1)-(B3),
-(C1)-(C3), the Lebesgue-exponent bootstrap recursion, the functional
+(C1)-(C3) (their names MODE_A/B/C live in `names`), the functional
 F(phi) whose critical values are the eigenvalue moduli, and empirical
-lower-bound estimators for the Gagliardo-Nirenberg constants.
+lower-bound estimators for the Gagliardo-Nirenberg constants.  The
+Lebesgue-exponent bootstrap recursion is the `bootstrap` module.
 """
 
 import math
@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePairingError, NumericalError, ParameterError
+from .errors import DegeneratePairingError, ParameterError
 from .grids import CIRCLE, SpinorField, lp_norm, w1q_norm
+from .names import MODE_A, MODE_B, MODE_C
 from .spectral import apply_operator, graph_norm
-
-MODE_C = "C_final"
-MODE_B = "B_explicit"
-MODE_A = "A_raw"
 
 
 @dataclass
@@ -198,57 +195,6 @@ def c3_lambda_threshold(consts):
     """Largest |lambda|/|lambda_1| ratio compatible with condition (C3)."""
     _, theta_b, _, kappa = derive_exponents(consts)
     return 1.0 / (kappa * 2.0 ** 1.5 * 3.0 ** theta_b)
-
-
-@dataclass
-class BootstrapTrace:
-    reciprocals: list     # 1/l^{(M)} from the recursion
-    closed_form: list     # corrected closed-form values
-    m_star: int           # first index with value <= 0, or None
-
-    def agreement(self):
-        return max(abs(a - b) for a, b in zip(self.reciprocals,
-                                              self.closed_form))
-
-
-def bootstrap_exponents(n, p, l0, max_steps=64):
-    """Iterate 1/l^{(M)} = (p-1)/l^{(M-1)} - 1/n until <= 0 or max_steps.
-
-    Exact rational arithmetic keeps the recursion and the closed form
-    (p-1)^M (1/l0 - 1/(n(p-2))) + 1/(n(p-2)) in lockstep, including at the
-    fixed point of the affine map.
-    """
-    # imported here, its only use: fractions and decimal cost every other
-    # command 4-13 ms at start-up
-    from fractions import Fraction
-
-    if n < 3:
-        raise ParameterError("bootstrap needs n >= 3, got %r" % (n,))
-    pf = Fraction(p)
-    if pf <= 2:
-        raise ParameterError("bootstrap needs p > 2, got %r" % (p,))
-    if not 0 < Fraction(l0):
-        raise ParameterError("l0 must be positive, got %r" % (l0,))
-    if pf >= Fraction(2 * n - 2, n - 2):
-        raise ParameterError("p=%r at or above the admissible range" % (p,))
-
-    x = Fraction(1, 1) / Fraction(l0)
-    fixed = 1 / (n * (pf - 2))
-    rec, closed = [x], [x]
-    m_star = None
-    for m in range(1, max_steps + 1):
-        x = (pf - 1) * x - Fraction(1, n)
-        rec.append(x)
-        closed.append((pf - 1) ** m * (rec[0] - fixed) + fixed)
-        if x < 0:  # the exponent l itself turned negative
-            m_star = m
-            break
-    trace = BootstrapTrace(reciprocals=[float(v) for v in rec],
-                           closed_form=[float(v) for v in closed],
-                           m_star=m_star)
-    if any(a != b for a, b in zip(rec, closed)):
-        raise NumericalError("bootstrap recursion/closed-form mismatch")
-    return trace
 
 
 def variational_functional(sd, phi, n):

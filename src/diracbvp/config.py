@@ -13,6 +13,9 @@ small closed-form expressions:
     g                           # (f0 only) start from the datum
 
 On rank-2 models the scalar expressions fill component 0.
+
+Parsing and validation import no numpy; the builders import the array
+layers when called.
 """
 
 import ast
@@ -22,16 +25,9 @@ import os
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .conditions import MODE_A, MODE_B, MODE_C, AnalyticConstants
 from .errors import ConfigParseError
-from .grids import CIRCLE, INTERVAL, Grid1D, SpinorField, read_field_csv
-from .operators import (ANTIPERIODIC, BAG1D, DIRAC_2SPINOR, PERIODIC,
-                        SCALAR_DERIVATIVE, BoundaryCondition, ModelSpec,
-                        assemble)
-from .scheme import AUTO, SchemeConfig
-from .spectral import estimate_constants
+from .names import (ANTIPERIODIC, BAG1D, DIRAC_2SPINOR, MODE_A, MODE_B,
+                    MODE_C, PERIODIC, SCALAR_DERIVATIVE)
 
 _EVAL_NAMES = {"pi": math.pi, "e": math.e}
 _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
@@ -128,6 +124,7 @@ class SweepSpec:
 
     def grid(self):
         """Cartesian product of axis values, row-major in axis order."""
+        import numpy as np
         axis_vals = []
         for _, lo, hi, count, scale in self.axes:
             if scale == "log":
@@ -163,6 +160,8 @@ class RunConfig:
     # -- builders -----------------------------------------------------
 
     def build_model(self):
+        from .grids import CIRCLE, INTERVAL, Grid1D
+        from .operators import BoundaryCondition, ModelSpec
         topo = CIRCLE if self.get("model", "boundary") == PERIODIC else INTERVAL
         grid = Grid1D(length=_as_real(self.get("model", "length"),
                                       "model.length"),
@@ -174,9 +173,12 @@ class RunConfig:
                          bc=BoundaryCondition(self.get("model", "boundary")))
 
     def build_operator(self):
+        from .operators import assemble
         return assemble(self.build_model())
 
     def _build_field(self, expr, model, key, g=None):
+        import numpy as np
+        from .grids import CIRCLE, SpinorField
         expr = expr.strip()
         grid, rank = model.grid, model.rank
         if expr == "zero":
@@ -241,6 +243,7 @@ class RunConfig:
         return vals
 
     def build_scheme(self, model):
+        from .scheme import AUTO, SchemeConfig
         g = self._build_field(self.get("scheme", "g"), model, "scheme.g")
         f0 = self._build_field(self.get("scheme", "f0"), model, "scheme.f0",
                                g=g)
@@ -269,9 +272,10 @@ class RunConfig:
         Runs estimate_constants when c1 or c_half asks for empirical or
         formula values.
         """
+        from .conditions import AnalyticConstants
         from .grids import lp_norm, w1q_norm
         from .operators import apply_D
-
+        from .spectral import estimate_constants
         n = _as_int(self.get("constants", "n"), "constants.n")
         p_a_raw = self.get("constants", "p_a")
         p_a = None if p_a_raw is None else _as_real(p_a_raw, "constants.p_A")
@@ -329,6 +333,12 @@ class RunConfig:
     def workers(self):
         """run.workers; accepted for compatibility, sweeps run serially."""
         return _as_int(self.get("run", "workers"), "run.workers")
+
+
+def read_field_csv(path, n_points):
+    """grids.read_field_csv, which loads numpy, imported at call time."""
+    from . import grids
+    return grids.read_field_csv(path, n_points)
 
 
 def _split_path(path):

@@ -163,6 +163,18 @@ def derivative_adjoint(f):
     return SpinorField(f.grid, du)
 
 
+def _fft_size(n):
+    """The smallest 5-smooth integer >= n: a length pocketfft does fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def slobodeckij_operator(grid, s):
     """The map f -> Q f of the Slobodeckij form, in O(N log N).
 
@@ -171,17 +183,16 @@ def slobodeckij_operator(grid, s):
     with K_xy = w_x w_y / d(x,y)^(1+2s), d the distance on intervals and
     the arc distance on circles.  K = W T W with T_xy = 1/(h k)^(1+2s),
     k the index distance, so T is circulant on circles and Toeplitz on
-    intervals, applied by FFT through its 2N-point circulant embedding.
-    The returned function acts on values of shape (N, r), each component
-    on its own.
+    intervals, applied by FFT through its circulant embedding of
+    _fft_size(2N - 1) points.  The returned function acts on values of
+    shape (N, r), each component on its own.
     """
     n, h = grid.n_points, grid.spacing
     w = grid.weights()[:, None]
-    k = np.arange(n)
-    if grid.topology == CIRCLE:
-        dist = np.minimum(k, n - k)
-    else:
-        dist = np.r_[k, 0, k[:0:-1]]  # the entry at N is free: set to 0
+    size = n if grid.topology == CIRCLE else _fft_size(2 * n - 1)
+    k = np.arange(size)
+    dist = np.minimum(k, size - k)
+    dist[dist >= n] = 0  # the free entries of an interval's embedding
     kern = np.zeros(dist.size)
     kern[dist > 0] = (h * dist[dist > 0]) ** -(1.0 + 2.0 * s)
     kern_hat = np.fft.fft(kern).real  # a symmetric kernel: real spectrum
@@ -246,11 +257,15 @@ def read_field_csv(path, n_points):
     """Values (n_points, rank) of a save_field_csv file, unvalidated.
 
     Raises InvalidFieldError naming the path (and line) when the file is
-    empty, has another row count, a short or long row, or a non-numeric
-    cell; whether the values fit a model is left to the caller.
+    not UTF-8 text, is empty, has another row count, a short or long row,
+    or a non-numeric cell; whether the values fit a model is left to the
+    caller.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise InvalidFieldError("%s: not UTF-8: %s" % (path, exc)) from exc
     if not rows:
         raise InvalidFieldError("%s is empty" % (path,))
     header, body = rows[0], rows[1:]

@@ -43,13 +43,8 @@ import numpy as np
 
 from .errors import ConfigurationError, IncompatibleFieldsError, NumericalError
 from .grids import CIRCLE, INTERVAL, Grid1D, SpinorField, check_compatible
-
-ANTIPERIODIC = "antiperiodic"
-PERIODIC = "periodic"
-BAG1D = "bag1d"
-
-SCALAR_DERIVATIVE = "scalar_derivative"
-DIRAC_2SPINOR = "dirac_2spinor"
+from .names import (ANTIPERIODIC, BAG1D, DIRAC_2SPINOR, PERIODIC,
+                    SCALAR_DERIVATIVE)
 
 # default bag1d endpoint kernel directions: <sigma_1 v, v> = 0 at both ends,
 # which kills the integration-by-parts boundary term

@@ -61,15 +61,78 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     cfg_path = write_cfg(tmp_path, "[model]\nn_points = 64\n[sweep]\n"
                                    "param = scheme.lambda\nmin = 0\n"
                                    "max = 0.1\ncount = 2\n")
+    # the array layers load on first use, in the commands that need them
     code = ("import sys; from diracbvp.cli import main; "
             "print([main([c, '--config', sys.argv[1], '--out', sys.argv[2]]) "
             "for c in ('spectrum', 'solve', 'sweep')], "
             "[m for m in ('scipy', 'numpy.random', 'fractions') "
-            "if m in sys.modules])")
+            "if m in sys.modules], "
+            "[m for m in sys.argv[3:] if m not in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code, str(cfg_path),
-                          str(tmp_path / "out2")], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[0, 0, 0] []"
+                          str(tmp_path / "out2")] + list(ARRAY_LAYERS),
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.strip() == "[0, 0, 0] [] []"
+
+
+ARRAY_LAYERS = ("numpy", "diracbvp.grids", "diracbvp.operators",
+                "diracbvp.spectral", "diracbvp.scheme", "diracbvp.conditions")
+# what every command loads before it knows whether it needs arrays
+CLI_MODULES = ["diracbvp", "diracbvp.cli", "diracbvp.config",
+               "diracbvp.errors", "diracbvp.names"]
+
+
+def run_fresh(code, *args):
+    """stdout of `code` run in a new interpreter on this source tree."""
+    import diracbvp
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracbvp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code] + list(args),
+                          env=env, check=True, capture_output=True,
+                          text=True).stdout
+
+
+@pytest.mark.parametrize("argv, text, status, modules", [
+    (["bootstrap"], "[bootstrap]\nn = 4\n", 0,
+     sorted(CLI_MODULES + ["diracbvp.bootstrap"])),
+    (["--help"], None, 0, CLI_MODULES),
+    (["spectrum"], "[model]\nn_pointz = 6\n", 1, CLI_MODULES),
+    (["spectrum"], "[model]\nboundary = moebius\n", 1, CLI_MODULES),
+    (["sweep"], "[sweep]\nmin = 0\n", 1, CLI_MODULES),
+], ids=["bootstrap", "help", "unknown-key", "bad-boundary", "orphan-sweep"])
+def test_paths_without_arrays_load_no_numpy(tmp_path, argv, text, status,
+                                            modules):
+    # the module set, not a timing: bootstrap, --help and a refused
+    # config never import numpy or an array layer
+    if text is not None:
+        argv = argv + ["--config", str(write_cfg(tmp_path, text)),
+                       "--out", str(tmp_path / "out")]
+    code = ("import sys; from diracbvp.cli import main\n"
+            "try:\n    rc = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n    rc = exc.code\n"
+            "print(rc, sorted(m for m in sys.modules if m == 'numpy' "
+            "or m.startswith('diracbvp')))")
+    last = run_fresh(code, *argv).strip().splitlines()[-1]
+    assert last == "%d %r" % (status, modules)
+
+
+def test_package_exports_load_lazily():
+    code = ("import sys, diracbvp; print(sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.startswith('diracbvp')))")
+    assert run_fresh(code).strip() == "['diracbvp']"
+    import diracbvp
+    for name in diracbvp.__all__:
+        assert getattr(diracbvp, name) is not None
+        assert name in dir(diracbvp)
+    namespace = {}
+    exec("from diracbvp import *", namespace)
+    assert set(diracbvp.__all__) <= set(namespace)
+    from diracbvp.conditions import MODE_C
+    from diracbvp.operators import ANTIPERIODIC
+    assert (MODE_C, ANTIPERIODIC) == ("C_final", "antiperiodic")
+    assert diracbvp.decompose is diracbvp.spectral.decompose
+    with pytest.raises(AttributeError, match="no_such_name"):
+        diracbvp.no_such_name
 
 
 # --------------------------------------------------------------- parsing
@@ -709,6 +772,29 @@ def test_main_malformed_sample_file(tmp_path, capsys, text, where):
     err = capsys.readouterr().err
     assert err.startswith("error: %s" % data)
     assert where in err
+    assert "Traceback" not in err
+
+
+def test_main_config_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_bytes(b"[model]\nn_points = 6\xff4\n")
+    assert main(["spectrum", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: not UTF-8 text" % cfg_path)
+    assert "Traceback" not in err
+
+
+def test_main_sample_file_not_utf8(tmp_path, capsys):
+    data = tmp_path / "g.csv"
+    data.write_bytes(b"x,re_0,im_0\n" + b"0.0,1.0,0.0\n" * 7
+                     + b"0.0,1.\xff,0.0\n")
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 8\n"
+                                   "[scheme]\ng = sample_file(g.csv)\n")
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: not UTF-8" % data)
     assert "Traceback" not in err
 
 
