@@ -1,11 +1,12 @@
 """Batch front end: config-driven subcommands writing CSV/JSON artifacts.
 
 Subcommands: spectrum, solve, check, sweep, bootstrap, functional.
-Common flags: --config <path>, --out <dir>, --workers <k>.  sweep
+Common flags: --config <path>, --out <dir>, --workers <k>.  Every
+config value is parsed and checked before a command starts.  sweep
 evaluates its points one after another, reusing the decomposed model
 while consecutive points share the [model] section; --workers (and
-run.workers) is accepted for compatibility and changes nothing.
-Outputs are deterministic for a fixed config.
+run.workers, an integer) is accepted for compatibility and changes
+nothing.  Outputs are deterministic for a fixed config.
 
 Each command imports the array layers it uses when it runs, so
 `bootstrap`, `--help`, usage errors and refused configs load no numpy.
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 
-from .config import _as_int, _as_real, parse_config
+from .config import parse_config
 from .errors import ConfigParseError, DiracBVPError
 
 
@@ -43,8 +44,8 @@ def _write_json(path, payload):
 
 
 def _prepare(cfg):
-    from . import spectral
-    return spectral.decompose(cfg.build_operator())
+    from . import operators, spectral
+    return spectral.decompose(operators.assemble(cfg.build_model()))
 
 
 def cmd_spectrum(cfg, out_dir):
@@ -55,7 +56,8 @@ def cmd_spectrum(cfg, out_dir):
                rows)
     summary = {"lambda1": sd.lambda1, "invertible": sd.invertible}
     if sd.invertible:
-        est = spectral.estimate_constants(sd, iota=cfg.iota)
+        est = spectral.estimate_constants(
+            sd, iota=cfg.values["constants"]["iota"])
         summary["c1_emp"] = est.c1_emp
         summary["c_half_emp"] = est.c_half_emp
     _write_json(os.path.join(out_dir, "summary.json"), summary)
@@ -65,7 +67,8 @@ def cmd_spectrum(cfg, out_dir):
 def _certify(cfg, sd, scheme_cfg):
     from . import conditions
     consts = cfg.build_constants(sd, scheme_cfg)
-    return conditions.check_conditions(consts, cfg.condition_mode), consts
+    mode = cfg.values["constants"]["mode"]
+    return conditions.check_conditions(consts, mode), consts
 
 
 def cmd_solve(cfg, out_dir):
@@ -107,7 +110,7 @@ def _sweep_model(point, cache):
     SpectralData (and so its memoized constant estimates); it holds one
     entry, dropped before the next model is built.
     """
-    key = tuple(sorted(point.raw["model"].items()))
+    key = tuple(sorted(point.values["model"].items()))
     if key not in cache:
         cache.clear()
         cache[key] = _prepare(point)
@@ -157,10 +160,8 @@ def cmd_sweep(cfg, out_dir):
 
 def cmd_bootstrap(cfg, out_dir):
     from .bootstrap import bootstrap_exponents
-    trace = bootstrap_exponents(
-        _as_int(cfg.get("bootstrap", "n"), "bootstrap.n"),
-        _as_real(cfg.get("bootstrap", "p"), "bootstrap.p"),
-        _as_real(cfg.get("bootstrap", "l0"), "bootstrap.l0"))
+    boot = cfg.values["bootstrap"]
+    trace = bootstrap_exponents(boot["n"], boot["p"], boot["l0"])
     rows = [[m, repr(rec), repr(cl)] for m, (rec, cl)
             in enumerate(zip(trace.reciprocals, trace.closed_form))]
     _write_csv(os.path.join(out_dir, "bootstrap.csv"),
@@ -173,10 +174,10 @@ def cmd_bootstrap(cfg, out_dir):
 
 def cmd_functional(cfg, out_dir):
     from . import conditions, spectral
-    m = _as_int(cfg.get("functional", "m"), "functional.m")
+    m = cfg.values["functional"]["m"]
     if m < 1:
         raise ConfigParseError("must be >= 1, got %d" % m, key="functional.m")
-    n = _as_int(cfg.get("constants", "n"), "constants.n")
+    n = cfg.values["constants"]["n"]
     sd = _prepare(cfg)
     m = min(m, sd.size)
     rows = []
@@ -198,15 +199,15 @@ def run_command(cfg, command, out_dir=None):
     """Dispatch a subcommand; returns the process exit status."""
     if command not in _COMMANDS:
         raise DiracBVPError("unknown command %r" % (command,))
-    out_dir = out_dir or cfg.output_dir
+    out_dir = out_dir or cfg.values["run"]["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     try:
         return _COMMANDS[command](cfg, out_dir)
     except MemoryError as exc:
-        n_points = _as_int(cfg.get("model", "n_points"), "model.n_points")
         message = str(exc) or "out of memory"
         raise DiracBVPError("model.n_points = %d: %s"
-                            % (n_points, message)) from exc
+                            % (cfg.values["model"]["n_points"],
+                               message)) from exc
 
 
 def main(argv=None):

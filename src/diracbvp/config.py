@@ -1,6 +1,8 @@
 """Run configuration parsing for the batch front end.
 
 The format is flat INI-style sections with strictly validated keys.
+parse_config converts each value once, by its key's parser in _SCHEMA,
+and refuses a malformed one there, named by its key as written.
 Numeric values accept arithmetic literals over pi and e ("0.05*pi",
 "1e-8", "8/3").  The datum g (and the initial iterate f0) are given by
 small closed-form expressions:
@@ -12,7 +14,9 @@ small closed-form expressions:
     sample_file(<path>)         # CSV field as written by save_field_csv
     g                           # (f0 only) start from the datum
 
-On rank-2 models the scalar expressions fill component 0.
+Parsing reads only their syntax; the builders make the field, and read
+a sample_file, per model size.  On rank-2 models the scalar expressions
+fill component 0.
 
 Parsing and validation import no numpy; the builders import the array
 layers when called.
@@ -23,10 +27,10 @@ import cmath
 import math
 import os
 from configparser import ConfigParser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigParseError
-from .names import (ANTIPERIODIC, BAG1D, DIRAC_2SPINOR, MODE_A, MODE_B,
+from .names import (ANTIPERIODIC, AUTO, BAG1D, DIRAC_2SPINOR, MODE_A, MODE_B,
                     MODE_C, PERIODIC, SCALAR_DERIVATIVE)
 
 _EVAL_NAMES = {"pi": math.pi, "e": math.e}
@@ -81,7 +85,9 @@ def eval_number(text, key="<value>"):
                                key=key) from exc
 
 
-def _as_real(text, key):
+# -- value parsers: (text, key) -> value, raising ConfigParseError(key=key)
+
+def _real(text, key) -> float:
     val = eval_number(text, key)
     if isinstance(val, complex):
         if abs(val.imag) > 0:
@@ -91,30 +97,118 @@ def _as_real(text, key):
     return float(val)
 
 
-def _as_int(text, key):
-    val = _as_real(text, key)
+def _int(text, key) -> int:
+    val = _real(text, key)
     if val != int(val):
         raise ConfigParseError("expected an integer, got %r" % (text,), key=key)
     return int(val)
 
 
-# section -> key -> default (None marks "no default, optional")
+def _complex(text, key) -> complex:
+    return complex(eval_number(text, key))
+
+
+def _text(text, key) -> str:
+    if not text:
+        raise ConfigParseError("empty value", key=key)
+    return text
+
+
+def _word(*words):
+    """Parser of one of the enumerated words."""
+    def parse(text, key) -> str:
+        if text not in words:
+            raise ConfigParseError("value %r not one of %s" % (text, words),
+                                   key=key)
+        return text
+    return parse
+
+
+def _real_or(*words):
+    """Parser of a real number or one of the words."""
+    def parse(text, key) -> float | str:
+        return text if text in words else _real(text, key)
+    return parse
+
+
+def _field(text, key) -> tuple:
+    """Syntax of a field expression: ("zero",), ("const", value),
+    ("exp_mode", k, scale) or ("sample_file", path)."""
+    if text == "zero":
+        return ("zero",)
+    if text.startswith("const(") and text.endswith(")"):
+        return ("const", eval_number(text[6:-1], key))
+    if text.startswith("exp_mode(") and text.endswith(")"):
+        args = text[9:-1].split(",")
+        if len(args) not in (1, 2):
+            raise ConfigParseError("exp_mode takes 1 or 2 arguments", key=key)
+        k = _int(args[0], key)
+        return ("exp_mode", k,
+                eval_number(args[1], key) if len(args) == 2 else 1.0)
+    if text.startswith("sample_file(") and text.endswith(")"):
+        path = text[12:-1].strip().strip("'\"")
+        if not path:
+            raise ConfigParseError("sample_file needs a path", key=key)
+        return ("sample_file", path)
+    if text == "g":
+        raise ConfigParseError("'g' only allowed for f0", key=key)
+    raise ConfigParseError("cannot parse field expression %r" % (text,),
+                           key=key)
+
+
+def _start(text, key) -> tuple:
+    """_field, or ("g",): start from the datum."""
+    return ("g",) if text == "g" else _field(text, key)
+
+
+def _split_path(path):
+    section, _, key = path.partition(".")
+    return section, key.lower()
+
+
+def _axis(text, key) -> str:
+    """A sweep axis: the dotted path of a numeric key, kept as written."""
+    section, name = _split_path(text)
+    if section not in ("model", "scheme", "constants") \
+            or _SCHEMA[section].get(name, (None,))[0] not in _NUMERIC:
+        raise ConfigParseError("%r is not a numeric key of [model], [scheme] "
+                               "or [constants]" % (text,), key=key)
+    return text
+
+
+_R = _real_or(AUTO)  # AUTO is R = 2/|lambda_1|
+_C1 = _real_or("empirical")
+_C_HALF = _real_or("empirical", "formula")
+_NUMERIC = (_real, _int, _complex, _R, _C1, _C_HALF)
+
+# section -> key -> (parser, default); a default of None marks an optional
+# key with no value, and run.workers is accepted but read by nothing
 _SCHEMA = {
-    "model": {"operator": SCALAR_DERIVATIVE, "boundary": ANTIPERIODIC,
-              "length": "1.0", "n_points": "256"},
-    "scheme": {"lambda": "0", "p": "4", "g": "zero", "f0": "g", "a": "0",
-               "r": "1", "xi": "1", "lambda_cap": "1", "max_iter": "200",
-               "tol_cauchy": "1e-10", "tol_residual": "1e-8"},
-    "constants": {"n": "2", "p_a": None, "c_h": "1", "big_c_h": "1",
-                  "iota": "1", "k_gn": "1", "k_gn2": "1", "k_fgn": "1",
-                  "c1": "empirical", "c_half": "empirical",
-                  "mode": MODE_C},
-    "run": {"output_dir": "out", "workers": "1"},
-    "sweep": {"param": None, "min": None, "max": None, "count": None,
-              "scale": "lin", "param2": None, "min2": None, "max2": None,
-              "count2": None, "scale2": "lin"},
-    "bootstrap": {"n": "4", "p": "8/3", "l0": "4"},
-    "functional": {"m": "10"},
+    "model": {"operator": (_word(SCALAR_DERIVATIVE, DIRAC_2SPINOR),
+                           SCALAR_DERIVATIVE),
+              "boundary": (_word(ANTIPERIODIC, PERIODIC, BAG1D),
+                           ANTIPERIODIC),
+              "length": (_real, 1.0), "n_points": (_int, 256)},
+    "scheme": {"lambda": (_complex, 0j), "p": (_real, 4.0),
+               "g": (_field, ("zero",)), "f0": (_start, ("g",)),
+               "a": (_complex, 0j), "r": (_R, 1.0), "xi": (_real, 1.0),
+               "lambda_cap": (_real, 1.0), "max_iter": (_int, 200),
+               "tol_cauchy": (_real, 1e-10), "tol_residual": (_real, 1e-8)},
+    "constants": {"n": (_int, 2), "p_a": (_real, None), "c_h": (_real, 1.0),
+                  "big_c_h": (_real, 1.0), "iota": (_real, 1.0),
+                  "k_gn": (_real, 1.0), "k_gn2": (_real, 1.0),
+                  "k_fgn": (_real, 1.0), "c1": (_C1, "empirical"),
+                  "c_half": (_C_HALF, "empirical"),
+                  "mode": (_word(MODE_C, MODE_B, MODE_A), MODE_C)},
+    "run": {"output_dir": (_text, "out"), "workers": (_int, 1)},
+    "sweep": {"param": (_axis, None), "min": (_real, None),
+              "max": (_real, None), "count": (_int, None),
+              "scale": (_word("lin", "log"), "lin"),
+              "param2": (_axis, None), "min2": (_real, None),
+              "max2": (_real, None), "count2": (_int, None),
+              "scale2": (_word("lin", "log"), "lin")},
+    "bootstrap": {"n": (_int, 4), "p": (_real, 8 / 3), "l0": (_real, 4.0)},
+    "functional": {"m": (_int, 10)},
 }
 
 
@@ -139,78 +233,46 @@ class SweepSpec:
 
 @dataclass
 class RunConfig:
-    raw: dict
+    values: dict  # section -> key -> value, as its _SCHEMA parser returns it
     base_dir: str = "."
     sweep: SweepSpec = None
     # resolved sample_file path -> (n_points, values read at that size),
     # shared with every with_override copy: a sweep reads each file once
     _samples: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def get(self, section, key):
-        return self.raw[section][key]
-
     def with_override(self, path, value):
-        """Copy with one dotted-path numeric value replaced (sweep axes)."""
+        """Copy with value, run through its key's parser, at path (a
+        sweep axis): a non-integer on an integer axis is refused."""
         section, key = _split_path(path)
-        raw = {s: dict(kv) for s, kv in self.raw.items()}
-        raw[section][key] = repr(float(value))
-        return RunConfig(raw=raw, base_dir=self.base_dir, sweep=self.sweep,
-                         _samples=self._samples)
+        values = {s: dict(kv) for s, kv in self.values.items()}
+        values[section][key] = _SCHEMA[section][key][0](repr(float(value)),
+                                                        path)
+        return replace(self, values=values)
 
     # -- builders -----------------------------------------------------
 
     def build_model(self):
         from .grids import CIRCLE, INTERVAL, Grid1D
         from .operators import BoundaryCondition, ModelSpec
-        topo = CIRCLE if self.get("model", "boundary") == PERIODIC else INTERVAL
-        grid = Grid1D(length=_as_real(self.get("model", "length"),
-                                      "model.length"),
-                      n_points=_as_int(self.get("model", "n_points"),
-                                       "model.n_points"),
+        model = self.values["model"]
+        topo = CIRCLE if model["boundary"] == PERIODIC else INTERVAL
+        grid = Grid1D(length=model["length"], n_points=model["n_points"],
                       topology=topo)
-        return ModelSpec(grid=grid,
-                         operator_kind=self.get("model", "operator"),
-                         bc=BoundaryCondition(self.get("model", "boundary")))
-
-    def build_operator(self):
-        from .operators import assemble
-        return assemble(self.build_model())
+        return ModelSpec(grid=grid, operator_kind=model["operator"],
+                         bc=BoundaryCondition(model["boundary"]))
 
     def _build_field(self, expr, model, key, g=None):
+        """The field of a parsed expression (see _field) on model's grid."""
         import numpy as np
         from .grids import CIRCLE, SpinorField
-        expr = expr.strip()
+        kind, *args = expr
         grid, rank = model.grid, model.rank
-        if expr == "zero":
+        if kind == "zero":
             return SpinorField.zero(grid, rank)
-        if expr == "g":
-            if g is None:
-                raise ConfigParseError("'g' only allowed for f0", key=key)
+        if kind == "g":
             return g.copy()
-        if expr.startswith("const(") and expr.endswith(")"):
-            val = eval_number(expr[6:-1], key)
-            vals = np.zeros((grid.n_points, rank), dtype=complex)
-            vals[:, 0] = val
-            return SpinorField(grid, vals)
-        if expr.startswith("exp_mode(") and expr.endswith(")"):
-            args = expr[9:-1].split(",")
-            if len(args) not in (1, 2):
-                raise ConfigParseError("exp_mode takes 1 or 2 arguments",
-                                       key=key)
-            k = _as_int(args[0], key)
-            scale = eval_number(args[1], key) if len(args) == 2 else 1.0
-            x = grid.points()
-            if grid.topology == CIRCLE:
-                phase = 2.0 * np.pi * k * x / grid.length
-            else:
-                phase = np.pi * k * x / grid.length
-            vals = np.zeros((grid.n_points, rank), dtype=complex)
-            vals[:, 0] = scale * np.exp(1j * phase)
-            return SpinorField(grid, vals)
-        if expr.startswith("sample_file(") and expr.endswith(")"):
-            path = expr[12:-1].strip().strip("'\"")
-            if not os.path.isabs(path):
-                path = os.path.join(self.base_dir, path)
+        if kind == "sample_file":
+            path = os.path.join(self.base_dir, args[0])  # unless absolute
             if not os.path.exists(path):
                 raise ConfigParseError("file %r does not exist" % (path,),
                                        key=key)
@@ -226,45 +288,44 @@ class RunConfig:
                                        % (path, bad[0] + 2), key=key)
             # a copy: the array read is kept for the next sweep point
             return SpinorField(grid, vals.copy())
-        raise ConfigParseError("cannot parse field expression %r" % (expr,),
-                               key=key)
+        vals = np.zeros((grid.n_points, rank), dtype=complex)
+        if kind == "const":
+            vals[:, 0] = args[0]
+        else:
+            k, scale = args
+            x = grid.points()
+            if grid.topology == CIRCLE:
+                phase = 2.0 * np.pi * k * x / grid.length
+            else:
+                phase = np.pi * k * x / grid.length
+            vals[:, 0] = scale * np.exp(1j * phase)
+        return SpinorField(grid, vals)
 
     def _read_sample(self, path, n_points):
-        """read_field_csv(path, n_points), kept per resolved path.
+        """grids.read_field_csv(path, n_points), kept per resolved path.
 
         The file is read again only when the size differs from the last
         read of that path, as on a model.n_points sweep axis.
         """
+        from . import grids
         resolved = os.path.realpath(path)
         size, vals = self._samples.get(resolved, (None, None))
         if size != n_points:
-            vals = read_field_csv(path, n_points)
+            vals = grids.read_field_csv(path, n_points)
             self._samples[resolved] = (n_points, vals)
         return vals
 
     def build_scheme(self, model):
-        from .scheme import AUTO, SchemeConfig
-        g = self._build_field(self.get("scheme", "g"), model, "scheme.g")
-        f0 = self._build_field(self.get("scheme", "f0"), model, "scheme.f0",
-                               g=g)
-        r_raw = self.get("scheme", "r").strip()
-        r_val = AUTO if r_raw == "auto" else _as_real(r_raw, "scheme.R")
+        from .scheme import SchemeConfig
+        scheme = self.values["scheme"]
+        g = self._build_field(scheme["g"], model, "scheme.g")
         return SchemeConfig(
-            lam=complex(eval_number(self.get("scheme", "lambda"),
-                                    "scheme.lambda")),
-            p=_as_real(self.get("scheme", "p"), "scheme.p"),
-            g=g, f0=f0,
-            a=complex(eval_number(self.get("scheme", "a"), "scheme.a")),
-            R=r_val,
-            Xi=_as_real(self.get("scheme", "xi"), "scheme.xi"),
-            Lambda_cap=_as_real(self.get("scheme", "lambda_cap"),
-                                "scheme.lambda_cap"),
-            max_iter=_as_int(self.get("scheme", "max_iter"),
-                             "scheme.max_iter"),
-            tol_cauchy=_as_real(self.get("scheme", "tol_cauchy"),
-                                "scheme.tol_cauchy"),
-            tol_residual=_as_real(self.get("scheme", "tol_residual"),
-                                  "scheme.tol_residual"))
+            lam=scheme["lambda"], p=scheme["p"], g=g,
+            f0=self._build_field(scheme["f0"], model, "scheme.f0", g=g),
+            a=scheme["a"], R=scheme["r"], Xi=scheme["xi"],
+            Lambda_cap=scheme["lambda_cap"], max_iter=scheme["max_iter"],
+            tol_cauchy=scheme["tol_cauchy"],
+            tol_residual=scheme["tol_residual"])
 
     def build_constants(self, sd, scheme_cfg):
         """AnalyticConstants from the config plus measured quantities.
@@ -276,40 +337,28 @@ class RunConfig:
         from .grids import lp_norm, w1q_norm
         from .operators import apply_D
         from .spectral import estimate_constants
-        n = _as_int(self.get("constants", "n"), "constants.n")
-        p_a_raw = self.get("constants", "p_a")
-        p_a = None if p_a_raw is None else _as_real(p_a_raw, "constants.p_A")
+        consts = self.values["constants"]
+        c1, c_half = consts["c1"], consts["c_half"]
         provenance = {k: "assumed" for k in
-                      ("c_h", "C_h", "K_GN", "K_GN2", "K_FGN")}
-
-        c1_raw = self.get("constants", "c1").strip()
-        c_half_raw = self.get("constants", "c_half").strip()
-        if c1_raw == "empirical" or c_half_raw in ("empirical", "formula"):
-            estimates = estimate_constants(sd, iota=self.iota)
-        if c1_raw == "empirical":
+                      ("c_h", "C_h", "K_GN", "K_GN2", "K_FGN", "c1", "c_half")}
+        if c1 == "empirical" or c_half in ("empirical", "formula"):
+            estimates = estimate_constants(sd, iota=consts["iota"])
+        if c1 == "empirical":
             c1, provenance["c1"] = estimates.c1_emp, "computed"
-        else:
-            c1, provenance["c1"] = _as_real(c1_raw, "constants.c1"), "assumed"
-        if c_half_raw == "empirical":
+        if c_half == "empirical":
             c_half, provenance["c_half"] = estimates.c_half_emp, "computed"
-        elif c_half_raw == "formula":
+        elif c_half == "formula":
             c_half, provenance["c_half"] = estimates.c_half_formula, "computed"
-        else:
-            c_half = _as_real(c_half_raw, "constants.c_half")
-            provenance["c_half"] = "assumed"
 
         model = sd.operator.spec
         dg = apply_D(model, scheme_cfg.g)
         for name in ("lambda1_abs", "Dg_L2", "g_L2T", "g_H1T", "lambda_abs"):
             provenance[name] = "computed"
         return AnalyticConstants(
-            n=n, p=scheme_cfg.p, p_A=p_a,
-            c_h=_as_real(self.get("constants", "c_h"), "constants.c_h"),
-            C_h=_as_real(self.get("constants", "big_c_h"), "constants.C_h"),
-            c1=c1, c_half=c_half,
-            K_GN=_as_real(self.get("constants", "k_gn"), "constants.K_GN"),
-            K_GN2=_as_real(self.get("constants", "k_gn2"), "constants.K_GN2"),
-            K_FGN=_as_real(self.get("constants", "k_fgn"), "constants.K_FGN"),
+            n=consts["n"], p=scheme_cfg.p, p_A=consts["p_a"],
+            c_h=consts["c_h"], C_h=consts["big_c_h"], c1=c1, c_half=c_half,
+            K_GN=consts["k_gn"], K_GN2=consts["k_gn2"],
+            K_FGN=consts["k_fgn"],
             lambda_abs=abs(scheme_cfg.lam),
             lambda1_abs=abs(sd.lambda1),
             Dg_L2=lp_norm(dg, 2), g_L2T=lp_norm(scheme_cfg.g, 2),
@@ -317,42 +366,9 @@ class RunConfig:
             Xi=scheme_cfg.Xi, Lambda_cap=scheme_cfg.Lambda_cap,
             provenance=provenance)
 
-    @property
-    def iota(self):
-        return _as_real(self.get("constants", "iota"), "constants.iota")
-
-    @property
-    def condition_mode(self):
-        return self.get("constants", "mode")
-
-    @property
-    def output_dir(self):
-        return self.get("run", "output_dir")
-
-    @property
-    def workers(self):
-        """run.workers; accepted for compatibility, sweeps run serially."""
-        return _as_int(self.get("run", "workers"), "run.workers")
-
-
-def read_field_csv(path, n_points):
-    """grids.read_field_csv, which loads numpy, imported at call time."""
-    from . import grids
-    return grids.read_field_csv(path, n_points)
-
-
-def _split_path(path):
-    parts = path.split(".")
-    if len(parts) != 2 or parts[0] not in _SCHEMA:
-        raise ConfigParseError("cannot resolve parameter path", key=path)
-    section, key = parts[0], parts[1].lower()
-    if key not in _SCHEMA[section]:
-        raise ConfigParseError("unknown key", key=path)
-    return section, key
-
 
 def parse_config(text, base_dir="."):
-    """Parse configuration text into a validated RunConfig."""
+    """Parse configuration text into a RunConfig of checked, typed values."""
     # no section can be named "\n", so [DEFAULT] is an unknown section
     # like any other, not defaults merged into every section
     parser = ConfigParser(interpolation=None, default_section="\n")
@@ -361,35 +377,20 @@ def parse_config(text, base_dir="."):
     except Exception as exc:
         raise ConfigParseError("invalid config syntax: %s" % exc) from exc
 
-    raw = {sect: dict(defaults) for sect, defaults in _SCHEMA.items()}
+    values = {sect: {key: default for key, (_, default) in keys.items()}
+              for sect, keys in _SCHEMA.items()}
     for sect in parser.sections():
         if sect not in _SCHEMA:
             raise ConfigParseError("unknown section", key=sect)
         for key, value in parser.items(sect):
             if key not in _SCHEMA[sect]:
                 raise ConfigParseError("unknown key", key="%s.%s" % (sect, key))
-            raw[sect][key] = value
+            values[sect][key] = _SCHEMA[sect][key][0](value,
+                                                      "%s.%s" % (sect, key))
 
-    _validate_enums(raw)
-    cfg = RunConfig(raw=raw, base_dir=base_dir)
     given = set(parser["sweep"]) if parser.has_section("sweep") else set()
-    cfg.sweep = _parse_sweep(raw["sweep"], given)
-    return cfg
-
-
-def _validate_enums(raw):
-    checks = [
-        ("model", "operator", (SCALAR_DERIVATIVE, DIRAC_2SPINOR)),
-        ("model", "boundary", (ANTIPERIODIC, PERIODIC, BAG1D)),
-        ("constants", "mode", (MODE_C, MODE_B, MODE_A)),
-        ("sweep", "scale", ("lin", "log")),
-        ("sweep", "scale2", ("lin", "log")),
-    ]
-    for sect, key, allowed in checks:
-        val = raw[sect][key]
-        if val is not None and val not in allowed:
-            raise ConfigParseError("value %r not one of %s" % (val, allowed),
-                                   key="%s.%s" % (sect, key))
+    return RunConfig(values=values, base_dir=base_dir,
+                     sweep=_parse_sweep(values["sweep"], given))
 
 
 # most points a sweep may have: at a few ms to seconds a point, more
@@ -397,15 +398,17 @@ def _validate_enums(raw):
 MAX_SWEEP_POINTS = 10 ** 5
 
 
-def _parse_sweep(sweep_raw, given):
-    """SweepSpec of the [sweep] keys, None when the text gives none.
+def _parse_sweep(sweep, given):
+    """SweepSpec of the [sweep] values, None when the text gives none.
 
     given holds the keys the text sets.  Each of them needs param, and
     those of the second axis need param2 as well, so none is ignored.
     """
     axes, points = [], 1
     for suffix in ("", "2"):
-        param = sweep_raw["param" + suffix]
+        param, lo, hi, count, scale = (sweep[key + suffix] for key in
+                                       ("param", "min", "max", "count",
+                                        "scale"))
         if param is None:
             orphans = sorted(key for key in given if key.endswith(suffix))
             if orphans:
@@ -414,13 +417,11 @@ def _parse_sweep(sweep_raw, given):
                     % ", ".join("sweep." + key for key in orphans),
                     key="sweep.param" + suffix)
             break
-        _split_path(param)  # validates the path
         for req in ("min", "max", "count"):
-            if sweep_raw[req + suffix] is None:
+            if sweep[req + suffix] is None:
                 raise ConfigParseError("missing for axis %r" % (param,),
                                        key="sweep.%s%s" % (req, suffix))
         count_key = "sweep.count" + suffix
-        count = _as_int(sweep_raw["count" + suffix], count_key)
         if count < 2:
             raise ConfigParseError("axis count must be >= 2", key=count_key)
         points *= count
@@ -428,9 +429,6 @@ def _parse_sweep(sweep_raw, given):
             raise ConfigParseError("the sweep would have %d points, more "
                                    "than the limit of %d"
                                    % (points, MAX_SWEEP_POINTS), key=count_key)
-        lo = _as_real(sweep_raw["min" + suffix], "sweep.min" + suffix)
-        hi = _as_real(sweep_raw["max" + suffix], "sweep.max" + suffix)
-        scale = sweep_raw["scale" + suffix]
         _check_axis_range(lo, hi, scale, suffix)
         axes.append((param, lo, hi, count, scale))
     return SweepSpec(axes=axes) if axes else None

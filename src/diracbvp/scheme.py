@@ -19,10 +19,9 @@ import numpy as np
 from .errors import (DivergenceError, NearSingularError, ParameterError,
                      UndefinedScalingError)
 from .grids import SpinorField, lp_norm, nonlinearity, w1q_norm
+from .names import AUTO
 from .operators import apply_D, boundary_residual
 from .spectral import graph_norm
-
-AUTO = "auto"  # R = 2 / |lambda_1|
 
 
 @dataclass
@@ -55,7 +54,7 @@ class SchemeConfig:
         if self.R == AUTO:
             if not sd.invertible:
                 raise ParameterError(
-                    "scheme.R: 'auto' is 2/|lambda_1| and needs an "
+                    "scheme.r: 'auto' is 2/|lambda_1| and needs an "
                     "invertible operator, but lambda_1 = %r" % sd.lambda1)
             return 2.0 / abs(sd.lambda1)
         return float(np.real(self.R))

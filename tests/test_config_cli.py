@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import warnings
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracbvp import Grid1D, SpinorField, save_field_csv
+from diracbvp import Grid1D, SpinorField, config, save_field_csv
 from diracbvp.cli import main, run_command
 from diracbvp.config import eval_number, parse_config
 from diracbvp.errors import ConfigParseError
@@ -99,7 +100,12 @@ def run_fresh(code, *args):
     (["spectrum"], "[model]\nn_pointz = 6\n", 1, CLI_MODULES),
     (["spectrum"], "[model]\nboundary = moebius\n", 1, CLI_MODULES),
     (["sweep"], "[sweep]\nmin = 0\n", 1, CLI_MODULES),
-], ids=["bootstrap", "help", "unknown-key", "bad-boundary", "orphan-sweep"])
+    (["solve"], "[scheme]\nxi = abc\n", 1, CLI_MODULES),
+    (["solve"], "[scheme]\ng = wavelet(3)\n", 1, CLI_MODULES),
+    (["sweep"], "[sweep]\nparam = model.boundary\nmin = 0\nmax = 1\n"
+                "count = 2\n", 1, CLI_MODULES),
+], ids=["bootstrap", "help", "unknown-key", "bad-boundary", "orphan-sweep",
+        "bad-xi", "bad-field", "word-axis"])
 def test_paths_without_arrays_load_no_numpy(tmp_path, argv, text, status,
                                             modules):
     # the module set, not a timing: bootstrap, --help and a refused
@@ -139,12 +145,10 @@ def test_package_exports_load_lazily():
 
 def test_defaults():
     cfg = parse_config("")
-    assert cfg.get("model", "operator") == "scalar_derivative"
-    assert cfg.get("model", "boundary") == "antiperiodic"
-    assert cfg.get("scheme", "p") == "4"
-    assert cfg.workers == 1
-    assert "seed" not in cfg.raw["run"]
-    assert cfg.output_dir == "out"
+    assert cfg.values["model"]["operator"] == "scalar_derivative"
+    assert cfg.values["model"]["boundary"] == "antiperiodic"
+    assert cfg.values["scheme"]["p"] == 4.0
+    assert cfg.values["run"] == {"output_dir": "out", "workers": 1}
     assert cfg.sweep is None
     model = cfg.build_model()
     assert model.grid.n_points == 256 and model.grid.length == 1.0
@@ -195,10 +199,15 @@ def test_field_expressions(tmp_path):
     scheme_cfg = cfg.build_scheme(model)
     assert np.all(scheme_cfg.g.values == 1.0)
     assert np.all(scheme_cfg.f0.values == 0.0)
-    with pytest.raises(ConfigParseError):
-        parse_config("[scheme]\ng = g\n").build_scheme(model)
-    with pytest.raises(ConfigParseError):
-        parse_config("[scheme]\ng = wavelet(3)\n").build_scheme(model)
+    # refused when parsed, before any field is built
+    with pytest.raises(ConfigParseError, match="'g' only allowed for f0"):
+        parse_config("[scheme]\ng = g\n")
+    with pytest.raises(ConfigParseError, match="cannot parse field"):
+        parse_config("[scheme]\ng = wavelet(3)\n")
+    # used to end in "error: [Errno 21] Is a directory", naming no key
+    with pytest.raises(ConfigParseError,
+                       match=r"^scheme\.f0: sample_file needs a path$"):
+        parse_config("[scheme]\nf0 = sample_file('')\n")
 
 
 def test_sample_file_roundtrip(tmp_path):
@@ -233,13 +242,24 @@ def test_sweep_grid():
     with pytest.raises(ConfigParseError):
         parse_config("[sweep]\nparam = scheme.nope\nmin = 0\nmax = 1\n"
                      "count = 3\n")
+    # a key that may be a word or a number is a numeric axis too
+    for path in ("scheme.r", "constants.c1", "constants.p_a",
+                 "scheme.max_iter"):
+        assert parse_config("[sweep]\nparam = %s\nmin = 1\nmax = 2\n"
+                            "count = 2\n" % path).sweep.axes[0][0] == path
 
 
 def test_with_override():
     cfg = parse_config("")
     new = cfg.with_override("scheme.lambda", np.float64(0.25))
-    assert new.get("scheme", "lambda") == "0.25"
-    assert cfg.get("scheme", "lambda") == "0"  # original untouched
+    assert new.values["scheme"]["lambda"] == 0.25 + 0j
+    assert cfg.values["scheme"]["lambda"] == 0j  # original untouched
+    # the value goes through its key's parser: an integer key stays int
+    assert cfg.with_override("model.n_points", 32.0) \
+        .values["model"]["n_points"] == 32
+    with pytest.raises(ConfigParseError,
+                       match=r"^model\.n_points: expected an integer"):
+        cfg.with_override("model.n_points", 32.5)
 
 
 # ------------------------------------------------------ property: parsing
@@ -249,16 +269,13 @@ _NUMBERS = ["0", "1", "-1", "2", "3", "11", "50", "51", "0.5", "-0.5",
             "pi", "-e", "2**10", "10**12", "9**9**9", "1/0", "1e400 - 1e400",
             "2.5", "1j", "3+0j", "0.05*pi", "-" * 1200 + "1"]
 _WORDS = ["", "x", "lin", "log", "zero", "g", "const(1)", "exp_mode(1)",
-          "scheme.lambda", "scheme.p", "model.n_points", "model.length",
-          "model.bogus", "sweep.min", "antiperiodic", "bag1d", "C_final",
+          "exp_mode(1, 0.5)", "exp_mode(1, 2, 3)", "sample_file(g.csv)",
+          "auto", "empirical", "formula", "scheme.lambda", "scheme.p",
+          "model.n_points", "model.length", "model.bogus", "sweep.min",
+          "scheme.g", "run.output_dir", "antiperiodic", "bag1d", "C_final",
           "[model]", "=", "%", "\\"]
-_KEYS = sorted({key for keys in
-                [["operator", "boundary", "length", "n_points"],
-                 ["lambda", "p", "g", "f0", "a", "r", "max_iter"],
-                 ["n", "p_a", "c1", "c_half", "mode"], ["output_dir"],
-                 ["param", "min", "max", "count", "scale", "param2", "min2",
-                  "max2", "count2", "scale2"], ["m"], ["bogus"]]
-                for key in keys})
+_KEYS = sorted({key for keys in config._SCHEMA.values() for key in keys}
+               | {"bogus"})
 _VALUES = st.sampled_from(_NUMBERS + _WORDS) | st.text(max_size=8)
 _SECTIONS = ["model", "scheme", "constants", "run", "sweep", "bootstrap",
              "functional", "bogus", "DEFAULT"]
@@ -270,7 +287,9 @@ def _section_text(name, pairs):
 
 _SWEEP_AXIS = st.fixed_dictionaries({
     "param": st.sampled_from(["scheme.lambda", "scheme.p", "model.length",
-                              "scheme.nope"]),
+                              "model.n_points", "constants.c1", "scheme.r",
+                              "scheme.nope", "model.boundary",
+                              "run.output_dir", "sweep.count"]),
     "min": st.sampled_from(_NUMBERS), "max": st.sampled_from(_NUMBERS),
     "count": st.sampled_from(["2", "3", "11", "50", "1", "-2", "2.5",
                               "10**12"]),
@@ -294,6 +313,13 @@ def test_every_config_text_parses_or_is_refused(text):
         cfg = parse_config(text)
     except ConfigParseError:
         return
+    # every value, given or default, has the type its parser returns
+    for section, keys in config._SCHEMA.items():
+        for key, (parse, default) in keys.items():
+            value = cfg.values[section][key]
+            if not (value is None and default is None):
+                assert isinstance(value, get_type_hints(parse)["return"]), \
+                    (section, key, value)
     if cfg.sweep is None or any(axis[3] > 50 for axis in cfg.sweep.axes):
         return
     with warnings.catch_warnings():
@@ -392,9 +418,8 @@ def test_cmd_sweep_parallel_matches_serial(tmp_path):
                    "count = 3\n")
     serial, parallel = tmp_path / "s", tmp_path / "p"
     run_command(parse_config(text), "sweep", str(serial))
-    cfg = parse_config(text)
-    cfg.raw["run"]["workers"] = "3"
-    run_command(cfg, "sweep", str(parallel))
+    run_command(parse_config(text + "[run]\nworkers = 3\n"), "sweep",
+                str(parallel))
     assert (serial / "sweep.csv").read_bytes() \
         == (parallel / "sweep.csv").read_bytes()
 
@@ -461,19 +486,19 @@ def test_cmd_sweep_computes_fourier_modes_once_per_model(tmp_path,
 
 
 def test_cmd_sweep_reads_sample_file_once_per_size(tmp_path, monkeypatch):
-    import diracbvp.config
+    import diracbvp.grids
     grid = Grid1D(1.0, 32)
     save_field_csv(SpinorField(grid, 0.1 * np.exp(1j * np.pi
                                                   * grid.points())),
                    tmp_path / "g.csv")
     reads = []
-    read_field_csv = diracbvp.config.read_field_csv
+    read_field_csv = diracbvp.grids.read_field_csv
 
     def counting(path, n_points):
         reads.append(n_points)
         return read_field_csv(path, n_points)
 
-    monkeypatch.setattr(diracbvp.config, "read_field_csv", counting)
+    monkeypatch.setattr(diracbvp.grids, "read_field_csv", counting)
     text = BASE.replace("exp_mode(1, 0.1)", "sample_file(g.csv)") \
         .replace("n_points = 128", "n_points = 32")
     sweep = ("[sweep]\nparam = scheme.lambda\nmin = 0\nmax = 0.3\n"
@@ -656,6 +681,51 @@ def test_main_arithmetic_errors_name_the_key(tmp_path, capsys, section, key,
     err = capsys.readouterr().err
     assert err.startswith("error: %s.%s: " % (section, key))
     assert "Traceback" not in err
+
+
+AXIS = "[sweep]\nparam = scheme.lambda\nmin = 0\nmax = 0.1\ncount = 2\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in config._SCHEMA.items()
+    for key in keys])
+def test_main_malformed_value_names_the_key(tmp_path, capsys, command,
+                                            section, key):
+    # every value is parsed before a command starts: a malformed one used
+    # to be named after a key the format does not have (constants.C_h for
+    # big_c_h), dropped by solve (conditions_certified: null), or written
+    # by sweep as an error row per point with exit status 0
+    parse = config._SCHEMA[section][key][0]
+    for value in ("",) if parse is config._text else ("", "abc"):
+        text = "[%s]\n%s = %s\n" % (section, key, value)
+        cfg_path = write_cfg(tmp_path, text if section == "sweep"
+                             else text + AXIS)
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: %s.%s: " % (section, key))
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suffix", ["", "2"])
+@pytest.mark.parametrize("path", ["model.boundary", "scheme.g",
+                                  "constants.mode", "run.output_dir",
+                                  "sweep.count"])
+def test_main_sweep_axis_must_be_a_numeric_key(tmp_path, capsys, path,
+                                               suffix):
+    # each used to give a row per point: errors, or the same run repeated
+    axes = {"": "scheme.lambda", "2": "scheme.p"}
+    axes[suffix] = path
+    cfg_path = write_cfg(tmp_path, "[sweep]\n" + "".join(
+        "param%s = %s\nmin%s = 3\nmax%s = 4\ncount%s = 2\n"
+        % (sfx, axis, sfx, sfx, sfx) for sfx, axis in axes.items()))
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() \
+        == "error: sweep.param%s: %r is not a numeric key of [model], " \
+           "[scheme] or [constants]" % (suffix, path)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("axes, key, where", [
@@ -845,7 +915,7 @@ def test_main_auto_R_needs_invertible(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: scheme.R: ")
+    assert err.startswith("error: scheme.r: ")
     assert "Traceback" not in err
 
 
