@@ -11,6 +11,7 @@ import numpy as np
 
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SchemeConfig,
                       SpinorField, assemble, decompose, run, verify_solution)
+from diracbvp.scheme import trace_rows
 
 
 def main():
@@ -25,10 +26,11 @@ def main():
 
     print("verdict: %s after %d effective iterations" % (rep.verdict,
                                                          rep.iterations))
+    # the rows of trace.csv: ratio = delta_k / delta_{k-1}, from k = 2
     print(" k  |delta|_H12D       ratio")
-    for k, st in enumerate(rep.states):
-        ratio = "%.4f" % rep.ratios[k - 1] if 1 <= k <= len(rep.ratios) else ""
-        print(" %2d  %.6e   %s" % (k, st.delta_norm_H12D, ratio))
+    for k, delta, ratio, *_ in trace_rows(rep):
+        print(" %2d  %.6e   %s" % (k, float(delta),
+                                   "%.4f" % float(ratio) if ratio else ""))
     print("PDE residual      = %.3e" % rep.pde_residual)
     print("boundary residual = %.3e" % rep.boundary_residual)
 

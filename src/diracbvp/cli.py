@@ -2,11 +2,12 @@
 
 Subcommands: spectrum, solve, check, sweep, bootstrap, functional.
 Common flags: --config <path>, --out <dir>, --workers <k>.  Every
-config value is parsed and checked before a command starts.  sweep
-evaluates its points one after another, reusing the decomposed model
+config value is parsed and range-checked before a command starts.  solve
+and every sweep point run _run_scheme; sweep evaluates its points one
+after another, reusing the decomposed model and the fields g and f0
 while consecutive points share the [model] section; --workers (and
 run.workers, an integer) is accepted for compatibility and changes
-nothing.  Outputs are deterministic for a fixed config.
+nothing.  Outputs are deterministic for a fixed config; JSON is strict.
 
 Each command imports the array layers it uses when it runs, so
 `bootstrap`, `--help`, usage errors and refused configs load no numpy.
@@ -16,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -30,16 +32,20 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _json_default(obj):
-    # tolerate numpy scalars leaking into report payloads
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError("not JSON serializable: %r" % (obj,))
+def _strict(obj):
+    """obj with each non-finite float, at any depth, replaced by None
+    (JSON null): the one place that JSON artifacts are made strict."""
+    if isinstance(obj, dict):
+        return {key: _strict(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(val) for val in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(_strict(payload), fh, sort_keys=True, indent=2,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -71,18 +77,24 @@ def _certify(cfg, sd, scheme_cfg):
     return conditions.check_conditions(consts, mode), consts
 
 
-def cmd_solve(cfg, out_dir):
+def _run_scheme(cfg, sd, g, f0):
+    """Build cfg's scheme from datum g and start f0, certify it (advisory:
+    conditions_certified is None when that raises) and run it on sd."""
     from . import scheme
-    sd = _prepare(cfg)
-    model = sd.operator.spec
-    scheme_cfg = cfg.build_scheme(model)
-    certified = None
+    scheme_cfg = cfg.build_scheme(g, f0)
     try:
         certified = _certify(cfg, sd, scheme_cfg)[0].certified
     except DiracBVPError:
-        pass  # certification is advisory for solve runs
+        certified = None
     report = scheme.run(sd, scheme_cfg)
     report.conditions_certified = certified
+    return report
+
+
+def cmd_solve(cfg, out_dir):
+    from . import scheme
+    sd = _prepare(cfg)
+    report = _run_scheme(cfg, sd, *cfg.build_fields(sd.operator.spec))
     _write_csv(os.path.join(out_dir, "trace.csv"),
                ["k", "delta_H12D", "ratio", "u_L2", "u_H1", "pde_residual"],
                scheme.trace_rows(report))
@@ -93,7 +105,7 @@ def cmd_solve(cfg, out_dir):
 def cmd_check(cfg, out_dir):
     from . import conditions
     sd = _prepare(cfg)
-    scheme_cfg = cfg.build_scheme(sd.operator.spec)
+    scheme_cfg = cfg.build_scheme(*cfg.build_fields(sd.operator.spec))
     cond_report, consts = _certify(cfg, sd, scheme_cfg)
     payload = cond_report.to_dict()
     payload["constants"] = dataclasses.asdict(consts)
@@ -104,35 +116,18 @@ def cmd_check(cfg, out_dir):
 
 
 def _sweep_model(point, cache):
-    """SpectralData of the point's model, from cache when it is the latest.
-
-    cache maps the [model] section of the last point built to its
-    SpectralData (and so its memoized constant estimates); it holds one
-    entry, dropped before the next model is built.
+    """[sd, g, f0] of the point's [model] section, from cache while the
+    section repeats: cache holds that section's SpectralData (with its
+    memoized constant estimates), then its fields, which no axis changes.
     """
     key = tuple(sorted(point.values["model"].items()))
     if key not in cache:
         cache.clear()
-        cache[key] = _prepare(point)
-    return cache[key]
-
-
-def _sweep_point(cfg, values, cache):
-    from . import scheme
-    point = cfg
-    for (path, *_), val in zip(cfg.sweep.axes, values):
-        point = point.with_override(path, val)
-    sd = _sweep_model(point, cache)
-    scheme_cfg = point.build_scheme(sd.operator.spec)
-    certified = False
-    try:
-        certified = _certify(point, sd, scheme_cfg)[0].certified
-    except DiracBVPError:
-        pass
-    report = scheme.run(sd, scheme_cfg)
-    max_ratio = max(report.ratios) if report.ratios else 0.0
-    return (report.verdict, report.iterations, report.pde_residual,
-            max_ratio, certified, report.bounds_held)
+        cache[key] = [_prepare(point)]
+    entry = cache[key]
+    if len(entry) == 1:
+        entry.extend(point.build_fields(entry[0].operator.spec))
+    return entry
 
 
 def cmd_sweep(cfg, out_dir):
@@ -145,15 +140,18 @@ def cmd_sweep(cfg, out_dir):
     cache = {}
     rows = []
     for idx, values in enumerate(cfg.sweep.grid()):
+        point = cfg
         try:
-            verdict, iters, resid, ratio, cert, bounds = \
-                _sweep_point(cfg, values, cache)
+            for (path, *_), val in zip(cfg.sweep.axes, values):
+                point = point.with_override(path, val)
+            rep = _run_scheme(point, *_sweep_model(point, cache))
+            cells = [rep.verdict, rep.iterations, repr(rep.pde_residual),
+                     repr(max(rep.ratios, default=0.0)),
+                     str(bool(rep.conditions_certified)).lower(),
+                     str(bool(rep.bounds_held)).lower()]
         except DiracBVPError as exc:
-            verdict, iters, resid, ratio, cert, bounds = \
-                "error: %s" % exc, 0, float("nan"), float("nan"), False, False
-        rows.append([idx] + [repr(float(v)) for v in values]
-                    + [verdict, iters, repr(resid), repr(ratio),
-                       str(bool(cert)).lower(), str(bool(bounds)).lower()])
+            cells = ["error: %s" % exc, 0, "nan", "nan", "false", "false"]
+        rows.append([idx] + [repr(float(v)) for v in values] + cells)
     _write_csv(os.path.join(out_dir, "sweep.csv"), header, rows)
     return 0
 
@@ -174,12 +172,9 @@ def cmd_bootstrap(cfg, out_dir):
 
 def cmd_functional(cfg, out_dir):
     from . import conditions, spectral
-    m = cfg.values["functional"]["m"]
-    if m < 1:
-        raise ConfigParseError("must be >= 1, got %d" % m, key="functional.m")
     n = cfg.values["constants"]["n"]
     sd = _prepare(cfg)
-    m = min(m, sd.size)
+    m = min(cfg.values["functional"]["m"], sd.size)
     rows = []
     for k in range(m):
         phi = spectral.eigenfunction(sd, k)

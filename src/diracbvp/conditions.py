@@ -61,6 +61,15 @@ class AnalyticConstants:
             raise ParameterError("lambda_abs must be nonnegative")
 
 
+def _pow(name, base, exponent):
+    """base ** exponent; a ParameterError names the constant on overflow."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ParameterError("%s = %r: %s ** %r overflows"
+                             % (name, base, name, exponent)) from None
+
+
 def derive_exponents(consts):
     """(theta_A, theta_B, p_B, kappa) from the analytic constants."""
     n, p, p_a = consts.n, consts.p, consts.p_A
@@ -71,11 +80,13 @@ def derive_exponents(consts):
         raise ParameterError("p too large for the Hoelder split: p_A - p + 2 <= 0")
     p_b = 2.0 * p_a / denom
     kappa = (2.0 * (p - 1.0)
-             * consts.c_h ** (-2.0 / (n - 1.0) - 2.0)
-             * consts.C_h ** (2.0 * (1.0 - theta_b))
-             * consts.c_half ** theta_b
-             * consts.K_GN2 ** (2.0 / (n - 1.0))
-             * consts.K_FGN ** 2)
+             * _pow("c_h", consts.c_h, -2.0 / (n - 1.0) - 2.0)
+             * _pow("C_h", consts.C_h, 2.0 * (1.0 - theta_b))
+             * _pow("c_half", consts.c_half, theta_b)
+             * _pow("K_GN2", consts.K_GN2, 2.0 / (n - 1.0))
+             * _pow("K_FGN", consts.K_FGN, 2))
+    if not math.isfinite(kappa):
+        raise ParameterError("kappa = %r is not finite" % (kappa,))
     return theta_a, theta_b, p_b, kappa
 
 
@@ -107,10 +118,7 @@ class ConditionReport:
             "A": self.A,
             "B": self.B,
             "eps": self.eps,
-            # strict JSON has no Infinity; null marks "no bound"
-            "contraction_bound": (self.contraction_bound
-                                  if math.isfinite(self.contraction_bound)
-                                  else None),
+            "contraction_bound": self.contraction_bound,
             "certified": self.certified,
         }
 
@@ -140,51 +148,41 @@ def check_conditions(consts, mode=MODE_C):
     # R = 2/|lambda_1| which makes A exactly 1/2
     a_val = inv1 if mode == MODE_A else 0.5
     eps = 1.0 - a_val
-    xl_pow = xi ** (2.0 * (1.0 - theta_a) / (n - 1.0)) \
-        * cap ** (2.0 * theta_a / (n - 1.0))
+    xl_pow = _pow("Xi", xi, 2.0 * (1.0 - theta_a) / (n - 1.0)) \
+        * _pow("Lambda_cap", cap, 2.0 * theta_a / (n - 1.0))
     if mode == MODE_A:
-        b_val = kappa * xl_pow * lam * lam1 ** (-(1.0 - theta_b))
+        b_val = kappa * xl_pow * lam * _pow("lambda1_abs", lam1, theta_b - 1)
     else:
         b_val = kappa * 2.0 ** theta_b * xl_pow * lam * inv1
     bound = math.inf if eps <= 0 else math.sqrt(2.0) * b_val / eps
 
     # the Gagliardo-Nirenberg source term of the induction bounds
-    gn_term = (lam * consts.c_h ** (-exp_gn) * consts.K_GN ** exp_gn
-               * xi ** (1.0 / (n - 1.0)) * cap ** (n / (n - 1.0)))
-    conds = {}
+    gn_term = (lam * _pow("c_h", consts.c_h, -exp_gn)
+               * _pow("K_GN", consts.K_GN, exp_gn)
+               * _pow("Xi", xi, 1.0 / (n - 1.0))
+               * _pow("Lambda_cap", cap, n / (n - 1.0)))
+    source = gn_term + consts.Dg_L2
+    l2_cap = _cond(consts.C_h * inv1 * source + consts.g_L2T, xi,
+                   strict=False)  # (C1), (B1) and (A2); xi = 1 in mode C
+    root_c1 = math.sqrt(consts.c1)
     if mode == MODE_C:
-        conds["C1"] = _cond(
-            consts.C_h * inv1 * (gn_term + consts.Dg_L2) + consts.g_L2T,
-            1.0, strict=False)
-        conds["C2"] = _cond(
-            4.0 * math.sqrt(consts.c1) * inv1 * (gn_term + consts.Dg_L2)
-            + consts.g_H1T,
-            1.0, strict=False)
-        conds["C3"] = _cond(
-            kappa * 2.0 ** 1.5 * 3.0 ** theta_b * lam * inv1,
-            1.0, strict=True)
+        conds = {"C1": l2_cap,
+                 "C2": _cond(4.0 * root_c1 * inv1 * source + consts.g_H1T,
+                             cap, strict=False),
+                 "C3": _cond(kappa * 2.0 ** 1.5 * 3.0 ** theta_b * lam
+                             * inv1, 1.0, strict=True)}
     elif mode == MODE_B:
-        conds["B1"] = _cond(
-            consts.C_h * inv1 * (gn_term + consts.Dg_L2) + consts.g_L2T,
-            xi, strict=False)
-        conds["B2"] = _cond(
-            3.0 * math.sqrt(consts.c1) * inv1 * (gn_term + consts.Dg_L2)
-            + consts.g_H1T,
-            cap, strict=False)
-        conds["B3"] = _cond(
-            kappa * 2.0 ** theta_b * xl_pow * lam * inv1,
-            math.sqrt(2.0) / 4.0, strict=True)
+        conds = {"B1": l2_cap,
+                 "B2": _cond(3.0 * root_c1 * inv1 * source + consts.g_H1T,
+                             cap, strict=False),
+                 "B3": _cond(b_val, math.sqrt(2.0) / 4.0, strict=True)}
     else:
-        conds["A1"] = _cond(max(consts.g_L2T - xi, consts.g_H1T - cap),
-                            0.0, strict=False)
-        conds["A2"] = _cond(
-            consts.C_h * inv1 * (gn_term + consts.Dg_L2) + consts.g_L2T,
-            xi, strict=False)
-        conds["A3"] = _cond(
-            math.sqrt(consts.c1) * (1.0 + inv1) * (gn_term + consts.Dg_L2)
-            + consts.g_H1T,
-            cap, strict=False)
-        conds["A4"] = _cond(b_val, eps / math.sqrt(2.0), strict=True)
+        conds = {"A1": _cond(max(consts.g_L2T - xi, consts.g_H1T - cap),
+                             0.0, strict=False),
+                 "A2": l2_cap,
+                 "A3": _cond(root_c1 * (1.0 + inv1) * source + consts.g_H1T,
+                             cap, strict=False),
+                 "A4": _cond(b_val, eps / math.sqrt(2.0), strict=True)}
 
     return ConditionReport(mode=mode, conditions=conds, theta_A=theta_a,
                            theta_B=theta_b, p_B=p_b, kappa=kappa, A=a_val,

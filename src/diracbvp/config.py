@@ -14,9 +14,11 @@ small closed-form expressions:
     sample_file(<path>)         # CSV field as written by save_field_csv
     g                           # (f0 only) start from the datum
 
-Parsing reads only their syntax; the builders make the field, and read
-a sample_file, per model size.  On rank-2 models the scalar expressions
-fill component 0.
+Parsing reads only their syntax; build_fields makes the fields, and
+reads a sample_file, on a model's grid.  On rank-2 models the scalar
+expressions fill component 0.  A key's range (n_points >= 8, p >= 2,
+...) is part of its parser; ranges relating two keys are checked where
+the values are used.
 
 Parsing and validation import no numpy; the builders import the array
 layers when called.
@@ -24,10 +26,11 @@ layers when called.
 
 import ast
 import cmath
+import functools
 import math
 import os
 from configparser import ConfigParser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigParseError
 from .names import (ANTIPERIODIC, AUTO, BAG1D, DIRAC_2SPINOR, MODE_A, MODE_B,
@@ -131,6 +134,19 @@ def _real_or(*words):
     return parse
 
 
+def _at_least(parse, lo, strict=False):
+    """parse, refusing a number below lo (or at lo when strict); _axis
+    finds parse as __wrapped__ to tell a numeric key."""
+    @functools.wraps(parse)
+    def checked(text, key):
+        val = parse(text, key)
+        if not isinstance(val, str) and (val < lo or strict and val == lo):
+            raise ConfigParseError("must be %s %r, got %r" % (
+                ">" if strict else ">=", lo, val), key=key)
+        return val
+    return checked
+
+
 def _field(text, key) -> tuple:
     """Syntax of a field expression: ("zero",), ("const", value),
     ("exp_mode", k, scale) or ("sample_file", path)."""
@@ -169,8 +185,9 @@ def _split_path(path):
 def _axis(text, key) -> str:
     """A sweep axis: the dotted path of a numeric key, kept as written."""
     section, name = _split_path(text)
+    parse = _SCHEMA.get(section, {}).get(name, (None,))[0]
     if section not in ("model", "scheme", "constants") \
-            or _SCHEMA[section].get(name, (None,))[0] not in _NUMERIC:
+            or getattr(parse, "__wrapped__", parse) not in _NUMERIC:
         raise ConfigParseError("%r is not a numeric key of [model], [scheme] "
                                "or [constants]" % (text,), key=key)
     return text
@@ -180,6 +197,7 @@ _R = _real_or(AUTO)  # AUTO is R = 2/|lambda_1|
 _C1 = _real_or("empirical")
 _C_HALF = _real_or("empirical", "formula")
 _NUMERIC = (_real, _int, _complex, _R, _C1, _C_HALF)
+_POS = _at_least(_real, 0, strict=True)
 
 # section -> key -> (parser, default); a default of None marks an optional
 # key with no value, and run.workers is accepted but read by nothing
@@ -188,17 +206,19 @@ _SCHEMA = {
                            SCALAR_DERIVATIVE),
               "boundary": (_word(ANTIPERIODIC, PERIODIC, BAG1D),
                            ANTIPERIODIC),
-              "length": (_real, 1.0), "n_points": (_int, 256)},
-    "scheme": {"lambda": (_complex, 0j), "p": (_real, 4.0),
+              "length": (_POS, 1.0), "n_points": (_at_least(_int, 8), 256)},
+    "scheme": {"lambda": (_complex, 0j), "p": (_at_least(_real, 2), 4.0),
                "g": (_field, ("zero",)), "f0": (_start, ("g",)),
-               "a": (_complex, 0j), "r": (_R, 1.0), "xi": (_real, 1.0),
-               "lambda_cap": (_real, 1.0), "max_iter": (_int, 200),
-               "tol_cauchy": (_real, 1e-10), "tol_residual": (_real, 1e-8)},
-    "constants": {"n": (_int, 2), "p_a": (_real, None), "c_h": (_real, 1.0),
-                  "big_c_h": (_real, 1.0), "iota": (_real, 1.0),
-                  "k_gn": (_real, 1.0), "k_gn2": (_real, 1.0),
-                  "k_fgn": (_real, 1.0), "c1": (_C1, "empirical"),
-                  "c_half": (_C_HALF, "empirical"),
+               "a": (_complex, 0j), "r": (_at_least(_R, 0, True), 1.0),
+               "xi": (_POS, 1.0), "lambda_cap": (_POS, 1.0),
+               "max_iter": (_at_least(_int, 1), 200),
+               "tol_cauchy": (_POS, 1e-10), "tol_residual": (_POS, 1e-8)},
+    "constants": {"n": (_at_least(_int, 2), 2), "p_a": (_real, None),
+                  "c_h": (_POS, 1.0), "big_c_h": (_POS, 1.0),
+                  "iota": (_real, 1.0), "k_gn": (_POS, 1.0),
+                  "k_gn2": (_POS, 1.0), "k_fgn": (_POS, 1.0),
+                  "c1": (_at_least(_C1, 0, True), "empirical"),
+                  "c_half": (_at_least(_C_HALF, 0, True), "empirical"),
                   "mode": (_word(MODE_C, MODE_B, MODE_A), MODE_C)},
     "run": {"output_dir": (_text, "out"), "workers": (_int, 1)},
     "sweep": {"param": (_axis, None), "min": (_real, None),
@@ -207,8 +227,10 @@ _SCHEMA = {
               "param2": (_axis, None), "min2": (_real, None),
               "max2": (_real, None), "count2": (_int, None),
               "scale2": (_word("lin", "log"), "lin")},
-    "bootstrap": {"n": (_int, 4), "p": (_real, 8 / 3), "l0": (_real, 4.0)},
-    "functional": {"m": (_int, 10)},
+    "bootstrap": {"n": (_at_least(_int, 3), 4),
+                  "p": (_at_least(_real, 2, True), 8 / 3),
+                  "l0": (_POS, 4.0)},
+    "functional": {"m": (_at_least(_int, 1), 10)},
 }
 
 
@@ -218,17 +240,11 @@ class SweepSpec:
 
     def grid(self):
         """Cartesian product of axis values, row-major in axis order."""
+        import itertools
         import numpy as np
-        axis_vals = []
-        for _, lo, hi, count, scale in self.axes:
-            if scale == "log":
-                vals = np.geomspace(lo, hi, count)
-            else:
-                vals = np.linspace(lo, hi, count)
-            axis_vals.append(vals)
-        if len(axis_vals) == 1:
-            return [(v,) for v in axis_vals[0]]
-        return [(v1, v2) for v1 in axis_vals[0] for v2 in axis_vals[1]]
+        return list(itertools.product(*(
+            (np.geomspace if scale == "log" else np.linspace)(lo, hi, count)
+            for _, lo, hi, count, scale in self.axes)))
 
 
 @dataclass
@@ -236,13 +252,11 @@ class RunConfig:
     values: dict  # section -> key -> value, as its _SCHEMA parser returns it
     base_dir: str = "."
     sweep: SweepSpec = None
-    # resolved sample_file path -> (n_points, values read at that size),
-    # shared with every with_override copy: a sweep reads each file once
-    _samples: dict = field(default_factory=dict, repr=False, compare=False)
 
     def with_override(self, path, value):
         """Copy with value, run through its key's parser, at path (a
-        sweep axis): a non-integer on an integer axis is refused."""
+        sweep axis): a non-integer on an integer axis, or a value out of
+        the key's range, is refused."""
         section, key = _split_path(path)
         values = {s: dict(kv) for s, kv in self.values.items()}
         values[section][key] = _SCHEMA[section][key][0](repr(float(value)),
@@ -261,22 +275,27 @@ class RunConfig:
         return ModelSpec(grid=grid, operator_kind=model["operator"],
                          bc=BoundaryCondition(model["boundary"]))
 
+    def build_fields(self, model):
+        """(g, f0): the fields of scheme.g and scheme.f0 on model's grid."""
+        scheme = self.values["scheme"]
+        g = self._build_field(scheme["g"], model, "scheme.g")
+        return g, self._build_field(scheme["f0"], model, "scheme.f0", g=g)
+
     def _build_field(self, expr, model, key, g=None):
-        """The field of a parsed expression (see _field) on model's grid."""
+        """The field of a parsed expression (see _field) on model's grid;
+        ("g",) is the datum g itself."""
         import numpy as np
-        from .grids import CIRCLE, SpinorField
+        from . import grids
         kind, *args = expr
         grid, rank = model.grid, model.rank
-        if kind == "zero":
-            return SpinorField.zero(grid, rank)
         if kind == "g":
-            return g.copy()
+            return g
         if kind == "sample_file":
             path = os.path.join(self.base_dir, args[0])  # unless absolute
             if not os.path.exists(path):
                 raise ConfigParseError("file %r does not exist" % (path,),
                                        key=key)
-            vals = self._read_sample(path, grid.n_points)
+            vals = grids.read_field_csv(path, grid.n_points)
             if vals.shape[1] != rank:
                 raise ConfigParseError(
                     "%s has %d components, the model needs %d"
@@ -286,42 +305,26 @@ class RunConfig:
                 # line numbers count the header as line 1
                 raise ConfigParseError("%s line %d: non-finite value"
                                        % (path, bad[0] + 2), key=key)
-            # a copy: the array read is kept for the next sweep point
-            return SpinorField(grid, vals.copy())
+            return grids.SpinorField(grid, vals)
         vals = np.zeros((grid.n_points, rank), dtype=complex)
         if kind == "const":
             vals[:, 0] = args[0]
-        else:
+        elif kind == "exp_mode":
             k, scale = args
             x = grid.points()
-            if grid.topology == CIRCLE:
+            if grid.topology == grids.CIRCLE:
                 phase = 2.0 * np.pi * k * x / grid.length
             else:
                 phase = np.pi * k * x / grid.length
             vals[:, 0] = scale * np.exp(1j * phase)
-        return SpinorField(grid, vals)
+        return grids.SpinorField(grid, vals)
 
-    def _read_sample(self, path, n_points):
-        """grids.read_field_csv(path, n_points), kept per resolved path.
-
-        The file is read again only when the size differs from the last
-        read of that path, as on a model.n_points sweep axis.
-        """
-        from . import grids
-        resolved = os.path.realpath(path)
-        size, vals = self._samples.get(resolved, (None, None))
-        if size != n_points:
-            vals = grids.read_field_csv(path, n_points)
-            self._samples[resolved] = (n_points, vals)
-        return vals
-
-    def build_scheme(self, model):
+    def build_scheme(self, g, f0):
+        """SchemeConfig of the [scheme] values with datum g and start f0."""
         from .scheme import SchemeConfig
         scheme = self.values["scheme"]
-        g = self._build_field(scheme["g"], model, "scheme.g")
         return SchemeConfig(
-            lam=scheme["lambda"], p=scheme["p"], g=g,
-            f0=self._build_field(scheme["f0"], model, "scheme.f0", g=g),
+            lam=scheme["lambda"], p=scheme["p"], g=g, f0=f0,
             a=scheme["a"], R=scheme["r"], Xi=scheme["xi"],
             Lambda_cap=scheme["lambda_cap"], max_iter=scheme["max_iter"],
             tol_cauchy=scheme["tol_cauchy"],
@@ -342,7 +345,8 @@ class RunConfig:
         provenance = {k: "assumed" for k in
                       ("c_h", "C_h", "K_GN", "K_GN2", "K_FGN", "c1", "c_half")}
         if c1 == "empirical" or c_half in ("empirical", "formula"):
-            estimates = estimate_constants(sd, iota=consts["iota"])
+            estimates = estimate_constants(sd, c_h=consts["c_h"],
+                                           iota=consts["iota"])
         if c1 == "empirical":
             c1, provenance["c1"] = estimates.c1_emp, "computed"
         if c_half == "empirical":

@@ -205,14 +205,15 @@ def estimate_constants(sd, c_h=1.0, iota=1.0):
     c1_emp maximizes ||psi||_{W^{1,2}}^2 / (||psi||_{L2}^2 + ||D_P psi||^2)
     over the constraint space; c_half_emp does the same with the s = 1/2
     Slobodeckij numerator and |D_P|^{1/2} denominator.  c_half_formula is
-    the plug-in bound 2 * c1_emp * c_h^2 * iota^2.  The two maxima depend
-    on sd alone; they are computed on the first call and kept on sd.
+    the plug-in bound 2 * c1_emp * c_h^2 * iota^2, inf if that overflows.
+    The two maxima depend on sd alone; they are computed on the first
+    call and kept on sd.
     """
     if sd._rayleigh_maxima is None:
         sd._rayleigh_maxima = _rayleigh_maxima(sd)
     c1_emp, c_half_emp = sd._rayleigh_maxima
-    return ConstantEstimates(c1_emp=c1_emp, c_half_emp=c_half_emp,
-                             c_half_formula=2.0 * c1_emp * c_h ** 2 * iota ** 2)
+    return ConstantEstimates(c1_emp, c_half_emp,
+                             2.0 * c1_emp * (c_h * c_h) * (iota * iota))
 
 
 def _rayleigh_maxima(sd):

@@ -184,7 +184,7 @@ def test_unknown_key_names_path():
 
 def test_scheme_values_evaluated():
     cfg = parse_config("[scheme]\nlambda = 0.05*pi\np = 4\ng = exp_mode(1, 0.1)\n")
-    scheme_cfg = cfg.build_scheme(cfg.build_model())
+    scheme_cfg = cfg.build_scheme(*cfg.build_fields(cfg.build_model()))
     assert scheme_cfg.lam == pytest.approx(0.05 * math.pi)
     x = cfg.build_model().grid.points()
     expected = 0.1 * np.exp(1j * np.pi * x)
@@ -196,7 +196,7 @@ def test_scheme_values_evaluated():
 def test_field_expressions(tmp_path):
     cfg = parse_config("[scheme]\ng = const(2 - 1)\nf0 = zero\n")
     model = cfg.build_model()
-    scheme_cfg = cfg.build_scheme(model)
+    scheme_cfg = cfg.build_scheme(*cfg.build_fields(model))
     assert np.all(scheme_cfg.g.values == 1.0)
     assert np.all(scheme_cfg.f0.values == 0.0)
     # refused when parsed, before any field is built
@@ -217,11 +217,11 @@ def test_sample_file_roundtrip(tmp_path):
     save_field_csv(f, tmp_path / "g.csv")
     cfg = parse_config("[scheme]\ng = sample_file(g.csv)\n",
                        base_dir=str(tmp_path))
-    back = cfg.build_scheme(cfg.build_model()).g
+    back = cfg.build_scheme(*cfg.build_fields(cfg.build_model())).g
     assert np.array_equal(back.values, f.values)
     with pytest.raises(ConfigParseError):
         parse_config("[scheme]\ng = sample_file(missing.csv)\n",
-                     base_dir=str(tmp_path)).build_scheme(cfg.build_model())
+                     base_dir=str(tmp_path)).build_fields(cfg.build_model())
 
 
 def test_sweep_grid():
@@ -685,6 +685,26 @@ def test_main_arithmetic_errors_name_the_key(tmp_path, capsys, section, key,
 
 AXIS = "[sweep]\nparam = scheme.lambda\nmin = 0\nmax = 0.1\ncount = 2\n"
 
+# a value out of range for every key whose parser checks one
+OUT_OF_RANGE = {
+    "model.length": "0", "model.n_points": "4", "scheme.p": "1",
+    "scheme.r": "-1", "scheme.xi": "0", "scheme.lambda_cap": "-2",
+    "scheme.max_iter": "0", "scheme.tol_cauchy": "0",
+    "scheme.tol_residual": "-1e-8", "constants.n": "1",
+    "constants.c_h": "0", "constants.big_c_h": "-1", "constants.k_gn": "0",
+    "constants.k_gn2": "-1", "constants.k_fgn": "0", "constants.c1": "0",
+    "constants.c_half": "-2", "bootstrap.n": "2", "bootstrap.p": "2",
+    "bootstrap.l0": "0", "functional.m": "0",
+}
+
+
+def test_out_of_range_cases_cover_every_range():
+    ranged = {"%s.%s" % (section, key)
+              for section, keys in config._SCHEMA.items()
+              for key, (parse, _) in keys.items()
+              if hasattr(parse, "__wrapped__")}
+    assert ranged == set(OUT_OF_RANGE)
+
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 @pytest.mark.parametrize("section, key", [
@@ -695,16 +715,22 @@ def test_main_malformed_value_names_the_key(tmp_path, capsys, command,
     # every value is parsed before a command starts: a malformed one used
     # to be named after a key the format does not have (constants.C_h for
     # big_c_h), dropped by solve (conditions_certified: null), or written
-    # by sweep as an error row per point with exit status 0
+    # by sweep as an error row per point with exit status 0.  So is a
+    # value out of its key's range: big_c_h = -1 was dropped by solve,
+    # and p = 1 or n_points = 4 named no key
     parse = config._SCHEMA[section][key][0]
-    for value in ("",) if parse is config._text else ("", "abc"):
+    values = ("",) if parse is config._text else ("", "abc")
+    out_of_range = OUT_OF_RANGE.get("%s.%s" % (section, key))
+    for value in values + ((out_of_range,) if out_of_range else ()):
         text = "[%s]\n%s = %s\n" % (section, key, value)
         cfg_path = write_cfg(tmp_path, text if section == "sweep"
                              else text + AXIS)
         assert main([command, "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: %s.%s: " % (section, key))
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s.%s: " % (section, key))
+        if value == out_of_range:
+            assert err.startswith("error: %s.%s: must be " % (section, key))
         assert not (tmp_path / "out").exists()
 
 
@@ -937,3 +963,99 @@ def test_main_sample_file_does_not_fit(tmp_path, capsys, model, text, where):
     err = capsys.readouterr().err
     assert err.startswith("error: scheme.g: %s" % data)
     assert where in err
+
+
+def test_main_sweep_point_out_of_range_is_an_error_row(tmp_path):
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 16\n[sweep]\n"
+                                   "param = scheme.p\nmin = 1\nmax = 4\n"
+                                   "count = 4\n")
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert rows[1][2:] == ["error: scheme.p: must be >= 2, got 1.0", "0",
+                           "nan", "nan", "false", "false"]
+    assert [row[2] for row in rows[2:]] == ["converged"] * 3
+
+
+@pytest.mark.parametrize("constants, message", [
+    ("c_half = 2\nc_h = 1e-200", "c_h = 1e-200: c_h ** -4.0 overflows"),
+    ("c_half = 2\nk_fgn = 1e200", "K_FGN = 1e+200: K_FGN ** 2 overflows"),
+    # the formula overflows to inf, which the spectrum never reads
+    ("c_half = formula\niota = 1e200", "kappa = inf is not finite"),
+])
+def test_main_extreme_constants_fail_certification(tmp_path, capsys,
+                                                   constants, message):
+    # each used to end in an OverflowError traceback under check, solve
+    # and sweep; certification is advisory for solve and sweep
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 16\n[scheme]\n"
+                                   "lambda = 0.1\n[constants]\nc1 = 2\n"
+                                   "%s\n%s" % (constants, AXIS))
+    out = tmp_path / "out"
+    args = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["check"] + args) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert main(["solve"] + args) == 0
+    assert read_json(out / "report.json")["conditions_certified"] is None
+    assert main(["sweep"] + args) == 0
+    assert [row[6] for row in read_csv(out / "sweep.csv")[1:]] \
+        == ["false", "false"]
+    assert main(["spectrum"] + args) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_c_half_formula_reads_c_h(tmp_path):
+    # c_half = formula is 2 c1 c_h^2 iota^2; c_h used to be dropped, so
+    # c_h = 2 gave the value of c_h = 1
+    c1, c_half = {}, {}
+    for c_h in (1, 2):
+        text = ("[model]\nn_points = 64\n[constants]\nc_half = formula\n"
+                "c_h = %d\n" % c_h)
+        out = tmp_path / str(c_h)
+        assert run_command(parse_config(text), "check", str(out)) == 0
+        constants = read_json(out / "conditions.json")["constants"]
+        c1[c_h], c_half[c_h] = constants["c1"], constants["c_half"]
+    assert c1[1] == c1[2]
+    assert c_half[1] == 2 * c1[1]
+    assert c_half[2] == 8 * c1[1]
+
+
+def test_cmd_solve_bound_violated(tmp_path):
+    # |g|_L2 = 0.1 exceeds xi = 0.01 from the start, and one step ends
+    # the run before it can converge
+    text = ("[model]\nn_points = 64\n[scheme]\nmax_iter = 1\nxi = 0.01\n"
+            "g = exp_mode(1, 0.1)\n")
+    assert run_command(parse_config(text), "solve", str(tmp_path)) == 0
+    report = read_json(tmp_path / "report.json")
+    assert report["verdict"] == "bound_violated"
+    assert report["bounds_held"] is False
+    assert len(read_csv(tmp_path / "trace.csv")) == 3  # header, k = 0, 1
+
+
+def test_main_solve_diverged_writes_strict_json(tmp_path):
+    # the first step overflows; run in a new interpreter, where numpy's
+    # overflow warnings are printed, not raised as the test suite's are
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 64\n[scheme]\n"
+                                   "lambda = 50\np = 400\ng = const(3)\n")
+    out = tmp_path / "out"
+    code = ("import sys; from diracbvp.cli import main; "
+            "print(main(['solve', '--config', sys.argv[1], '--out', "
+            "sys.argv[2]]))")
+    assert run_fresh(code, str(cfg_path), str(out)).strip() == "0"
+
+    def reject(name):
+        raise ValueError("non-finite JSON constant %s" % name)
+
+    with open(out / "report.json", encoding="utf-8") as fh:
+        report = json.load(fh, parse_constant=reject)
+    assert report["verdict"] == "diverged"
+    assert report["pde_residual"] is None
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    from diracbvp.cli import _write_json
+    _write_json(tmp_path / "x.json",
+                {"a": math.inf, "b": [1.5, -math.inf, {"c": math.nan}],
+                 "d": (np.float64("nan"), 2), "e": True, "f": "inf"})
+    assert json.loads((tmp_path / "x.json").read_text(encoding="utf-8")) \
+        == {"a": None, "b": [1.5, None, {"c": None}], "d": [None, 2],
+            "e": True, "f": "inf"}
