@@ -20,8 +20,7 @@ from diracbvp import (AnalyticConstants, BoundaryCondition, Grid1D, ModelSpec,
 
 def main():
     grid = Grid1D(1.0, 256)
-    spec = ModelSpec(grid, "scalar_derivative",
-                     BoundaryCondition("antiperiodic"))
+    spec = ModelSpec(grid, BoundaryCondition("antiperiodic"))
     sd = decompose(assemble(spec))
     est = estimate_constants(sd)
 

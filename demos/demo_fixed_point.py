@@ -16,8 +16,7 @@ from diracbvp.scheme import trace_rows
 
 def main():
     grid = Grid1D(1.0, 256)
-    spec = ModelSpec(grid, "scalar_derivative",
-                     BoundaryCondition("antiperiodic"))
+    spec = ModelSpec(grid, BoundaryCondition("antiperiodic"))
     sd = decompose(assemble(spec))
 
     g = SpinorField(grid, 0.1 * np.exp(1j * np.pi * grid.points()))

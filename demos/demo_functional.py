@@ -11,8 +11,7 @@ from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, assemble,
 
 
 def main():
-    spec = ModelSpec(Grid1D(1.0, 256), "scalar_derivative",
-                     BoundaryCondition("antiperiodic"))
+    spec = ModelSpec(Grid1D(1.0, 256), BoundaryCondition("antiperiodic"))
     sd = decompose(assemble(spec))
 
     print(" k   lambda_k      F(phi_k)      |diff|")

@@ -28,13 +28,11 @@ def show(title, spec, n_eigs=6):
 
 def main():
     show("antiperiodic scalar, [0,1], N=256",
-         ModelSpec(Grid1D(1.0, 256), "scalar_derivative",
-                   BoundaryCondition("antiperiodic")))
+         ModelSpec(Grid1D(1.0, 256), BoundaryCondition("antiperiodic")))
     show("bag-type 2-spinor, [0,1], N=256",
-         ModelSpec(Grid1D(1.0, 256), "dirac_2spinor",
-                   BoundaryCondition("bag1d")))
+         ModelSpec(Grid1D(1.0, 256), BoundaryCondition("bag1d")))
     show("periodic scalar, circle of length 2 pi, N=64",
-         ModelSpec(Grid1D(2.0 * np.pi, 64, "circle"), "scalar_derivative",
+         ModelSpec(Grid1D(2.0 * np.pi, 64, "circle"),
                    BoundaryCondition("periodic")))
 
 

@@ -18,7 +18,9 @@ Parsing reads only their syntax; build_fields makes the fields, and
 reads a sample_file, on a model's grid.  On rank-2 models the scalar
 expressions fill component 0.  A key's range (n_points >= 8, p >= 2,
 ...) is part of its parser; ranges relating two keys are checked where
-the values are used.
+the values are used, bar one: model.boundary fixes the operator
+(names.MODELS), so parse_config fills in model.operator when it is
+left out and refuses one that does not match.
 
 Parsing and validation import no numpy; the builders import the array
 layers when called.
@@ -33,8 +35,8 @@ from configparser import ConfigParser
 from dataclasses import dataclass, replace
 
 from .errors import ConfigParseError
-from .names import (ANTIPERIODIC, AUTO, BAG1D, DIRAC_2SPINOR, MODE_A, MODE_B,
-                    MODE_C, PERIODIC, SCALAR_DERIVATIVE)
+from .names import (ANTIPERIODIC, AUTO, CIRCLE, DIRAC_2SPINOR, MODE_A, MODE_B,
+                    MODE_C, MODELS, SCALAR_DERIVATIVE)
 
 _EVAL_NAMES = {"pi": math.pi, "e": math.e}
 _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
@@ -200,12 +202,11 @@ _NUMERIC = (_real, _int, _complex, _R, _C1, _C_HALF)
 _POS = _at_least(_real, 0, strict=True)
 
 # section -> key -> (parser, default); a default of None marks an optional
-# key with no value, and run.workers is accepted but read by nothing
+# key with no value (parse_config fills in model.operator from the
+# boundary), and run.workers is accepted but read by nothing
 _SCHEMA = {
-    "model": {"operator": (_word(SCALAR_DERIVATIVE, DIRAC_2SPINOR),
-                           SCALAR_DERIVATIVE),
-              "boundary": (_word(ANTIPERIODIC, PERIODIC, BAG1D),
-                           ANTIPERIODIC),
+    "model": {"operator": (_word(SCALAR_DERIVATIVE, DIRAC_2SPINOR), None),
+              "boundary": (_word(*MODELS), ANTIPERIODIC),
               "length": (_POS, 1.0), "n_points": (_at_least(_int, 8), 256)},
     "scheme": {"lambda": (_complex, 0j), "p": (_at_least(_real, 2), 4.0),
                "g": (_field, ("zero",)), "f0": (_start, ("g",)),
@@ -266,14 +267,12 @@ class RunConfig:
     # -- builders -----------------------------------------------------
 
     def build_model(self):
-        from .grids import CIRCLE, INTERVAL, Grid1D
+        from .grids import Grid1D
         from .operators import BoundaryCondition, ModelSpec
         model = self.values["model"]
-        topo = CIRCLE if model["boundary"] == PERIODIC else INTERVAL
         grid = Grid1D(length=model["length"], n_points=model["n_points"],
-                      topology=topo)
-        return ModelSpec(grid=grid, operator_kind=model["operator"],
-                         bc=BoundaryCondition(model["boundary"]))
+                      topology=MODELS[model["boundary"]][1])
+        return ModelSpec(grid=grid, bc=BoundaryCondition(model["boundary"]))
 
     def build_fields(self, model):
         """(g, f0): the fields of scheme.g and scheme.f0 on model's grid."""
@@ -312,7 +311,7 @@ class RunConfig:
         elif kind == "exp_mode":
             k, scale = args
             x = grid.points()
-            if grid.topology == grids.CIRCLE:
+            if grid.topology == CIRCLE:
                 phase = 2.0 * np.pi * k * x / grid.length
             else:
                 phase = np.pi * k * x / grid.length
@@ -392,6 +391,13 @@ def parse_config(text, base_dir="."):
             values[sect][key] = _SCHEMA[sect][key][0](value,
                                                       "%s.%s" % (sect, key))
 
+    model = values["model"]
+    operator = MODELS[model["boundary"]][0]  # the boundary fixes it
+    if model["operator"] not in (None, operator):
+        raise ConfigParseError("%r does not match boundary %r, which needs %r"
+                               % (model["operator"], model["boundary"],
+                                  operator), key="model.operator")
+    model["operator"] = operator
     given = set(parser["sweep"]) if parser.has_section("sweep") else set()
     return RunConfig(values=values, base_dir=base_dir,
                      sweep=_parse_sweep(values["sweep"], given))

@@ -22,7 +22,7 @@ class ParameterError(DiracBVPError):
 
 
 class ConfigurationError(DiracBVPError):
-    """Inconsistent model setup (operator/boundary mismatch etc.)."""
+    """Inconsistent model setup (unknown boundary kind, wrong topology)."""
 
 
 class NumericalError(DiracBVPError):

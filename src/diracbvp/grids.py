@@ -13,9 +13,7 @@ import numpy as np
 
 from .errors import (GridError, IncompatibleFieldsError, InvalidFieldError,
                      ParameterError)
-
-INTERVAL = "interval"
-CIRCLE = "circle"
+from .names import CIRCLE, INTERVAL
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Model Dirac operators on 1D domains and their boundary restrictions.
 
-Three models:
+Three models, one per boundary kind; names.MODELS gives each kind's
+operator, grid topology and fiber rank, so a ModelSpec is a grid and a
+BoundaryCondition:
   * antiperiodic scalar on an interval: D = -i d/dx with psi(L) = -psi(0),
     discretized exactly in the half-integer Fourier modes exp(i(2k+1)pi x/L)
     (a modulated FFT);
   * periodic scalar on a circle: D = -i d/dx, spectral (FFT), has a zero mode;
-  * bag1d 2-spinor on an interval: D = -i sigma_1 d/dx with rank-1 projector
-    conditions at each endpoint, 2nd-order summation-by-parts differences
+  * bag1d 2-spinor on an interval: D = -i sigma_1 d/dx with the rank-1
+    projector conditions P u = (I - v v^H) u = 0 at each endpoint, v =
+    BAG_V_LEFT / BAG_V_RIGHT, 2nd-order summation-by-parts differences
     (_sbp_derivative).
 
 _apply_D_values is the one definition of each model's D; apply_D applies
@@ -37,87 +40,46 @@ eigenvalue, sin(pi/m)/h -> pi/(2L), has multiplicity 2.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, IncompatibleFieldsError, NumericalError
-from .grids import CIRCLE, INTERVAL, Grid1D, SpinorField, check_compatible
-from .names import (ANTIPERIODIC, BAG1D, DIRAC_2SPINOR, PERIODIC,
-                    SCALAR_DERIVATIVE)
+from .grids import Grid1D, SpinorField, check_compatible
+from .names import ANTIPERIODIC, BAG1D, MODELS, PERIODIC
 
-# default bag1d endpoint kernel directions: <sigma_1 v, v> = 0 at both ends,
-# which kills the integration-by-parts boundary term
+# bag1d endpoint kernel directions: <sigma_1 v, v> = 0 at both ends, which
+# kills the integration-by-parts boundary term; P = I - v v^H projects out v
 BAG_V_LEFT = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
 BAG_V_RIGHT = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
-
-
-def _check_projector(proj):
-    proj = np.asarray(proj, dtype=complex)
-    if proj.shape != (2, 2):
-        raise ConfigurationError("bag1d projector must be 2x2")
-    if np.max(np.abs(proj - proj.conj().T)) > 1e-12:
-        raise ConfigurationError("bag1d projector must be Hermitian")
-    if np.max(np.abs(proj @ proj - proj)) > 1e-12:
-        raise ConfigurationError("bag1d projector must be idempotent")
-    if abs(np.trace(proj).real - 1.0) > 1e-12:
-        raise ConfigurationError("bag1d projector must have rank 1")
-    return proj
+BAG_P_LEFT = np.eye(2) - np.outer(BAG_V_LEFT, BAG_V_LEFT.conj())
+BAG_P_RIGHT = np.eye(2) - np.outer(BAG_V_RIGHT, BAG_V_RIGHT.conj())
 
 
 @dataclass
 class BoundaryCondition:
-    kind: str
-    data: Optional[SpinorField] = None  # the datum g when inhomogeneous
-    projector_left: Optional[np.ndarray] = None
-    projector_right: Optional[np.ndarray] = None
+    kind: str  # a key of names.MODELS
 
     def __post_init__(self):
-        if self.kind not in (ANTIPERIODIC, PERIODIC, BAG1D):
+        if self.kind not in MODELS:
             raise ConfigurationError("unknown boundary kind %r" % (self.kind,))
-        if self.kind == BAG1D:
-            for side, v, text in (("left", BAG_V_LEFT, "(1, i)"),
-                                  ("right", BAG_V_RIGHT, "(1, -i)")):
-                name = "projector_" + side
-                default = np.eye(2) - np.outer(v, v.conj())
-                proj = getattr(self, name)
-                proj = default if proj is None else _check_projector(proj)
-                # assemble builds V from the default kernel directions, so
-                # any other projector would be validated and then ignored
-                if np.max(np.abs(proj - default)) > 1e-12:
-                    raise ConfigurationError(
-                        "bag1d %s projector is not the default I - v v^H, "
-                        "v = %s/sqrt(2): the constraint map is built for "
-                        "the default condition only" % (side, text))
-                setattr(self, name, proj)
 
 
 @dataclass
 class ModelSpec:
+    """A grid and a boundary condition; the boundary kind fixes the
+    operator, the grid topology and the fiber rank (names.MODELS)."""
     grid: Grid1D
-    operator_kind: str
     bc: BoundaryCondition
 
     def __post_init__(self):
-        if self.operator_kind not in (SCALAR_DERIVATIVE, DIRAC_2SPINOR):
-            raise ConfigurationError(
-                "unknown operator kind %r" % (self.operator_kind,))
-        kind = self.bc.kind
-        if self.operator_kind == SCALAR_DERIVATIVE:
-            if kind not in (ANTIPERIODIC, PERIODIC):
-                raise ConfigurationError(
-                    "scalar_derivative needs antiperiodic or periodic bc")
-        else:
-            if kind != BAG1D:
-                raise ConfigurationError("dirac_2spinor needs bag1d bc")
-        if kind == PERIODIC and self.grid.topology != CIRCLE:
-            raise ConfigurationError("periodic bc needs a circle grid")
-        if kind in (ANTIPERIODIC, BAG1D) and self.grid.topology != INTERVAL:
-            raise ConfigurationError("%s bc needs an interval grid" % kind)
+        topology = MODELS[self.bc.kind][1]
+        if self.grid.topology != topology:
+            raise ConfigurationError("%s bc needs a grid of topology %r"
+                                     % (self.bc.kind, topology))
 
     @property
     def rank(self):
-        return 1 if self.operator_kind == SCALAR_DERIVATIVE else 2
+        return MODELS[self.bc.kind][2]
 
     @cached_property
     def modes(self):
@@ -377,6 +339,6 @@ def boundary_residual(spec, u, g):
         return 0.0
     if spec.bc.kind == ANTIPERIODIC:
         return float(np.linalg.norm(d[-1] + d[0]))
-    res = np.linalg.norm(spec.bc.projector_left @ d[0])
-    res += np.linalg.norm(spec.bc.projector_right @ d[-1])
+    res = np.linalg.norm(BAG_P_LEFT @ d[0])
+    res += np.linalg.norm(BAG_P_RIGHT @ d[-1])
     return float(res)

@@ -132,41 +132,44 @@ def run(sd, cfg):
             l2t_norm=lp_norm(u_cur, 2), h1t_norm=w1q_norm(u_cur, 2),
             pde_residual=verify_solution(sd, cfg, u_cur)[0])
 
-    states = [make_state(0, u, 0.0)]
-    ratios = []
-    bounds_held = states[0].l2t_norm <= cfg.Xi * (1 + 1e-12) \
-        and states[0].h1t_norm <= cfg.Lambda_cap * (1 + 1e-12)
-    verdict = "max_iter_exceeded"
-    effective = 0
+    # an iterate may overflow: its norms are then inf or nan, and a
+    # non-finite step or increment ends the run as diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = [make_state(0, u, 0.0)]
+        ratios = []
+        bounds_held = states[0].l2t_norm <= cfg.Xi * (1 + 1e-12) \
+            and states[0].h1t_norm <= cfg.Lambda_cap * (1 + 1e-12)
+        verdict = "max_iter_exceeded"
+        effective = 0
 
-    for k in range(1, cfg.max_iter + 1):
-        try:
-            u_next = step(sd, cfg, u)
-        except DivergenceError:
-            verdict = "diverged"
-            break
-        delta = graph_norm(sd, 0.5, u_next - u)
-        if not np.isfinite(delta):
-            verdict = "diverged"
-            break
-        if delta >= cfg.tol_cauchy:
-            effective = k
-        if len(states) >= 2 and states[-1].delta_norm_H12D > 0:
-            ratios.append(delta / states[-1].delta_norm_H12D)
-        u = u_next
-        st = make_state(k, u, delta)
-        states.append(st)
-        if st.l2t_norm > cfg.Xi * (1 + 1e-12) \
-                or st.h1t_norm > cfg.Lambda_cap * (1 + 1e-12):
-            bounds_held = False
-        if st.l2t_norm > blow_up:
-            verdict = "diverged"
-            break
-        if delta < cfg.tol_cauchy and (not ratios or ratios[-1] < 1.0):
-            if st.pde_residual < cfg.tol_residual:
-                verdict = "converged"
+        for k in range(1, cfg.max_iter + 1):
+            try:
+                u_next = step(sd, cfg, u)
+            except DivergenceError:
+                verdict = "diverged"
                 break
-            # Cauchy but residual still large: keep iterating up to max_iter
+            delta = graph_norm(sd, 0.5, u_next - u)
+            if not np.isfinite(delta):
+                verdict = "diverged"
+                break
+            if delta >= cfg.tol_cauchy:
+                effective = k
+            if len(states) >= 2 and states[-1].delta_norm_H12D > 0:
+                ratios.append(delta / states[-1].delta_norm_H12D)
+            u = u_next
+            st = make_state(k, u, delta)
+            states.append(st)
+            if st.l2t_norm > cfg.Xi * (1 + 1e-12) \
+                    or st.h1t_norm > cfg.Lambda_cap * (1 + 1e-12):
+                bounds_held = False
+            if st.l2t_norm > blow_up:
+                verdict = "diverged"
+                break
+            if delta < cfg.tol_cauchy and (not ratios or ratios[-1] < 1.0):
+                if st.pde_residual < cfg.tol_residual:
+                    verdict = "converged"
+                    break
+                # Cauchy but residual still large: iterate on to max_iter
 
     if verdict == "max_iter_exceeded" and not bounds_held:
         verdict = "bound_violated"

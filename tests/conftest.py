@@ -14,7 +14,7 @@ from diracbvp.spectral import _order_spectrum
 @pytest.fixture(scope="session")
 def anti_spec():
     grid = Grid1D(1.0, 256)
-    return ModelSpec(grid, "scalar_derivative", BoundaryCondition("antiperiodic"))
+    return ModelSpec(grid, BoundaryCondition("antiperiodic"))
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +25,7 @@ def anti_sd(anti_spec):
 @pytest.fixture(scope="session")
 def anti_spec_128():
     grid = Grid1D(1.0, 128)
-    return ModelSpec(grid, "scalar_derivative", BoundaryCondition("antiperiodic"))
+    return ModelSpec(grid, BoundaryCondition("antiperiodic"))
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +36,7 @@ def anti_sd_128(anti_spec_128):
 @pytest.fixture(scope="session")
 def bag_spec():
     grid = Grid1D(1.0, 128)
-    return ModelSpec(grid, "dirac_2spinor", BoundaryCondition("bag1d"))
+    return ModelSpec(grid, BoundaryCondition("bag1d"))
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +47,7 @@ def bag_sd(bag_spec):
 @pytest.fixture(scope="session")
 def periodic_spec():
     grid = Grid1D(2.0 * np.pi, 64, "circle")
-    return ModelSpec(grid, "scalar_derivative", BoundaryCondition("periodic"))
+    return ModelSpec(grid, BoundaryCondition("periodic"))
 
 
 @pytest.fixture(scope="session")

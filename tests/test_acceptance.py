@@ -29,8 +29,7 @@ from diracbvp.config import parse_config
 
 def test_01_spectral_fidelity():
     start = time.monotonic()
-    spec = ModelSpec(Grid1D(1.0, 256), "scalar_derivative",
-                     BoundaryCondition("antiperiodic"))
+    spec = ModelSpec(Grid1D(1.0, 256), BoundaryCondition("antiperiodic"))
     sd = decompose(assemble(spec))
     moduli = np.sort(np.abs(sd.eigenvalues))[:10:2]
     expected = np.pi * np.array([1.0, 3.0, 5.0, 7.0, 9.0])
@@ -93,8 +92,7 @@ def test_04_certified_contraction(anti_sd, anti_spec):
 
 
 def test_05_exact_solution_residual():
-    spec = ModelSpec(Grid1D(1.0, 512), "scalar_derivative",
-                     BoundaryCondition("antiperiodic"))
+    spec = ModelSpec(Grid1D(1.0, 512), BoundaryCondition("antiperiodic"))
     sd = decompose(assemble(spec))
     beta, p = 0.1, 4.0
     g = mode_field(spec.grid, scale=beta)

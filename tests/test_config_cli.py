@@ -104,8 +104,13 @@ def run_fresh(code, *args):
     (["solve"], "[scheme]\ng = wavelet(3)\n", 1, CLI_MODULES),
     (["sweep"], "[sweep]\nparam = model.boundary\nmin = 0\nmax = 1\n"
                 "count = 2\n", 1, CLI_MODULES),
+    (["bootstrap"], "[model]\noperator = dirac_2spinor\n"
+                    "boundary = antiperiodic\n", 1, CLI_MODULES),
+    (["spectrum"], "[model]\noperator = dirac_2spinor\n"
+                   "boundary = antiperiodic\n", 1, CLI_MODULES),
 ], ids=["bootstrap", "help", "unknown-key", "bad-boundary", "orphan-sweep",
-        "bad-xi", "bad-field", "word-axis"])
+        "bad-xi", "bad-field", "word-axis", "mismatch-bootstrap",
+        "mismatch-spectrum"])
 def test_paths_without_arrays_load_no_numpy(tmp_path, argv, text, status,
                                             modules):
     # the module set, not a timing: bootstrap, --help and a refused
@@ -152,6 +157,43 @@ def test_defaults():
     assert cfg.sweep is None
     model = cfg.build_model()
     assert model.grid.n_points == 256 and model.grid.length == 1.0
+
+
+MISMATCHED = [("scalar_derivative", "bag1d"),
+              ("dirac_2spinor", "antiperiodic"),
+              ("dirac_2spinor", "periodic")]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "solve", "check", "sweep",
+                                     "bootstrap", "functional"])
+@pytest.mark.parametrize("operator, boundary", MISMATCHED)
+def test_main_operator_mismatch_is_refused_when_read(tmp_path, capsys,
+                                                     command, operator,
+                                                     boundary):
+    # spectrum used to end in "error: dirac_2spinor needs bag1d bc",
+    # naming no key, and bootstrap ran the file and exited 0
+    cfg_path = write_cfg(tmp_path, "[model]\noperator = %s\nboundary = %s\n"
+                                   "n_points = 16\n%s"
+                                   % (operator, boundary, AXIS))
+    assert main([command, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: model.operator: %r does not match boundary %r, which "
+        "needs %r\n" % (operator, boundary,
+                        "dirac_2spinor" if boundary == "bag1d"
+                        else "scalar_derivative"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_bag1d_runs_without_an_operator_key(tmp_path, capsys):
+    # the boundary fixes the operator; this config used to be refused
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = bag1d\n"
+                                   "n_points = 16\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_csv(out / "eigenvalues.csv")) == 1 + 2 * 16 - 2
 
 
 def test_eval_number():
@@ -1031,16 +1073,14 @@ def test_cmd_solve_bound_violated(tmp_path):
     assert len(read_csv(tmp_path / "trace.csv")) == 3  # header, k = 0, 1
 
 
-def test_main_solve_diverged_writes_strict_json(tmp_path):
-    # the first step overflows; run in a new interpreter, where numpy's
-    # overflow warnings are printed, not raised as the test suite's are
+def test_main_solve_diverged_writes_strict_json(tmp_path, capsys):
+    # the first step overflows; its norms used to print numpy's overflow
+    # warnings to stderr, which the test suite raises as errors
     cfg_path = write_cfg(tmp_path, "[model]\nn_points = 64\n[scheme]\n"
                                    "lambda = 50\np = 400\ng = const(3)\n")
     out = tmp_path / "out"
-    code = ("import sys; from diracbvp.cli import main; "
-            "print(main(['solve', '--config', sys.argv[1], '--out', "
-            "sys.argv[2]]))")
-    assert run_fresh(code, str(cfg_path), str(out)).strip() == "0"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
     def reject(name):
         raise ValueError("non-finite JSON constant %s" % name)

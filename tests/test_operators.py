@@ -42,8 +42,7 @@ def test_assemble_matches_dense_reference(kind, n_points):
         grid = Grid1D(2.0 * np.pi, n_points, "circle")
     else:
         grid = Grid1D(1.3, n_points)
-    operator = "dirac_2spinor" if kind == "bag1d" else "scalar_derivative"
-    op = assemble(ModelSpec(grid, operator, BoundaryCondition(kind)))
+    op = assemble(ModelSpec(grid, BoundaryCondition(kind)))
     if kind == "antiperiodic":
         u, mu = antiperiodic_modes(grid)
         dense = (u * mu) @ u.conj().T
@@ -87,8 +86,7 @@ def test_bag_hermiticity(bag_spec):
 
 
 def test_bag_spectrum_near_half_integers():
-    spec = ModelSpec(Grid1D(1.0, 512), "dirac_2spinor",
-                     BoundaryCondition("bag1d"))
+    spec = ModelSpec(Grid1D(1.0, 512), BoundaryCondition("bag1d"))
     from diracbvp import decompose
     sd = decompose(assemble(spec))
     assert abs(sd.lambda1) == pytest.approx(np.pi / 2, rel=1e-4)
@@ -110,8 +108,7 @@ def test_embed_project_match_dense_constraint_map(kind, n_points):
         grid = Grid1D(2.0 * np.pi, n_points, "circle")
     else:
         grid = Grid1D(1.3, n_points)
-    operator = "dirac_2spinor" if kind == "bag1d" else "scalar_derivative"
-    op = assemble(ModelSpec(grid, operator, BoundaryCondition(kind)))
+    op = assemble(ModelSpec(grid, BoundaryCondition(kind)))
     vmap, m = dense_constraint_map(op), op.n_constrained
     assert vmap.shape == (n_points * op.spec.rank, m)
     rng = np.random.default_rng(n_points)
@@ -127,41 +124,27 @@ def test_embed_project_match_dense_constraint_map(kind, n_points):
 
 
 def test_incompatible_specs_rejected():
+    # the boundary kind fixes the grid topology (names.MODELS)
     gi = Grid1D(1.0, 64)
     gc = Grid1D(1.0, 64, "circle")
-    with pytest.raises(ConfigurationError):
-        ModelSpec(gi, "scalar_derivative", BoundaryCondition("bag1d"))
-    with pytest.raises(ConfigurationError):
-        ModelSpec(gc, "scalar_derivative", BoundaryCondition("antiperiodic"))
-    with pytest.raises(ConfigurationError):
-        ModelSpec(gi, "scalar_derivative", BoundaryCondition("periodic"))
-    with pytest.raises(ConfigurationError):
-        ModelSpec(gi, "dirac_2spinor", BoundaryCondition("antiperiodic"))
+    with pytest.raises(ConfigurationError, match="topology 'interval'"):
+        ModelSpec(gc, BoundaryCondition("antiperiodic"))
+    with pytest.raises(ConfigurationError, match="topology 'circle'"):
+        ModelSpec(gi, BoundaryCondition("periodic"))
+    with pytest.raises(ConfigurationError, match="topology 'interval'"):
+        ModelSpec(gc, BoundaryCondition("bag1d"))
+    with pytest.raises(ConfigurationError, match="unknown boundary kind"):
+        BoundaryCondition("moebius")
 
 
-def test_bag_projector_validation():
-    with pytest.raises(ConfigurationError):
-        BoundaryCondition("bag1d", projector_left=np.eye(2))  # rank 2
-    with pytest.raises(ConfigurationError):
-        BoundaryCondition("bag1d",
-                          projector_left=np.array([[0.5, 0.5j], [0.5j, 0.5]]))
-
-
-def test_bag_refuses_an_admissible_but_unsupported_projector():
-    # a valid rank-1 projector whose kernel is not the default direction
-    # (1, i)/sqrt(2): assemble would ignore it, so it is refused up front
-    def kernel_projector(v):
-        return np.eye(2) - np.outer(v, v.conj())
-
-    v = np.array([1.0, -1.0j]) / np.sqrt(2.0)
-    with pytest.raises(ConfigurationError, match="default"):
-        BoundaryCondition("bag1d", projector_left=kernel_projector(v))
-    with pytest.raises(ConfigurationError, match="default"):
-        BoundaryCondition("bag1d", projector_right=np.diag([1.0, 0.0]))
-    # the default, passed explicitly, is accepted
-    v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    bc = BoundaryCondition("bag1d", projector_left=kernel_projector(v))
-    assert np.allclose(bc.projector_left @ v, 0.0)
+def test_bag_projectors_are_rank_one_and_kill_the_kernel_directions():
+    from diracbvp.operators import (BAG_P_LEFT, BAG_P_RIGHT, BAG_V_LEFT,
+                                    BAG_V_RIGHT)
+    for proj, v in ((BAG_P_LEFT, BAG_V_LEFT), (BAG_P_RIGHT, BAG_V_RIGHT)):
+        assert hermiticity_defect(proj) == 0
+        assert np.max(np.abs(proj @ proj - proj)) < 1e-15
+        assert np.trace(proj).real == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(proj @ v)) < 1e-15
 
 
 @pytest.mark.parametrize("n_points", [8, 9, 64, 65])
@@ -171,8 +154,7 @@ def test_bag_spectrum_closed_form_and_doubling(n_points):
     # doubled by the central-difference stencil (fermion doubling)
     from diracbvp import decompose
     grid = Grid1D(1.0, n_points)
-    op = assemble(ModelSpec(grid, "dirac_2spinor",
-                            BoundaryCondition("bag1d")))
+    op = assemble(ModelSpec(grid, BoundaryCondition("bag1d")))
     m, h = 2 * n_points - 2, grid.spacing
     theta = 0.0 if n_points % 2 == 0 else 0.5
     closed = np.sort(np.cos(2.0 * np.pi * (np.arange(m) + theta) / m) / h)
@@ -213,8 +195,7 @@ def test_apply_D_antiperiodic_matches_dense_modes(n_points):
     # the FFT path against the dense mode-matrix product U diag(mu) U^H,
     # the reference oracle; m = N-1 takes both parities
     grid = Grid1D(1.3, n_points)
-    spec = ModelSpec(grid, "scalar_derivative",
-                     BoundaryCondition("antiperiodic"))
+    spec = ModelSpec(grid, BoundaryCondition("antiperiodic"))
     rng = np.random.default_rng(n_points)
     v = rng.standard_normal((n_points, 1)) \
         + 1j * rng.standard_normal((n_points, 1))
@@ -269,8 +250,7 @@ def test_self_adjointness_pairing(anti_sd, bag_sd, periodic_sd):
 
 def test_antiperiodic_gap():
     for n in (64, 128):
-        spec = ModelSpec(Grid1D(1.0, n), "scalar_derivative",
-                         BoundaryCondition("antiperiodic"))
+        spec = ModelSpec(Grid1D(1.0, n), BoundaryCondition("antiperiodic"))
         from diracbvp import decompose
         sd = decompose(assemble(spec))
         assert np.min(np.abs(sd.eigenvalues)) > np.pi / 2

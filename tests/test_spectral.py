@@ -87,8 +87,7 @@ def model_op(kind, n_points):
         grid = Grid1D(2.0 * np.pi, n_points, "circle")
     else:
         grid = Grid1D(1.3, n_points)
-    operator = "dirac_2spinor" if kind == "bag1d" else "scalar_derivative"
-    return assemble(ModelSpec(grid, operator, BoundaryCondition(kind)))
+    return assemble(ModelSpec(grid, BoundaryCondition(kind)))
 
 
 def assert_backends_agree(fast, dense, seed):
@@ -415,7 +414,7 @@ def test_c_half_emp_refines_like_n_to_the_minus_half():
     # c_half_emp by about 2^(-1/2) (0.708 measured)
     values = []
     for n_points in (65, 129, 257, 513):
-        spec = ModelSpec(Grid1D(1.0, n_points), "scalar_derivative",
+        spec = ModelSpec(Grid1D(1.0, n_points),
                          BoundaryCondition("antiperiodic"))
         values.append(estimate_constants(decompose(assemble(spec))).c_half_emp)
     steps = np.diff(values)
