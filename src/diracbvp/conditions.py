@@ -10,12 +10,12 @@ Lebesgue-exponent bootstrap recursion is the `bootstrap` module.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DegeneratePairingError, ParameterError
-from .grids import CIRCLE, SpinorField, lp_norm, w1q_norm
+from .grids import CIRCLE, SpinorField, _modulus_power, lp_norm, w1q_norm
 from .names import MODE_A, MODE_B, MODE_C
 from .spectral import apply_operator, graph_norm
 
@@ -108,19 +108,7 @@ class ConditionReport:
         return all(c["satisfied"] for c in self.conditions.values())
 
     def to_dict(self):
-        return {
-            "mode": self.mode,
-            "conditions": self.conditions,
-            "theta_A": self.theta_A,
-            "theta_B": self.theta_B,
-            "p_B": self.p_B,
-            "kappa": self.kappa,
-            "A": self.A,
-            "B": self.B,
-            "eps": self.eps,
-            "contraction_bound": self.contraction_bound,
-            "certified": self.certified,
-        }
+        return dict(asdict(self), certified=self.certified)
 
 
 def _cond(lhs, rhs, strict):
@@ -216,12 +204,7 @@ def variational_functional(sd, phi, n):
 
 def el_transform(sd, phi, q):
     """Transformed spinor Psi = |D phi|^{q-2} D phi (pointwise)."""
-    dphi = apply_operator(sd, phi)
-    m = dphi.modulus()
-    fac = np.zeros_like(m)
-    nz = m > 0
-    fac[nz] = m[nz] ** (q - 2.0)
-    return SpinorField(phi.grid, fac[:, None] * dphi.values)
+    return _modulus_power(apply_operator(sd, phi), q - 2.0)
 
 
 VARIANT_FIRST = "first"

@@ -45,10 +45,6 @@ class DegeneratePairingError(DiracBVPError):
     """Vanishing denominator in the variational functional."""
 
 
-class DivergenceError(DiracBVPError):
-    """Iterate overflowed or became non-finite."""
-
-
 class UndefinedScalingError(DiracBVPError):
     """Problem rescaling requested at p = 2 where it is undefined."""
 

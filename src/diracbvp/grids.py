@@ -216,17 +216,22 @@ def slobodeckij_norm(f, s):
     return float(np.sqrt(lp_norm(f, 2) ** 2 + max(semi2, 0.0)))
 
 
+def _modulus_power(f, e):
+    """Pointwise |f|^e f, with 0 where f = 0 (for every real e)."""
+    m = f.modulus()
+    fac = np.zeros_like(m)
+    nz = m > 0
+    fac[nz] = m[nz] ** e
+    return SpinorField(f.grid, fac[:, None] * f.values)
+
+
 def nonlinearity(f, p):
     """Pointwise |f|^(p-2) f, with |0|^(p-2)*0 := 0 for p > 2."""
     if p < 2:
         raise ParameterError("nonlinearity needs p >= 2, got %r" % (p,))
     if p == 2:
         return f.copy()
-    m = f.modulus()
-    fac = np.zeros_like(m)
-    nz = m > 0
-    fac[nz] = m[nz] ** (p - 2.0)
-    return SpinorField(f.grid, fac[:, None] * f.values)
+    return _modulus_power(f, p - 2.0)
 
 
 def save_field_csv(f, path):

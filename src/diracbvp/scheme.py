@@ -9,14 +9,20 @@ in constrained coordinates; with a = 0, R = 1 this is the plain Picard map
 utilde_{k+1} = D_P^{-1}(lambda |u_k|^{p-2} u_k - D g).  True solutions are
 stationary for every admissible (a, R).  Convergence is monitored through
 the increments Delta_k = u_k - u_{k-1} in the H^{1/2}_D graph norm.
+
+Outside the smallness conditions the iteration may blow up; run reports
+that as the verdict "diverged", never as an error: an iterate or a field
+computed from it (its nonlinearity, a step's right-hand side) that leaves
+the floats, a non-finite increment, or an L2 norm past the blow-up cap.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import (DivergenceError, NearSingularError, ParameterError,
+from .errors import (InvalidFieldError, NearSingularError, ParameterError,
                      UndefinedScalingError)
 from .grids import SpinorField, lp_norm, nonlinearity, w1q_norm
 from .names import AUTO
@@ -83,19 +89,18 @@ class IterationReport:
     conditions_certified: Optional[bool] = None
 
     def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "iterations": self.iterations,
-            "pde_residual": self.pde_residual,
-            "boundary_residual": self.boundary_residual,
-            "bounds_held": self.bounds_held,
-            "lambda1": self.lambda1,
-            "conditions_certified": self.conditions_certified,
-        }
+        """Every scalar field; the states and ratios go to trace_rows."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("states", "ratios")}
 
 
 def step(sd, cfg, u_k):
-    """One iteration step; returns u_{k+1} = utilde_{k+1} + g."""
+    """One iteration step; returns u_{k+1} = utilde_{k+1} + g.
+
+    The right-hand side R lambda |u_k|^{p-2} u_k - R D g - a utilde_k is
+    formed as one field and transformed once.  A value that leaves the
+    floats raises InvalidFieldError, as every SpinorField does.
+    """
     r_scale = cfg.resolve_R(sd)
     shifted = r_scale * sd.eigenvalues - cfg.a
     k_min = int(np.argmin(np.abs(shifted)))
@@ -104,14 +109,9 @@ def step(sd, cfg, u_k):
             "R*lambda - a = %r too close to zero at eigenvalue %r"
             % (complex(shifted[k_min]), float(sd.eigenvalues[k_min])))
 
-    u_tilde = u_k - cfg.g
     rhs = r_scale * cfg.lam * nonlinearity(u_k, cfg.p) \
-        - r_scale * apply_D(sd.operator.spec, cfg.g)
-    rhs_c = sd.to_coeffs(rhs) - cfg.a * sd.to_coeffs(u_tilde)
-    if not np.all(np.isfinite(rhs_c)):
-        raise DivergenceError("iterate overflowed to non-finite values")
-    new_c = rhs_c / shifted
-    return sd.from_coeffs(new_c) + cfg.g
+        - r_scale * apply_D(sd.operator.spec, cfg.g) - cfg.a * (u_k - cfg.g)
+    return sd.from_coeffs(sd.to_coeffs(rhs) / shifted) + cfg.g
 
 
 def verify_solution(sd, cfg, u):
@@ -122,18 +122,30 @@ def verify_solution(sd, cfg, u):
 
 
 def run(sd, cfg):
-    """Iterate from f0 until Cauchy convergence, divergence or max_iter."""
+    """Iterate from f0 until Cauchy convergence, divergence or max_iter.
+
+    The run ends as "diverged" when a step leaves the floats (a
+    SpinorField refuses the non-finite values), when the increment's
+    graph norm is not finite, or when the L2 norm of an iterate exceeds
+    10 max(Xi, Lambda_cap, 1).  This holds from state 0 on: a norm of a
+    state that overflows reads inf, and the state is still recorded.
+    """
     u = cfg.f0 if cfg.f0 is not None else cfg.g
     blow_up = 10.0 * max(cfg.Xi, cfg.Lambda_cap, 1.0)
 
     def make_state(k, u_cur, delta):
+        # a derivative or |u|^{p-2} u past the floats reads as an inf norm
+        h1t_norm = pde_residual = math.inf
+        try:
+            h1t_norm = w1q_norm(u_cur, 2)
+            pde_residual = verify_solution(sd, cfg, u_cur)[0]
+        except InvalidFieldError:
+            pass
         return IterationState(
             k=k, u=u_cur, delta_norm_H12D=delta,
-            l2t_norm=lp_norm(u_cur, 2), h1t_norm=w1q_norm(u_cur, 2),
-            pde_residual=verify_solution(sd, cfg, u_cur)[0])
+            l2t_norm=lp_norm(u_cur, 2), h1t_norm=h1t_norm,
+            pde_residual=pde_residual)
 
-    # an iterate may overflow: its norms are then inf or nan, and a
-    # non-finite step or increment ends the run as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         states = [make_state(0, u, 0.0)]
         ratios = []
@@ -145,10 +157,9 @@ def run(sd, cfg):
         for k in range(1, cfg.max_iter + 1):
             try:
                 u_next = step(sd, cfg, u)
-            except DivergenceError:
-                verdict = "diverged"
-                break
-            delta = graph_norm(sd, 0.5, u_next - u)
+                delta = graph_norm(sd, 0.5, u_next - u)
+            except InvalidFieldError:
+                delta = math.inf
             if not np.isfinite(delta):
                 verdict = "diverged"
                 break

@@ -138,6 +138,9 @@ def test_condition_monotone_in_lambda():
 def test_report_serialization():
     rep = check_conditions(AnalyticConstants(n=2, lambda_abs=0.01), MODE_C)
     d = rep.to_dict()
+    assert set(d) == {"mode", "conditions", "theta_A", "theta_B", "p_B",
+                      "kappa", "A", "B", "eps", "contraction_bound",
+                      "certified"}
     assert d["mode"] == MODE_C
     assert set(d["conditions"]) == {"C1", "C2", "C3"}
     assert d["certified"] == rep.certified

@@ -1073,14 +1073,20 @@ def test_cmd_solve_bound_violated(tmp_path):
     assert len(read_csv(tmp_path / "trace.csv")) == 3  # header, k = 0, 1
 
 
-def test_main_solve_diverged_writes_strict_json(tmp_path, capsys):
-    # the first step overflows; its norms used to print numpy's overflow
-    # warnings to stderr, which the test suite raises as errors
-    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 64\n[scheme]\n"
-                                   "lambda = 50\np = 400\ng = const(3)\n")
+OVERFLOW = "[model]\nn_points = 64\n[scheme]\nlambda = 50\np = 400\n"
+
+
+@pytest.mark.parametrize("datum", ["2", "3", "1e10"])
+def test_main_solve_diverged_writes_strict_json(tmp_path, capsys, datum):
+    # |u|^398 overflows: for const(1e10) at state 0, for const(2) at the
+    # state after one step, for const(3) in the first increment's norm.
+    # Each used to end in "error: field contains non-finite entries" or
+    # print numpy's overflow warnings, which the suite raises as errors
+    cfg_path = write_cfg(tmp_path, OVERFLOW + "g = const(%s)\n" % datum)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
+    assert read_csv(out / "trace.csv")[1][0] == "0"
 
     def reject(name):
         raise ValueError("non-finite JSON constant %s" % name)
@@ -1089,6 +1095,19 @@ def test_main_solve_diverged_writes_strict_json(tmp_path, capsys):
         report = json.load(fh, parse_constant=reject)
     assert report["verdict"] == "diverged"
     assert report["pde_residual"] is None
+
+
+def test_main_sweep_overflow_rows_are_diverged(tmp_path, capsys):
+    # every point overflows, lambda = 0.5 too; the rows used to read
+    # "error: field contains non-finite entries"
+    cfg_path = write_cfg(tmp_path, OVERFLOW + "g = const(2)\n[sweep]\n"
+                         "param = scheme.lambda\nmin = 0.5\nmax = 50\n"
+                         "count = 3\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [row[2] for row in read_csv(out / "sweep.csv")[1:]] \
+        == ["diverged"] * 3
 
 
 def test_write_json_writes_non_finite_floats_as_null(tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import mode_field
-from diracbvp import (SchemeConfig, SpinorField, lp_norm, run, scale_problem,
-                      step, verify_solution)
+from diracbvp import (SchemeConfig, SpinorField, apply_D, lp_norm,
+                      nonlinearity, run, scale_problem, step,
+                      verify_solution)
 from diracbvp.errors import (NearSingularError, ParameterError,
                              UndefinedScalingError)
 from diracbvp.scheme import trace_rows
@@ -63,6 +64,25 @@ def test_periodic_needs_shift(periodic_sd):
     assert np.isfinite(u1.values).all()
 
 
+@pytest.mark.parametrize("model, a", [("anti", 1.0), ("anti", 0.5j),
+                                      ("periodic", 0.5)])
+def test_step_matches_the_two_transform_formula(request, model, a):
+    # the right-hand side is transformed once; the reference transforms
+    # R lambda N(u_k) - R D g and a utilde_k apart
+    sd = request.getfixturevalue(model + "_sd")
+    grid = sd.operator.spec.grid
+    x = grid.points() / grid.length
+    k = 1 if model == "anti" else 2
+    g = SpinorField(grid, 0.1 * np.exp(1j * k * np.pi * x))
+    u_k = 0.5 * g + SpinorField(grid, 0.05 * np.exp(3j * k * np.pi * x))
+    cfg = SchemeConfig(lam=0.3, p=4, g=g, a=a)
+    rhs = cfg.lam * nonlinearity(u_k, cfg.p) - apply_D(sd.operator.spec, g)
+    coeffs = sd.to_coeffs(rhs) - a * sd.to_coeffs(u_k - g)
+    ref = sd.from_coeffs(coeffs / (sd.eigenvalues - a)) + g
+    got = step(sd, cfg, u_k)
+    assert lp_norm(got - ref, 2) <= 1e-12 * lp_norm(ref, 2)
+
+
 # ------------------------------------------------------------------- run
 
 def test_lambda_zero_run(anti_sd, anti_spec):
@@ -90,6 +110,15 @@ def test_divergence_at_large_lambda(anti_sd, anti_spec):
         verdicts[lam] = rep.verdict
     assert verdicts[0.05 * np.pi] == "converged"
     assert verdicts[500 * np.pi] in ("diverged", "max_iter_exceeded")
+
+
+def test_overflowing_datum_diverges_from_state_0(anti_sd, anti_spec):
+    # the derivative of g and |g|^2 g leave the floats: state 0 is still
+    # recorded with those norms as inf, and the first step ends the run
+    rep = run(anti_sd, base_config(anti_spec.grid, scale=1e308))
+    assert rep.verdict == "diverged"
+    assert len(rep.states) == 1
+    assert rep.states[0].h1t_norm == rep.states[0].pde_residual == np.inf
 
 
 def test_converged_limit_solves_equation(anti_sd, anti_spec):
