@@ -62,8 +62,7 @@ def cmd_spectrum(cfg, out_dir):
                rows)
     summary = {"lambda1": sd.lambda1, "invertible": sd.invertible}
     if sd.invertible:
-        est = spectral.estimate_constants(
-            sd, iota=cfg.values["constants"]["iota"])
+        est = spectral.estimate_constants(sd)
         summary["c1_emp"] = est.c1_emp
         summary["c_half_emp"] = est.c_half_emp
     _write_json(os.path.join(out_dir, "summary.json"), summary)

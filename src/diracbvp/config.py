@@ -15,7 +15,8 @@ small closed-form expressions:
     g                           # (f0 only) start from the datum
 
 Parsing reads only their syntax; build_fields makes the fields, and
-reads a sample_file, on a model's grid.  On rank-2 models the scalar
+reads a sample_file, on a model's grid, and build_constants resolves the
+[constants] words empirical and formula.  On rank-2 models the scalar
 expressions fill component 0.  A key's range (n_points >= 8, p >= 2,
 ...) is part of its parser; ranges relating two keys are checked where
 the values are used, bar one: model.boundary fixes the operator
@@ -34,7 +35,7 @@ import os
 from configparser import ConfigParser
 from dataclasses import dataclass, replace
 
-from .errors import ConfigParseError
+from .errors import ConfigParseError, InvalidFieldError
 from .names import (ANTIPERIODIC, AUTO, CIRCLE, DIRAC_2SPINOR, MODE_A, MODE_B,
                     MODE_C, MODELS, SCALAR_DERIVATIVE)
 
@@ -332,9 +333,13 @@ class RunConfig:
     def build_constants(self, sd, scheme_cfg):
         """AnalyticConstants from the config plus measured quantities.
 
-        Runs estimate_constants when c1 or c_half asks for empirical or
-        formula values.
+        c1 is a number or c1_emp; then c_half is a number, c_half_emp or
+        formula, 2 c1 c_h^2 iota^2 with that c1.  estimate_constants runs
+        only for an empirical value.  g and D g are measured under the
+        np.errstate of scheme.run; a D g past the floats is an
+        InvalidFieldError naming scheme.g.
         """
+        import numpy as np
         from .conditions import AnalyticConstants
         from .grids import lp_norm, w1q_norm
         from .operators import apply_D
@@ -343,18 +348,24 @@ class RunConfig:
         c1, c_half = consts["c1"], consts["c_half"]
         provenance = {k: "assumed" for k in
                       ("c_h", "C_h", "K_GN", "K_GN2", "K_FGN", "c1", "c_half")}
-        if c1 == "empirical" or c_half in ("empirical", "formula"):
-            estimates = estimate_constants(sd, c_h=consts["c_h"],
-                                           iota=consts["iota"])
         if c1 == "empirical":
-            c1, provenance["c1"] = estimates.c1_emp, "computed"
+            c1, provenance["c1"] = estimate_constants(sd).c1_emp, "computed"
         if c_half == "empirical":
-            c_half, provenance["c_half"] = estimates.c_half_emp, "computed"
+            c_half = estimate_constants(sd).c_half_emp
         elif c_half == "formula":
-            c_half, provenance["c_half"] = estimates.c_half_formula, "computed"
+            c_h, iota = consts["c_h"], consts["iota"]
+            c_half = 2.0 * c1 * (c_h * c_h) * (iota * iota)
+        if isinstance(consts["c_half"], str):  # empirical or formula
+            provenance["c_half"] = "computed"
 
-        model = sd.operator.spec
-        dg = apply_D(model, scheme_cfg.g)
+        g = scheme_cfg.g
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                norms = {"Dg_L2": lp_norm(apply_D(sd.operator.spec, g), 2),
+                         "g_L2T": lp_norm(g, 2), "g_H1T": w1q_norm(g, 2)}
+            except InvalidFieldError as exc:
+                raise InvalidFieldError("scheme.g: D g or dg/dx is out of "
+                                        "floating-point range") from exc
         for name in ("lambda1_abs", "Dg_L2", "g_L2T", "g_H1T", "lambda_abs"):
             provenance[name] = "computed"
         return AnalyticConstants(
@@ -363,9 +374,7 @@ class RunConfig:
             K_GN=consts["k_gn"], K_GN2=consts["k_gn2"],
             K_FGN=consts["k_fgn"],
             lambda_abs=abs(scheme_cfg.lam),
-            lambda1_abs=abs(sd.lambda1),
-            Dg_L2=lp_norm(dg, 2), g_L2T=lp_norm(scheme_cfg.g, 2),
-            g_H1T=w1q_norm(scheme_cfg.g, 2),
+            lambda1_abs=abs(sd.lambda1), **norms,
             Xi=scheme_cfg.Xi, Lambda_cap=scheme_cfg.Lambda_cap,
             provenance=provenance)
 

@@ -14,6 +14,7 @@ recurrence, capped in steps and O(m) in memory, on products with the
 transform, the constraint map and O(N log N) grid stencils.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -25,8 +26,7 @@ from .grids import (SpinorField, derivative, derivative_adjoint,
                     slobodeckij_operator)
 from .operators import apply_D
 
-ConstantEstimates = namedtuple("ConstantEstimates",
-                               ["c1_emp", "c_half_emp", "c_half_formula"])
+ConstantEstimates = namedtuple("ConstantEstimates", ["c1_emp", "c_half_emp"])
 
 
 @dataclass
@@ -199,21 +199,18 @@ def graph_norm(sd, s, f):
                                 * (1.0 + np.abs(sd.eigenvalues) ** (2 * s)))))
 
 
-def estimate_constants(sd, c_h=1.0, iota=1.0):
+def estimate_constants(sd):
     """Empirical regularity constants as generalized Rayleigh quotients.
 
     c1_emp maximizes ||psi||_{W^{1,2}}^2 / (||psi||_{L2}^2 + ||D_P psi||^2)
     over the constraint space; c_half_emp does the same with the s = 1/2
-    Slobodeckij numerator and |D_P|^{1/2} denominator.  c_half_formula is
-    the plug-in bound 2 * c1_emp * c_h^2 * iota^2, inf if that overflows.
-    The two maxima depend on sd alone; they are computed on the first
-    call and kept on sd.
+    Slobodeckij numerator and |D_P|^{1/2} denominator.  Both depend on sd
+    alone; they are computed on the first call and kept on sd.  The
+    config's c_half = formula is resolved by RunConfig.build_constants.
     """
     if sd._rayleigh_maxima is None:
         sd._rayleigh_maxima = _rayleigh_maxima(sd)
-    c1_emp, c_half_emp = sd._rayleigh_maxima
-    return ConstantEstimates(c1_emp, c_half_emp,
-                             2.0 * c1_emp * (c_h * c_h) * (iota * iota))
+    return ConstantEstimates(*sd._rayleigh_maxima)
 
 
 def _rayleigh_maxima(sd):
@@ -254,12 +251,12 @@ def _rayleigh_maxima(sd):
     return c1_emp, c_half_emp
 
 
-# Lanczos steps allowed before _lanczos_max gives up.  Only the run time
-# grows with the steps: the recurrence keeps two vectors of C^m whatever
-# the count.  Measured on the c_half form of the antiperiodic model, the
-# slowest to converge: 104 steps at N=256, 144 at N=512, 216 at N=1024,
-# 296 at N=2048, 416 at N=4096, 592 at N=8192 and 840 at N=16384; bag1d
-# needs at most 16 up to N=4096.
+# Lanczos steps allowed per ceil(sqrt(m / 4096)) before _lanczos_max
+# gives up: 1024 up to m = 4096, 2048 up to 16384, 3072 up to 36864.
+# The c_half form of the antiperiodic model, the slowest, needs about
+# 6.5 sqrt(N): 104 steps at N=256, 216 at N=1024, 416 at N=4096, 592 at
+# N=8192 and 840 at N=16384; bag1d needs at most 16 up to N=4096.  Only
+# the run time grows with the steps; the memory stays O(m).
 LANCZOS_MAX_STEPS = 1024
 # steps between two convergence checks of the top Ritz pair
 _LANCZOS_CHECK_EVERY = 8
@@ -279,12 +276,13 @@ def _lanczos_max(matvec, m, what):
     (Paige, Lin. Alg. Appl. 34, 1980): it brings only copies of Ritz
     values that have already converged.  Nor is step m an exit, since
     the basis is no longer orthogonal by then: a run may go on past m
-    steps.  NumericalError, naming `what`, when LANCZOS_MAX_STEPS steps
-    do not converge.
+    steps.  NumericalError, naming `what` and the cap, when
+    LANCZOS_MAX_STEPS * ceil(sqrt(m / 4096)) steps do not converge.
     """
+    cap = LANCZOS_MAX_STEPS * math.ceil(math.sqrt(m / 4096))
     alpha, beta = [], []
     q, q_prev = _fixed_unit_vector(m), None
-    for k in range(LANCZOS_MAX_STEPS):
+    for k in range(cap):
         v = matvec(q)
         if k:
             v -= beta[-1] * q_prev
@@ -292,7 +290,7 @@ def _lanczos_max(matvec, m, what):
         v -= alpha[-1] * q
         beta.append(np.linalg.norm(v))
         if ((k + 1) % _LANCZOS_CHECK_EVERY == 0 or beta[-1] == 0.0
-                or k + 1 == LANCZOS_MAX_STEPS):
+                or k + 1 == cap):
             theta, s = _top_ritz_pair(alpha, beta[:-1])
             resid = beta[-1] * abs(s)
             if resid <= 1e-10 * theta:
@@ -300,7 +298,7 @@ def _lanczos_max(matvec, m, what):
         q_prev, q = q, v / beta[-1]
     raise NumericalError("Lanczos did not converge in %d steps for %s "
                          "(residual %.3e of %.6e)"
-                         % (LANCZOS_MAX_STEPS, what, resid, theta))
+                         % (cap, what, resid, theta))
 
 
 def _top_ritz_pair(alpha, beta):

@@ -83,13 +83,17 @@ CLI_MODULES = ["diracbvp", "diracbvp.cli", "diracbvp.config",
                "diracbvp.errors", "diracbvp.names"]
 
 
-def run_fresh(code, *args):
-    """stdout of `code` run in a new interpreter on this source tree."""
+def fresh_env():
+    """os.environ with PYTHONPATH set to this source tree."""
     import diracbvp
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracbvp.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def run_fresh(code, *args):
+    """stdout of `code` run in a new interpreter on this source tree."""
     return subprocess.run([sys.executable, "-c", code] + list(args),
-                          env=env, check=True, capture_output=True,
+                          env=fresh_env(), check=True, capture_output=True,
                           text=True).stdout
 
 
@@ -1059,6 +1063,88 @@ def test_c_half_formula_reads_c_h(tmp_path):
     assert c1[1] == c1[2]
     assert c_half[1] == 2 * c1[1]
     assert c_half[2] == 8 * c1[1]
+
+
+@pytest.mark.parametrize("n_points, c_h, iota", [
+    (256, 1, 1), (256, 2, 0.5), (128, 2, 0.5)])
+def test_check_c_half_formula_with_empirical_c1(tmp_path, monkeypatch,
+                                                n_points, c_h, iota):
+    # formula is 2 c1_emp c_h^2 iota^2, from the maxima computed once
+    import diracbvp.spectral
+    calls = []
+    maxima = diracbvp.spectral._rayleigh_maxima
+    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_maxima",
+                        lambda sd: calls.append(sd) or maxima(sd))
+    text = ("[model]\nn_points = %d\n[constants]\nc_half = formula\n"
+            "c_h = %r\niota = %r\n" % (n_points, c_h, iota))
+    assert run_command(parse_config(text), "check", str(tmp_path)) == 0
+    constants = read_json(tmp_path / "conditions.json")["constants"]
+    assert constants["c_half"] == 2.0 * constants["c1"] * c_h ** 2 * iota ** 2
+    assert len(calls) == 1
+
+
+def test_check_c_half_formula_with_numeric_c1_runs_no_lanczos(tmp_path,
+                                                              monkeypatch):
+    # the c1 of the certificate, not c1_emp, and no spectral estimate
+    import diracbvp.spectral
+
+    def refuse(sd):
+        raise AssertionError("estimate_constants ran")
+    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_maxima", refuse)
+    text = ("[model]\nn_points = 64\n[constants]\nc1 = 3\n"
+            "c_half = formula\nc_h = 2\niota = 0.5\n")
+    assert run_command(parse_config(text), "check", str(tmp_path)) == 0
+    payload = read_json(tmp_path / "conditions.json")
+    assert (payload["constants"]["c1"], payload["constants"]["c_half"]) \
+        == (3.0, 6.0)
+    assert (payload["provenance"]["c1"], payload["provenance"]["c_half"]) \
+        == ("assumed", "computed")
+
+
+COMMANDS = ("spectrum", "solve", "check", "sweep", "bootstrap", "functional")
+
+
+@pytest.mark.parametrize("g, check_status, check_err", [
+    ("const(0.1)", 0, ""),
+    ("exp_mode(1, 1e308)", 1, "error: scheme.g: D g or dg/dx is out of "
+                              "floating-point range\n")],
+    ids=["const", "overflow"])
+def test_commands_under_warnings_as_errors(tmp_path, g, check_status,
+                                           check_err):
+    # every command in a new interpreter with warnings as errors; a
+    # datum whose D g overflows leaves solve and sweep uncertified and
+    # check refused, with no numpy warning on the way
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 64\n[scheme]\n"
+                                   "lambda = 0.1\ng = %s\n%s" % (g, AXIS))
+    results = {}
+    for command in COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "diracbvp.cli", command,
+             "--config", str(cfg_path), "--out", str(tmp_path / command)],
+            env=fresh_env(), capture_output=True, text=True)
+        results[command] = (proc.returncode, proc.stderr)
+    expected = dict.fromkeys(COMMANDS, (0, ""))
+    expected["check"] = (check_status, check_err)
+    assert results == expected
+    certified = read_json(tmp_path / "solve" / "report.json")[
+        "conditions_certified"]
+    column = [row[6] for row in read_csv(tmp_path / "sweep" / "sweep.csv")]
+    if check_status:
+        assert certified is None and column[1:] == ["false", "false"]
+    else:
+        assert certified is not None
+
+
+def test_readme_config_block_parses_to_the_defaults():
+    # the block lists every key with its default, bar the example [sweep]
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg, defaults = parse_config(block), parse_config("").values
+    assert set(cfg.values) == set(defaults) and cfg.sweep is not None
+    for section in set(defaults) - {"sweep"}:
+        assert cfg.values[section] == defaults[section], section
 
 
 def test_cmd_solve_bound_violated(tmp_path):
