@@ -39,7 +39,7 @@ class AnalyticConstants:
     g_H1T: float = 0.0
     Xi: float = 1.0
     Lambda_cap: float = 1.0
-    provenance: dict = field(default_factory=dict)  # name -> assumed/empirical/computed
+    provenance: dict = field(default_factory=dict)  # name -> assumed/computed
 
     def __post_init__(self):
         if self.n < 2:

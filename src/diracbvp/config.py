@@ -295,16 +295,17 @@ class RunConfig:
             if not os.path.exists(path):
                 raise ConfigParseError("file %r does not exist" % (path,),
                                        key=key)
-            vals = grids.read_field_csv(path, grid.n_points)
+            try:
+                vals = grids.read_field_csv(path, grid.n_points)
+            except InvalidFieldError as exc:
+                raise ConfigParseError(str(exc), key=key) from exc
+            except OSError as exc:
+                raise ConfigParseError("%s: %s" % (path, exc.strerror or exc),
+                                       key=key) from exc
             if vals.shape[1] != rank:
                 raise ConfigParseError(
                     "%s has %d components, the model needs %d"
                     % (path, vals.shape[1], rank), key=key)
-            bad = np.flatnonzero(~np.all(np.isfinite(vals), axis=1))
-            if bad.size:
-                # line numbers count the header as line 1
-                raise ConfigParseError("%s line %d: non-finite value"
-                                       % (path, bad[0] + 2), key=key)
             return grids.SpinorField(grid, vals)
         vals = np.zeros((grid.n_points, rank), dtype=complex)
         if kind == "const":

@@ -257,11 +257,12 @@ def load_field_csv(grid, path):
 
 
 def read_field_csv(path, n_points):
-    """Values (n_points, rank) of a save_field_csv file, unvalidated.
+    """Values (n_points, rank) of a save_field_csv file.
 
     Raises InvalidFieldError naming the path (and line) when the file is
-    not UTF-8 text, is empty, has another row count, a short or long row,
-    or a non-numeric cell; whether the values fit a model is left to the
+    not UTF-8 text, is empty, has value columns that are not re_c, im_c
+    pairs, another row count, a short or long row, a non-numeric cell or
+    a non-finite value; whether the rank fits a model is left to the
     caller.
     """
     try:
@@ -272,10 +273,14 @@ def read_field_csv(path, n_points):
     if not rows:
         raise InvalidFieldError("%s is empty" % (path,))
     header, body = rows[0], rows[1:]
+    rank = (len(header) - 1) // 2
+    if header[1:] != [part % c for c in range(rank)
+                      for part in ("re_%d", "im_%d")]:
+        raise InvalidFieldError("%s: value columns %s are not re_c, im_c "
+                                "pairs" % (path, ",".join(header[1:])))
     if len(body) != n_points:
         raise InvalidFieldError(
             "%s has %d rows, grid expects %d" % (path, len(body), n_points))
-    rank = (len(header) - 1) // 2
     vals = np.zeros((n_points, rank), dtype=complex)
     for j, row in enumerate(body):
         # line numbers count the header as line 1
@@ -288,4 +293,8 @@ def read_field_csv(path, n_points):
             raise InvalidFieldError("%s line %d: %s"
                                     % (path, j + 2, exc)) from exc
         vals[j] = [nums[2 * c] + 1j * nums[2 * c + 1] for c in range(rank)]
+    bad = np.flatnonzero(~np.all(np.isfinite(vals), axis=1))
+    if bad.size:
+        raise InvalidFieldError("%s line %d: non-finite value"
+                                % (path, bad[0] + 2))
     return vals

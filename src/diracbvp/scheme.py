@@ -68,9 +68,15 @@ class SchemeConfig:
 
 @dataclass
 class IterationState:
+    """One iterate u_k of a run: the scalars of its trace.csv row.
+
+    delta_norm_H12D is ||u_k - u_{k-1}|| in the H^{1/2}_D graph norm (0 at
+    k = 0), ratio is delta_k / delta_{k-1} (None when delta_{k-1} = 0,
+    always at k <= 1); u_k itself is not kept.
+    """
     k: int
-    u: SpinorField
-    delta_norm_H12D: float  # ||u_k - u_{k-1}|| in the graph norm, 0 at k=0
+    delta_norm_H12D: float
+    ratio: Optional[float]
     l2t_norm: float
     h1t_norm: float
     pde_residual: float
@@ -78,20 +84,26 @@ class IterationState:
 
 @dataclass
 class IterationReport:
+    """A run's states, its last iterate u and the summaries of the states."""
     states: list
-    ratios: list
+    u: SpinorField
     verdict: str
-    iterations: int  # steps that actually moved the iterate
+    iterations: int  # the last k whose increment is >= tol_cauchy, else 0
     pde_residual: float
     boundary_residual: float
     bounds_held: bool
     lambda1: float
     conditions_certified: Optional[bool] = None
 
+    @property
+    def ratios(self):
+        """The increment ratios of the states that have one, in order."""
+        return [st.ratio for st in self.states if st.ratio is not None]
+
     def to_dict(self):
-        """Every scalar field; the states and ratios go to trace_rows."""
+        """Every scalar field; the states go to trace_rows."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("states", "ratios")}
+                if f.name not in ("states", "u")}
 
 
 def step(sd, cfg, u_k):
@@ -124,6 +136,8 @@ def verify_solution(sd, cfg, u):
 def run(sd, cfg):
     """Iterate from f0 until Cauchy convergence, divergence or max_iter.
 
+    Each iterate is recorded as an IterationState, and only the last one
+    is kept, as report.u: a run holds O(N) memory whatever max_iter is.
     The run ends as "diverged" when a step leaves the floats (a
     SpinorField refuses the non-finite values), when the increment's
     graph norm is not finite, or when the L2 norm of an iterate exceeds
@@ -133,7 +147,7 @@ def run(sd, cfg):
     u = cfg.f0 if cfg.f0 is not None else cfg.g
     blow_up = 10.0 * max(cfg.Xi, cfg.Lambda_cap, 1.0)
 
-    def make_state(k, u_cur, delta):
+    def make_state(k, u_cur, delta, prev):
         # a derivative or |u|^{p-2} u past the floats reads as an inf norm
         h1t_norm = pde_residual = math.inf
         try:
@@ -142,18 +156,13 @@ def run(sd, cfg):
         except InvalidFieldError:
             pass
         return IterationState(
-            k=k, u=u_cur, delta_norm_H12D=delta,
+            k=k, delta_norm_H12D=delta, ratio=delta / prev if prev else None,
             l2t_norm=lp_norm(u_cur, 2), h1t_norm=h1t_norm,
             pde_residual=pde_residual)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        states = [make_state(0, u, 0.0)]
-        ratios = []
-        bounds_held = states[0].l2t_norm <= cfg.Xi * (1 + 1e-12) \
-            and states[0].h1t_norm <= cfg.Lambda_cap * (1 + 1e-12)
+        states = [make_state(0, u, 0.0, 0.0)]
         verdict = "max_iter_exceeded"
-        effective = 0
-
         for k in range(1, cfg.max_iter + 1):
             try:
                 u_next = step(sd, cfg, u)
@@ -163,31 +172,26 @@ def run(sd, cfg):
             if not np.isfinite(delta):
                 verdict = "diverged"
                 break
-            if delta >= cfg.tol_cauchy:
-                effective = k
-            if len(states) >= 2 and states[-1].delta_norm_H12D > 0:
-                ratios.append(delta / states[-1].delta_norm_H12D)
             u = u_next
-            st = make_state(k, u, delta)
+            st = make_state(k, u, delta, states[-1].delta_norm_H12D)
             states.append(st)
-            if st.l2t_norm > cfg.Xi * (1 + 1e-12) \
-                    or st.h1t_norm > cfg.Lambda_cap * (1 + 1e-12):
-                bounds_held = False
             if st.l2t_norm > blow_up:
                 verdict = "diverged"
                 break
-            if delta < cfg.tol_cauchy and (not ratios or ratios[-1] < 1.0):
-                if st.pde_residual < cfg.tol_residual:
-                    verdict = "converged"
-                    break
-                # Cauchy but residual still large: iterate on to max_iter
+            if (delta < cfg.tol_cauchy and (st.ratio is None or st.ratio < 1.0)
+                    and st.pde_residual < cfg.tol_residual):
+                verdict = "converged"  # Cauchy alone iterates on to max_iter
+                break
 
+    bounds_held = all(st.l2t_norm <= cfg.Xi * (1 + 1e-12)
+                      and st.h1t_norm <= cfg.Lambda_cap * (1 + 1e-12)
+                      for st in states)
     if verdict == "max_iter_exceeded" and not bounds_held:
         verdict = "bound_violated"
-
-    # every exit leaves u == states[-1].u, whose PDE residual is stored
     return IterationReport(
-        states=states, ratios=ratios, verdict=verdict, iterations=effective,
+        states=states, u=u, verdict=verdict,
+        iterations=max((st.k for st in states
+                        if st.delta_norm_H12D >= cfg.tol_cauchy), default=0),
         pde_residual=states[-1].pde_residual,
         boundary_residual=boundary_residual(sd.operator.spec, u, cfg.g),
         bounds_held=bounds_held, lambda1=sd.lambda1)
@@ -214,12 +218,7 @@ def scale_problem(cfg, alpha):
 
 def trace_rows(report):
     """Iteration trace as rows `k,delta_H12D,ratio,u_L2,u_H1,pde_residual`."""
-    rows = []
-    for st in report.states:
-        ratio = ""
-        if st.k >= 2 and st.k - 2 < len(report.ratios):
-            ratio = repr(report.ratios[st.k - 2])
-        rows.append([st.k, repr(st.delta_norm_H12D), ratio,
-                     repr(st.l2t_norm), repr(st.h1t_norm),
-                     repr(st.pde_residual)])
-    return rows
+    return [[st.k, repr(st.delta_norm_H12D),
+             "" if st.ratio is None else repr(st.ratio),
+             repr(st.l2t_norm), repr(st.h1t_norm), repr(st.pde_residual)]
+            for st in report.states]

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (NearSingularError, NumericalError, ParameterError,
-                     SingularPowerError, UndefinedSplittingError)
+from .errors import (InvalidFieldError, NearSingularError, NumericalError,
+                     ParameterError, SingularPowerError,
+                     UndefinedSplittingError)
 from .grids import (SpinorField, derivative, derivative_adjoint,
                     slobodeckij_operator)
 from .operators import apply_D
@@ -104,18 +105,29 @@ def decompose(op):
     (ModelSpec.modes): no dense matrix and no eigh.  The transform is
     checked once on the probe c = _fixed_unit_vector(m): D_P c through
     the eigenexpansion must match project(apply_D(embed(c))) to
-    1e-9 * max(max |lambda|, 1), else NumericalError.
+    1e-9 * max(max |lambda|, 1), else NumericalError.  A model whose
+    eigenvalues or probe leave the floats (a tiny model.length) raises
+    NumericalError too, naming model.length and model.n_points.
     """
-    freqs, phase, perm = op.spec.modes
-    order, lambda1, invertible = _order_spectrum(freqs)
-    sd = SpectralData(operator=op, eigenvalues=freqs[order], lambda1=lambda1,
-                      invertible=invertible, order=order, phase=phase,
-                      perm=perm)
-
-    c = _fixed_unit_vector(sd.size)
-    ref = op.project(apply_D(op.spec, op.embed(c)))
-    resid = np.max(np.abs(sd._synthesize(sd.eigenvalues * sd._analyze(c))
-                          - ref))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        freqs, phase, perm = op.spec.modes
+        order, lambda1, invertible = _order_spectrum(freqs)
+        sd = SpectralData(operator=op, eigenvalues=freqs[order],
+                          lambda1=lambda1, invertible=invertible,
+                          order=order, phase=phase, perm=perm)
+        c = _fixed_unit_vector(sd.size)
+        try:
+            ref = op.project(apply_D(op.spec, op.embed(c)))
+        except InvalidFieldError:  # D_P c leaves the floats
+            ref = math.inf
+        resid = np.max(np.abs(sd._synthesize(sd.eigenvalues * sd._analyze(c))
+                              - ref))
+    if not np.isfinite(resid):
+        grid = op.spec.grid
+        raise NumericalError(
+            "the eigenvalues of D_P or its Fourier probe are not finite at "
+            "model.length = %r, model.n_points = %d"
+            % (grid.length, grid.n_points))
     if resid > 1e-9 * max(np.max(np.abs(freqs)), 1.0):
         raise NumericalError("Fourier probe residual %.3e too large" % resid)
     return sd
@@ -224,6 +236,8 @@ def _rayleigh_maxima(sd):
     the numerator on the grid, V^H, analyze, scale.  The numerators are
     I + V^H G^H W G V (G the grids.derivative stencil, W the quadrature
     weights) and I + V^H Q V (Q of grids.slobodeckij_operator, s = 1/2).
+    NumericalError, naming model.length and model.n_points, when a
+    denominator overflows.
     """
     op = sd.operator
     if not sd.invertible:
@@ -244,10 +258,16 @@ def _rayleigh_maxima(sd):
             return scale * sd._analyze(ny)
         return _lanczos_max(matvec, sd.size, what)
 
+    with np.errstate(over="ignore"):
+        den_1, den_half = 1.0 + lam ** 2, 1.0 + np.abs(lam)
+    if not np.all(np.isfinite((den_1, den_half))):
+        raise NumericalError(
+            "1 + lambda_k^2 or 1 + |lambda_k| overflows at model.length = %r, "
+            "model.n_points = %d" % (grid.length, grid.n_points))
     where = "at model.n_points = %d" % grid.n_points
-    c1_emp = standard_form_max(sobolev, 1.0 + lam ** 2, "c1_emp " + where)
-    c_half_emp = standard_form_max(slobodeckij_operator(grid, 0.5),
-                                   1.0 + np.abs(lam), "c_half_emp " + where)
+    c1_emp = standard_form_max(sobolev, den_1, "c1_emp " + where)
+    c_half_emp = standard_form_max(slobodeckij_operator(grid, 0.5), den_half,
+                                   "c_half_emp " + where)
     return c1_emp, c_half_emp
 
 

@@ -107,14 +107,16 @@ def test_06_scaling_equivariance(anti_sd, anti_spec):
                        g=mode_field(anti_spec.grid, scale=0.1),
                        f0=mode_field(anti_spec.grid, scale=0.1),
                        max_iter=8, tol_cauchy=1e-300)
-    base = run(anti_sd, cfg)
-    for alpha in (0.25, 4.0, 16.0):
-        scaled = run(anti_sd, scale_problem(cfg, alpha))
-        fac = alpha ** (-0.5)
-        assert len(scaled.states) == len(base.states)
-        for st_b, st_s in zip(base.states, scaled.states):
-            ref = max(lp_norm(st_s.u, 2), 1e-300)
-            assert lp_norm(st_s.u - fac * st_b.u, 2) <= 1e-10 * ref
+    # a run keeps its last iterate only: compare u_k of runs of k steps
+    for k in range(1, 9):
+        cfg_k = dataclasses.replace(cfg, max_iter=k)
+        base = run(anti_sd, cfg_k)
+        for alpha in (0.25, 4.0, 16.0):
+            scaled = run(anti_sd, scale_problem(cfg_k, alpha))
+            fac = alpha ** (-0.5)
+            assert len(scaled.states) == len(base.states)
+            ref = max(lp_norm(scaled.u, 2), 1e-300)
+            assert lp_norm(scaled.u - fac * base.u, 2) <= 1e-10 * ref
 
 
 def test_07_shifted_stationarity(anti_sd, anti_spec):
@@ -122,7 +124,7 @@ def test_07_shifted_stationarity(anti_sd, anti_spec):
                        g=mode_field(anti_spec.grid, scale=0.1))
     rep = run(anti_sd, cfg)
     assert rep.verdict == "converged"
-    u_star = rep.states[-1].u
+    u_star = rep.u
     shifted = dataclasses.replace(cfg, a=1.0, f0=u_star)
     u1 = step(anti_sd, shifted, u_star)
     assert lp_norm(u1 - u_star, 2) <= 10.0 * cfg.tol_cauchy

@@ -912,9 +912,69 @@ def test_main_malformed_sample_file(tmp_path, capsys, text, where):
     assert main(["solve", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: %s" % data)
+    assert err.startswith("error: scheme.g: %s" % data)
     assert where in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["g", "f0"])
+@pytest.mark.parametrize("header, row, rows, where", [
+    ("x,re_0,im_0", "0.0,1.0,abc", 8, "line 2: could not convert"),
+    ("x,re_0,im_0", "0.0,1.0,0.0", 2, "has 2 rows, grid expects 8"),
+    ("x,re_0,im_0", "0.0,1.0,nan", 8, "line 2: non-finite value"),
+    # re_1 has no im_1: refused, not dropped
+    ("x,re_0,im_0,re_1", "0.0,1.0,0.0,2.0", 8,
+     "value columns re_0,im_0,re_1 are not re_c, im_c pairs"),
+])
+def test_main_bad_sample_file_names_its_key(tmp_path, capsys, header, row,
+                                            rows, where, key):
+    data = tmp_path / "g.csv"
+    data.write_text(header + "\n" + (row + "\n") * rows, encoding="utf-8")
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 8\n"
+                                   "[scheme]\n%s = sample_file(g.csv)\n" % key)
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scheme.%s: %s" % (key, data))
+    assert err.count("\n") == 1 and where in err
+
+
+@pytest.mark.parametrize("key", ["g", "f0"])
+def test_main_sample_file_is_a_directory(tmp_path, capsys, key):
+    (tmp_path / "g.csv").mkdir()
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 8\n"
+                                   "[scheme]\n%s = sample_file(g.csv)\n" % key)
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err \
+        == "error: scheme.%s: %s: Is a directory\n" % (key, tmp_path / "g.csv")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "solve", "check"])
+@pytest.mark.parametrize("length", ["1e-155", "1e-300"])
+@pytest.mark.parametrize("model", ["antiperiodic", "periodic", "bag1d"])
+def test_main_spectrum_out_of_the_floats(tmp_path, capsys, model, length,
+                                         command):
+    # 1 + lambda^2 overflows at 1e-155, and D_P itself at 1e-300: each
+    # command runs or ends in one error line naming the model's size,
+    # with no numpy warning (an error under this suite's filterwarnings)
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = %s\nlength = %s\n"
+                                   "n_points = 16\n" % (model, length))
+    status = main([command, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if status == 0:
+        assert err == ""
+    else:
+        assert status == 1 and err.count("\n") == 1
+        assert err.startswith("error: ")
+    if model == "periodic" and length == "1e-155":
+        return  # its spectrum stays finite: lambda_1 = 0 ends solve, check
+    # solve runs at 1e-155: its certification, which needs 1 + lambda^2,
+    # is advisory
+    assert (status == 0) == (command == "solve" and length == "1e-155")
+    assert status == 0 or err.endswith(
+        " at model.length = %r, model.n_points = 16\n" % float(length))
 
 
 def test_main_config_not_utf8(tmp_path, capsys):
@@ -936,7 +996,7 @@ def test_main_sample_file_not_utf8(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: %s: not UTF-8" % data)
+    assert err.startswith("error: scheme.g: %s: not UTF-8" % data)
     assert "Traceback" not in err
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,3 +242,13 @@ def test_csv_roundtrip(tmp_path):
     assert header == "x,re_0,im_0,re_1,im_1"
     back = load_field_csv(g, path)
     assert np.array_equal(back.values, f.values)
+
+
+def test_load_field_csv_names_the_bad_line(tmp_path):
+    g = Grid1D(1.0, 8)
+    path = tmp_path / "field.csv"
+    path.write_text("x,re_0,im_0\n" + "0.0,1.0,0.0\n" * 3 + "0.0,nan,0.0\n"
+                    + "0.0,1.0,0.0\n" * 4, encoding="utf-8")
+    with pytest.raises(InvalidFieldError, match="^%s line 5: non-finite "
+                       "value$" % re.escape(str(path))):
+        load_field_csv(g, path)

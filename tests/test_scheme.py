@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import mode_field
-from diracbvp import (SchemeConfig, SpinorField, apply_D, lp_norm,
+from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SchemeConfig,
+                      SpinorField, apply_D, assemble, decompose, lp_norm,
                       nonlinearity, run, scale_problem, step,
                       verify_solution)
 from diracbvp.errors import (NearSingularError, ParameterError,
@@ -45,7 +46,8 @@ def test_zero_datum_stays_zero(anti_sd, anti_spec):
     z = SpinorField.zero(anti_spec.grid)
     cfg = SchemeConfig(lam=0.3, p=4, g=z, f0=z)
     rep = run(anti_sd, cfg)
-    assert all(lp_norm(st.u, 2) == 0.0 for st in rep.states)
+    assert all(st.l2t_norm == 0.0 for st in rep.states)
+    assert lp_norm(rep.u, 2) == 0.0
 
 
 def test_step_near_singular_shift(anti_sd, anti_spec):
@@ -125,7 +127,7 @@ def test_converged_limit_solves_equation(anti_sd, anti_spec):
     cfg = base_config(anti_spec.grid)
     rep = run(anti_sd, cfg)
     assert rep.verdict == "converged"
-    res, bres = verify_solution(anti_sd, cfg, rep.states[-1].u)
+    res, bres = verify_solution(anti_sd, cfg, rep.u)
     assert res < cfg.tol_residual
     assert bres < 1e-10
 
@@ -160,7 +162,7 @@ def test_stationarity_under_shift(anti_sd, anti_spec):
     cfg = exact_config(anti_spec.grid)
     rep = run(anti_sd, cfg)
     assert rep.verdict == "converged"
-    u_star = rep.states[-1].u
+    u_star = rep.u
     for a in (1.0, 0.5j, -2.0):
         shifted = dataclasses.replace(cfg, a=a, f0=u_star)
         u1 = step(anti_sd, shifted, u_star)
@@ -202,13 +204,15 @@ def test_scale_requires_p_above_two(anti_spec):
 def test_scaling_equivariance_stepwise(anti_sd, anti_spec):
     cfg = base_config(anti_spec.grid, f0=mode_field(anti_spec.grid, scale=0.1),
                       max_iter=8, tol_cauchy=1e-300)
-    base = run(anti_sd, cfg)
-    for alpha in (0.25, 4.0, 16.0):
-        scaled = run(anti_sd, scale_problem(cfg, alpha))
-        fac = alpha ** (-0.5)
-        for st_b, st_s in zip(base.states, scaled.states):
-            ref = lp_norm(st_s.u, 2)
-            diff = lp_norm(st_s.u - fac * st_b.u, 2)
+    # a run keeps its last iterate only: compare u_k of runs of k steps
+    for k in range(1, 9):
+        cfg_k = dataclasses.replace(cfg, max_iter=k)
+        base = run(anti_sd, cfg_k)
+        for alpha in (0.25, 4.0, 16.0):
+            scaled = run(anti_sd, scale_problem(cfg_k, alpha))
+            fac = alpha ** (-0.5)
+            ref = lp_norm(scaled.u, 2)
+            diff = lp_norm(scaled.u - fac * base.u, 2)
             assert diff <= 1e-10 * max(ref, 1e-300)
 
 
@@ -233,3 +237,23 @@ def test_bound_violation_flagged(anti_sd, anti_spec):
     cfg = base_config(anti_spec.grid, Xi=1e-6, Lambda_cap=1e-6)
     rep = run(anti_sd, cfg)
     assert not rep.bounds_held
+
+
+def test_run_memory_does_not_grow_with_the_iterations():
+    # the states hold scalars and the report the last iterate: 200 steps
+    # must not keep 200 fields of N points
+    import tracemalloc
+    spec = ModelSpec(Grid1D(1.0, 4097), BoundaryCondition("antiperiodic"))
+    sd = decompose(assemble(spec))
+    g = SpinorField(spec.grid, np.full(spec.grid.n_points, 0.3 + 0j))
+    cfg = SchemeConfig(lam=2.0, p=4, g=g, max_iter=200)
+    tracemalloc.start()
+    try:
+        rep = run(sd, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Cauchy-converged, but the residual floors above tol_residual
+    assert rep.verdict == "max_iter_exceeded"
+    assert len(rep.states) == 201
+    assert peak < 32 * 16 * spec.grid.n_points
