@@ -5,9 +5,9 @@ Common flags: --config <path>, --out <dir>, --workers <k>.  Every
 config value is parsed and range-checked before a command starts.  solve
 and every sweep point run _run_scheme; sweep evaluates its points one
 after another, reusing the decomposed model and the fields g and f0
-while consecutive points share the [model] section; --workers (and
-run.workers, an integer) is accepted for compatibility and changes
-nothing.  Outputs are deterministic for a fixed config; JSON is strict.
+while consecutive points share the [model] section; --workers is
+accepted for compatibility and changes nothing (the key run.workers is
+refused).  Outputs are deterministic for a fixed config; JSON is strict.
 
 Each command imports the array layers it uses when it runs, so
 `bootstrap`, `--help`, usage errors and refused configs load no numpy.

@@ -204,7 +204,7 @@ _POS = _at_least(_real, 0, strict=True)
 
 # section -> key -> (parser, default); a default of None marks an optional
 # key with no value (parse_config fills in model.operator from the
-# boundary), and run.workers is accepted but read by nothing
+# boundary)
 _SCHEMA = {
     "model": {"operator": (_word(SCALAR_DERIVATIVE, DIRAC_2SPINOR), None),
               "boundary": (_word(*MODELS), ANTIPERIODIC),
@@ -222,7 +222,7 @@ _SCHEMA = {
                   "c1": (_at_least(_C1, 0, True), "empirical"),
                   "c_half": (_at_least(_C_HALF, 0, True), "empirical"),
                   "mode": (_word(MODE_C, MODE_B, MODE_A), MODE_C)},
-    "run": {"output_dir": (_text, "out"), "workers": (_int, 1)},
+    "run": {"output_dir": (_text, "out")},
     "sweep": {"param": (_axis, None), "min": (_real, None),
               "max": (_real, None), "count": (_int, None),
               "scale": (_word("lin", "log"), "lin"),

@@ -13,29 +13,28 @@ BoundaryCondition:
     (_sbp_derivative).
 
 _apply_D_values is the one definition of each model's D; apply_D applies
-it to a field.  The constraint map V is an orthonormal basis of the
-discrete kernel of the boundary operator P, with one nonzero per row;
-assemble() keeps it as the index arrays of _constraint_entries, so
-embed (V c) and project (V^H W f) cost O(N).  The compressed operator is
-D_P = sym(V^H W D V), with W the quadrature weights and
-sym(M) = (M + M^H)/2; it is never formed as a matrix.
+it to a field.  model_structure gives the rest, from one dispatch on the
+boundary kind: the constraint map V, an orthonormal basis of the discrete
+kernel of the boundary operator P with one nonzero per row, as index
+arrays, so embed (V c) and project (V^H W f) cost O(N); and the Fourier
+modes of D_P = sym(V^H W D V), W the quadrature weights and
+sym(M) = (M + M^H)/2, which is never formed as a matrix.
 
-Every model's D_P is diagonal in modulated Fourier modes, and
-fourier_modes gives their frequencies, modulation phase and the
-permutation of the constrained coordinates they act on; the Fourier
-spectral backend reads nothing else.  The scalar models are diagonal in
-Fourier modes by construction.  For bag1d, sigma_1 and the central
-differences couple each component at point j only to the other component
-at j-1 and j+1: the 2N samples form two chains that meet only at the
-endpoints, and V merges the two samples of each endpoint, so D_P has two
-nonzeros per row on one cycle of m = 2N-2 nodes, every edge of modulus
-1/(2h).  A diagonal unitary gauge along the cycle turns it into the real
-symmetric shift, twisted by theta = 0 (N even) or 1/2 (N odd), whose
-eigenvalues are cos(2 pi (k + theta)/m)/h, k = 0..m-1.  Each of them is
-doubly degenerate, bar +-1/h when theta = 0: this is fermion doubling of
-the central-difference stencil (Nielsen-Ninomiya), whereas the continuum
-eigenvalues +-(j + 1/2) pi/L are simple.  The smallest positive
-eigenvalue, sin(pi/m)/h -> pi/(2L), has multiplicity 2.
+V's columns are the nodes of the model's cycle, in order, so D_P is
+diagonal in modulated Fourier modes of the coordinates as they stand.  The
+scalar models are diagonal in Fourier modes by construction.  For bag1d,
+sigma_1 and the central differences couple each component at point j
+only to the other component at j-1 and j+1: the 2N samples form two
+chains that meet only at the endpoints, and V merges the two samples of
+each endpoint, so D_P has two nonzeros per row on one cycle of m = 2N-2
+nodes, every edge of modulus 1/(2h).  A diagonal unitary gauge along the
+cycle turns it into the real symmetric shift, twisted by theta = 0
+(N even) or 1/2 (N odd), whose eigenvalues are cos(2 pi (k + theta)/m)/h,
+k = 0..m-1.  Each of them is doubly degenerate, bar +-1/h when
+theta = 0: this is fermion doubling of the central-difference stencil
+(Nielsen-Ninomiya), whereas the continuum eigenvalues +-(j + 1/2) pi/L
+are simple.  The smallest positive eigenvalue, sin(pi/m)/h -> pi/(2L),
+has multiplicity 2.
 """
 
 from dataclasses import dataclass, field
@@ -82,17 +81,19 @@ class ModelSpec:
         return MODELS[self.bc.kind][2]
 
     @cached_property
-    def modes(self):
-        """fourier_modes(self), computed on the first read and kept.
+    def structure(self):
+        """model_structure(self), computed on the first read and kept.
 
-        Every apply_D on the scalar models and every decompose reads it,
-        so a model pays for its frequencies and phase once.  The arrays
-        are read-only, as every reader shares them.
+        assemble, decompose and every scalar apply_D read it, so a model
+        pays for it once; the arrays are read-only, as every reader
+        shares them.  Entries that leave the floats (a tiny model.length)
+        raise no warning here: decompose refuses them.
         """
-        modes = fourier_modes(self)
-        for arr in modes:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            structure = model_structure(self)
+        for arr in structure:
             arr.flags.writeable = False
-        return modes
+        return structure
 
 
 def _sbp_derivative(v, h):
@@ -126,67 +127,78 @@ def _antiperiodic_freqs(grid):
     return (2 * ks + 1) * np.pi / grid.length
 
 
-def fourier_modes(spec):
-    """Frequencies (FFT order), modulation phase and permutation of D_P.
+def model_structure(spec):
+    """Constraint map V and Fourier modes of D_P: (cols, vals, freqs, phase).
 
-    D_P acts on constrained coordinates y as
-    z = y[perm];  z -> phase * ifft(freqs * fft(conj(phase) * z)),
-    scattered back to y[perm]: D_P = P^T U diag(freqs) U^H P with the
-    unitary U = diag(phase) F^H / sqrt(m), F the DFT matrix and P the
-    permutation.  Periodic: freqs = 2 pi fftfreq, phase = 1; antiperiodic:
-    the half-integer frequencies of _antiperiodic_freqs, phase_j =
-    exp(i pi j/m); both have perm the identity (y holds the free samples up
-    to V's factor 1/sqrt(h)).  bag1d: see _bag_modes.
+    V[i, cols[i]] = vals[i], rows indexing the flattened field
+    (point-major, component-minor); each row holds one nonzero, each
+    column (a node of the model's cycle, in order) at most two.  D_P is
+    y -> phase * ifft(freqs * fft(conj(phase) * y)), freqs in FFT order:
+    D_P = U diag(freqs) U^H, U = diag(phase) F^H / sqrt(m), F the DFT
+    matrix.  Periodic: freqs = 2 pi fftfreq, phase = 1; antiperiodic:
+    the frequencies of _antiperiodic_freqs, phase_j = exp(i pi j/m);
+    both have y the free samples up to V's factor 1/sqrt(h).  bag1d: see
+    _bag_structure.
     """
-    grid = spec.grid
     if spec.bc.kind == BAG1D:
-        return _bag_modes(spec)
+        return _bag_structure(spec)
+    grid, n = spec.grid, spec.grid.n_points
     if spec.bc.kind == PERIODIC:
-        m = grid.n_points
-        freqs = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.spacing)
-        phase = np.ones(m)
-    else:
-        m = grid.n_points - 1
-        freqs = _antiperiodic_freqs(grid)
-        phase = np.exp(1j * np.pi * np.arange(m) / m)
-    return freqs, phase, np.arange(m)
+        vals = np.full(n, 1.0 / np.sqrt(grid.spacing), dtype=complex)
+        freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+        return np.arange(n), vals, freqs, np.ones(n)
+    # antiperiodic: the first constrained dof pairs the two endpoints
+    m = n - 1
+    vals = np.ones(n, dtype=complex)
+    vals[-1] = -1.0
+    vals /= np.sqrt(grid.spacing)
+    phase = np.exp(1j * np.pi * np.arange(m) / m)
+    return np.r_[np.arange(m), 0], vals, _antiperiodic_freqs(grid), phase
 
 
-def _bag_modes(spec):
-    """fourier_modes of bag1d: D_P gauged into a twisted symmetric shift.
+def _bag_cycle(n):
+    """Flattened rows of the m = 2N-2 bag1d cycle nodes: (row_in, row_out).
 
-    The walk starts at the left endpoint's component-1 row, runs along
-    chain A (component j mod 2 at point j) to the right endpoint and back
-    along chain B; V merges each endpoint's two rows, so the columns met,
-    repeats dropped, are the cycle perm: left endpoint, chain A, right
-    endpoint, chain B reversed.  The edge values
-    e_k = D_P[perm[k+1], perm[k]] are read off _apply_D_values on three
-    probes, V's nonzeros at the points j = 0, 1, 2 (mod 3): the stencil
-    reaches one point each way, so every row meets one column of each
-    probe at most.  With the gauge g_k = prod_{l<k} e_l/|e_l|,
-    diag(g)^H D_P diag(g) is s = |e_k| times the symmetric shift closed
-    by s g_m, g_m = +1 (theta = 0) or -1 (theta = 1/2); its eigenvalues
-    are 2 s cos(2 pi (k + theta)/m), with phase_k = g_k exp(2 pi i theta
-    k/m).  NumericalError when the |e_k| differ or g_m is not real.
+    Row 2j + c is component c at point j.  Node 0 is the left endpoint;
+    nodes 1..N-1 run along chain A (component j mod 2 at point j) to the
+    right endpoint, and nodes N..m-1 back along chain B, the other
+    component.  row_in[k] is node k's row next to node k-1, row_out[k]
+    that next to node k+1; they differ only at the merged endpoints.
     """
-    n = spec.grid.n_points
-    cols, vals = _constraint_entries(spec)
     j = np.arange(n)
     chain_a, chain_b = 2 * j + j % 2, 2 * j + 1 - j % 2
-    walk = np.concatenate([chain_b[:1], chain_a, chain_b[:0:-1]])
-    col = cols[walk]
-    start = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
-    perm = col[start]
-    m = perm.size
-    row_in = walk[start]  # node k's row next to node k-1
-    row_out = walk[np.r_[start[1:], walk.size] - 1]  # ... next to node k+1
-    row_next = np.roll(row_in, -1)
+    row_in = np.r_[chain_b[0], chain_a[1:], chain_b[n - 2:0:-1]]
+    row_out = np.r_[chain_a[:n - 1], chain_b[n - 1:0:-1]]
+    return row_in, row_out
 
+
+def _bag_structure(spec):
+    """model_structure of bag1d: D_P gauged into a twisted symmetric shift.
+
+    V keeps each endpoint along its kernel direction and each interior
+    component as it is, on the cycle nodes of _bag_cycle.  The edges
+    e_k = D_P[k+1, k] are read off _apply_D_values on three probes, V's
+    nonzeros at the points j = 0, 1, 2 (mod 3): the stencil reaches one
+    point each way, so every row meets one column of each probe at most.
+    With the gauge g_k = prod_{l<k} e_l/|e_l|, diag(g)^H D_P diag(g) is
+    s = |e_k| times the symmetric shift closed by s g_m, g_m = +1
+    (theta = 0) or -1 (theta = 1/2); its eigenvalues are
+    2 s cos(2 pi (k + theta)/m), with phase_k = g_k exp(2 pi i theta
+    k/m).  NumericalError when the |e_k| differ or g_m is not real.
+    """
+    grid, n = spec.grid, spec.grid.n_points
+    m = 2 * n - 2
+    row_in, row_out = _bag_cycle(n)
+    cols = np.empty(2 * n, dtype=np.intp)
+    cols[row_in] = cols[row_out] = np.arange(m)
+    vals = np.concatenate([BAG_V_LEFT, np.ones(2 * n - 4), BAG_V_RIGHT]) \
+        / np.sqrt(np.repeat(grid.weights(), 2))
+    row_next = np.roll(row_in, -1)
     point = np.arange(2 * n) // 2
     probes = np.zeros((2 * n, 3), dtype=complex)
     probes[np.arange(2 * n), point % 3] = vals
     dq = _apply_D_values(spec, probes.reshape(n, 2, 3)).reshape(2 * n, 3)
-    w = np.repeat(spec.grid.weights(), 2)
+    w = np.repeat(grid.weights(), 2)
 
     def entry(row, other):
         # <V_a, W D V_b>, a the column of `row` and b that of `other`: the
@@ -215,7 +227,7 @@ def _bag_modes(spec):
     freqs = 2.0 * s * np.sin(2.0 * np.pi * x / m)
     phase = np.r_[1.0, gauge[:-1]] \
         * np.exp(2j * np.pi * theta * np.arange(m) / m)
-    return freqs, phase, perm
+    return cols, vals, freqs, phase
 
 
 @dataclass
@@ -225,9 +237,9 @@ class AssembledOperator:
     The constraint map V embeds constrained coordinates into full-grid
     fields (flattened point-major, component-minor); its columns are
     orthonormal in the quadrature inner product, V^H W V = I.  V has one
-    nonzero per row and is kept as the index arrays of
-    _constraint_entries, V[i, cols[i]] = vals[i], so embed is a scatter
-    and project a gather, both O(N).  weights holds W per flattened row.
+    nonzero per row and is kept as the index arrays of model_structure,
+    V[i, cols[i]] = vals[i], so embed is a scatter and project a gather,
+    both O(N).  weights holds W per flattened row.
     """
     spec: ModelSpec
     cols: np.ndarray = field(repr=False)
@@ -260,39 +272,13 @@ class AssembledOperator:
             + 1j * np.bincount(self.cols, terms.imag, m)
 
 
-def _constraint_entries(spec):
-    """The constraint map V as index arrays: V[i, cols[i]] = vals[i].
-
-    Rows index the flattened field (point-major, component-minor); every
-    row of V holds exactly one nonzero and every column at most two.
-    Only V depends on the boundary condition.
-    """
-    grid = spec.grid
-    n = grid.n_points
-    if spec.bc.kind == PERIODIC:
-        return np.arange(n), np.full(n, 1.0 / np.sqrt(grid.spacing),
-                                     dtype=complex)
-    if spec.bc.kind == ANTIPERIODIC:
-        # the first constrained dof pairs the two endpoints antiperiodically
-        vals = np.ones(n, dtype=complex)
-        vals[-1] = -1.0
-        vals /= np.sqrt(grid.spacing)
-        return np.r_[np.arange(n - 1), 0], vals
-    # bag1d: the endpoints along their kernel directions, one column per
-    # interior component
-    m = 2 * n - 2
-    vals = np.concatenate([BAG_V_LEFT, np.ones(2 * n - 4), BAG_V_RIGHT])
-    return np.r_[0, np.arange(m), m - 1], vals / np.sqrt(
-        np.repeat(grid.weights(), 2))
-
-
 def assemble(spec):
     """Build the constrained operator D_P for a model spec.
 
-    Keeps the constraint map V as the index arrays of _constraint_entries,
+    Keeps the constraint map V as the index arrays of ModelSpec.structure,
     with the weights W; D_P itself is applied through spectral.decompose.
     """
-    cols, vals = _constraint_entries(spec)
+    cols, vals = spec.structure[:2]
     weights = np.repeat(spec.grid.weights(), spec.rank)
     return AssembledOperator(spec=spec, cols=cols, vals=vals,
                              weights=weights)
@@ -307,7 +293,7 @@ def _apply_D_values(spec, v):
     if spec.bc.kind in (PERIODIC, ANTIPERIODIC):
         # frequency and phase vectors broadcast along axis 0
         col = (-1,) + (1,) * (v.ndim - 1)
-        freqs, phase, _ = (a.reshape(col) for a in spec.modes)
+        freqs, phase = (a.reshape(col) for a in spec.structure[2:])
         y = v
         if spec.bc.kind == ANTIPERIODIC:
             # split off the constant offset so the remainder matches the

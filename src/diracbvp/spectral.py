@@ -1,13 +1,14 @@
 """Spectral decomposition of D_P and the functional calculus built on it.
 
 Every model (antiperiodic, periodic, bag1d) is diagonal in modulated
-Fourier modes, so decompose reads its eigenvalues off the frequencies of
-operators.fourier_modes, and its eigen-coefficient transform is permute,
-demodulate, FFT: O(m log m) time and O(m) memory, with no dense matrix
-and no stored eigenvectors.  Everything downstream lives here: the
-transform (SpectralData.to_coeffs/from_coeffs), the application of D_P,
-inverses (optionally shifted), fractional powers |D_P|^s, the +/-
-spectral splitting and graph norms of H^s_D, all on SpinorFields, and the
+Fourier modes of its constrained coordinates, so decompose reads its
+eigenvalues off the frequencies of operators.model_structure, and its
+eigen-coefficient transform is demodulate, FFT, sort: O(m log m) time
+and O(m) memory, with no dense matrix and no stored eigenvectors.
+Everything downstream lives here: the transform
+(SpectralData.to_coeffs/from_coeffs), the application of D_P, inverses
+(optionally shifted), fractional powers |D_P|^s, the +/- spectral
+splitting and graph norms of H^s_D, all on SpinorFields, and the
 empirical regularity constants c1 and c_{1/2}: the largest generalized
 Rayleigh quotients, found matrix-free by the plain three-term Lanczos
 recurrence, capped in steps and O(m) in memory, on products with the
@@ -35,13 +36,12 @@ class SpectralData:
     """Eigenvalues of D_P and the eigen-coefficient transform.
 
     eigenvalues are sorted by increasing modulus, the positive one first
-    on a tie.  The eigenvectors are P^T diag(phase) F^H / sqrt(m), never
-    stored: order[k] is the FFT bin of eigenvalue k; phase and perm are
-    the modulation and coordinate permutation of operators.fourier_modes.
-    On constrained coordinates y, _analyze is y -> fft(conj(phase)
-    y[perm], norm="ortho") with the bins permuted into eigenvalue order,
-    and _synthesize its inverse; to_coeffs and from_coeffs add project
-    and embed.
+    on a tie.  The eigenvectors are diag(phase) F^H / sqrt(m), never
+    stored: order[k] is the FFT bin of eigenvalue k, and phase is the
+    modulation of operators.model_structure.  On constrained coordinates
+    y, _analyze is y -> fft(conj(phase) y, norm="ortho") with the bins
+    sorted into eigenvalue order, and _synthesize its inverse; to_coeffs
+    and from_coeffs add project and embed.
     """
     operator: object
     eigenvalues: np.ndarray = field(repr=False)
@@ -49,7 +49,6 @@ class SpectralData:
     invertible: bool
     order: np.ndarray = field(repr=False)
     phase: np.ndarray = field(repr=False)
-    perm: np.ndarray = field(repr=False)
     # (c1_emp, c_half_emp) once estimate_constants has computed them
     _rayleigh_maxima: tuple = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -67,15 +66,12 @@ class SpectralData:
         return self.operator.embed(self._synthesize(coeff))
 
     def _analyze(self, y):
-        z = self.phase.conj() * y[self.perm]
-        return np.fft.fft(z, norm="ortho")[self.order]
+        return np.fft.fft(self.phase.conj() * y, norm="ortho")[self.order]
 
     def _synthesize(self, coeff):
         bins = np.empty(self.size, dtype=complex)
         bins[self.order] = coeff
-        out = np.empty(self.size, dtype=complex)
-        out[self.perm] = self.phase * np.fft.ifft(bins, norm="ortho")
-        return out
+        return self.phase * np.fft.ifft(bins, norm="ortho")
 
 
 def _order_spectrum(vals):
@@ -101,8 +97,8 @@ def _order_spectrum(vals):
 def decompose(op):
     """Spectral decomposition of D_P, sorted by increasing modulus.
 
-    Eigenvalues and transform come from the model's fourier_modes
-    (ModelSpec.modes): no dense matrix and no eigh.  The transform is
+    Eigenvalues and transform come from the Fourier modes of
+    ModelSpec.structure: no dense matrix and no eigh.  The transform is
     checked once on the probe c = _fixed_unit_vector(m): D_P c through
     the eigenexpansion must match project(apply_D(embed(c))) to
     1e-9 * max(max |lambda|, 1), else NumericalError.  A model whose
@@ -110,11 +106,11 @@ def decompose(op):
     NumericalError too, naming model.length and model.n_points.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        freqs, phase, perm = op.spec.modes
+        freqs, phase = op.spec.structure[2:]
         order, lambda1, invertible = _order_spectrum(freqs)
         sd = SpectralData(operator=op, eigenvalues=freqs[order],
                           lambda1=lambda1, invertible=invertible,
-                          order=order, phase=phase, perm=perm)
+                          order=order, phase=phase)
         c = _fixed_unit_vector(sd.size)
         try:
             ref = op.project(apply_D(op.spec, op.embed(c)))

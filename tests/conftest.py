@@ -7,7 +7,8 @@ from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpinorField,
                       assemble, decompose)
 from diracbvp.errors import ConfigurationError, NumericalError
 from diracbvp.grids import derivative
-from diracbvp.operators import _antiperiodic_freqs, _apply_D_values
+from diracbvp.operators import (BAG_P_LEFT, BAG_P_RIGHT, _antiperiodic_freqs,
+                                _apply_D_values)
 from diracbvp.spectral import _order_spectrum
 
 
@@ -151,9 +152,7 @@ def dense_eigenvectors(sd):
     vecs[sd.order, np.arange(sd.size)] = 1.0
     vecs = np.fft.ifft(vecs, axis=0, norm="ortho")
     vecs *= sd.phase[:, None]
-    out = np.empty_like(vecs)
-    out[sd.perm] = vecs
-    return out
+    return vecs
 
 
 @dataclass
@@ -232,3 +231,46 @@ def dense_rayleigh_maxima(sd):
         form = scale[:, None] * (u.conj().T @ num @ u) * scale
         maxima.append(np.linalg.eigvalsh(0.5 * (form + form.conj().T))[-1])
     return tuple(maxima)
+
+
+def closed_form_solution(spec, g, lam, p):
+    """Nodal values of the exact solution of D u = lam |u|^{p-2} u, P u = P g.
+
+    For the antiperiodic and bag1d models.  |u| is constant along a
+    solution, since d|u|^2/dx = 2 Re(u^H u') = 2 lam |u|^{p-2} Re(i u^H S u)
+    vanishes with S = 1 (antiperiodic) or sigma_1 (bag1d).  So
+    u = exp(i omega S x) a with omega = lam |a|^{p-2}, and for each omega
+    the boundary condition is linear in a: a (1 + e^{i omega L}) =
+    g(0) + g(L), or w^H u = w^H g at each end, w spanning the range of
+    that end's rank-1 projector (a 2 x 2 solve).  |a| is the fixed point
+    of r -> |a(lam r^{p-2})|, found by iteration from |g(0)|; it involves
+    no grid but the samples of g at the two ends.
+    """
+    grid = spec.grid
+    g0, g_end = g.values[0], g.values[-1]
+    bag = spec.bc.kind == "bag1d"
+    # the unit vectors spanning the ranges of the two bag projectors
+    w_left, w_right = (np.linalg.eigh(proj)[1][:, -1].conj()
+                       for proj in (BAG_P_LEFT, BAG_P_RIGHT))
+
+    def coefficient(omega):
+        turn = omega * grid.length
+        if not bag:
+            return (g0 + g_end) / (1.0 + np.exp(1j * turn))
+        # w^H exp(i omega sigma_1 L) = cos w^H + i sin (w^H sigma_1)
+        rows = [w_left, np.cos(turn) * w_right
+                + 1j * np.sin(turn) * w_right[::-1]]
+        return np.linalg.solve(rows, [w_left @ g0, w_right @ g_end])
+
+    r = np.linalg.norm(g0)
+    for _ in range(200):
+        r_prev, r = r, np.linalg.norm(coefficient(lam * r ** (p - 2)))
+        if abs(r - r_prev) <= 1e-15 * r:
+            break
+    else:
+        raise AssertionError("the fixed point in |a| did not converge")
+    omega = lam * r_prev ** (p - 2)
+    a = coefficient(omega)
+    x = grid.points()[:, None]
+    return np.cos(omega * x) * a \
+        + 1j * np.sin(omega * x) * (a[::-1] if bag else a)

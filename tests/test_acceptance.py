@@ -4,8 +4,9 @@ Each test exercises one headline property of the solver at its stated
 tolerance: spectral fidelity, functional-calculus identities, the linear
 base case, certified contraction, the hand-constructed exact solution,
 scaling equivariance, shifted-scheme stationarity, bootstrap arithmetic,
-condition arithmetic, the variational functional, and the stability of
-the fractional-regularity ratio under grid refinement.
+condition arithmetic, the variational functional, the stability of
+the fractional-regularity ratio under grid refinement, and the order at
+which solutions converge to a closed-form answer.
 """
 
 import dataclasses
@@ -15,8 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (dense_eigenvectors, dense_matrix, mode_field,
-                      random_constrained_field)
+from conftest import (closed_form_solution, dense_eigenvectors, dense_matrix,
+                      mode_field, random_constrained_field)
 from diracbvp import (AnalyticConstants, BoundaryCondition, Grid1D, ModelSpec,
                       SchemeConfig, apply_fractional, apply_inverse, assemble,
                       bootstrap_exponents, c3_lambda_threshold,
@@ -208,3 +209,29 @@ count = 11
             assert row[2] == "converged"
             assert float(row[5]) < 1.0
     assert time.monotonic() - start < 60.0
+
+
+@pytest.mark.parametrize("kind, g, min_order, max_error", [
+    # second order: the SBP stencil's error
+    ("bag1d", "exp_mode(1, 0.3)", 1.9, 5e-8),
+    # first order: P g != 0, and the Fourier D_P floors the residual
+    ("antiperiodic", "const(0.3)", 0.95, 5e-5),
+])
+def test_12_solution_converges_to_the_closed_form(kind, g, min_order,
+                                                  max_error):
+    errors = []
+    for n_points in (65, 129, 257, 513):
+        cfg = parse_config(
+            "[model]\nboundary = %s\nn_points = %d\n[scheme]\nlambda = 2\n"
+            "p = 4\ng = %s\ntol_cauchy = 1e-13\nmax_iter = 100\n"
+            % (kind, n_points, g))
+        spec = cfg.build_model()
+        scheme_cfg = cfg.build_scheme(*cfg.build_fields(spec))
+        rep = run(decompose(assemble(spec)), scheme_cfg)
+        assert rep.states[-1].delta_norm_H12D < 1e-13
+        exact = closed_form_solution(spec, scheme_cfg.g, 2.0, 4.0)
+        errors.append(np.max(np.linalg.norm(rep.u.values - exact, axis=1)))
+    # h halves at each step: N - 1 doubles
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= min_order), orders
+    assert errors[-1] < max_error, errors

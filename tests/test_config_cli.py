@@ -157,7 +157,7 @@ def test_defaults():
     assert cfg.values["model"]["operator"] == "scalar_derivative"
     assert cfg.values["model"]["boundary"] == "antiperiodic"
     assert cfg.values["scheme"]["p"] == 4.0
-    assert cfg.values["run"] == {"output_dir": "out", "workers": 1}
+    assert cfg.values["run"] == {"output_dir": "out"}
     assert cfg.sweep is None
     model = cfg.build_model()
     assert model.grid.n_points == 256 and model.grid.length == 1.0
@@ -226,6 +226,9 @@ def test_unknown_key_names_path():
     with pytest.raises(ConfigParseError) as exc:
         parse_config("[model]\nboundary = moebius\n")
     assert exc.value.key == "model.boundary"
+    with pytest.raises(ConfigParseError) as exc:
+        parse_config("[run]\nworkers = 3\n")
+    assert exc.value.key == "run.workers"
 
 
 def test_scheme_values_evaluated():
@@ -459,17 +462,6 @@ def test_cmd_sweep(tmp_path):
     assert rows[1][2] == "converged"  # lambda = 0
 
 
-def test_cmd_sweep_parallel_matches_serial(tmp_path):
-    text = BASE + ("[sweep]\nparam = scheme.lambda\nmin = 0\nmax = 0.3\n"
-                   "count = 3\n")
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    run_command(parse_config(text), "sweep", str(serial))
-    run_command(parse_config(text + "[run]\nworkers = 3\n"), "sweep",
-                str(parallel))
-    assert (serial / "sweep.csv").read_bytes() \
-        == (parallel / "sweep.csv").read_bytes()
-
-
 def test_cmd_sweep_decomposes_once_per_model(tmp_path, monkeypatch):
     import diracbvp.spectral
     calls = []
@@ -510,18 +502,19 @@ def test_cmd_sweep_model_axis_matches_uncached(tmp_path, monkeypatch):
     assert read_csv(cached / "sweep.csv")[1][1] == "1.0"
 
 
-def test_cmd_sweep_computes_fourier_modes_once_per_model(tmp_path,
-                                                        monkeypatch):
-    # every apply_D and decompose of a model reads the modes it cached
+def test_cmd_sweep_computes_model_structure_once_per_model(tmp_path,
+                                                          monkeypatch):
+    # assemble, every apply_D and decompose of a model read the structure
+    # it cached
     import diracbvp.operators
     calls = []
-    fourier_modes = diracbvp.operators.fourier_modes
+    model_structure = diracbvp.operators.model_structure
 
     def counting(spec):
         calls.append(spec.grid.n_points)
-        return fourier_modes(spec)
+        return model_structure(spec)
 
-    monkeypatch.setattr(diracbvp.operators, "fourier_modes", counting)
+    monkeypatch.setattr(diracbvp.operators, "model_structure", counting)
     text = BASE + ("[sweep]\nparam = model.n_points\nmin = 32\nmax = 33\n"
                    "count = 2\nparam2 = scheme.lambda\nmin2 = 0\n"
                    "max2 = 0.3\ncount2 = 3\n")

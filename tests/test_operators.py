@@ -166,6 +166,23 @@ def test_bag_spectrum_closed_form_and_doubling(n_points):
         assert smallest == pytest.approx(np.sin(np.pi / m) / h, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_points", [8, 9, 64, 65])
+def test_bag_constrained_coordinates_follow_the_cycle(n_points):
+    # constrained coordinate k couples only to k - 1 and k + 1 (mod m),
+    # every edge of modulus 1/(2h)
+    grid = Grid1D(1.0, n_points)
+    matrix = dense_matrix(assemble(ModelSpec(grid,
+                                             BoundaryCondition("bag1d"))))
+    m = matrix.shape[0]
+    k = np.arange(m)
+    gap = (k[None, :] - k[:, None]) % m
+    on_cycle = (gap == 1) | (gap == m - 1)
+    scale = np.max(np.abs(matrix))
+    assert np.max(np.abs(matrix[~on_cycle])) <= 1e-12 * scale
+    edges = np.abs(matrix[(k + 1) % m, k])
+    assert np.max(np.abs(edges * 2.0 * grid.spacing - 1.0)) <= 1e-12
+
+
 # -------------------------------------------------------------- apply_D
 
 def test_apply_D_constant_is_zero(anti_spec):
