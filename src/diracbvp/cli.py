@@ -7,7 +7,8 @@ and every sweep point run _run_scheme; sweep evaluates its points one
 after another, reusing the decomposed model and the fields g and f0
 while consecutive points share the [model] section; --workers is
 accepted for compatibility and changes nothing (the key run.workers is
-refused).  Outputs are deterministic for a fixed config; JSON is strict.
+refused).  A certificate that raises is a `warning:` line on stderr.
+Outputs are deterministic for a fixed config; JSON is strict.
 
 Each command imports the array layers it uses when it runs, so
 `bootstrap`, `--help`, usage errors and refused configs load no numpy.
@@ -21,7 +22,7 @@ import math
 import os
 import sys
 
-from .config import parse_config
+from .config import parse_config, sweep_points
 from .errors import ConfigParseError, DiracBVPError
 
 
@@ -76,15 +77,17 @@ def _certify(cfg, sd, scheme_cfg):
     return conditions.check_conditions(consts, mode), consts
 
 
-def _run_scheme(cfg, sd, g, f0):
-    """Build cfg's scheme from datum g and start f0, certify it (advisory:
-    conditions_certified is None when that raises) and run it on sd."""
+def _run_scheme(cfg, sd, g, f0, where=""):
+    """Build cfg's scheme from datum g and start f0, certify it (advisory: an
+    error gives None and a `warning:` line, after where) and run it on sd."""
     from . import scheme
     scheme_cfg = cfg.build_scheme(g, f0)
     try:
         certified = _certify(cfg, sd, scheme_cfg)[0].certified
-    except DiracBVPError:
+    except DiracBVPError as exc:
         certified = None
+        print("warning: %sconditions not certified: %s" % (where, exc),
+              file=sys.stderr)
     report = scheme.run(sd, scheme_cfg)
     report.conditions_certified = certified
     return report
@@ -115,35 +118,33 @@ def cmd_check(cfg, out_dir):
 
 
 def _sweep_model(point, cache):
-    """[sd, g, f0] of the point's [model] section, from cache while the
-    section repeats: cache holds that section's SpectralData (with its
-    memoized constant estimates), then its fields, which no axis changes.
-    """
+    """(sd, g, f0) of the point's [model] section, from cache while the
+    section repeats: sd keeps its constant estimates, and no axis changes
+    the fields g and f0."""
     key = tuple(sorted(point.values["model"].items()))
     if key not in cache:
         cache.clear()
-        cache[key] = [_prepare(point)]
-    entry = cache[key]
-    if len(entry) == 1:
-        entry.extend(point.build_fields(entry[0].operator.spec))
-    return entry
+        sd = _prepare(point)
+        cache[key] = (sd,) + point.build_fields(sd.operator.spec)
+    return cache[key]
 
 
 def cmd_sweep(cfg, out_dir):
     if cfg.sweep is None:
         raise ConfigParseError("missing, the sweep command needs at least "
                                "one axis", key="sweep.param")
-    names = [axis[0] for axis in cfg.sweep.axes]
+    names = [axis[0] for axis in cfg.sweep]
     header = ["index"] + names + ["verdict", "iterations", "pde_residual",
                                   "max_ratio", "certified", "bounds_held"]
     cache = {}
     rows = []
-    for idx, values in enumerate(cfg.sweep.grid()):
+    for idx, values in enumerate(sweep_points(cfg.sweep)):
         point = cfg
         try:
-            for (path, *_), val in zip(cfg.sweep.axes, values):
+            for path, val in zip(names, values):
                 point = point.with_override(path, val)
-            rep = _run_scheme(point, *_sweep_model(point, cache))
+            rep = _run_scheme(point, *_sweep_model(point, cache),
+                              where="sweep point %d: " % idx)
             cells = [rep.verdict, rep.iterations, repr(rep.pde_residual),
                      repr(max(rep.ratios, default=0.0)),
                      str(bool(rep.conditions_certified)).lower(),

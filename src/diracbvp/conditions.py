@@ -44,11 +44,11 @@ class AnalyticConstants:
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError("need n >= 2, got %r" % (self.n,))
+        lo = 2.0 * self.n / (self.n - 1.0)  # the critical exponent
         if self.p is None:
-            self.p = 2.0 * self.n / (self.n - 1.0)
+            self.p = lo
         if self.p_A is None:
-            self.p_A = 2.0 * self.n / (self.n - 1.0)
-        lo = 2.0 * self.n / (self.n - 1.0)
+            self.p_A = lo
         hi = math.inf if self.n == 2 else 2.0 * self.n / (self.n - 2.0)
         if not lo - 1e-12 <= self.p_A <= hi + 1e-12:
             raise ParameterError(
@@ -157,8 +157,8 @@ def check_conditions(consts, mode=MODE_C):
         conds = {"C1": l2_cap,
                  "C2": _cond(4.0 * root_c1 * inv1 * source + consts.g_H1T,
                              cap, strict=False),
-                 "C3": _cond(kappa * 2.0 ** 1.5 * 3.0 ** theta_b * lam
-                             * inv1, 1.0, strict=True)}
+                 "C3": _cond(_c3_coefficient(kappa, theta_b) * lam * inv1,
+                             1.0, strict=True)}
     elif mode == MODE_B:
         conds = {"B1": l2_cap,
                  "B2": _cond(3.0 * root_c1 * inv1 * source + consts.g_H1T,
@@ -177,10 +177,14 @@ def check_conditions(consts, mode=MODE_C):
                            B=b_val, eps=eps, contraction_bound=bound)
 
 
+def _c3_coefficient(kappa, theta_b):  # (C3): it times |lam|/|lam_1| < 1
+    return kappa * 2.0 ** 1.5 * 3.0 ** theta_b
+
+
 def c3_lambda_threshold(consts):
     """Largest |lambda|/|lambda_1| ratio compatible with condition (C3)."""
     _, theta_b, _, kappa = derive_exponents(consts)
-    return 1.0 / (kappa * 2.0 ** 1.5 * 3.0 ** theta_b)
+    return 1.0 / _c3_coefficient(kappa, theta_b)
 
 
 def variational_functional(sd, phi, n):

@@ -49,15 +49,6 @@ _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
 
 def eval_number(text, key="<value>"):
     """Evaluate a restricted arithmetic literal (pi-multiples etc.)."""
-    try:
-        tree = ast.parse(str(text).strip(), mode="eval")
-    except SyntaxError as exc:
-        raise ConfigParseError("not a numeric expression: %r" % (text,),
-                               key=key) from exc
-    except RecursionError as exc:
-        raise ConfigParseError("expression nested too deeply",
-                               key=key) from exc
-
     def ev(node):
         if isinstance(node, ast.Expression):
             return ev(node.body)
@@ -75,11 +66,14 @@ def eval_number(text, key="<value>"):
         raise ConfigParseError("disallowed construct in %r" % (text,), key=key)
 
     try:
-        val = ev(tree)
+        val = ev(ast.parse(str(text).strip(), mode="eval"))
         # cmath.isfinite raises OverflowError on ints beyond float range
         if not cmath.isfinite(val):
             raise ConfigParseError("%r is not finite" % (text,), key=key)
         return val
+    except SyntaxError as exc:
+        raise ConfigParseError("not a numeric expression: %r" % (text,),
+                               key=key) from exc
     except ZeroDivisionError as exc:
         raise ConfigParseError("division by zero in %r" % (text,),
                                key=key) from exc
@@ -202,6 +196,10 @@ _C_HALF = _real_or("empirical", "formula")
 _NUMERIC = (_real, _int, _complex, _R, _C1, _C_HALF)
 _POS = _at_least(_real, 0, strict=True)
 
+# the keys of a sweep axis, in the order of its tuple in RunConfig.sweep
+_AXIS_KEYS = {"param": (_axis, None), "min": (_real, None),
+              "max": (_real, None), "count": (_int, None),
+              "scale": (_word("lin", "log"), "lin")}
 # section -> key -> (parser, default); a default of None marks an optional
 # key with no value (parse_config fills in model.operator from the
 # boundary)
@@ -223,12 +221,8 @@ _SCHEMA = {
                   "c_half": (_at_least(_C_HALF, 0, True), "empirical"),
                   "mode": (_word(MODE_C, MODE_B, MODE_A), MODE_C)},
     "run": {"output_dir": (_text, "out")},
-    "sweep": {"param": (_axis, None), "min": (_real, None),
-              "max": (_real, None), "count": (_int, None),
-              "scale": (_word("lin", "log"), "lin"),
-              "param2": (_axis, None), "min2": (_real, None),
-              "max2": (_real, None), "count2": (_int, None),
-              "scale2": (_word("lin", "log"), "lin")},
+    "sweep": {key + suffix: entry for suffix in ("", "2")
+              for key, entry in _AXIS_KEYS.items()},
     "bootstrap": {"n": (_at_least(_int, 3), 4),
                   "p": (_at_least(_real, 2, True), 8 / 3),
                   "l0": (_POS, 4.0)},
@@ -237,23 +231,10 @@ _SCHEMA = {
 
 
 @dataclass
-class SweepSpec:
-    axes: list  # list of (param_path, min, max, count, scale)
-
-    def grid(self):
-        """Cartesian product of axis values, row-major in axis order."""
-        import itertools
-        import numpy as np
-        return list(itertools.product(*(
-            (np.geomspace if scale == "log" else np.linspace)(lo, hi, count)
-            for _, lo, hi, count, scale in self.axes)))
-
-
-@dataclass
 class RunConfig:
     values: dict  # section -> key -> value, as its _SCHEMA parser returns it
     base_dir: str = "."
-    sweep: SweepSpec = None
+    sweep: list = None  # the axes (param, min, max, count, scale), or None
 
     def with_override(self, path, value):
         """Copy with value, run through its key's parser, at path (a
@@ -419,16 +400,15 @@ MAX_SWEEP_POINTS = 10 ** 5
 
 
 def _parse_sweep(sweep, given):
-    """SweepSpec of the [sweep] values, None when the text gives none.
+    """RunConfig.sweep of the [sweep] values; None when the text gives none.
 
     given holds the keys the text sets.  Each of them needs param, and
     those of the second axis need param2 as well, so none is ignored.
     """
     axes, points = [], 1
     for suffix in ("", "2"):
-        param, lo, hi, count, scale = (sweep[key + suffix] for key in
-                                       ("param", "min", "max", "count",
-                                        "scale"))
+        param, lo, hi, count, scale = (sweep[key + suffix]
+                                       for key in _AXIS_KEYS)
         if param is None:
             orphans = sorted(key for key in given if key.endswith(suffix))
             if orphans:
@@ -451,7 +431,7 @@ def _parse_sweep(sweep, given):
                                    % (points, MAX_SWEEP_POINTS), key=count_key)
         _check_axis_range(lo, hi, scale, suffix)
         axes.append((param, lo, hi, count, scale))
-    return SweepSpec(axes=axes) if axes else None
+    return axes or None
 
 
 def _check_axis_range(lo, hi, scale, suffix):
@@ -469,3 +449,12 @@ def _check_axis_range(lo, hi, scale, suffix):
         raise ConfigParseError("the span from %r to %r is out of "
                                "floating-point range" % (lo, hi),
                                key="sweep.max" + suffix)
+
+
+def sweep_points(axes):
+    """Cartesian product of the values of axes (RunConfig.sweep), row-major."""
+    import itertools
+    import numpy as np
+    return list(itertools.product(*(
+        (np.geomspace if scale == "log" else np.linspace)(lo, hi, count)
+        for _, lo, hi, count, scale in axes)))

@@ -37,7 +37,8 @@ are simple.  The smallest positive eigenvalue, sin(pi/m)/h -> pi/(2L),
 has multiplicity 2.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +53,8 @@ BAG_V_LEFT = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
 BAG_V_RIGHT = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
 BAG_P_LEFT = np.eye(2) - np.outer(BAG_V_LEFT, BAG_V_LEFT.conj())
 BAG_P_RIGHT = np.eye(2) - np.outer(BAG_V_RIGHT, BAG_V_RIGHT.conj())
+
+ModelStructure = namedtuple("ModelStructure", "cols vals freqs phase")
 
 
 @dataclass
@@ -82,13 +85,10 @@ class ModelSpec:
 
     @cached_property
     def structure(self):
-        """model_structure(self), computed on the first read and kept.
-
-        assemble, decompose and every scalar apply_D read it, so a model
-        pays for it once; the arrays are read-only, as every reader
-        shares them.  Entries that leave the floats (a tiny model.length)
-        raise no warning here: decompose refuses them.
-        """
+        """model_structure(self), computed on the first read and kept,
+        read-only: AssembledOperator, decompose and every scalar apply_D
+        share it.  Entries that leave the floats (a tiny model.length)
+        raise no warning here: decompose refuses them."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             structure = model_structure(self)
         for arr in structure:
@@ -128,7 +128,7 @@ def _antiperiodic_freqs(grid):
 
 
 def model_structure(spec):
-    """Constraint map V and Fourier modes of D_P: (cols, vals, freqs, phase).
+    """Constraint map V and Fourier modes of D_P, as a ModelStructure.
 
     V[i, cols[i]] = vals[i], rows indexing the flattened field
     (point-major, component-minor); each row holds one nonzero, each
@@ -146,14 +146,15 @@ def model_structure(spec):
     if spec.bc.kind == PERIODIC:
         vals = np.full(n, 1.0 / np.sqrt(grid.spacing), dtype=complex)
         freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-        return np.arange(n), vals, freqs, np.ones(n)
+        return ModelStructure(np.arange(n), vals, freqs, np.ones(n))
     # antiperiodic: the first constrained dof pairs the two endpoints
     m = n - 1
     vals = np.ones(n, dtype=complex)
     vals[-1] = -1.0
     vals /= np.sqrt(grid.spacing)
     phase = np.exp(1j * np.pi * np.arange(m) / m)
-    return np.r_[np.arange(m), 0], vals, _antiperiodic_freqs(grid), phase
+    return ModelStructure(np.r_[np.arange(m), 0], vals,
+                          _antiperiodic_freqs(grid), phase)
 
 
 def _bag_cycle(n):
@@ -227,32 +228,34 @@ def _bag_structure(spec):
     freqs = 2.0 * s * np.sin(2.0 * np.pi * x / m)
     phase = np.r_[1.0, gauge[:-1]] \
         * np.exp(2j * np.pi * theta * np.arange(m) / m)
-    return cols, vals, freqs, phase
+    return ModelStructure(cols, vals, freqs, phase)
 
 
 @dataclass
 class AssembledOperator:
     """D restricted to the discrete kernel of P, as a Hermitian operator.
 
-    The constraint map V embeds constrained coordinates into full-grid
-    fields (flattened point-major, component-minor); its columns are
-    orthonormal in the quadrature inner product, V^H W V = I.  V has one
-    nonzero per row and is kept as the index arrays of model_structure,
-    V[i, cols[i]] = vals[i], so embed is a scatter and project a gather,
-    both O(N).  weights holds W per flattened row.
+    A view of spec.structure: the constraint map V embeds constrained
+    coordinates into full-grid fields (flattened point-major,
+    component-minor); its columns are orthonormal in the quadrature
+    inner product, V^H W V = I.  V has one nonzero per row and is kept as
+    index arrays, V[i, cols[i]] = vals[i], so embed is a scatter and
+    project a gather, both O(N).  weights is W per flattened row.
     """
     spec: ModelSpec
-    cols: np.ndarray = field(repr=False)
-    vals: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+
+    @cached_property
+    def weights(self):
+        return np.repeat(self.spec.grid.weights(), self.spec.rank)
 
     @cached_property
     def n_constrained(self):
-        return int(self.cols.max()) + 1
+        return self.spec.structure.freqs.size
 
     def embed(self, coeffs):
         """Constrained coordinates -> full-grid SpinorField."""
-        flat = self.vals * np.asarray(coeffs, dtype=complex)[self.cols]
+        v = self.spec.structure
+        flat = v.vals * np.asarray(coeffs, dtype=complex)[v.cols]
         n, r = self.spec.grid.n_points, self.spec.rank
         return SpinorField(self.spec.grid, flat.reshape(n, r))
 
@@ -266,22 +269,20 @@ class AssembledOperator:
 
     def adjoint(self, flat):
         """V^H y for a flattened full-grid vector y: gather and bincount."""
-        terms = self.vals.conj() * flat
+        v = self.spec.structure
+        terms = v.vals.conj() * flat
         m = self.n_constrained
-        return np.bincount(self.cols, terms.real, m) \
-            + 1j * np.bincount(self.cols, terms.imag, m)
+        return np.bincount(v.cols, terms.real, m) \
+            + 1j * np.bincount(v.cols, terms.imag, m)
 
 
 def assemble(spec):
     """Build the constrained operator D_P for a model spec.
 
-    Keeps the constraint map V as the index arrays of ModelSpec.structure,
-    with the weights W; D_P itself is applied through spectral.decompose.
+    An AssembledOperator, a view of ModelSpec.structure that copies no
+    array; D_P itself is applied through spectral.decompose.
     """
-    cols, vals = spec.structure[:2]
-    weights = np.repeat(spec.grid.weights(), spec.rank)
-    return AssembledOperator(spec=spec, cols=cols, vals=vals,
-                             weights=weights)
+    return AssembledOperator(spec=spec)
 
 
 def _apply_D_values(spec, v):
@@ -293,7 +294,8 @@ def _apply_D_values(spec, v):
     if spec.bc.kind in (PERIODIC, ANTIPERIODIC):
         # frequency and phase vectors broadcast along axis 0
         col = (-1,) + (1,) * (v.ndim - 1)
-        freqs, phase = (a.reshape(col) for a in spec.structure[2:])
+        freqs = spec.structure.freqs.reshape(col)
+        phase = spec.structure.phase.reshape(col)
         y = v
         if spec.bc.kind == ANTIPERIODIC:
             # split off the constant offset so the remainder matches the

@@ -18,6 +18,7 @@ transform, the constraint map and O(N log N) grid stencils.
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,24 +39,25 @@ class SpectralData:
     eigenvalues are sorted by increasing modulus, the positive one first
     on a tie.  The eigenvectors are diag(phase) F^H / sqrt(m), never
     stored: order[k] is the FFT bin of eigenvalue k, and phase is the
-    modulation of operators.model_structure.  On constrained coordinates
-    y, _analyze is y -> fft(conj(phase) y, norm="ortho") with the bins
-    sorted into eigenvalue order, and _synthesize its inverse; to_coeffs
-    and from_coeffs add project and embed.
+    modulation of the model's structure (operators.model_structure).  On
+    constrained coordinates y, _analyze is y -> fft(conj(phase) y,
+    norm="ortho") with the bins sorted into eigenvalue order, and
+    _synthesize its inverse; to_coeffs and from_coeffs add project and
+    embed.
     """
     operator: object
     eigenvalues: np.ndarray = field(repr=False)
     lambda1: float
     invertible: bool
     order: np.ndarray = field(repr=False)
-    phase: np.ndarray = field(repr=False)
-    # (c1_emp, c_half_emp) once estimate_constants has computed them
-    _rayleigh_maxima: tuple = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     @property
     def size(self):
         return self.eigenvalues.size
+
+    @cached_property
+    def rayleigh_maxima(self):  # estimate_constants's memo
+        return _rayleigh_maxima(self)
 
     def to_coeffs(self, f):
         """Eigen-coefficients of a SpinorField."""
@@ -66,12 +68,14 @@ class SpectralData:
         return self.operator.embed(self._synthesize(coeff))
 
     def _analyze(self, y):
-        return np.fft.fft(self.phase.conj() * y, norm="ortho")[self.order]
+        phase = self.operator.spec.structure.phase
+        return np.fft.fft(phase.conj() * y, norm="ortho")[self.order]
 
     def _synthesize(self, coeff):
         bins = np.empty(self.size, dtype=complex)
         bins[self.order] = coeff
-        return self.phase * np.fft.ifft(bins, norm="ortho")
+        phase = self.operator.spec.structure.phase
+        return phase * np.fft.ifft(bins, norm="ortho")
 
 
 def _order_spectrum(vals):
@@ -106,11 +110,11 @@ def decompose(op):
     NumericalError too, naming model.length and model.n_points.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        freqs, phase = op.spec.structure[2:]
+        freqs = op.spec.structure.freqs
         order, lambda1, invertible = _order_spectrum(freqs)
         sd = SpectralData(operator=op, eigenvalues=freqs[order],
                           lambda1=lambda1, invertible=invertible,
-                          order=order, phase=phase)
+                          order=order)
         c = _fixed_unit_vector(sd.size)
         try:
             ref = op.project(apply_D(op.spec, op.embed(c)))
@@ -216,9 +220,7 @@ def estimate_constants(sd):
     alone; they are computed on the first call and kept on sd.  The
     config's c_half = formula is resolved by RunConfig.build_constants.
     """
-    if sd._rayleigh_maxima is None:
-        sd._rayleigh_maxima = _rayleigh_maxima(sd)
-    return ConstantEstimates(*sd._rayleigh_maxima)
+    return ConstantEstimates(*sd.rayleigh_maxima)
 
 
 def _rayleigh_maxima(sd):

@@ -1,10 +1,11 @@
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpinorField,
-                      assemble, decompose)
+                      assemble, decompose, spectral)
 from diracbvp.errors import ConfigurationError, NumericalError
 from diracbvp.grids import derivative
 from diracbvp.operators import (BAG_P_LEFT, BAG_P_RIGHT, _antiperiodic_freqs,
@@ -112,8 +113,9 @@ def random_constrained_field(sd, rng):
 
 def dense_constraint_map(op):
     """The dense N*rank x m constraint map V of an AssembledOperator."""
-    vmap = np.zeros((op.cols.size, op.n_constrained), dtype=complex)
-    vmap[np.arange(op.cols.size), op.cols] = op.vals
+    cols, vals = op.spec.structure.cols, op.spec.structure.vals
+    vmap = np.zeros((cols.size, op.n_constrained), dtype=complex)
+    vmap[np.arange(cols.size), cols] = vals
     return vmap
 
 
@@ -151,7 +153,7 @@ def dense_eigenvectors(sd):
     vecs = np.zeros((sd.size, sd.size), dtype=complex)
     vecs[sd.order, np.arange(sd.size)] = 1.0
     vecs = np.fft.ifft(vecs, axis=0, norm="ortho")
-    vecs *= sd.phase[:, None]
+    vecs *= sd.operator.spec.structure.phase[:, None]
     return vecs
 
 
@@ -167,11 +169,14 @@ class DenseSpectralData:
     eigenvectors: np.ndarray = field(repr=False)
     lambda1: float
     invertible: bool
-    _rayleigh_maxima: tuple = field(default=None, repr=False)
 
     @property
     def size(self):
         return self.eigenvalues.size
+
+    @cached_property
+    def rayleigh_maxima(self):
+        return spectral._rayleigh_maxima(self)
 
     def to_coeffs(self, f):
         return self._analyze(self.operator.project(f))

@@ -254,6 +254,15 @@ def test_gn_ratio_dominates_constant_trial():
     assert more >= est
 
 
+def test_gn_ratio_on_a_circle():
+    # trial fields on a circle are periodic modes: still a lower bound
+    # that the constant trial alone reaches
+    grid = Grid1D(1.0, 128, topology="circle")
+    one = estimate_gn_ratio(grid, "first", n=2, p=4, trials=1)
+    assert one == pytest.approx(1.0, rel=1e-12)
+    assert estimate_gn_ratio(grid, "first", n=2, p=4, trials=20) >= one
+
+
 def test_gn_ratio_monotone_in_trials():
     grid = Grid1D(1.0, 128)
     vals = [estimate_gn_ratio(grid, "second", n=2, p_A=4, trials=t, seed=7)

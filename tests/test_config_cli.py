@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from diracbvp import Grid1D, SpinorField, config, save_field_csv
 from diracbvp.cli import main, run_command
-from diracbvp.config import eval_number, parse_config
-from diracbvp.errors import ConfigParseError
+from diracbvp.config import eval_number, parse_config, sweep_points
+from diracbvp.errors import ConfigParseError, DiracBVPError
 
 
 def write_cfg(tmp_path, text, name="run.ini"):
@@ -32,6 +32,14 @@ def read_csv(path):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def not_certified(reason, *points):
+    """stderr of a solve, or of these sweep points, whose certification
+    raised with reason."""
+    wheres = ["sweep point %d: " % i for i in points] or [""]
+    return "".join("warning: %sconditions not certified: %s\n"
+                   % (where, reason) for where in wheres)
 
 
 # ------------------------------------------------------------ cold start
@@ -204,6 +212,7 @@ def test_eval_number():
     assert eval_number("0.05*pi") == pytest.approx(0.15707963267948966)
     assert eval_number("8/3") == pytest.approx(8.0 / 3.0)
     assert eval_number("-2**3") == -8
+    assert eval_number("+2") == 2 and eval_number("-+pi") == -math.pi
     assert eval_number("1e-8") == 1e-8
     # ** is evaluated in floating point, so a tower overflows at once
     assert parse_config("[model]\nn_points = 2**10\n").build_model() \
@@ -214,6 +223,15 @@ def test_eval_number():
         eval_number("__import__('os')")
     with pytest.raises(ConfigParseError):
         eval_number("pi(")
+
+
+def test_real_key_takes_a_complex_value_only_on_the_real_axis():
+    assert parse_config("[model]\nlength = 2+0j\n").values["model"][
+        "length"] == 2.0
+    with pytest.raises(ConfigParseError,
+                       match="expected a real number, got '1\\+1j'") as exc:
+        parse_config("[model]\nlength = 1+1j\n")
+    assert exc.value.key == "model.length"
 
 
 def test_unknown_key_names_path():
@@ -251,6 +269,9 @@ def test_field_expressions(tmp_path):
     # refused when parsed, before any field is built
     with pytest.raises(ConfigParseError, match="'g' only allowed for f0"):
         parse_config("[scheme]\ng = g\n")
+    with pytest.raises(ConfigParseError,
+                       match="exp_mode takes 1 or 2 arguments"):
+        parse_config("[scheme]\ng = exp_mode(1, 2, 3)\n")
     with pytest.raises(ConfigParseError, match="cannot parse field"):
         parse_config("[scheme]\ng = wavelet(3)\n")
     # used to end in "error: [Errno 21] Is a directory", naming no key
@@ -276,13 +297,13 @@ def test_sample_file_roundtrip(tmp_path):
 def test_sweep_grid():
     cfg = parse_config("[sweep]\nparam = scheme.lambda\nmin = 0\nmax = 1\n"
                        "count = 5\n")
-    pts = cfg.sweep.grid()
+    pts = sweep_points(cfg.sweep)
     assert len(pts) == 5
     assert pts[0] == (0.0,) and pts[-1] == (1.0,)
     cfg2 = parse_config("[sweep]\nparam = scheme.lambda\nmin = 0\nmax = 1\n"
                         "count = 3\nparam2 = scheme.a\nmin2 = 1\nmax2 = 100\n"
                         "count2 = 3\nscale2 = log\n")
-    pts2 = cfg2.sweep.grid()
+    pts2 = sweep_points(cfg2.sweep)
     assert len(pts2) == 9
     assert pts2[1][1] == pytest.approx(10.0)
     with pytest.raises(ConfigParseError):
@@ -295,7 +316,7 @@ def test_sweep_grid():
     for path in ("scheme.r", "constants.c1", "constants.p_a",
                  "scheme.max_iter"):
         assert parse_config("[sweep]\nparam = %s\nmin = 1\nmax = 2\n"
-                            "count = 2\n" % path).sweep.axes[0][0] == path
+                            "count = 2\n" % path).sweep[0][0] == path
 
 
 def test_with_override():
@@ -369,11 +390,11 @@ def test_every_config_text_parses_or_is_refused(text):
             if not (value is None and default is None):
                 assert isinstance(value, get_type_hints(parse)["return"]), \
                     (section, key, value)
-    if cfg.sweep is None or any(axis[3] > 50 for axis in cfg.sweep.axes):
+    if cfg.sweep is None or any(axis[3] > 50 for axis in cfg.sweep):
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid = cfg.sweep.grid()
+        grid = sweep_points(cfg.sweep)
     assert grid and all(math.isfinite(v) for point in grid for v in point)
 
 
@@ -697,7 +718,10 @@ def test_main_singular_shift_message_has_plain_numbers(tmp_path, capsys):
                                    "lambda = 0.01\na = 0\n")
     assert main(["solve", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
+    # the zero mode also leaves the empirical constants undefined
+    warning, err = capsys.readouterr().err.split("\n", 1)
+    assert warning + "\n" == not_certified("estimate_constants needs an "
+                                           "invertible operator")
     assert err.startswith("error: R*lambda - a = ")
     assert "np." not in err
 
@@ -809,6 +833,12 @@ def test_main_sweep_axis_must_be_a_numeric_key(tmp_path, capsys, path,
      "of 100000"),
     ("min = 0\nmax = 1\ncount = 1000\nparam2 = scheme.p\nmin2 = 3\n"
      "max2 = 4\ncount2 = 1000\n", "sweep.count2", "1000000 points"),
+    ("max = 1\ncount = 3\n", "sweep.min",
+     "missing for axis 'scheme.lambda'"),
+    ("min = 0\ncount = 3\n", "sweep.max", "missing for axis"),
+    ("min = 0\nmax = 1\n", "sweep.count", "missing for axis"),
+    ("min = 0\nmax = 1\ncount = 2\nparam2 = scheme.p\nmin2 = 3\n"
+     "max2 = 4\n", "sweep.count2", "missing for axis 'scheme.p'"),
 ])
 def test_main_sweep_axis_errors_name_the_key(tmp_path, capsys, axes, key,
                                              where):
@@ -863,7 +893,8 @@ def test_main_sweep_keys_need_their_param(tmp_path, capsys, command, axes,
 def test_log_sweep_of_negative_values():
     cfg = parse_config("[sweep]\nparam = scheme.lambda\nscale = log\n"
                        "min = -1\nmax = -100\ncount = 3\n")
-    assert [v for (v,) in cfg.sweep.grid()] == pytest.approx([-1, -10, -100])
+    assert [v for (v,) in sweep_points(cfg.sweep)] \
+        == pytest.approx([-1, -10, -100])
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -956,6 +987,9 @@ def test_main_spectrum_out_of_the_floats(tmp_path, capsys, model, length,
     status = main([command, "--config", str(cfg_path),
                    "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
+    warning = ""
+    if command == "solve" and err.startswith("warning: "):
+        warning, err = err.split("\n", 1)
     if status == 0:
         assert err == ""
     else:
@@ -964,9 +998,9 @@ def test_main_spectrum_out_of_the_floats(tmp_path, capsys, model, length,
     if model == "periodic" and length == "1e-155":
         return  # its spectrum stays finite: lambda_1 = 0 ends solve, check
     # solve runs at 1e-155: its certification, which needs 1 + lambda^2,
-    # is advisory
+    # is advisory, and one warning line says why it is missing
     assert (status == 0) == (command == "solve" and length == "1e-155")
-    assert status == 0 or err.endswith(
+    assert (err or warning + "\n").endswith(
         " at model.length = %r, model.n_points = 16\n" % float(length))
 
 
@@ -1039,7 +1073,9 @@ def test_main_auto_R_needs_invertible(tmp_path, capsys):
                                    "a = 0.5\nr = auto\n")
     assert main(["solve", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
+    warning, err = capsys.readouterr().err.split("\n", 1)
+    assert warning + "\n" == not_certified("estimate_constants needs an "
+                                           "invertible operator")
     assert err.startswith("error: scheme.r: ")
     assert "Traceback" not in err
 
@@ -1095,9 +1131,11 @@ def test_main_extreme_constants_fail_certification(tmp_path, capsys,
     assert capsys.readouterr().err == "error: %s\n" % message
     assert main(["solve"] + args) == 0
     assert read_json(out / "report.json")["conditions_certified"] is None
+    assert capsys.readouterr().err == not_certified(message)
     assert main(["sweep"] + args) == 0
     assert [row[6] for row in read_csv(out / "sweep.csv")[1:]] \
         == ["false", "false"]
+    assert capsys.readouterr().err == not_certified(message, 0, 1)
     assert main(["spectrum"] + args) == 0
     assert capsys.readouterr().err == ""
 
@@ -1157,13 +1195,12 @@ def test_check_c_half_formula_with_numeric_c1_runs_no_lanczos(tmp_path,
 COMMANDS = ("spectrum", "solve", "check", "sweep", "bootstrap", "functional")
 
 
-@pytest.mark.parametrize("g, check_status, check_err", [
-    ("const(0.1)", 0, ""),
-    ("exp_mode(1, 1e308)", 1, "error: scheme.g: D g or dg/dx is out of "
-                              "floating-point range\n")],
+@pytest.mark.parametrize("g, reason", [
+    ("const(0.1)", None),
+    ("exp_mode(1, 1e308)",
+     "scheme.g: D g or dg/dx is out of floating-point range")],
     ids=["const", "overflow"])
-def test_commands_under_warnings_as_errors(tmp_path, g, check_status,
-                                           check_err):
+def test_commands_under_warnings_as_errors(tmp_path, g, reason):
     # every command in a new interpreter with warnings as errors; a
     # datum whose D g overflows leaves solve and sweep uncertified and
     # check refused, with no numpy warning on the way
@@ -1177,12 +1214,15 @@ def test_commands_under_warnings_as_errors(tmp_path, g, check_status,
             env=fresh_env(), capture_output=True, text=True)
         results[command] = (proc.returncode, proc.stderr)
     expected = dict.fromkeys(COMMANDS, (0, ""))
-    expected["check"] = (check_status, check_err)
+    if reason:
+        expected["check"] = (1, "error: %s\n" % reason)
+        expected["solve"] = (0, not_certified(reason))
+        expected["sweep"] = (0, not_certified(reason, 0, 1))
     assert results == expected
     certified = read_json(tmp_path / "solve" / "report.json")[
         "conditions_certified"]
     column = [row[6] for row in read_csv(tmp_path / "sweep" / "sweep.csv")]
-    if check_status:
+    if reason:
         assert certified is None and column[1:] == ["false", "false"]
     else:
         assert certified is not None
@@ -1213,6 +1253,8 @@ def test_cmd_solve_bound_violated(tmp_path):
 
 
 OVERFLOW = "[model]\nn_points = 64\n[scheme]\nlambda = 50\np = 400\n"
+# p = 400 is past the Hoelder split of the certificate
+HOELDER = "p too large for the Hoelder split: p_A - p + 2 <= 0"
 
 
 @pytest.mark.parametrize("datum", ["2", "3", "1e10"])
@@ -1224,7 +1266,7 @@ def test_main_solve_diverged_writes_strict_json(tmp_path, capsys, datum):
     cfg_path = write_cfg(tmp_path, OVERFLOW + "g = const(%s)\n" % datum)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == not_certified(HOELDER)
     assert read_csv(out / "trace.csv")[1][0] == "0"
 
     def reject(name):
@@ -1244,7 +1286,7 @@ def test_main_sweep_overflow_rows_are_diverged(tmp_path, capsys):
                          "count = 3\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == not_certified(HOELDER, 0, 1, 2)
     assert [row[2] for row in read_csv(out / "sweep.csv")[1:]] \
         == ["diverged"] * 3
 
@@ -1257,3 +1299,33 @@ def test_write_json_writes_non_finite_floats_as_null(tmp_path):
     assert json.loads((tmp_path / "x.json").read_text(encoding="utf-8")) \
         == {"a": None, "b": [1.5, None, {"c": None}], "d": [None, 2],
             "e": True, "f": "inf"}
+
+
+def test_run_command_refuses_an_unknown_command(tmp_path):
+    with pytest.raises(DiracBVPError, match="unknown command 'plot'"):
+        run_command(parse_config(""), "plot", str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_uncertified_run_says_why(tmp_path, capsys):
+    # 1 + lambda_1^2 overflows at this length, so the certificate cannot
+    # be evaluated: solve and sweep still run, and stderr names the reason
+    # (and the sweep point); check, whose output is the certificate, fails
+    reason = ("1 + lambda_k^2 or 1 + |lambda_k| overflows at "
+              "model.length = 1e-155, model.n_points = 16")
+    cfg_path = write_cfg(tmp_path, "[model]\nlength = 1e-155\n"
+                                   "n_points = 16\n[scheme]\nlambda = 0.5\n"
+                                   "g = const(0.1)\n[sweep]\n"
+                                   "param = scheme.lambda\nmin = 0.5\n"
+                                   "max = 0.6\ncount = 2\n")
+    out = tmp_path / "out"
+    args = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["solve"] + args) == 0
+    assert read_json(out / "report.json")["conditions_certified"] is None
+    assert capsys.readouterr().err == not_certified(reason)
+    assert main(["sweep"] + args) == 0
+    assert [row[6] for row in read_csv(out / "sweep.csv")[1:]] \
+        == ["false", "false"]
+    assert capsys.readouterr().err == not_certified(reason, 0, 1)
+    assert main(["check"] + args) == 1
+    assert capsys.readouterr().err == "error: %s\n" % reason

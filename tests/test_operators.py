@@ -293,3 +293,12 @@ def test_boundary_residual_bag(bag_spec, bag_sd):
     bad = SpinorField(grid, np.column_stack([np.ones(grid.n_points),
                                              np.zeros(grid.n_points)]))
     assert boundary_residual(bag_spec, bad, g) > 0.1
+
+
+def test_boundary_residual_refuses_a_field_of_another_model(anti_spec,
+                                                            bag_spec):
+    # u and g match each other, not the model: another rank, another grid
+    for g in (SpinorField.zero(anti_spec.grid, 2),
+              SpinorField.zero(bag_spec.grid, 1)):
+        with pytest.raises(IncompatibleFieldsError, match="model spec"):
+            boundary_residual(anti_spec, g, g)

@@ -29,6 +29,9 @@ def test_config_validation(anti_spec):
         SchemeConfig(lam=0.0, p=4, g=g, tol_cauchy=0.0)
     with pytest.raises(ParameterError):
         SchemeConfig(lam=0.0, p=4, g=g, R=-1.0)
+    for caps in ({"Xi": 0.0}, {"Lambda_cap": -1.0}):
+        with pytest.raises(ParameterError, match="Xi and Lambda_cap"):
+            SchemeConfig(lam=0.0, p=4, g=g, **caps)
     SchemeConfig(lam=0.0, p=4, g=g, R="auto")  # allowed
 
 

@@ -198,7 +198,8 @@ def test_models_never_build_the_matrix(kind, tmp_path, monkeypatch):
 def test_fourier_probe_catches_a_corrupt_transform(kind, monkeypatch):
     # a transform with the wrong DFT sign maps each frequency to its mirror
     def mirrored(self, y):
-        return np.fft.ifft(self.phase.conj() * y, norm="ortho")[self.order]
+        phase = self.operator.spec.structure.phase
+        return np.fft.ifft(phase.conj() * y, norm="ortho")[self.order]
 
     monkeypatch.setattr(SpectralData, "_analyze", mirrored)
     with pytest.raises(NumericalError, match="probe residual"):
@@ -288,8 +289,11 @@ def test_fractional_errors(periodic_sd):
     f = random_constrained_field(periodic_sd, rng)
     with pytest.raises(SingularPowerError):
         apply_fractional(periodic_sd, 0.5, f)
-    with pytest.raises(ParameterError):
-        apply_fractional(periodic_sd, 1.5, f)
+    for s in (0.0, 1.5):
+        with pytest.raises(ParameterError, match="s must lie in"):
+            apply_fractional(periodic_sd, s, f)
+        with pytest.raises(ParameterError, match="s must lie in"):
+            graph_norm(periodic_sd, s, f)
 
 
 # -------------------------------------------------------------- split_pm
@@ -512,6 +516,13 @@ def test_count_below_is_the_sturm_count():
     for sigma in shifts:
         assert _count_below(alpha.tolist(), (beta ** 2).tolist(), sigma,
                             1e-300) == np.sum(vals < sigma)
+
+
+def test_count_below_clamps_a_zero_pivot():
+    # [[0, 1], [1, 0]] at sigma = 0: the first pivot is exactly 0, taken
+    # as -pivmin, so the count stays that of the eigenvalues -1 and 1
+    for sigma, count in ((-1.5, 0), (0.0, 1), (1.5, 2)):
+        assert _count_below([0.0, 0.0], [1.0], sigma, 1e-300) == count
 
 
 def test_estimate_constants_calls_no_lapack(monkeypatch):
