@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePairingError, ParameterError
+from .errors import NumericalError, ParameterError
 from .grids import CIRCLE, SpinorField, _modulus_power, lp_norm, w1q_norm
 from .names import MODE_A, MODE_B, MODE_C
 from .spectral import apply_operator, graph_norm
@@ -191,19 +191,29 @@ def variational_functional(sd, phi, n):
     """F(phi) = (int |D phi|^q)^{(n+1)/n} / |int Re<D phi, phi>|, q = 2n/(n+1).
 
     0-homogeneous in phi; equals |lambda_k| on normalized eigenfunctions.
+    NumericalError, naming model.length and model.n_points, when its
+    computation overflows (a tiny model.length).
     """
     if n < 2:
         raise ParameterError("need n >= 2, got %r" % (n,))
     dphi = apply_operator(sd, phi)
     q = 2.0 * n / (n + 1.0)
-    num = lp_norm(dphi, q) ** q
-    w = phi.grid.weights()
-    pairing = float(np.sum(w * np.real(np.sum(dphi.values.conj()
-                                              * phi.values, axis=1))))
-    if abs(pairing) <= 1e-12:
-        raise DegeneratePairingError(
-            "pairing |int Re<D phi, phi>| = %.3e too small" % abs(pairing))
-    return num ** ((n + 1.0) / n) / abs(pairing)
+    grid = phi.grid
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # in np.float64 a power past the floats is inf, not OverflowError
+        num = np.float64(lp_norm(dphi, q)) ** q
+        pairing = float(np.sum(grid.weights() * np.real(np.sum(
+            dphi.values.conj() * phi.values, axis=1))))
+        if abs(pairing) <= 1e-12:
+            raise ParameterError(
+                "pairing |int Re<D phi, phi>| = %.3e too small"
+                % abs(pairing))
+        value = float(num ** ((n + 1.0) / n) / abs(pairing))
+    if not math.isfinite(value):
+        raise NumericalError("computing F(phi) overflows at model.length = "
+                             "%r, model.n_points = %d"
+                             % (grid.length, grid.n_points))
+    return value
 
 
 def el_transform(sd, phi, q):

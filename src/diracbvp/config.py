@@ -80,7 +80,7 @@ def eval_number(text, key="<value>"):
     except OverflowError as exc:
         raise ConfigParseError("%r is out of floating-point range" % (text,),
                                key=key) from exc
-    except RecursionError as exc:
+    except (RecursionError, MemoryError) as exc:  # ast.parse may raise either
         raise ConfigParseError("expression nested too deeply",
                                key=key) from exc
 

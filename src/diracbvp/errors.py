@@ -1,52 +1,24 @@
-"""Exception hierarchy for diracbvp."""
+"""Exception hierarchy for diracbvp: one class per kind of fault that a
+caller can tell apart.  The CLI prints every DiracBVPError as one
+`error:` line and exits 1."""
 
 
 class DiracBVPError(Exception):
     """Base class for all package errors."""
 
 
+class ParameterError(DiracBVPError):
+    """An argument or a model that the operation cannot take: a parameter
+    out of range, a bad grid, fields that do not match, a singular shift,
+    a non-invertible operator, a degenerate pairing, p = 2 scaling."""
+
+
 class InvalidFieldError(DiracBVPError):
     """Field contains non-finite values or has an inconsistent shape."""
 
 
-class IncompatibleFieldsError(DiracBVPError):
-    """Two fields live on different grids or have different ranks."""
-
-
-class GridError(DiracBVPError):
-    """Grid parameters out of range (too few points, nonpositive length)."""
-
-
-class ParameterError(DiracBVPError):
-    """Scalar parameter outside its admissible range."""
-
-
-class ConfigurationError(DiracBVPError):
-    """Inconsistent model setup (unknown boundary kind, wrong topology)."""
-
-
 class NumericalError(DiracBVPError):
-    """A numerical routine failed to meet its accuracy contract."""
-
-
-class NearSingularError(DiracBVPError):
-    """Shift parameter too close to an eigenvalue of the operator."""
-
-
-class SingularPowerError(DiracBVPError):
-    """Fractional power of a non-invertible operator requested."""
-
-
-class UndefinedSplittingError(DiracBVPError):
-    """Positive/negative spectral splitting with a zero mode present."""
-
-
-class DegeneratePairingError(DiracBVPError):
-    """Vanishing denominator in the variational functional."""
-
-
-class UndefinedScalingError(DiracBVPError):
-    """Problem rescaling requested at p = 2 where it is undefined."""
+    """A numerical routine failed its accuracy contract or left the floats."""
 
 
 class ConfigParseError(DiracBVPError):

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GridError, IncompatibleFieldsError, InvalidFieldError,
-                     ParameterError)
+from .errors import InvalidFieldError, ParameterError
 from .names import CIRCLE, INTERVAL
 
 
@@ -24,11 +23,12 @@ class Grid1D:
 
     def __post_init__(self):
         if self.topology not in (INTERVAL, CIRCLE):
-            raise GridError("unknown topology %r" % (self.topology,))
+            raise ParameterError("unknown topology %r" % (self.topology,))
         if self.length <= 0:
-            raise GridError("length must be positive, got %r" % (self.length,))
+            raise ParameterError("length must be positive, got %r"
+                                 % (self.length,))
         if self.n_points < 8:
-            raise GridError("need n_points >= 8, got %d" % self.n_points)
+            raise ParameterError("need n_points >= 8, got %d" % self.n_points)
 
     @property
     def spacing(self):
@@ -101,9 +101,9 @@ class SpinorField:
 
 def check_compatible(f, g):
     if f.grid != g.grid:
-        raise IncompatibleFieldsError("fields live on different grids")
+        raise ParameterError("fields live on different grids")
     if f.rank != g.rank:
-        raise IncompatibleFieldsError(
+        raise ParameterError(
             "fields have ranks %d and %d" % (f.rank, g.rank))
 
 

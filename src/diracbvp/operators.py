@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, IncompatibleFieldsError, NumericalError
+from .errors import NumericalError, ParameterError
 from .grids import Grid1D, SpinorField, check_compatible
 from .names import ANTIPERIODIC, BAG1D, MODELS, PERIODIC
 
@@ -63,7 +63,7 @@ class BoundaryCondition:
 
     def __post_init__(self):
         if self.kind not in MODELS:
-            raise ConfigurationError("unknown boundary kind %r" % (self.kind,))
+            raise ParameterError("unknown boundary kind %r" % (self.kind,))
 
 
 @dataclass
@@ -76,8 +76,8 @@ class ModelSpec:
     def __post_init__(self):
         topology = MODELS[self.bc.kind][1]
         if self.grid.topology != topology:
-            raise ConfigurationError("%s bc needs a grid of topology %r"
-                                     % (self.bc.kind, topology))
+            raise ParameterError("%s bc needs a grid of topology %r"
+                                 % (self.bc.kind, topology))
 
     @property
     def rank(self):
@@ -313,7 +313,7 @@ def _apply_D_values(spec, v):
 def apply_D(spec, f):
     """Apply the unconstrained differential operator (no boundary condition)."""
     if f.grid != spec.grid or f.rank != spec.rank:
-        raise IncompatibleFieldsError("field does not match the model spec")
+        raise ParameterError("field does not match the model spec")
     return SpinorField(f.grid, _apply_D_values(spec, f.values))
 
 
@@ -321,7 +321,7 @@ def boundary_residual(spec, u, g):
     """Norm of P(u - g) at the boundary; 0 means the condition holds."""
     check_compatible(u, g)
     if u.grid != spec.grid or u.rank != spec.rank:
-        raise IncompatibleFieldsError("fields do not match the model spec")
+        raise ParameterError("fields do not match the model spec")
     d = u.values - g.values
     if spec.bc.kind == PERIODIC:
         return 0.0

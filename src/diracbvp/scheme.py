@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (InvalidFieldError, NearSingularError, ParameterError,
-                     UndefinedScalingError)
+from .errors import InvalidFieldError, ParameterError
 from .grids import SpinorField, lp_norm, nonlinearity, w1q_norm
 from .names import AUTO
 from .operators import apply_D, boundary_residual
@@ -117,7 +116,7 @@ def step(sd, cfg, u_k):
     shifted = r_scale * sd.eigenvalues - cfg.a
     k_min = int(np.argmin(np.abs(shifted)))
     if abs(shifted[k_min]) <= 1e-8:
-        raise NearSingularError(
+        raise ParameterError(
             "R*lambda - a = %r too close to zero at eigenvalue %r"
             % (complex(shifted[k_min]), float(sd.eigenvalues[k_min])))
 
@@ -206,7 +205,7 @@ def scale_problem(cfg, alpha):
     if alpha <= 0:
         raise ParameterError("alpha must be positive, got %r" % (alpha,))
     if cfg.p == 2:
-        raise UndefinedScalingError("scaling is undefined at p = 2")
+        raise ParameterError("scaling is undefined at p = 2")
     fac = alpha ** (1.0 / (2.0 - cfg.p))
     return replace(cfg,
                    lam=alpha * cfg.lam,

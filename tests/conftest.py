@@ -6,7 +6,7 @@ import pytest
 
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpinorField,
                       assemble, decompose, spectral)
-from diracbvp.errors import ConfigurationError, NumericalError
+from diracbvp.errors import NumericalError, ParameterError
 from diracbvp.grids import derivative
 from diracbvp.operators import (BAG_P_LEFT, BAG_P_RIGHT, _antiperiodic_freqs,
                                 _apply_D_values)
@@ -123,7 +123,7 @@ def _check_hermitian(matrix):
     defect = np.max(np.abs(matrix - matrix.conj().T))
     scale = max(np.max(np.abs(matrix)), 1e-300)
     if defect > 1e-12 * scale:
-        raise ConfigurationError(
+        raise ParameterError(
             "matrix is not Hermitian (defect %.3e)" % defect)
     return matrix
 

@@ -8,7 +8,7 @@ from diracbvp import (AnalyticConstants, bootstrap_exponents,
                       c3_lambda_threshold, check_conditions, el_transform,
                       estimate_gn_ratio, variational_functional)
 from diracbvp.conditions import MODE_A, MODE_B, MODE_C, derive_exponents
-from diracbvp.errors import DegeneratePairingError, ParameterError
+from diracbvp.errors import ParameterError
 from diracbvp.grids import Grid1D, SpinorField
 
 
@@ -221,7 +221,8 @@ def test_functional_degenerate_pairing(anti_sd, anti_spec):
     # equal-weight +pi and -pi modes cancel the pairing exactly
     vecs = dense_eigenvectors(anti_sd)
     phi = anti_sd.operator.embed(vecs[:, 0] + vecs[:, 1])
-    with pytest.raises(DegeneratePairingError):
+    with pytest.raises(ParameterError,
+                       match=r"pairing \|int Re<D phi, phi>\| = .* too small"):
         variational_functional(anti_sd, phi, n=2)
     with pytest.raises(ParameterError):
         variational_functional(anti_sd, mode_field(anti_spec.grid), n=1)

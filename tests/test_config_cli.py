@@ -908,10 +908,13 @@ def test_main_functional_needs_a_row(tmp_path, capsys, value):
     assert not (tmp_path / "out" / "functional.csv").exists()
 
 
-@pytest.mark.parametrize("value", ["-" * 3000 + "16", "+".join(["1"] * 3000)])
+@pytest.mark.parametrize("value", ["-" * 3000 + "16", "+".join(["1"] * 3000),
+                                   pytest.param("-" * 100000 + "16",
+                                                id="minus-100000")])
 def test_main_deeply_nested_expression_names_the_key(tmp_path, capsys,
                                                      value):
-    # ast.parse and the evaluator both recurse once per nesting level
+    # ast.parse and the evaluator both recurse once per nesting level;
+    # ast.parse raises MemoryError, not RecursionError, at 100000 levels
     cfg_path = write_cfg(tmp_path, "[model]\nn_points = %s\n" % value)
     assert main(["spectrum", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 1
@@ -974,13 +977,14 @@ def test_main_sample_file_is_a_directory(tmp_path, capsys, key):
         == "error: scheme.%s: %s: Is a directory\n" % (key, tmp_path / "g.csv")
 
 
-@pytest.mark.parametrize("command", ["spectrum", "solve", "check"])
+@pytest.mark.parametrize("command", ["spectrum", "solve", "check",
+                                     "functional"])
 @pytest.mark.parametrize("length", ["1e-155", "1e-300"])
 @pytest.mark.parametrize("model", ["antiperiodic", "periodic", "bag1d"])
 def test_main_spectrum_out_of_the_floats(tmp_path, capsys, model, length,
                                          command):
-    # 1 + lambda^2 overflows at 1e-155, and D_P itself at 1e-300: each
-    # command runs or ends in one error line naming the model's size,
+    # 1 + lambda^2 and F(phi) overflow at 1e-155, and D_P itself at 1e-300:
+    # each command runs or ends in one error line naming the model's size,
     # with no numpy warning (an error under this suite's filterwarnings)
     cfg_path = write_cfg(tmp_path, "[model]\nboundary = %s\nlength = %s\n"
                                    "n_points = 16\n" % (model, length))
@@ -996,7 +1000,9 @@ def test_main_spectrum_out_of_the_floats(tmp_path, capsys, model, length,
         assert status == 1 and err.count("\n") == 1
         assert err.startswith("error: ")
     if model == "periodic" and length == "1e-155":
-        return  # its spectrum stays finite: lambda_1 = 0 ends solve, check
+        # its spectrum stays finite: lambda_1 = 0 ends solve, check and
+        # functional
+        return
     # solve runs at 1e-155: its certification, which needs 1 + lambda^2,
     # is advisory, and one warning line says why it is missing
     assert (status == 0) == (command == "solve" and length == "1e-155")
