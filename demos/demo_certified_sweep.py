@@ -27,7 +27,7 @@ def main():
     g = SpinorField(grid, 0.05 * np.exp(1j * np.pi * grid.points()))
     base = AnalyticConstants(n=2, c1=est.c1_emp, c_half=est.c_half_emp,
                              lambda1_abs=abs(sd.lambda1),
-                             g_L2T=lp_norm(g, 2), g_H1T=w1q_norm(g, 2),
+                             g_L2T=lp_norm(g, 2), g_H1T=w1q_norm(spec, g, 2),
                              Dg_L2=lp_norm(apply_D(spec, g), 2))
     thr = c3_lambda_threshold(base) * abs(sd.lambda1)
     print("empirical c1 = %.4f, c_half = %.4f" % (est.c1_emp, est.c_half_emp))

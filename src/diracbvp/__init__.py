@@ -15,9 +15,9 @@ _EXPORTS = {
                   "check_conditions derive_exponents el_transform "
                   "estimate_gn_ratio variational_functional",
     "grids": "Grid1D SpinorField load_field_csv lp_norm nonlinearity "
-             "save_field_csv slobodeckij_norm w1q_norm",
+             "save_field_csv slobodeckij_norm",
     "operators": "AssembledOperator BoundaryCondition ModelSpec apply_D "
-                 "assemble boundary_residual",
+                 "assemble boundary_residual w1q_norm",
     "scheme": "IterationReport IterationState SchemeConfig run scale_problem "
               "step verify_solution",
     "spectral": "SpectralData apply_fractional apply_inverse apply_operator "

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .grids import CIRCLE, SpinorField, _modulus_power, lp_norm, w1q_norm
+from .grids import CIRCLE, SpinorField, _modulus_power, lp_norm
 from .names import MODE_A, MODE_B, MODE_C
 from .spectral import apply_operator, graph_norm
 
@@ -190,25 +190,30 @@ def c3_lambda_threshold(consts):
 def variational_functional(sd, phi, n):
     """F(phi) = (int |D phi|^q)^{(n+1)/n} / |int Re<D phi, phi>|, q = 2n/(n+1).
 
-    0-homogeneous in phi; equals |lambda_k| on normalized eigenfunctions.
-    NumericalError, naming model.length and model.n_points, when its
-    computation overflows (a tiny model.length).
+    0-homogeneous in phi; equals |lambda_k| on normalized eigenfunctions
+    of a unit-length model.  F has degree 1 in D phi, so it is computed
+    from D phi / s and multiplied by s, a power of two near max |D phi|:
+    a tiny model.length, whose |D phi|^2 leaves the floats, keeps its F.
+    NumericalError, naming model.length and model.n_points, when F itself
+    is not finite.
     """
     if n < 2:
         raise ParameterError("need n >= 2, got %r" % (n,))
     dphi = apply_operator(sd, phi)
     q = 2.0 * n / (n + 1.0)
     grid = phi.grid
+    s = np.ldexp(1.0, np.frexp(np.max(np.abs(dphi.values)))[1] - 1)
+    dphi = SpinorField(grid, dphi.values / s)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         # in np.float64 a power past the floats is inf, not OverflowError
         num = np.float64(lp_norm(dphi, q)) ** q
-        pairing = float(np.sum(grid.weights() * np.real(np.sum(
-            dphi.values.conj() * phi.values, axis=1))))
-        if abs(pairing) <= 1e-12:
+        pairing = abs(float(np.sum(grid.weights() * np.real(np.sum(
+            dphi.values.conj() * phi.values, axis=1)))))
+        if pairing * s <= 1e-12:
             raise ParameterError(
                 "pairing |int Re<D phi, phi>| = %.3e too small"
-                % abs(pairing))
-        value = float(num ** ((n + 1.0) / n) / abs(pairing))
+                % (pairing * s))
+        value = float(num ** ((n + 1.0) / n) / pairing * s)
     if not math.isfinite(value):
         raise NumericalError("computing F(phi) overflows at model.length = "
                              "%r, model.n_points = %d"
@@ -227,16 +232,19 @@ VARIANT_FRACTIONAL = "fractional"
 
 
 def _random_smooth_field(grid, rng, max_mode=8):
-    """Band-limited random scalar trial field (not boundary-constrained)."""
-    x = grid.points()
-    vals = np.zeros(grid.n_points, dtype=complex)
-    for k in range(max_mode + 1):
-        c = (rng.standard_normal() + 1j * rng.standard_normal()) / (1.0 + k * k)
-        if grid.topology == CIRCLE:
-            vals += c * np.exp(2j * np.pi * k * x / grid.length)
-        else:
-            vals += c * np.exp(1j * np.pi * k * x / grid.length)
-    return SpinorField(grid, vals)
+    """Band-limited random scalar trial field and its exact derivative.
+
+    sum_k c_k exp(i xi_k x), k = 0..max_mode, xi_k = 2 pi k/L on circles
+    and pi k/L on intervals, not boundary-constrained: a bare grid has no
+    model D, so the derivative is taken term by term.
+    """
+    k = np.arange(max_mode + 1)
+    z = rng.standard_normal(2 * k.size)
+    c = (z[0::2] + 1j * z[1::2]) / (1.0 + k * k)
+    xi = (2.0 if grid.topology == CIRCLE else 1.0) * np.pi * k / grid.length
+    modes = np.exp(1j * np.outer(grid.points(), xi))
+    return (SpinorField(grid, modes @ c),
+            SpinorField(grid, modes @ (1j * xi * c)))
 
 
 def estimate_gn_ratio(grid, variant, n, p=None, p_A=None, trials=100, seed=0,
@@ -245,8 +253,10 @@ def estimate_gn_ratio(grid, variant, n, p=None, p_A=None, trials=100, seed=0,
 
     Maximizes the relevant norm ratio over random band-limited trial
     fields.  variants: 'first' bounds K_GN (target L^{p(n+1)/(n-1)}...),
-    'second' bounds K_GN2 (target L^{2n/(n-1)}), 'fractional' bounds K_FGN
-    (source norm H^{1/2}_D through sd, which is then required).
+    'second' bounds K_GN2 (target L^{2n/(n-1)}), both with the source
+    norm W^{1,q}, q = 2n/(n+1), from the trial fields' exact derivative;
+    'fractional' bounds K_FGN (source norm H^{1/2}_D through sd, which is
+    then required).
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -276,9 +286,10 @@ def estimate_gn_ratio(grid, variant, n, p=None, p_A=None, trials=100, seed=0,
         else:
             if trial == 0:  # constant field: a clean deterministic sample
                 f = SpinorField(grid, np.ones(grid.n_points, dtype=complex))
+                df = SpinorField.zero(grid)
             else:
-                f = _random_smooth_field(grid, rng)
-            source = w1q_norm(f, q)
+                f, df = _random_smooth_field(grid, rng)
+            source = (lp_norm(f, q) ** q + lp_norm(df, q) ** q) ** (1.0 / q)
         num = lp_norm(f, target)
         den = lp_norm(f, q) ** (1.0 - theta) * source ** theta
         if den > 0:

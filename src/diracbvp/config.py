@@ -323,8 +323,8 @@ class RunConfig:
         """
         import numpy as np
         from .conditions import AnalyticConstants
-        from .grids import lp_norm, w1q_norm
-        from .operators import apply_D
+        from .grids import lp_norm
+        from .operators import apply_D, w1q_norm
         from .spectral import estimate_constants
         consts = self.values["constants"]
         c1, c_half = consts["c1"], consts["c_half"]
@@ -340,11 +340,12 @@ class RunConfig:
         if isinstance(consts["c_half"], str):  # empirical or formula
             provenance["c_half"] = "computed"
 
-        g = scheme_cfg.g
+        g, spec = scheme_cfg.g, sd.operator.spec
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                norms = {"Dg_L2": lp_norm(apply_D(sd.operator.spec, g), 2),
-                         "g_L2T": lp_norm(g, 2), "g_H1T": w1q_norm(g, 2)}
+                norms = {"Dg_L2": lp_norm(apply_D(spec, g), 2),
+                         "g_L2T": lp_norm(g, 2),
+                         "g_H1T": w1q_norm(spec, g, 2)}
             except InvalidFieldError as exc:
                 raise InvalidFieldError("scheme.g: D g or dg/dx is out of "
                                         "floating-point range") from exc

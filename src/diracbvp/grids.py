@@ -107,58 +107,12 @@ def check_compatible(f, g):
             "fields have ranks %d and %d" % (f.rank, g.rank))
 
 
-def _check_p(p, lo=1.0):
-    if not np.isfinite(p) or p <= lo:
-        raise ParameterError("exponent must exceed %g, got %r" % (lo, p))
-
-
 def lp_norm(f, p):
     """(sum_x w_x |f(x)|^p)^(1/p) with the fiberwise Euclidean modulus."""
-    _check_p(p)
+    if not np.isfinite(p) or p <= 1.0:
+        raise ParameterError("exponent must exceed 1, got %r" % (p,))
     w = f.grid.weights()
     return float(np.sum(w * f.modulus() ** p) ** (1.0 / p))
-
-
-def derivative(f):
-    """Discrete d/dx: spectral on circles, 2nd-order differences on intervals."""
-    v = f.values
-    if f.grid.topology == CIRCLE:
-        xi = 2j * np.pi * np.fft.fftfreq(f.grid.n_points, d=f.grid.spacing)
-        dv = np.fft.ifft(xi[:, None] * np.fft.fft(v, axis=0), axis=0)
-    else:
-        h = f.grid.spacing
-        dv = np.empty_like(v)
-        dv[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-        # one-sided 2nd-order closures
-        dv[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-        dv[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    return SpinorField(f.grid, dv)
-
-
-def w1q_norm(f, q):
-    """(||f||_Lq^q + ||df/dx||_Lq^q)^(1/q)."""
-    _check_p(q)
-    return float((lp_norm(f, q) ** q + lp_norm(derivative(f), q) ** q)
-                 ** (1.0 / q))
-
-
-def derivative_adjoint(f):
-    """The Euclidean adjoint of derivative (its conjugate transpose) on f.
-
-    The spectral derivative of a circle is anti-Hermitian, so this is
-    -derivative(f) there; on intervals it is the transpose of the
-    difference stencil, one-sided closures included.
-    """
-    if f.grid.topology == CIRCLE:
-        return -derivative(f)
-    u = f.values
-    du = np.zeros_like(u)
-    du[2:] += u[1:-1]
-    du[:-2] -= u[1:-1]
-    du[:3] += np.multiply.outer([-3.0, 4.0, -1.0], u[0])
-    du[-3:] += np.multiply.outer([1.0, -4.0, 3.0], u[-1])
-    du /= 2 * f.grid.spacing
-    return SpinorField(f.grid, du)
 
 
 def _fft_size(n):

@@ -12,13 +12,15 @@ BoundaryCondition:
     BAG_V_LEFT / BAG_V_RIGHT, 2nd-order summation-by-parts differences
     (_sbp_derivative).
 
-_apply_D_values is the one definition of each model's D; apply_D applies
-it to a field.  model_structure gives the rest, from one dispatch on the
-boundary kind: the constraint map V, an orthonormal basis of the discrete
-kernel of the boundary operator P with one nonzero per row, as index
-arrays, so embed (V c) and project (V^H W f) cost O(N); and the Fourier
-modes of D_P = sym(V^H W D V), W the quadrature weights and
-sym(M) = (M + M^H)/2, which is never formed as a matrix.
+_apply_D_values is the one definition of each model's D, and the
+package's one derivative: apply_D applies it to a field, w1q_norm and
+derivative_form (the c1 form) measure with it.  model_structure gives
+the rest, from one dispatch on the boundary kind: the constraint map V,
+an orthonormal basis of the discrete kernel of the boundary operator P
+with one nonzero per row, as index arrays, so embed (V c) and project
+(V^H W f) cost O(N); and the Fourier modes of D_P = sym(V^H W D V), W
+the quadrature weights and sym(M) = (M + M^H)/2, which is never formed
+as a matrix.
 
 V's columns are the nodes of the model's cycle, in order, so D_P is
 diagonal in modulated Fourier modes of the coordinates as they stand.  The
@@ -44,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .grids import Grid1D, SpinorField, check_compatible
+from .grids import Grid1D, SpinorField, check_compatible, lp_norm
 from .names import ANTIPERIODIC, BAG1D, MODELS, PERIODIC
 
 # bag1d endpoint kernel directions: <sigma_1 v, v> = 0 at both ends, which
@@ -103,10 +105,7 @@ def _sbp_derivative(v, h):
     with the trapezoid weight matrix W this satisfies W D + D^T W = e_n e_n^T -
     e_0 e_0^T exactly, the discrete integration-by-parts identity, which
     is what makes the compressed bag operator Hermitian to rounding.
-
-    It is not grids.derivative: that closes the ends with 2nd-order
-    one-sided rows, which are accurate but break the SBP identity, and the
-    norms (w1q_norm, estimate_constants) keep that convention.
+    It is bag1d's one derivative: D, w1q_norm and the c1 form all use it.
     """
     dv = np.empty_like(v)
     dv[1:-1] = (v[2:] - v[:-2]) * (0.5 / h)
@@ -315,6 +314,33 @@ def apply_D(spec, f):
     if f.grid != spec.grid or f.rank != spec.rank:
         raise ParameterError("field does not match the model spec")
     return SpinorField(f.grid, _apply_D_values(spec, f.values))
+
+
+def w1q_norm(spec, f, q):
+    """(||f||_Lq^q + ||D f||_Lq^q)^(1/q), D the model's operator.
+
+    sigma_1 is unitary, so |D f| = |df/dx| pointwise on every model: this
+    is the W^{1,q} norm measured with D's own derivative.
+    """
+    return float((lp_norm(f, q) ** q + lp_norm(apply_D(spec, f), q) ** q)
+                 ** (1.0 / q))
+
+
+def derivative_form(spec, v):
+    """D^H W D v for samples v = V y of shape (N, rank), W the weights.
+
+    The form of ||D f||_L2^2, c1_emp's numerator.  D^H W x is W D x plus,
+    on bag1d, i sigma_1 B x with B = diag(-1, 0, ..., 0, 1) over the
+    points, by _sbp_derivative's identity W S + S^T W = B.  On the scalar
+    models D V = V D_P, so W D x equals D^H W x after V^H for x = D V y:
+    exact once V^H is applied, as the c1 form does.
+    """
+    dv = _apply_D_values(spec, v)
+    out = _apply_D_values(spec, dv) * spec.grid.weights()[:, None]
+    if spec.bc.kind == BAG1D:
+        out[0] -= 1j * dv[0, ::-1]
+        out[-1] += 1j * dv[-1, ::-1]
+    return out
 
 
 def boundary_residual(spec, u, g):

@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidFieldError, ParameterError
-from .grids import SpinorField, lp_norm, nonlinearity, w1q_norm
+from .grids import SpinorField, lp_norm, nonlinearity
 from .names import AUTO
-from .operators import apply_D, boundary_residual
+from .operators import apply_D, boundary_residual, w1q_norm
 from .spectral import graph_norm
 
 
@@ -144,13 +144,14 @@ def run(sd, cfg):
     state that overflows reads inf, and the state is still recorded.
     """
     u = cfg.f0 if cfg.f0 is not None else cfg.g
+    spec = sd.operator.spec
     blow_up = 10.0 * max(cfg.Xi, cfg.Lambda_cap, 1.0)
 
     def make_state(k, u_cur, delta, prev):
-        # a derivative or |u|^{p-2} u past the floats reads as an inf norm
+        # a D u or |u|^{p-2} u past the floats reads as an inf norm
         h1t_norm = pde_residual = math.inf
         try:
-            h1t_norm = w1q_norm(u_cur, 2)
+            h1t_norm = w1q_norm(spec, u_cur, 2)
             pde_residual = verify_solution(sd, cfg, u_cur)[0]
         except InvalidFieldError:
             pass
@@ -192,7 +193,7 @@ def run(sd, cfg):
         iterations=max((st.k for st in states
                         if st.delta_norm_H12D >= cfg.tol_cauchy), default=0),
         pde_residual=states[-1].pde_residual,
-        boundary_residual=boundary_residual(sd.operator.spec, u, cfg.g),
+        boundary_residual=boundary_residual(spec, u, cfg.g),
         bounds_held=bounds_held, lambda1=sd.lambda1)
 
 

@@ -23,9 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidFieldError, NumericalError, ParameterError
-from .grids import (SpinorField, derivative, derivative_adjoint,
-                    slobodeckij_operator)
-from .operators import apply_D
+from .grids import slobodeckij_operator
+from .operators import apply_D, derivative_form
 
 ConstantEstimates = namedtuple("ConstantEstimates", ["c1_emp", "c_half_emp"])
 
@@ -230,8 +229,11 @@ def _rayleigh_maxima(sd):
     eigenvalue of the standard form d^{-1/2} U^H N U d^{-1/2}, found by
     _lanczos_max from products with it alone: synthesize, embed, apply
     the numerator on the grid, V^H, analyze, scale.  The numerators are
-    I + V^H G^H W G V (G the grids.derivative stencil, W the quadrature
-    weights) and I + V^H Q V (Q of grids.slobodeckij_operator, s = 1/2).
+    I + V^H D^H W D V (operators.derivative_form: D the model's own
+    operator, W the quadrature weights) and I + V^H Q V (Q of
+    grids.slobodeckij_operator, s = 1/2).  On the scalar models D V =
+    V D_P, so the c1 standard form is the identity and c1_emp is 1; on
+    bag1d the SBP boundary rows make it grow like 1.52 N.
     NumericalError, naming model.length and model.n_points, when a
     denominator overflows.
     """
@@ -239,11 +241,6 @@ def _rayleigh_maxima(sd):
     if not sd.invertible:
         raise ParameterError("estimate_constants needs an invertible operator")
     grid, lam = op.spec.grid, sd.eigenvalues
-    w = grid.weights()[:, None]
-
-    def sobolev(v):  # G^H W G
-        dv = derivative(SpinorField(grid, v))
-        return derivative_adjoint(SpinorField(grid, w * dv.values)).values
 
     def standard_form_max(numerator, d, what):
         scale = 1.0 / np.sqrt(d)
@@ -261,7 +258,8 @@ def _rayleigh_maxima(sd):
             "1 + lambda_k^2 or 1 + |lambda_k| overflows at model.length = %r, "
             "model.n_points = %d" % (grid.length, grid.n_points))
     where = "at model.n_points = %d" % grid.n_points
-    c1_emp = standard_form_max(sobolev, den_1, "c1_emp " + where)
+    c1_emp = standard_form_max(lambda v: derivative_form(op.spec, v), den_1,
+                               "c1_emp " + where)
     c_half_emp = standard_form_max(slobodeckij_operator(grid, 0.5), den_half,
                                    "c_half_emp " + where)
     return c1_emp, c_half_emp
@@ -271,7 +269,8 @@ def _rayleigh_maxima(sd):
 # gives up: 1024 up to m = 4096, 2048 up to 16384, 3072 up to 36864.
 # The c_half form of the antiperiodic model, the slowest, needs about
 # 6.5 sqrt(N): 104 steps at N=256, 216 at N=1024, 416 at N=4096, 592 at
-# N=8192 and 840 at N=16384; bag1d needs at most 16 up to N=4096.  Only
+# N=8192 and 840 at N=16384; bag1d needs at most 16 up to N=4096, and
+# either model's c1 form converges at the first check.  Only
 # the run time grows with the steps; the memory stays O(m).
 LANCZOS_MAX_STEPS = 1024
 # steps between two convergence checks of the top Ritz pair

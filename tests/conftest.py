@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpinorField,
-                      assemble, decompose, spectral)
+                      apply_D, assemble, decompose, spectral)
 from diracbvp.errors import NumericalError, ParameterError
-from diracbvp.grids import derivative
 from diracbvp.operators import (BAG_P_LEFT, BAG_P_RIGHT, _antiperiodic_freqs,
                                 _apply_D_values)
 from diracbvp.spectral import _order_spectrum
@@ -99,9 +98,12 @@ def slobodeckij_form(grid, s):
     return q
 
 
-def derivative_matrix(grid):
-    """Dense matrix of grids.derivative, column by column."""
-    return derivative(SpinorField(grid, np.eye(grid.n_points))).values
+def apply_D_matrix(spec):
+    """Dense matrix of apply_D on flattened fields, column by column."""
+    size = spec.grid.n_points * spec.rank
+    cols = [apply_D(spec, SpinorField(spec.grid, e.reshape(-1, spec.rank)))
+            .values.reshape(-1) for e in np.eye(size)]
+    return np.array(cols).T
 
 
 def random_constrained_field(sd, rng):
@@ -217,6 +219,8 @@ def decompose_dense(op):
 def dense_rayleigh_maxima(sd):
     """c1_emp and c_half_emp from dense standard forms and eigvalsh.
 
+    The c1 numerator is I + (D V)^H W (D V), D the dense matrix of
+    apply_D; the c_half one I + V^H Q V, Q the dense Slobodeckij form.
     The denominators I + D_P^2 and I + |D_P| are U diag(d) U^H over the
     eigenvectors U, so each generalized maximum is the largest eigenvalue
     of d^{-1/2} U^H N U d^{-1/2}, N the dense numerator form.
@@ -225,7 +229,7 @@ def dense_rayleigh_maxima(sd):
     grid, r = op.spec.grid, op.spec.rank
     vmap, w, u = dense_constraint_map(op), op.weights, dense_eigenvectors(sd)
     eye = np.eye(sd.size)
-    g = np.kron(derivative_matrix(grid), np.eye(r)) @ vmap
+    g = apply_D_matrix(op.spec) @ vmap
     num1 = eye + g.conj().T @ (w[:, None] * g)
     q = np.kron(slobodeckij_form(grid, 0.5), np.eye(r))
     num_h = eye + vmap.conj().T @ (q @ vmap)

@@ -79,7 +79,8 @@ def test_04_certified_contraction(anti_sd, anti_spec):
     for lam in np.linspace(0.0, lam_max, 11):
         consts = dataclasses.replace(base, lambda_abs=lam,
                                      g_L2T=lp_norm(g, 2),
-                                     g_H1T=w1q_norm(g, 2), Dg_L2=dg_l2)
+                                     g_H1T=w1q_norm(anti_spec, g, 2),
+                                     Dg_L2=dg_l2)
         rep_cond = check_conditions(consts)
         rep = run(anti_sd, SchemeConfig(lam=lam, p=4, g=g))
         if rep_cond.certified:
@@ -219,7 +220,9 @@ count = 11
 ])
 def test_12_solution_converges_to_the_closed_form(kind, g, min_order,
                                                   max_error):
-    errors = []
+    # the last state's u_H1 against the closed form's: |u| = |a| and
+    # |u'| = omega |a| along the solution, omega = lambda |a|^{p-2}
+    errors, h1_errors = [], []
     for n_points in (65, 129, 257, 513):
         cfg = parse_config(
             "[model]\nboundary = %s\nn_points = %d\n[scheme]\nlambda = 2\n"
@@ -231,7 +234,12 @@ def test_12_solution_converges_to_the_closed_form(kind, g, min_order,
         assert rep.states[-1].delta_norm_H12D < 1e-13
         exact = closed_form_solution(spec, scheme_cfg.g, 2.0, 4.0)
         errors.append(np.max(np.linalg.norm(rep.u.values - exact, axis=1)))
+        a_abs = np.linalg.norm(exact[0])
+        omega = 2.0 * a_abs ** 2
+        h1_exact = a_abs * np.sqrt(spec.grid.length * (1.0 + omega ** 2))
+        h1_errors.append(abs(rep.states[-1].h1t_norm - h1_exact))
     # h halves at each step: N - 1 doubles
-    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
-    assert np.all(orders >= min_order), orders
-    assert errors[-1] < max_error, errors
+    for errs in (errors, h1_errors):
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders >= min_order), orders
+        assert errs[-1] < max_error, errs

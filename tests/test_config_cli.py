@@ -983,9 +983,9 @@ def test_main_sample_file_is_a_directory(tmp_path, capsys, key):
 @pytest.mark.parametrize("model", ["antiperiodic", "periodic", "bag1d"])
 def test_main_spectrum_out_of_the_floats(tmp_path, capsys, model, length,
                                          command):
-    # 1 + lambda^2 and F(phi) overflow at 1e-155, and D_P itself at 1e-300:
-    # each command runs or ends in one error line naming the model's size,
-    # with no numpy warning (an error under this suite's filterwarnings)
+    # 1 + lambda^2 overflows at 1e-155, and D_P itself at 1e-300: each
+    # command runs or ends in one error line naming the model's size, with
+    # no numpy warning (an error under this suite's filterwarnings)
     cfg_path = write_cfg(tmp_path, "[model]\nboundary = %s\nlength = %s\n"
                                    "n_points = 16\n" % (model, length))
     status = main([command, "--config", str(cfg_path),
@@ -1002,6 +1002,22 @@ def test_main_spectrum_out_of_the_floats(tmp_path, capsys, model, length,
     if model == "periodic" and length == "1e-155":
         # its spectrum stays finite: lambda_1 = 0 ends solve, check and
         # functional
+        return
+    if command == "functional" and length == "1e-155":
+        # F(phi_k) = sqrt(L) |lambda_k| on the antiperiodic modes, of
+        # constant modulus, and at most that on bag1d (Hoelder): floats,
+        # though |D phi|^2 is not
+        assert status == 0
+        with open(tmp_path / "out" / "functional.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows
+        for _, lam, f_val in rows:
+            bound = math.sqrt(float(length)) * abs(float(lam))
+            if model == "antiperiodic":
+                assert float(f_val) == pytest.approx(bound, rel=1e-6)
+            else:
+                assert 0.0 < float(f_val) <= bound * (1.0 + 1e-6)
         return
     # solve runs at 1e-155: its certification, which needs 1 + lambda^2,
     # is advisory, and one warning line says why it is missing

@@ -365,7 +365,7 @@ def test_estimate_constants_antiperiodic(anti_sd, anti_spec):
     # on exponential modes that quotient is about (1+lam^2)/(1+lam^2) = 1
     f = mode_field(anti_spec.grid)
     from diracbvp import w1q_norm
-    quotient = w1q_norm(f, 2) ** 2 / (1.0 + np.pi ** 2)
+    quotient = w1q_norm(anti_spec, f, 2) ** 2 / (1.0 + np.pi ** 2)
     assert est.c1_emp >= quotient - 1e-12
     assert est.c1_emp >= 0.99
     assert est.c_half_emp > 0
@@ -403,6 +403,26 @@ def test_estimate_constants_match_dense_standard_form(kind, n_points):
     assert est.c_half_emp == pytest.approx(c_half, rel=1e-10)
 
 
+@pytest.mark.parametrize("n_points", [33, 64, 257, 512])
+def test_c1_emp_is_one_on_the_antiperiodic_model(n_points):
+    # the numerator measures psi' with D itself, and D V = V D_P: the c1
+    # standard form is the identity, as in the continuum
+    spec = ModelSpec(Grid1D(1.0, n_points), BoundaryCondition("antiperiodic"))
+    assert estimate_constants(decompose(assemble(spec))).c1_emp \
+        == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_points, c1_emp", [
+    (33, 48.7376584), (65, 97.4818655), (129, 194.967010),
+    (257, 389.935661)])
+def test_bag_c1_emp_grows_like_n(n_points, c1_emp):
+    # the SBP boundary rows, not the doubler modes, set c1 with D's own
+    # stencil: about 1.52 N at L = 1
+    spec = ModelSpec(Grid1D(1.0, n_points), BoundaryCondition("bag1d"))
+    assert estimate_constants(decompose(assemble(spec))).c1_emp \
+        == pytest.approx(c1_emp, rel=1e-8)
+
+
 def test_c_half_emp_refines_like_n_to_the_minus_half():
     # nested grids, L = 1: each doubling shrinks the increment of
     # c_half_emp by about 2^(-1/2) (0.708 measured)
@@ -421,10 +441,12 @@ def test_lanczos_cap_raises(monkeypatch):
     # too few steps to converge: an error, never an unconverged constant,
     # naming the constant and the grid size
     import diracbvp.spectral
-    monkeypatch.setattr(diracbvp.spectral, "LANCZOS_MAX_STEPS", 4)
-    with pytest.raises(NumericalError, match="did not converge in 4 steps "
+    # c1_emp: its bag1d standard form is I plus a rank-2 term, whose top
+    # eigenvalue Lanczos finds at step 2, so one step is too few
+    monkeypatch.setattr(diracbvp.spectral, "LANCZOS_MAX_STEPS", 1)
+    with pytest.raises(NumericalError, match="did not converge in 1 steps "
                        r"for c1_emp at model\.n_points = 64 \(residual"):
-        estimate_constants(decompose(model_op("antiperiodic", 64)))
+        estimate_constants(decompose(model_op("bag1d", 64)))
     # c1_emp converges within 40 steps at this size, c_half_emp does not
     monkeypatch.setattr(diracbvp.spectral, "LANCZOS_MAX_STEPS", 40)
     with pytest.raises(NumericalError, match="did not converge in 40 steps "
