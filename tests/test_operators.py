@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import (antiperiodic_modes, decompose_dense,
+from conftest import (antiperiodic_modes, apply_D_matrix, decompose_dense,
                       dense_constraint_map, dense_eigenvectors, dense_matrix,
                       mode_field)
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpinorField,
                       apply_D, assemble, boundary_residual)
+from diracbvp.operators import derivative_form
 from diracbvp.errors import ParameterError
 
 
@@ -226,6 +227,47 @@ def test_apply_D_antiperiodic_matches_dense_modes(n_points):
     dense = np.vstack([d, -d[:1]])
     out = apply_D(spec, SpinorField(grid, v)).values
     assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_apply_D_bag_second_order():
+    # bag1d's D = -i sigma_1 d/dx with the SBP stencil: second order inside,
+    # and the one-sided endpoint rows meet sin'' = 0 at x = 0 and x = 1
+    errors = []
+    for n_points in (128, 256, 512):
+        grid = Grid1D(1.0, n_points)
+        x = grid.points()
+        vals = np.column_stack([np.sin(2 * np.pi * x), np.zeros_like(x)])
+        out = apply_D(ModelSpec(grid, BoundaryCondition("bag1d")),
+                      SpinorField(grid, vals)).values
+        assert np.all(out[:, 0] == 0)
+        exact = -2j * np.pi * np.cos(2 * np.pi * x)
+        errors.append(np.max(np.abs(out[:, 1] - exact)))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders > 1.9), orders
+    assert errors[-1] < 1e-3, errors
+
+
+@pytest.mark.parametrize("kind", ["antiperiodic", "periodic", "bag1d"])
+@pytest.mark.parametrize("n_points", [8, 9, 64, 257])
+def test_derivative_form_is_the_dense_form(n_points, kind):
+    # V^H derivative_form(V y) = (D V)^H W (D V) y, D the dense matrix of
+    # apply_D: the c1 numerator; on bag1d derivative_form is D^H W D itself
+    topology = "circle" if kind == "periodic" else "interval"
+    spec = ModelSpec(Grid1D(1.3, n_points, topology), BoundaryCondition(kind))
+    op = assemble(spec)
+    vmap, dmat = dense_constraint_map(op), apply_D_matrix(spec)
+    rng = np.random.default_rng(n_points)
+    y = rng.standard_normal(op.n_constrained) \
+        + 1j * rng.standard_normal(op.n_constrained)
+    v = (vmap @ y).reshape(n_points, spec.rank)
+    form = derivative_form(spec, v).reshape(-1)
+    dv = dmat @ vmap
+    dense = dv.conj().T @ (op.weights * (dv @ y))
+    assert np.linalg.norm(op.adjoint(form) - dense) \
+        <= 1e-12 * np.linalg.norm(dense)
+    if kind == "bag1d":
+        full = dmat.conj().T @ (op.weights * (dmat @ v.reshape(-1)))
+        assert np.linalg.norm(form - full) <= 1e-12 * np.linalg.norm(full)
 
 
 def test_apply_D_rank_mismatch(anti_spec):
