@@ -1,14 +1,15 @@
-"""Batch front end: config-driven subcommands writing CSV/JSON artifacts.
+"""Batch front end: config-driven commands writing CSV/JSON artifacts.
 
-Subcommands: spectrum, solve, check, sweep, bootstrap, functional.
-Common flags: --config <path>, --out <dir>, --workers <k>.  Every
-config value is parsed and range-checked before a command starts.  solve
-and every sweep point run _run_scheme; sweep evaluates its points one
-after another, reusing the decomposed model and the fields g and f0
-while consecutive points share the [model] section; --workers is
-accepted for compatibility and changes nothing (the key run.workers is
-refused).  A certificate that raises is a `warning:` line on stderr.
-Outputs are deterministic for a fixed config; JSON is strict.
+Commands: spectrum, solve, check, sweep, bootstrap, functional.  One
+parser takes the command and the flags --config <path>, --out <dir>,
+--workers <k>, in any order.  Every config value is parsed and
+range-checked before a command starts.  solve and every sweep point run
+_run_scheme; sweep evaluates its points one after another, reusing the
+decomposed model and the fields g and f0 while consecutive points share
+the [model] section; --workers is accepted for compatibility and changes
+nothing (the key run.workers is refused).  A certificate that raises is
+a `warning:` line on stderr.  Outputs are deterministic for a fixed
+config; JSON is strict.
 
 Each command imports the array layers it uses when it runs, so
 `bootstrap`, `--help`, usage errors and refused configs load no numpy.
@@ -191,7 +192,7 @@ _COMMANDS = {"spectrum": cmd_spectrum, "solve": cmd_solve, "check": cmd_check,
 
 
 def run_command(cfg, command, out_dir=None):
-    """Dispatch a subcommand; returns the process exit status."""
+    """Dispatch a command; returns the process exit status."""
     if command not in _COMMANDS:
         raise DiracBVPError("unknown command %r" % (command,))
     out_dir = out_dir or cfg.values["run"]["output_dir"]
@@ -210,13 +211,11 @@ def main(argv=None):
         prog="diracbvp",
         description="Spectral solver for nonlinear Dirac-type boundary "
                     "value problems on 1D model operators.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True)
-        cmd.add_argument("--out", default=None)
-        cmd.add_argument("--workers", type=int, default=None,
-                         help="accepted for compatibility; no effect")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="accepted for compatibility; no effect")
     args = parser.parse_args(argv)
 
     try:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .grids import CIRCLE, SpinorField, _modulus_power, lp_norm
+from .grids import CIRCLE, SpinorField, _modulus_power, lp_norm, w1q
 from .names import MODE_A, MODE_B, MODE_C
 from .spectral import apply_operator, graph_norm
 
@@ -289,7 +289,7 @@ def estimate_gn_ratio(grid, variant, n, p=None, p_A=None, trials=100, seed=0,
                 df = SpinorField.zero(grid)
             else:
                 f, df = _random_smooth_field(grid, rng)
-            source = (lp_norm(f, q) ** q + lp_norm(df, q) ** q) ** (1.0 / q)
+            source = w1q(f, df, q)
         num = lp_norm(f, target)
         den = lp_norm(f, q) ** (1.0 - theta) * source ** theta
         if den > 0:

@@ -317,14 +317,14 @@ class RunConfig:
 
         c1 is a number or c1_emp; then c_half is a number, c_half_emp or
         formula, 2 c1 c_h^2 iota^2 with that c1.  estimate_constants runs
-        only for an empirical value.  g and D g are measured under the
-        np.errstate of scheme.run; a D g past the floats is an
-        InvalidFieldError naming scheme.g.
+        only for an empirical value.  g and D g, applied once for Dg_L2
+        and g_H1T, are measured under the np.errstate of scheme.run; a
+        D g past the floats is an InvalidFieldError naming scheme.g.
         """
         import numpy as np
         from .conditions import AnalyticConstants
-        from .grids import lp_norm
-        from .operators import apply_D, w1q_norm
+        from .grids import lp_norm, w1q
+        from .operators import apply_D
         from .spectral import estimate_constants
         consts = self.values["constants"]
         c1, c_half = consts["c1"], consts["c_half"]
@@ -343,11 +343,11 @@ class RunConfig:
         g, spec = scheme_cfg.g, sd.operator.spec
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                norms = {"Dg_L2": lp_norm(apply_D(spec, g), 2),
-                         "g_L2T": lp_norm(g, 2),
-                         "g_H1T": w1q_norm(spec, g, 2)}
+                dg = apply_D(spec, g)
+                norms = {"Dg_L2": lp_norm(dg, 2), "g_L2T": lp_norm(g, 2),
+                         "g_H1T": w1q(g, dg, 2)}
             except InvalidFieldError as exc:
-                raise InvalidFieldError("scheme.g: D g or dg/dx is out of "
+                raise InvalidFieldError("scheme.g: D g is out of "
                                         "floating-point range") from exc
         for name in ("lambda1_abs", "Dg_L2", "g_L2T", "g_H1T", "lambda_abs"):
             provenance[name] = "computed"

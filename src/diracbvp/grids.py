@@ -115,6 +115,12 @@ def lp_norm(f, p):
     return float(np.sum(w * f.modulus() ** p) ** (1.0 / p))
 
 
+def w1q(f, df, q):
+    """(||f||_Lq^q + ||df||_Lq^q)^(1/q): the W^{1,q} norm of f, df its
+    derivative, however the caller measured it."""
+    return float((lp_norm(f, q) ** q + lp_norm(df, q) ** q) ** (1.0 / q))
+
+
 def _fft_size(n):
     """The smallest 5-smooth integer >= n: a length pocketfft does fast."""
     while True:

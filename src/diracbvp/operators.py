@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .grids import Grid1D, SpinorField, check_compatible, lp_norm
+from .grids import Grid1D, SpinorField, check_compatible, w1q
 from .names import ANTIPERIODIC, BAG1D, MODELS, PERIODIC
 
 # bag1d endpoint kernel directions: <sigma_1 v, v> = 0 at both ends, which
@@ -320,10 +320,9 @@ def w1q_norm(spec, f, q):
     """(||f||_Lq^q + ||D f||_Lq^q)^(1/q), D the model's operator.
 
     sigma_1 is unitary, so |D f| = |df/dx| pointwise on every model: this
-    is the W^{1,q} norm measured with D's own derivative.
+    is grids.w1q with D's own derivative.
     """
-    return float((lp_norm(f, q) ** q + lp_norm(apply_D(spec, f), q) ** q)
-                 ** (1.0 / q))
+    return w1q(f, apply_D(spec, f), q)
 
 
 def derivative_form(spec, v):

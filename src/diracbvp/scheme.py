@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidFieldError, ParameterError
-from .grids import SpinorField, lp_norm, nonlinearity
+from .grids import SpinorField, lp_norm, nonlinearity, w1q
 from .names import AUTO
-from .operators import apply_D, boundary_residual, w1q_norm
+from .operators import apply_D, boundary_residual
 from .spectral import graph_norm
 
 
@@ -125,11 +125,16 @@ def step(sd, cfg, u_k):
     return sd.from_coeffs(sd.to_coeffs(rhs) / shifted) + cfg.g
 
 
+def _pde_residual(cfg, u, du):
+    """||D u - lambda |u|^{p-2} u||_L2, the strong residual, du = D u."""
+    return lp_norm(du - cfg.lam * nonlinearity(u, cfg.p), 2)
+
+
 def verify_solution(sd, cfg, u):
     """Strong PDE residual and boundary residual of a candidate solution."""
     spec = sd.operator.spec
-    res = apply_D(spec, u) - cfg.lam * nonlinearity(u, cfg.p)
-    return lp_norm(res, 2), boundary_residual(spec, u, cfg.g)
+    return (_pde_residual(cfg, u, apply_D(spec, u)),
+            boundary_residual(spec, u, cfg.g))
 
 
 def run(sd, cfg):
@@ -142,6 +147,8 @@ def run(sd, cfg):
     graph norm is not finite, or when the L2 norm of an iterate exceeds
     10 max(Xi, Lambda_cap, 1).  This holds from state 0 on: a norm of a
     state that overflows reads inf, and the state is still recorded.
+    D is applied once per state, for u_H1 and pde_residual, and once
+    per step, to g.
     """
     u = cfg.f0 if cfg.f0 is not None else cfg.g
     spec = sd.operator.spec
@@ -151,8 +158,9 @@ def run(sd, cfg):
         # a D u or |u|^{p-2} u past the floats reads as an inf norm
         h1t_norm = pde_residual = math.inf
         try:
-            h1t_norm = w1q_norm(spec, u_cur, 2)
-            pde_residual = verify_solution(sd, cfg, u_cur)[0]
+            du = apply_D(spec, u_cur)
+            h1t_norm = w1q(u_cur, du, 2)
+            pde_residual = _pde_residual(cfg, u_cur, du)
         except InvalidFieldError:
             pass
         return IterationState(

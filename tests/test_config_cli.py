@@ -445,6 +445,59 @@ def test_cmd_solve(tmp_path):
     assert float(rows[-1][5]) < 1e-8
 
 
+def count_apply_D(monkeypatch):
+    """A list that grows by one at each operators.apply_D call: the
+    function is rebound wherever a loaded diracbvp module binds it, and
+    imports made at call time read operators."""
+    import diracbvp.operators
+    original = diracbvp.operators.apply_D
+    calls = []
+
+    def counted(spec, f):
+        calls.append(None)
+        return original(spec, f)
+    for name, module in list(sys.modules.items()):
+        if (name == "diracbvp" or name.startswith("diracbvp.")) \
+                and vars(module).get("apply_D") is original:
+            monkeypatch.setattr(module, "apply_D", counted)
+    return calls
+
+
+def test_solve_applies_D_once_per_state_and_step(tmp_path, monkeypatch):
+    # the seed-0 solve_ladder antiperiodic N = 256 solve of the benchmark:
+    # decompose's Fourier probe, one D g for the certificate, one D u per
+    # state (u_H1 and the residual share it) and one D g per step
+    import importlib.util
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "benchmarks", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cmd = workloads.make_inputs("solve_ladder", 0, str(tmp_path / "in"))[0]
+    assert (cmd.name, cmd.model, cmd.n_points) == ("solve", "antiperiodic",
+                                                   256)
+    with open(cmd.config, encoding="utf-8") as fh:
+        cfg = parse_config(fh.read(), base_dir=str(tmp_path / "in"))
+    calls = count_apply_D(monkeypatch)
+    assert run_command(cfg, "solve", str(tmp_path / "out")) == 0
+    states = len(read_csv(tmp_path / "out" / "trace.csv")) - 1
+    assert states == 4
+    assert len(calls) == 1 + 1 + states + (states - 1) == 9
+
+
+def test_certificate_applies_D_once(monkeypatch):
+    # Dg_L2 and g_H1T share one D g
+    from diracbvp.cli import _prepare
+    cfg = parse_config(BASE)
+    sd = _prepare(cfg)
+    scheme_cfg = cfg.build_scheme(*cfg.build_fields(sd.operator.spec))
+    calls = count_apply_D(monkeypatch)
+    consts = cfg.build_constants(sd, scheme_cfg)
+    assert len(calls) == 1
+    assert consts.g_H1T ** 2 == pytest.approx(consts.g_L2T ** 2
+                                              + consts.Dg_L2 ** 2, rel=1e-14)
+
+
 def test_cmd_check(tmp_path):
     cfg = parse_config(BASE)
     out = tmp_path / "check"
@@ -655,6 +708,12 @@ def test_main_end_to_end(tmp_path, capsys):
     rc = main(["solve", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 0
     assert (out / "report.json").exists()
+    # one parser takes the flags before the command too
+    first = tmp_path / "flags_first"
+    assert main(["--out", str(first), "--config", str(cfg_path),
+                 "solve"]) == 0
+    assert (first / "report.json").read_bytes() \
+        == (out / "report.json").read_bytes()
 
 
 def test_main_workers_flag(tmp_path):
@@ -1220,7 +1279,7 @@ COMMANDS = ("spectrum", "solve", "check", "sweep", "bootstrap", "functional")
 @pytest.mark.parametrize("g, reason", [
     ("const(0.1)", None),
     ("exp_mode(1, 1e308)",
-     "scheme.g: D g or dg/dx is out of floating-point range")],
+     "scheme.g: D g is out of floating-point range")],
     ids=["const", "overflow"])
 def test_commands_under_warnings_as_errors(tmp_path, g, reason):
     # every command in a new interpreter with warnings as errors; a

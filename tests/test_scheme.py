@@ -7,7 +7,7 @@ from conftest import mode_field
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SchemeConfig,
                       SpinorField, apply_D, assemble, decompose, lp_norm,
                       nonlinearity, run, scale_problem, step,
-                      verify_solution)
+                      verify_solution, w1q_norm)
 from diracbvp.errors import ParameterError
 from diracbvp.scheme import trace_rows
 
@@ -125,6 +125,26 @@ def test_overflowing_datum_diverges_from_state_0(anti_sd, anti_spec):
     assert rep.verdict == "diverged"
     assert len(rep.states) == 1
     assert rep.states[0].h1t_norm == rep.states[0].pde_residual == np.inf
+
+
+@pytest.mark.parametrize("model", ["anti", "bag"])
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 4])
+def test_state_norms_are_the_public_measures(request, model, max_iter):
+    # a state's u_H1 and pde_residual share one D u, and must still equal
+    # w1q_norm and verify_solution on the same iterate, to the bit
+    sd = request.getfixturevalue(model + "_sd")
+    spec = sd.operator.spec
+    x = spec.grid.points() / spec.grid.length
+    g = SpinorField(spec.grid, 0.1 * np.outer(np.exp(1j * np.pi * x),
+                                              [1.0, 0.5j][:spec.rank]))
+    # no residual passes tol_residual, so each run ends at max_iter
+    cfg = SchemeConfig(lam=0.5, p=4, g=g, max_iter=max_iter,
+                       tol_residual=1e-300)
+    rep = run(sd, cfg)
+    assert len(rep.states) == max_iter + 1
+    last = rep.states[-1]
+    assert last.h1t_norm == w1q_norm(spec, rep.u, 2)
+    assert last.pde_residual == verify_solution(sd, cfg, rep.u)[0]
 
 
 def test_converged_limit_solves_equation(anti_sd, anti_spec):
