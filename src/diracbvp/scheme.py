@@ -5,18 +5,19 @@ The homogenized iterate is utilde_k = u_k - g.  One step of the general
 
     (R D_P - a) utilde_{k+1} = R lambda |u_k|^{p-2} u_k - a utilde_k - R D g
 
-in constrained coordinates; with a = 0, R = 1 this is the plain Picard map
+in eigen-coefficients; with a = 0, R = 1 this is the plain Picard map
 utilde_{k+1} = D_P^{-1}(lambda |u_k|^{p-2} u_k - D g).  True solutions are
 stationary for every admissible (a, R).  Convergence is monitored through
-the increments Delta_k = u_k - u_{k-1} in the H^{1/2}_D graph norm.
+the H^{1/2}_D graph norm of Delta_k = u_k - u_{k-1}, from coefficients.
 
 Outside the smallness conditions the iteration may blow up; run reports
-that as the verdict "diverged", never as an error: an iterate or a field
-computed from it (its nonlinearity, a step's right-hand side) that leaves
-the floats, a non-finite increment, or an L2 norm past the blow-up cap.
+that as the verdict "diverged", never as an error: an iterate, D g or a
+field computed from them (a nonlinearity, a step's right-hand side) that
+leaves the floats, a non-finite increment, or an L2 norm past the blow-up cap.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -26,7 +27,6 @@ from .errors import InvalidFieldError, ParameterError
 from .grids import SpinorField, lp_norm, nonlinearity, w1q
 from .names import AUTO
 from .operators import apply_D, boundary_residual
-from .spectral import graph_norm
 
 
 @dataclass
@@ -69,8 +69,8 @@ class SchemeConfig:
 class IterationState:
     """One iterate u_k of a run: the scalars of its trace.csv row.
 
-    delta_norm_H12D is ||u_k - u_{k-1}|| in the H^{1/2}_D graph norm (0 at
-    k = 0), ratio is delta_k / delta_{k-1} (None when delta_{k-1} = 0,
+    delta_norm_H12D is ||u_k - u_{k-1}|| in the H^{1/2}_D graph norm, from
+    the eigen-coefficients of the two iterates (0 at k = 0), ratio is delta_k / delta_{k-1} (None when delta_{k-1} = 0,
     always at k <= 1); u_k itself is not kept.
     """
     k: int
@@ -105,12 +105,12 @@ class IterationReport:
                 if f.name not in ("states", "u")}
 
 
-def step(sd, cfg, u_k):
-    """One iteration step; returns u_{k+1} = utilde_{k+1} + g.
+def step(sd, cfg, u_k, n_k, dg):
+    """One iteration step: the coefficients c_{k+1} of utilde_{k+1}.
 
-    The right-hand side R lambda |u_k|^{p-2} u_k - R D g - a utilde_k is
-    formed as one field and transformed once.  A value that leaves the
-    floats raises InvalidFieldError, as every SpinorField does.
+    n_k = |u_k|^{p-2} u_k and dg = D g are the caller's; the right-hand
+    side R lambda n_k - R dg - a utilde_k is one array (the SpinorField
+    operations, in their order), checked finite once (InvalidFieldError).
     """
     r_scale = cfg.resolve_R(sd)
     shifted = r_scale * sd.eigenvalues - cfg.a
@@ -120,68 +120,82 @@ def step(sd, cfg, u_k):
             "R*lambda - a = %r too close to zero at eigenvalue %r"
             % (complex(shifted[k_min]), float(sd.eigenvalues[k_min])))
 
-    rhs = r_scale * cfg.lam * nonlinearity(u_k, cfg.p) \
-        - r_scale * apply_D(sd.operator.spec, cfg.g) - cfg.a * (u_k - cfg.g)
-    return sd.from_coeffs(sd.to_coeffs(rhs) / shifted) + cfg.g
+    rhs = n_k.values * (r_scale * cfg.lam) - dg.values * r_scale \
+        - (u_k.values - cfg.g.values) * cfg.a
+    return sd.to_coeffs(SpinorField(u_k.grid, rhs)) / shifted
 
 
-def _pde_residual(cfg, u, du):
-    """||D u - lambda |u|^{p-2} u||_L2, the strong residual, du = D u."""
-    return lp_norm(du - cfg.lam * nonlinearity(u, cfg.p), 2)
+def _pde_residual(cfg, du, nu):
+    """||du - lambda nu||_L2: the strong residual, du = D u, nu = N(u)."""
+    return lp_norm(du - cfg.lam * nu, 2)
 
 
 def verify_solution(sd, cfg, u):
     """Strong PDE residual and boundary residual of a candidate solution."""
     spec = sd.operator.spec
-    return (_pde_residual(cfg, u, apply_D(spec, u)),
+    return (_pde_residual(cfg, apply_D(spec, u), nonlinearity(u, cfg.p)),
             boundary_residual(spec, u, cfg.g))
 
 
 def run(sd, cfg):
     """Iterate from f0 until Cauchy convergence, divergence or max_iter.
 
-    Each iterate is recorded as an IterationState, and only the last one
-    is kept, as report.u: a run holds O(N) memory whatever max_iter is.
-    The run ends as "diverged" when a step leaves the floats (a
-    SpinorField refuses the non-finite values), when the increment's
-    graph norm is not finite, or when the L2 norm of an iterate exceeds
-    10 max(Xi, Lambda_cap, 1).  This holds from state 0 on: a norm of a
-    state that overflows reads inf, and the state is still recorded.
-    D is applied once per state, for u_H1 and pde_residual, and once
-    per step, to g.
+    A run keeps the eigen-coefficients c_k of utilde_k = u_k - g, from
+    c_0 = sd.to_coeffs(f0 - g) (f0 may lie off the constraint space): a
+    step is one transform pair, and the increment's H^{1/2}_D norm is
+    (sum_j |c_k - c_{k-1}|_j^2 (1 + |lambda_j|))^{1/2}.  D g is computed
+    once per run, D u_k and N(u_k) once per state (N(u_k) serves its
+    pde_residual and the next step).  Each iterate is recorded as an
+    IterationState and only the last is kept, as report.u: a run holds
+    O(N) memory whatever max_iter is.  The run ends as "diverged" when a
+    step leaves the floats, when the increment is not finite, or when
+    the L2 norm of an iterate exceeds 10 max(Xi, Lambda_cap, 1); this
+    holds from state 0 on, as a norm that overflows reads inf and its
+    state is still recorded.
     """
     u = cfg.f0 if cfg.f0 is not None else cfg.g
     spec = sd.operator.spec
     blow_up = 10.0 * max(cfg.Xi, cfg.Lambda_cap, 1.0)
+    weight = 1.0 + np.abs(sd.eigenvalues)  # graph_norm's weight at s = 1/2
 
     def make_state(k, u_cur, delta, prev):
-        # a D u or |u|^{p-2} u past the floats reads as an inf norm
+        """State k and N(u_k); a D u or N(u) past the floats reads as inf
+        norms (each apart) and N(u_k) as None."""
         h1t_norm = pde_residual = math.inf
-        try:
+        du = nu = None
+        with suppress(InvalidFieldError):
             du = apply_D(spec, u_cur)
             h1t_norm = w1q(u_cur, du, 2)
-            pde_residual = _pde_residual(cfg, u_cur, du)
-        except InvalidFieldError:
-            pass
+        with suppress(InvalidFieldError):
+            nu = nonlinearity(u_cur, cfg.p)
+            if du is not None:
+                pde_residual = _pde_residual(cfg, du, nu)
         return IterationState(
             k=k, delta_norm_H12D=delta, ratio=delta / prev if prev else None,
             l2t_norm=lp_norm(u_cur, 2), h1t_norm=h1t_norm,
-            pde_residual=pde_residual)
+            pde_residual=pde_residual), nu
 
     with np.errstate(over="ignore", invalid="ignore"):
-        states = [make_state(0, u, 0.0, 0.0)]
+        st, nu = make_state(0, u, 0.0, 0.0)
+        states = [st]
         verdict = "max_iter_exceeded"
         for k in range(1, cfg.max_iter + 1):
             try:
-                u_next = step(sd, cfg, u)
-                delta = graph_norm(sd, 0.5, u_next - u)
+                if k == 1:  # guarded like a step: diverged from state 0
+                    dg, coeffs = apply_D(spec, cfg.g), sd.to_coeffs(u - cfg.g)
+                if nu is None:
+                    raise InvalidFieldError("|u_k|^{p-2} u_k is not finite")
+                c_next = step(sd, cfg, u, nu, dg)
+                delta = float(np.sqrt(np.sum(np.abs(c_next - coeffs) ** 2
+                                             * weight)))
+                u_next = sd.from_coeffs(c_next) + cfg.g
             except InvalidFieldError:
                 delta = math.inf
             if not np.isfinite(delta):
                 verdict = "diverged"
                 break
-            u = u_next
-            st = make_state(k, u, delta, states[-1].delta_norm_H12D)
+            u, coeffs = u_next, c_next
+            st, nu = make_state(k, u, delta, states[-1].delta_norm_H12D)
             states.append(st)
             if st.l2t_norm > blow_up:
                 verdict = "diverged"
@@ -190,6 +204,8 @@ def run(sd, cfg):
                     and st.pde_residual < cfg.tol_residual):
                 verdict = "converged"  # Cauchy alone iterates on to max_iter
                 break
+        # |u - g| past ~1e154 at an endpoint overflows the norm to inf
+        boundary = boundary_residual(spec, u, cfg.g)
 
     bounds_held = all(st.l2t_norm <= cfg.Xi * (1 + 1e-12)
                       and st.h1t_norm <= cfg.Lambda_cap * (1 + 1e-12)
@@ -200,8 +216,7 @@ def run(sd, cfg):
         states=states, u=u, verdict=verdict,
         iterations=max((st.k for st in states
                         if st.delta_norm_H12D >= cfg.tol_cauchy), default=0),
-        pde_residual=states[-1].pde_residual,
-        boundary_residual=boundary_residual(spec, u, cfg.g),
+        pde_residual=states[-1].pde_residual, boundary_residual=boundary,
         bounds_held=bounds_held, lambda1=sd.lambda1)
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpinorField,
-                      apply_D, assemble, decompose, spectral)
+                      apply_D, assemble, decompose, nonlinearity, spectral,
+                      step)
 from diracbvp.errors import NumericalError, ParameterError
 from diracbvp.operators import (BAG_P_LEFT, BAG_P_RIGHT, _antiperiodic_freqs,
                                 _apply_D_values)
@@ -60,6 +61,14 @@ def mode_field(grid, k=1, scale=1.0):
     """scale * exp(i k pi x / L) as a scalar field."""
     x = grid.points()
     return SpinorField(grid, scale * np.exp(1j * k * np.pi * x / grid.length))
+
+
+def step_field(sd, cfg, u_k):
+    """u_{k+1} = from_coeffs(c_{k+1}) + g, with c_{k+1} = scheme.step on
+    the operands N(u_k) and D g that run would give it."""
+    c_next = step(sd, cfg, u_k, nonlinearity(u_k, cfg.p),
+                  apply_D(sd.operator.spec, cfg.g))
+    return sd.from_coeffs(c_next) + cfg.g
 
 
 def antiperiodic_modes(grid):

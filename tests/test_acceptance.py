@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from conftest import (closed_form_solution, dense_eigenvectors, dense_matrix,
-                      mode_field, random_constrained_field)
+                      mode_field, random_constrained_field, step_field)
 from diracbvp import (AnalyticConstants, BoundaryCondition, Grid1D, ModelSpec,
                       SchemeConfig, apply_fractional, apply_inverse, assemble,
                       bootstrap_exponents, c3_lambda_threshold,
                       check_conditions, decompose, estimate_constants,
                       graph_norm, lp_norm, run, scale_problem,
-                      slobodeckij_norm, split_pm, step, variational_functional,
+                      slobodeckij_norm, split_pm, variational_functional,
                       verify_solution)
 from diracbvp.config import parse_config
 
@@ -128,7 +128,7 @@ def test_07_shifted_stationarity(anti_sd, anti_spec):
     assert rep.verdict == "converged"
     u_star = rep.u
     shifted = dataclasses.replace(cfg, a=1.0, f0=u_star)
-    u1 = step(anti_sd, shifted, u_star)
+    u1 = step_field(anti_sd, shifted, u_star)
     assert lp_norm(u1 - u_star, 2) <= 10.0 * cfg.tol_cauchy
 
 

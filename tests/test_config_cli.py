@@ -445,28 +445,31 @@ def test_cmd_solve(tmp_path):
     assert float(rows[-1][5]) < 1e-8
 
 
-def count_apply_D(monkeypatch):
-    """A list that grows by one at each operators.apply_D call: the
+def count_calls(monkeypatch, module_name, name):
+    """A list that grows by one at each call of module_name.name: the
     function is rebound wherever a loaded diracbvp module binds it, and
-    imports made at call time read operators."""
-    import diracbvp.operators
-    original = diracbvp.operators.apply_D
+    imports made at call time read its module."""
+    import importlib
+    original = getattr(importlib.import_module(module_name), name)
     calls = []
 
-    def counted(spec, f):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return original(spec, f)
-    for name, module in list(sys.modules.items()):
-        if (name == "diracbvp" or name.startswith("diracbvp.")) \
-                and vars(module).get("apply_D") is original:
-            monkeypatch.setattr(module, "apply_D", counted)
+        return original(*args, **kwargs)
+    for mod_name, module in list(sys.modules.items()):
+        if (mod_name == "diracbvp" or mod_name.startswith("diracbvp.")) \
+                and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_solve_applies_D_once_per_state_and_step(tmp_path, monkeypatch):
-    # the seed-0 solve_ladder antiperiodic N = 256 solve of the benchmark:
-    # decompose's Fourier probe, one D g for the certificate, one D u per
-    # state (u_H1 and the residual share it) and one D g per step
+def test_solve_computes_each_operand_once(tmp_path, monkeypatch):
+    # the seed-0 solve_ladder antiperiodic N = 256 solve of the benchmark.
+    # apply_D: decompose's Fourier probe, one D g for the certificate, one
+    # D u per state (u_H1 and the residual share it) and one D g per run.
+    # nonlinearity: one N(u) per state, shared by its residual and the
+    # next step.  graph_norm: none, the increment is read off the
+    # coefficients that run keeps
     import importlib.util
     path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "benchmarks", "workloads.py")
@@ -478,11 +481,15 @@ def test_solve_applies_D_once_per_state_and_step(tmp_path, monkeypatch):
                                                    256)
     with open(cmd.config, encoding="utf-8") as fh:
         cfg = parse_config(fh.read(), base_dir=str(tmp_path / "in"))
-    calls = count_apply_D(monkeypatch)
+    calls = count_calls(monkeypatch, "diracbvp.operators", "apply_D")
+    nonlinear = count_calls(monkeypatch, "diracbvp.grids", "nonlinearity")
+    graph = count_calls(monkeypatch, "diracbvp.spectral", "graph_norm")
     assert run_command(cfg, "solve", str(tmp_path / "out")) == 0
     states = len(read_csv(tmp_path / "out" / "trace.csv")) - 1
     assert states == 4
-    assert len(calls) == 1 + 1 + states + (states - 1) == 9
+    assert len(calls) == 1 + 1 + states + 1 == 7
+    assert len(nonlinear) == states == 4
+    assert len(graph) == 0
 
 
 def test_certificate_applies_D_once(monkeypatch):
@@ -491,7 +498,7 @@ def test_certificate_applies_D_once(monkeypatch):
     cfg = parse_config(BASE)
     sd = _prepare(cfg)
     scheme_cfg = cfg.build_scheme(*cfg.build_fields(sd.operator.spec))
-    calls = count_apply_D(monkeypatch)
+    calls = count_calls(monkeypatch, "diracbvp.operators", "apply_D")
     consts = cfg.build_constants(sd, scheme_cfg)
     assert len(calls) == 1
     assert consts.g_H1T ** 2 == pytest.approx(consts.g_L2T ** 2

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import mode_field
+from conftest import mode_field, step_field
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SchemeConfig,
-                      SpinorField, apply_D, assemble, decompose, lp_norm,
-                      nonlinearity, run, scale_problem, step,
+                      SpinorField, apply_D, assemble, decompose, graph_norm,
+                      lp_norm, nonlinearity, run, scale_problem, step,
                       verify_solution, w1q_norm)
 from diracbvp.errors import ParameterError
 from diracbvp.scheme import trace_rows
@@ -38,7 +38,7 @@ def test_config_validation(anti_spec):
 
 def test_linear_case_single_step(anti_sd, anti_spec):
     cfg = base_config(anti_spec.grid, lam=0.0)
-    u1 = step(anti_sd, cfg, cfg.g)
+    u1 = step_field(anti_sd, cfg, cfg.g)
     res, bres = verify_solution(anti_sd, cfg, u1)
     assert res <= 1e-8
     assert bres <= 1e-12
@@ -56,7 +56,7 @@ def test_step_near_singular_shift(anti_sd, anti_spec):
     cfg = base_config(anti_spec.grid, a=np.pi)  # eigenvalue of D_P
     with pytest.raises(ParameterError, match=r"R\*lambda - a = .* too close "
                                              r"to zero at eigenvalue"):
-        step(anti_sd, cfg, cfg.g)
+        step_field(anti_sd, cfg, cfg.g)
 
 
 def test_periodic_needs_shift(periodic_sd):
@@ -64,9 +64,9 @@ def test_periodic_needs_shift(periodic_sd):
     g = SpinorField(grid, 0.1 * np.exp(2j * np.pi * grid.points() / grid.length))
     with pytest.raises(ParameterError, match=r"R\*lambda - a = 0j too close "
                                              r"to zero at eigenvalue 0\.0"):
-        step(periodic_sd, SchemeConfig(lam=0.0, p=4, g=g), g)
+        step_field(periodic_sd, SchemeConfig(lam=0.0, p=4, g=g), g)
     # shifted off the spectrum the step goes through
-    u1 = step(periodic_sd, SchemeConfig(lam=0.0, p=4, g=g, a=0.5), g)
+    u1 = step_field(periodic_sd, SchemeConfig(lam=0.0, p=4, g=g, a=0.5), g)
     assert np.isfinite(u1.values).all()
 
 
@@ -74,7 +74,8 @@ def test_periodic_needs_shift(periodic_sd):
                                       ("periodic", 0.5)])
 def test_step_matches_the_two_transform_formula(request, model, a):
     # the right-hand side is transformed once; the reference transforms
-    # R lambda N(u_k) - R D g and a utilde_k apart
+    # R lambda N(u_k) - R D g and a utilde_k apart.  step returns the
+    # coefficients of utilde_{k+1}
     sd = request.getfixturevalue(model + "_sd")
     grid = sd.operator.spec.grid
     x = grid.points() / grid.length
@@ -82,11 +83,11 @@ def test_step_matches_the_two_transform_formula(request, model, a):
     g = SpinorField(grid, 0.1 * np.exp(1j * k * np.pi * x))
     u_k = 0.5 * g + SpinorField(grid, 0.05 * np.exp(3j * k * np.pi * x))
     cfg = SchemeConfig(lam=0.3, p=4, g=g, a=a)
-    rhs = cfg.lam * nonlinearity(u_k, cfg.p) - apply_D(sd.operator.spec, g)
-    coeffs = sd.to_coeffs(rhs) - a * sd.to_coeffs(u_k - g)
-    ref = sd.from_coeffs(coeffs / (sd.eigenvalues - a)) + g
-    got = step(sd, cfg, u_k)
-    assert lp_norm(got - ref, 2) <= 1e-12 * lp_norm(ref, 2)
+    n_k, dg = nonlinearity(u_k, cfg.p), apply_D(sd.operator.spec, g)
+    coeffs = sd.to_coeffs(cfg.lam * n_k - dg) - a * sd.to_coeffs(u_k - g)
+    ref = coeffs / (sd.eigenvalues - a)
+    got = step(sd, cfg, u_k, n_k, dg)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # ------------------------------------------------------------------- run
@@ -125,6 +126,59 @@ def test_overflowing_datum_diverges_from_state_0(anti_sd, anti_spec):
     assert rep.verdict == "diverged"
     assert len(rep.states) == 1
     assert rep.states[0].h1t_norm == rep.states[0].pde_residual == np.inf
+
+
+def test_overflowing_nonlinearity_keeps_u_H1(anti_sd, anti_spec):
+    # |u|^398 u leaves the floats but D u does not: state 0 keeps its
+    # u_H1, and the first step, which needs N(u_0), ends the run
+    cfg = SchemeConfig(lam=0.5, p=400, g=mode_field(anti_spec.grid, scale=0.1),
+                       f0=mode_field(anti_spec.grid, scale=10.0))
+    rep = run(anti_sd, cfg)
+    assert rep.verdict == "diverged"
+    assert len(rep.states) == 1
+    assert rep.states[0].pde_residual == np.inf
+    assert rep.states[0].h1t_norm == w1q_norm(anti_spec, cfg.f0, 2) < np.inf
+
+
+def test_huge_start_reports_an_infinite_boundary_residual(anti_sd, anti_spec):
+    # |u - g| ~ 1e300 at the endpoints: the boundary residual's norm
+    # overflows to inf inside the run's error state, with no warning
+    cfg = SchemeConfig(lam=0.5, p=2, g=mode_field(anti_spec.grid, scale=0.1),
+                       f0=mode_field(anti_spec.grid, k=101, scale=1e300))
+    rep = run(anti_sd, cfg)
+    assert rep.verdict == "diverged"
+    assert rep.boundary_residual == np.inf
+
+
+@pytest.mark.parametrize("model, f0", [("anti", None), ("anti", 0.05),
+                                       ("bag", None)])
+def test_increment_is_the_graph_norm_of_the_difference(request, model, f0):
+    # run reads the increment off the coefficients of utilde; it must be
+    # the H^{1/2}_D graph norm of u_{k+1} - u_k, the last iterates of runs
+    # of k and k + 1 steps.  The antiperiodic datum const(0.3) has P g != 0,
+    # so its solution is not u = 0; f0 = const(0.05) lies off the
+    # antiperiodic constraint space
+    sd = request.getfixturevalue(model + "_sd")
+    spec = sd.operator.spec
+    x = spec.grid.points() / spec.grid.length
+    if model == "anti":
+        g = SpinorField(spec.grid, np.full(x.size, 0.3 + 0j))
+    else:
+        g = SpinorField(spec.grid, 0.1 * np.outer(np.exp(1j * np.pi * x),
+                                                  [1.0, 0.5j]))
+    if f0 is not None:
+        f0 = SpinorField(spec.grid, np.full(x.size, f0 + 0j))
+    cfg = SchemeConfig(lam=2.0, p=4, g=g, f0=f0, tol_residual=1e-300)
+    iterates = [g if f0 is None else f0] + [
+        run(sd, dataclasses.replace(cfg, max_iter=k)).u for k in range(1, 9)]
+    states = run(sd, dataclasses.replace(cfg, max_iter=8)).states
+    checked = 0
+    for k in range(1, 9):
+        if states[k].delta_norm_H12D > 1e-6:
+            ref = graph_norm(sd, 0.5, iterates[k] - iterates[k - 1])
+            assert states[k].delta_norm_H12D == pytest.approx(ref, rel=1e-9)
+            checked += 1
+    assert checked >= 3
 
 
 @pytest.mark.parametrize("model", ["anti", "bag"])
@@ -189,14 +243,14 @@ def test_stationarity_under_shift(anti_sd, anti_spec):
     u_star = rep.u
     for a in (1.0, 0.5j, -2.0):
         shifted = dataclasses.replace(cfg, a=a, f0=u_star)
-        u1 = step(anti_sd, shifted, u_star)
+        u1 = step_field(anti_sd, shifted, u_star)
         assert lp_norm(u1 - u_star, 2) <= 10 * cfg.tol_cauchy
 
 
 def test_stationarity_with_R_scaling(anti_sd, anti_spec):
     cfg = dataclasses.replace(exact_config(anti_spec.grid), R="auto", a=1.0)
     u_star = exact_config(anti_spec.grid).g  # exact solution by construction
-    u1 = step(anti_sd, cfg, u_star)
+    u1 = step_field(anti_sd, cfg, u_star)
     assert lp_norm(u1 - u_star, 2) <= 1e-12
 
 
