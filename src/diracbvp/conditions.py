@@ -194,8 +194,10 @@ def variational_functional(sd, phi, n):
     of a unit-length model.  F has degree 1 in D phi, so it is computed
     from D phi / s and multiplied by s, a power of two near max |D phi|:
     a tiny model.length, whose |D phi|^2 leaves the floats, keeps its F.
-    NumericalError, naming model.length and model.n_points, when F itself
-    is not finite.
+    ParameterError when the pairing is at most 1e-12 times its
+    Cauchy-Schwarz bound ||D phi||_2 ||phi||_2, a test as 0-homogeneous
+    as F; NumericalError, naming model.length and model.n_points, when F
+    itself is not finite.
     """
     if n < 2:
         raise ParameterError("need n >= 2, got %r" % (n,))
@@ -209,7 +211,7 @@ def variational_functional(sd, phi, n):
         num = np.float64(lp_norm(dphi, q)) ** q
         pairing = abs(float(np.sum(grid.weights() * np.real(np.sum(
             dphi.values.conj() * phi.values, axis=1)))))
-        if pairing * s <= 1e-12:
+        if pairing <= 1e-12 * lp_norm(dphi, 2) * lp_norm(phi, 2):
             raise ParameterError(
                 "pairing |int Re<D phi, phi>| = %.3e too small"
                 % (pairing * s))

@@ -27,6 +27,7 @@ from .errors import InvalidFieldError, ParameterError
 from .grids import SpinorField, lp_norm, nonlinearity, w1q
 from .names import AUTO
 from .operators import apply_D, boundary_residual
+from .spectral import graph_weight, shifted_spectrum
 
 
 @dataclass
@@ -111,15 +112,10 @@ def step(sd, cfg, u_k, n_k, dg):
     n_k = |u_k|^{p-2} u_k and dg = D g are the caller's; the right-hand
     side R lambda n_k - R dg - a utilde_k is one array (the SpinorField
     operations, in their order), checked finite once (InvalidFieldError).
+    Its coefficients are divided by shifted_spectrum(sd, R, a).
     """
     r_scale = cfg.resolve_R(sd)
-    shifted = r_scale * sd.eigenvalues - cfg.a
-    k_min = int(np.argmin(np.abs(shifted)))
-    if abs(shifted[k_min]) <= 1e-8:
-        raise ParameterError(
-            "R*lambda - a = %r too close to zero at eigenvalue %r"
-            % (complex(shifted[k_min]), float(sd.eigenvalues[k_min])))
-
+    shifted = shifted_spectrum(sd, r_scale, cfg.a)
     rhs = n_k.values * (r_scale * cfg.lam) - dg.values * r_scale \
         - (u_k.values - cfg.g.values) * cfg.a
     return sd.to_coeffs(SpinorField(u_k.grid, rhs)) / shifted
@@ -156,7 +152,7 @@ def run(sd, cfg):
     u = cfg.f0 if cfg.f0 is not None else cfg.g
     spec = sd.operator.spec
     blow_up = 10.0 * max(cfg.Xi, cfg.Lambda_cap, 1.0)
-    weight = 1.0 + np.abs(sd.eigenvalues)  # graph_norm's weight at s = 1/2
+    weight = graph_weight(sd.eigenvalues, 0.5)
 
     def make_state(k, u_cur, delta, prev):
         """State k and N(u_k); a D u or N(u) past the floats reads as inf

@@ -80,19 +80,29 @@ def _order_spectrum(vals):
 
     The order sorts by increasing modulus, the positive eigenvalue first
     on an exact tie.  lambda1 is the eigenvalue of smallest modulus, the
-    positive one on a near-tie; the spectrum is invertible when
-    |lambda1| > 1e-10 * max(max |vals|, 1).
+    positive one on a near-tie (1e-9 |lambda1|); invertible is
+    shifted_spectrum's rule at r = 1, a = 0.
     """
     order = np.lexsort((vals < 0, np.abs(vals)))
     vals = vals[order]
-    scale = max(np.max(np.abs(vals)), 1.0)
-    invertible = bool(abs(vals[0]) > 1e-10 * scale)
+    invertible = bool(abs(vals[0]) > 1e-10 * np.max(np.abs(vals)))
     # on a near-tie at the smallest modulus, report the positive eigenvalue
     lambda1 = vals[0]
-    close = np.abs(np.abs(vals) - abs(vals[0])) <= 1e-9 * max(abs(vals[0]), 1.0)
+    close = np.abs(np.abs(vals) - abs(vals[0])) <= 1e-9 * abs(vals[0])
     if np.any(vals[close] > 0):
         lambda1 = float(np.max(vals[close] * (vals[close] > 0)))
     return order, float(lambda1), invertible
+
+
+def shifted_spectrum(sd, r, a):
+    """The spectrum r lambda_k - a of r D_P - a; ParameterError if singular."""
+    shifted = r * sd.eigenvalues - a
+    k = int(np.argmin(np.abs(shifted)))
+    if abs(shifted[k]) <= 1e-10 * np.max(np.abs(shifted)):  # scale-free
+        raise ParameterError(
+            "R*lambda - a = %r too close to zero at eigenvalue %r"
+            % (complex(shifted[k]), float(sd.eigenvalues[k])))
+    return shifted
 
 
 def decompose(op):
@@ -102,7 +112,7 @@ def decompose(op):
     ModelSpec.structure: no dense matrix and no eigh.  The transform is
     checked once on the probe c = _fixed_unit_vector(m): D_P c through
     the eigenexpansion must match project(apply_D(embed(c))) to
-    1e-9 * max(max |lambda|, 1), else NumericalError.  A model whose
+    1e-9 max |lambda|, else NumericalError.  A model whose
     eigenvalues or probe leave the floats (a tiny model.length) raises
     NumericalError too, naming model.length and model.n_points.
     """
@@ -125,7 +135,7 @@ def decompose(op):
             "the eigenvalues of D_P or its Fourier probe are not finite at "
             "model.length = %r, model.n_points = %d"
             % (grid.length, grid.n_points))
-    if resid > 1e-9 * max(np.max(np.abs(freqs)), 1.0):
+    if resid > 1e-9 * np.max(np.abs(freqs)):
         raise NumericalError("Fourier probe residual %.3e too large" % resid)
     return sd
 
@@ -166,14 +176,8 @@ def eigenfunction(sd, k):
 
 
 def apply_inverse(sd, f, a=0.0):
-    """(D_P - a)^{-1} f through the eigenexpansion."""
-    dist = np.abs(sd.eigenvalues - a)
-    k = int(np.argmin(dist))
-    if dist[k] <= 1e-8:
-        raise ParameterError(
-            "shift a=%r within 1e-8 of eigenvalue %r"
-            % (complex(a), float(sd.eigenvalues[k])))
-    return sd.from_coeffs(sd.to_coeffs(f) / (sd.eigenvalues - a))
+    """(D_P - a)^{-1} f by the eigenexpansion; shifted_spectrum guards a."""
+    return sd.from_coeffs(sd.to_coeffs(f) / shifted_spectrum(sd, 1.0, a))
 
 
 def apply_fractional(sd, s, f):
@@ -196,6 +200,11 @@ def split_pm(sd, f):
             sd.from_coeffs(np.where(pos, 0.0, a)))
 
 
+def graph_weight(eigenvalues, s):
+    """The H^s_D weights 1 + |lambda_k|^{2s} of the eigen-coefficients."""
+    return 1.0 + np.abs(eigenvalues) ** (2 * s)
+
+
 def graph_norm(sd, s, f):
     """H^s_D graph norm (sum |a_k|^2 (1 + |lambda_k|^{2s}))^{1/2}.
 
@@ -205,7 +214,7 @@ def graph_norm(sd, s, f):
         raise ParameterError("s must lie in (0,1], got %r" % (s,))
     a = sd.to_coeffs(f)
     return float(np.sqrt(np.sum(np.abs(a) ** 2
-                                * (1.0 + np.abs(sd.eigenvalues) ** (2 * s)))))
+                                * graph_weight(sd.eigenvalues, s))))
 
 
 def estimate_constants(sd):
@@ -252,7 +261,7 @@ def _rayleigh_maxima(sd):
         return _lanczos_max(matvec, sd.size, what)
 
     with np.errstate(over="ignore"):
-        den_1, den_half = 1.0 + lam ** 2, 1.0 + np.abs(lam)
+        den_1, den_half = graph_weight(lam, 1.0), graph_weight(lam, 0.5)
     if not np.all(np.isfinite((den_1, den_half))):
         raise NumericalError(
             "1 + lambda_k^2 or 1 + |lambda_k| overflows at model.length = %r, "

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import dense_eigenvectors, mode_field
-from diracbvp import (AnalyticConstants, bootstrap_exponents,
-                      c3_lambda_threshold, check_conditions, el_transform,
-                      estimate_gn_ratio, variational_functional)
+from diracbvp import (AnalyticConstants, BoundaryCondition, ModelSpec,
+                      assemble, bootstrap_exponents, c3_lambda_threshold,
+                      check_conditions, decompose, eigenfunction,
+                      el_transform, estimate_gn_ratio, variational_functional)
 from diracbvp.conditions import MODE_A, MODE_B, MODE_C, derive_exponents
 from diracbvp.errors import ParameterError
 from diracbvp.grids import Grid1D, SpinorField
@@ -226,6 +227,18 @@ def test_functional_degenerate_pairing(anti_sd, anti_spec):
         variational_functional(anti_sd, phi, n=2)
     with pytest.raises(ParameterError):
         variational_functional(anti_sd, mode_field(anti_spec.grid), n=1)
+
+
+@pytest.mark.parametrize("length", [1e13, 1e15])
+def test_functional_on_a_long_interval(length):
+    # F is 0-homogeneous, and so is its pairing test: on [0, L] the
+    # normalized mode phi_0 gives F = sqrt(L) |lambda_0| however small
+    # the pairing itself is
+    sd = decompose(assemble(ModelSpec(Grid1D(length, 64),
+                                      BoundaryCondition("antiperiodic"))))
+    value = variational_functional(sd, eigenfunction(sd, 0), n=2)
+    assert value == pytest.approx(math.sqrt(length) * abs(sd.eigenvalues[0]),
+                                  rel=1e-10)
 
 
 def test_el_transform_on_eigenfunction(anti_sd, anti_spec):

@@ -1092,6 +1092,44 @@ def test_main_spectrum_out_of_the_floats(tmp_path, capsys, model, length,
         " at model.length = %r, model.n_points = 16\n" % float(length))
 
 
+def test_check_on_a_long_interval_uses_the_true_lambda1(tmp_path):
+    # at L = 1e10 lambda_1 = pi/L: |lambda|/|lambda_1| = 0.0318 is past
+    # the (C3) threshold 0.0196, so the certificate must fail
+    cfg = parse_config("[model]\nboundary = antiperiodic\nlength = 1e10\n"
+                       "n_points = 256\n[scheme]\nlambda = 1e-11\n"
+                       "g = exp_mode(1, 1e-7)\n[constants]\nc1 = 1\n"
+                       "c_half = 1\n")
+    assert run_command(cfg, "check", str(tmp_path)) == 0
+    report = read_json(tmp_path / "conditions.json")
+    assert report["constants"]["lambda1_abs"] \
+        == pytest.approx(math.pi * 1e-10, rel=1e-12)
+    assert not report["conditions"]["C3"]["satisfied"]
+    assert report["certified"] is False
+
+
+@pytest.mark.parametrize("model", ["antiperiodic", "bag1d"])
+def test_interval_models_are_scale_covariant(tmp_path, model):
+    # x -> x/L maps the problem on [0, L] to one on [0, 1], and at p = 4
+    # u -> L^{-1/2} u maps its solutions: invertibility, lambda_1 L and
+    # convergence cannot depend on L
+    operator = "dirac_2spinor" if model == "bag1d" else "scalar_derivative"
+    unit = None
+    for length in (1.0, 1e-3, 1e3, 1e9, 1e12):
+        cfg = parse_config(
+            "[model]\noperator = %s\nboundary = %s\nlength = %r\n"
+            "n_points = 64\n[scheme]\nlambda = 0.5\np = 4\n"
+            "g = exp_mode(1, %r)\n[constants]\nc1 = 1\nc_half = 1\n"
+            % (operator, model, length, 0.03 * length ** -0.5))
+        out = tmp_path / repr(length)
+        assert run_command(cfg, "spectrum", str(out)) == 0
+        summary = read_json(out / "summary.json")
+        assert summary["invertible"] is True
+        unit = unit or summary["lambda1"]
+        assert summary["lambda1"] * length == pytest.approx(unit, rel=1e-12)
+        assert run_command(cfg, "solve", str(out)) == 0
+        assert read_json(out / "report.json")["verdict"] == "converged"
+
+
 def test_main_config_not_utf8(tmp_path, capsys):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_bytes(b"[model]\nn_points = 6\xff4\n")

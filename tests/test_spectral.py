@@ -6,11 +6,11 @@ import pytest
 from conftest import (decompose_dense, dense_eigenvectors, dense_matrix,
                       dense_rayleigh_maxima, mode_field,
                       random_constrained_field)
-from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpectralData,
-                      SpinorField, apply_fractional, apply_inverse,
-                      apply_operator, assemble, decompose, eigenfunction,
-                      estimate_constants, graph_norm, lp_norm,
-                      slobodeckij_norm, split_pm)
+from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SchemeConfig,
+                      SpectralData, SpinorField, apply_D, apply_fractional,
+                      apply_inverse, apply_operator, assemble, decompose,
+                      eigenfunction, estimate_constants, graph_norm, lp_norm,
+                      nonlinearity, slobodeckij_norm, split_pm, step)
 from diracbvp.cli import run_command
 from diracbvp.config import parse_config
 from diracbvp.errors import DiracBVPError, NumericalError, ParameterError
@@ -233,18 +233,41 @@ def test_inverse_diag(anti_sd):
 
 def test_inverse_near_singular_shift(anti_sd, periodic_sd):
     for k in (0, 3):
-        with pytest.raises(ParameterError, match="within 1e-8 of eigenvalue"):
+        with pytest.raises(ParameterError,
+                           match="too close to zero at eigenvalue"):
             apply_inverse(anti_sd, eigenfunction(anti_sd, k),
                           a=anti_sd.eigenvalues[k] + 1e-12)
     rng = np.random.default_rng(2)
     f = random_constrained_field(periodic_sd, rng)
-    with pytest.raises(ParameterError, match=r"shift a=0j within 1e-8 of "
-                                             r"eigenvalue 0\.0") as exc:
+    zero_mode = r"R\*lambda - a = 0j too close to zero at eigenvalue 0\.0"
+    with pytest.raises(ParameterError, match=zero_mode) as exc:
         apply_inverse(periodic_sd, f)  # zero mode, a = 0
     assert "np." not in str(exc.value)
     # a away from the spectrum works even without invertibility
     out = apply_inverse(periodic_sd, f, a=0.5j)
     assert np.isfinite(out.values).all()
+
+
+def test_singular_shift_guard_is_relative_on_a_long_interval():
+    # at L = 1e12 every eigenvalue is below 1e-8: a shift 1e-6 of lambda_3
+    # away is regular, one 1e-12 of it away is singular, for apply_inverse
+    # and scheme.step alike
+    sd = decompose(assemble(ModelSpec(Grid1D(1e12, 256),
+                                      BoundaryCondition("antiperiodic"))))
+    lam3 = sd.eigenvalues[3]
+    g = mode_field(sd.operator.spec.grid, scale=1e-7)
+    n_g, dg = nonlinearity(g, 4.0), apply_D(sd.operator.spec, g)
+    for rel, singular in ((1e-12, True), (1e-6, False)):
+        a = lam3 * (1.0 + rel)
+        cfg = SchemeConfig(lam=0.5, p=4.0, g=g, a=a)
+        for call in (lambda: apply_inverse(sd, g, a=a).values,
+                     lambda: step(sd, cfg, g, n_g, dg)):
+            if singular:
+                with pytest.raises(ParameterError,
+                                   match="too close to zero at eigenvalue"):
+                    call()
+            else:
+                assert np.all(np.isfinite(call()))
 
 
 def test_inverse_operator_norm_bound(anti_sd):
