@@ -32,6 +32,7 @@ import cmath
 import functools
 import math
 import os
+import sys
 from configparser import ConfigParser
 from dataclasses import dataclass, replace
 
@@ -249,9 +250,16 @@ class RunConfig:
     # -- builders -----------------------------------------------------
 
     def build_model(self):
+        """ModelSpec of [model]; MemoryError, which the CLI reports with
+        model.n_points, when one complex sample per point would not fit
+        an array: numpy refuses that with a ValueError."""
         from .grids import Grid1D
         from .operators import BoundaryCondition, ModelSpec
         model = self.values["model"]
+        if 16 * model["n_points"] > sys.maxsize:
+            raise MemoryError("one complex sample per point needs %d bytes, "
+                              "more than an array can hold (%d)"
+                              % (16 * model["n_points"], sys.maxsize))
         grid = Grid1D(length=model["length"], n_points=model["n_points"],
                       topology=MODELS[model["boundary"]][1])
         return ModelSpec(grid=grid, bc=BoundaryCondition(model["boundary"]))
@@ -294,11 +302,16 @@ class RunConfig:
         elif kind == "exp_mode":
             k, scale = args
             x = grid.points()
-            if grid.topology == CIRCLE:
-                phase = 2.0 * np.pi * k * x / grid.length
-            else:
-                phase = np.pi * k * x / grid.length
-            vals[:, 0] = scale * np.exp(1j * phase)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if grid.topology == CIRCLE:
+                    phase = 2.0 * np.pi * k * x / grid.length
+                else:
+                    phase = np.pi * k * x / grid.length
+                vals[:, 0] = scale * np.exp(1j * phase)
+            if not np.all(np.isfinite(vals)):
+                raise ConfigParseError(
+                    "exp_mode's phase or values are out of floating-point "
+                    "range at model.length = %r" % grid.length, key=key)
         return grids.SpinorField(grid, vals)
 
     def build_scheme(self, g, f0):
@@ -315,25 +328,25 @@ class RunConfig:
     def build_constants(self, sd, scheme_cfg):
         """AnalyticConstants from the config plus measured quantities.
 
-        c1 is a number or c1_emp; then c_half is a number, c_half_emp or
-        formula, 2 c1 c_h^2 iota^2 with that c1.  estimate_constants runs
-        only for an empirical value.  g and D g, applied once for Dg_L2
-        and g_H1T, are measured under the np.errstate of scheme.run; a
-        D g past the floats is an InvalidFieldError naming scheme.g.
+        c1 is a number or sd.c1_emp; then c_half is a number,
+        sd.c_half_emp or formula, 2 c1 c_h^2 iota^2 with that c1.  Each
+        of sd's constants is read, and so computed, only for a key set to
+        empirical.  g and D g, applied once for Dg_L2 and g_H1T, are
+        measured under the np.errstate of scheme.run; a D g past the
+        floats is an InvalidFieldError naming scheme.g.
         """
         import numpy as np
         from .conditions import AnalyticConstants
         from .grids import lp_norm, w1q
         from .operators import apply_D
-        from .spectral import estimate_constants
         consts = self.values["constants"]
         c1, c_half = consts["c1"], consts["c_half"]
         provenance = {k: "assumed" for k in
                       ("c_h", "C_h", "K_GN", "K_GN2", "K_FGN", "c1", "c_half")}
         if c1 == "empirical":
-            c1, provenance["c1"] = estimate_constants(sd).c1_emp, "computed"
+            c1, provenance["c1"] = sd.c1_emp, "computed"
         if c_half == "empirical":
-            c_half = estimate_constants(sd).c_half_emp
+            c_half = sd.c_half_emp
         elif c_half == "formula":
             c_h, iota = consts["c_h"], consts["iota"]
             c_half = 2.0 * c1 * (c_h * c_h) * (iota * iota)

@@ -145,9 +145,10 @@ def run(sd, cfg):
     IterationState and only the last is kept, as report.u: a run holds
     O(N) memory whatever max_iter is.  The run ends as "diverged" when a
     step leaves the floats, when the increment is not finite, or when
-    the L2 norm of an iterate exceeds 10 max(Xi, Lambda_cap, 1); this
-    holds from state 0 on, as a norm that overflows reads inf and its
-    state is still recorded.
+    the L2 norm of an iterate u_k, k >= 1, exceeds 10 max(Xi,
+    Lambda_cap, 1).  State 0 is recorded, a norm that overflows reading
+    inf, but the start is not held to that cap: at lambda = 0 one step
+    solves the linear problem from any f0.
     """
     u = cfg.f0 if cfg.f0 is not None else cfg.g
     spec = sd.operator.spec

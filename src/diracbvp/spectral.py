@@ -15,6 +15,7 @@ recurrence, capped in steps and O(m) in memory, on products with the
 transform, the constraint map and O(N log N) grid stencils.
 """
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -40,7 +41,8 @@ class SpectralData:
     constrained coordinates y, _analyze is y -> fft(conj(phase) y,
     norm="ortho") with the bins sorted into eigenvalue order, and
     _synthesize its inverse; to_coeffs and from_coeffs add project and
-    embed.
+    embed.  c1_emp and c_half_emp (estimate_constants) are computed
+    when first read and kept.
     """
     operator: object
     eigenvalues: np.ndarray = field(repr=False)
@@ -53,8 +55,12 @@ class SpectralData:
         return self.eigenvalues.size
 
     @cached_property
-    def rayleigh_maxima(self):  # estimate_constants's memo
-        return _rayleigh_maxima(self)
+    def c1_emp(self):
+        return _rayleigh_max(self, 1.0)
+
+    @cached_property
+    def c_half_emp(self):
+        return _rayleigh_max(self, 0.5)
 
     def to_coeffs(self, f):
         """Eigen-coefficients of a SpinorField."""
@@ -222,56 +228,49 @@ def estimate_constants(sd):
 
     c1_emp maximizes ||psi||_{W^{1,2}}^2 / (||psi||_{L2}^2 + ||D_P psi||^2)
     over the constraint space; c_half_emp does the same with the s = 1/2
-    Slobodeckij numerator and |D_P|^{1/2} denominator.  Both depend on sd
-    alone; they are computed on the first call and kept on sd.  The
-    config's c_half = formula is resolved by RunConfig.build_constants.
+    Slobodeckij numerator and |D_P|^{1/2} denominator: SpectralData's
+    c1_emp and c_half_emp, each computed when first read.
     """
-    return ConstantEstimates(*sd.rayleigh_maxima)
+    return ConstantEstimates(sd.c1_emp, sd.c_half_emp)
 
 
-def _rayleigh_maxima(sd):
-    """Largest generalized eigenvalues behind c1_emp and c_half_emp.
+def _rayleigh_max(sd, s):
+    """c1_emp (s = 1) or c_half_emp: the max of y^H N y / y^H Den y.
 
-    Each is max over constrained y of y^H N y / y^H Den y.  Both
-    denominators, I + D_P^2 and I + |D_P|, are diagonal in the
-    eigenbasis U, Den = U diag(d) U^H, so the maximum is the largest
-    eigenvalue of the standard form d^{-1/2} U^H N U d^{-1/2}, found by
-    _lanczos_max from products with it alone: synthesize, embed, apply
-    the numerator on the grid, V^H, analyze, scale.  The numerators are
-    I + V^H D^H W D V (operators.derivative_form: D the model's own
-    operator, W the quadrature weights) and I + V^H Q V (Q of
-    grids.slobodeckij_operator, s = 1/2).  On the scalar models D V =
-    V D_P, so the c1 standard form is the identity and c1_emp is 1; on
-    bag1d the SBP boundary rows make it grow like 1.52 N.
-    NumericalError, naming model.length and model.n_points, when a
-    denominator overflows.
+    y runs over the constraint space.  Den = I + |D_P|^{2s} is
+    U diag(d) U^H (d = graph_weight), so the maximum is the top
+    eigenvalue of d^{-1/2} U^H N U d^{-1/2}, which _lanczos_max finds
+    from products with it alone: synthesize, embed, apply the numerator
+    on the grid, V^H, analyze, scale.  N is I + V^H D^H W D V at s = 1
+    (operators.derivative_form: D the model's own operator, W the
+    quadrature weights), else I + V^H Q V (grids.slobodeckij_operator).
+    On the scalar models D V = V D_P, so the c1 form is the identity and
+    c1_emp is 1; on bag1d the SBP boundary rows make it grow like
+    1.52 N.  Both refuse a model whose 1 + lambda_k^2 overflows, by one
+    NumericalError naming model.length and model.n_points.
     """
     op = sd.operator
     if not sd.invertible:
         raise ParameterError("estimate_constants needs an invertible operator")
-    grid, lam = op.spec.grid, sd.eigenvalues
-
-    def standard_form_max(numerator, d, what):
-        scale = 1.0 / np.sqrt(d)
-
-        def matvec(x):
-            y = sd._synthesize(scale * x)
-            ny = y + op.adjoint(numerator(op.embed(y).values).reshape(-1))
-            return scale * sd._analyze(ny)
-        return _lanczos_max(matvec, sd.size, what)
-
-    with np.errstate(over="ignore"):
-        den_1, den_half = graph_weight(lam, 1.0), graph_weight(lam, 0.5)
-    if not np.all(np.isfinite((den_1, den_half))):
+    grid = op.spec.grid
+    with np.errstate(over="ignore"):  # 1 + lambda^2 >= 1 + |lambda|
+        finite = np.all(np.isfinite(graph_weight(sd.eigenvalues, 1.0)))
+    if not finite:
         raise NumericalError(
             "1 + lambda_k^2 or 1 + |lambda_k| overflows at model.length = %r, "
             "model.n_points = %d" % (grid.length, grid.n_points))
-    where = "at model.n_points = %d" % grid.n_points
-    c1_emp = standard_form_max(lambda v: derivative_form(op.spec, v), den_1,
-                               "c1_emp " + where)
-    c_half_emp = standard_form_max(slobodeckij_operator(grid, 0.5), den_half,
-                                   "c_half_emp " + where)
-    return c1_emp, c_half_emp
+    if s == 1.0:
+        numerator, name = functools.partial(derivative_form, op.spec), "c1_emp"
+    else:
+        numerator, name = slobodeckij_operator(grid, s), "c_half_emp"
+    scale = 1.0 / np.sqrt(graph_weight(sd.eigenvalues, s))
+
+    def matvec(x):
+        y = sd._synthesize(scale * x)
+        ny = y + op.adjoint(numerator(op.embed(y).values).reshape(-1))
+        return scale * sd._analyze(ny)
+    return _lanczos_max(matvec, sd.size, "%s at model.n_points = %d"
+                        % (name, grid.n_points))
 
 
 # Lanczos steps allowed per ceil(sqrt(m / 4096)) before _lanczos_max

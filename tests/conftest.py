@@ -186,8 +186,12 @@ class DenseSpectralData:
         return self.eigenvalues.size
 
     @cached_property
-    def rayleigh_maxima(self):
-        return spectral._rayleigh_maxima(self)
+    def c1_emp(self):
+        return spectral._rayleigh_max(self, 1.0)
+
+    @cached_property
+    def c_half_emp(self):
+        return spectral._rayleigh_max(self, 0.5)
 
     def to_coeffs(self, f):
         return self._analyze(self.operator.project(f))

@@ -280,6 +280,42 @@ def test_field_expressions(tmp_path):
         parse_config("[scheme]\nf0 = sample_file('')\n")
 
 
+@pytest.mark.parametrize("model, scheme", [
+    ("", "g = exp_mode(1e308)"), ("", "g = exp_mode(6e307)"),
+    ("", "f0 = exp_mode(-1e308)"), ("boundary = periodic\n",
+                                    "g = exp_mode(1e308)"),
+    ("length = 1e10\n", "g = exp_mode(1e300)"),
+    ("", "g = exp_mode(1, 1.5e308 + 1.5e308j)")])
+def test_exp_mode_out_of_the_floats_names_its_key(tmp_path, capsys, model,
+                                                  scheme):
+    # a phase k pi x / L or a value past the floats used to end in numpy
+    # warnings (a traceback under -W error) and an error naming no key
+    key = "scheme." + scheme.split(" ", 1)[0]
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 16\n%s[scheme]\n%s\n"
+                                   % (model, scheme))
+    length = parse_config(cfg_path.read_text()).values["model"]["length"]
+    for command in ("solve", "check"):
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err \
+            == ("error: %s: exp_mode's phase or values are out of "
+                "floating-point range at model.length = %r\n" % (key, length))
+
+
+@pytest.mark.parametrize("boundary", ["antiperiodic", "periodic"])
+@pytest.mark.parametrize("k", ["1", "-3", "1e300", "2.5e307"])
+def test_finite_exp_mode_fields_are_unchanged(boundary, k):
+    # the refusal above checks the field; it computes it as before
+    cfg = parse_config("[model]\nboundary = %s\nn_points = 16\n[scheme]\n"
+                       "g = exp_mode(%s, 0.25)\n" % (boundary, k))
+    grid, k = cfg.build_model().grid, int(float(k))
+    x = grid.points()
+    turn = 2.0 * np.pi if boundary == "periodic" else np.pi
+    expected = 0.25 * np.exp(1j * (turn * k * x / grid.length))
+    assert np.array_equal(cfg.build_fields(cfg.build_model())[0].values[:, 0],
+                          expected)
+
+
 def test_sample_file_roundtrip(tmp_path):
     grid = Grid1D(1.0, 256)
     rng = np.random.default_rng(5)
@@ -758,13 +794,25 @@ def test_main_error_paths(tmp_path, capsys):
 
 def test_main_out_of_memory_names_n_points(tmp_path, capsys):
     # the first array of 10**15 points (16 PB) exceeds any address space,
-    # so its allocation fails at once, whatever the overcommit policy
-    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 10**15\n")
-    assert main(["spectrum", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: model.n_points = 1000000000000000: ")
-    assert "Traceback" not in err
+    # so its allocation fails at once, whatever the overcommit policy;
+    # 10**18 and 10**30 points exceed what a numpy array can hold, and
+    # build_model refuses them before numpy's ValueError
+    for text, n_points in (("10**15", 10 ** 15), ("10**18", 10 ** 18),
+                           ("10**30", int(1e30))):
+        for boundary in ("antiperiodic", "periodic", "bag1d"):
+            cfg_path = write_cfg(tmp_path, "[model]\nn_points = %s\n"
+                                           "boundary = %s\n" % (text, boundary))
+            for command in ("spectrum", "solve"):
+                assert main([command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / "out")]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: model.n_points = %d: "
+                                      % n_points)
+                assert err.count("\n") == 1
+                if n_points > 10 ** 15:
+                    assert err.endswith(" needs %d bytes, more than an "
+                                        "array can hold (%d)\n"
+                                        % (16 * n_points, sys.maxsize))
 
 
 def test_main_lanczos_cap_is_an_error(tmp_path, capsys, monkeypatch):
@@ -1286,18 +1334,19 @@ def test_c_half_formula_reads_c_h(tmp_path):
     (256, 1, 1), (256, 2, 0.5), (128, 2, 0.5)])
 def test_check_c_half_formula_with_empirical_c1(tmp_path, monkeypatch,
                                                 n_points, c_h, iota):
-    # formula is 2 c1_emp c_h^2 iota^2, from the maxima computed once
+    # formula is 2 c1_emp c_h^2 iota^2, from c1_emp computed once and
+    # no c_half_emp
     import diracbvp.spectral
     calls = []
-    maxima = diracbvp.spectral._rayleigh_maxima
-    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_maxima",
-                        lambda sd: calls.append(sd) or maxima(sd))
+    rayleigh_max = diracbvp.spectral._rayleigh_max
+    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_max",
+                        lambda sd, s: calls.append(s) or rayleigh_max(sd, s))
     text = ("[model]\nn_points = %d\n[constants]\nc_half = formula\n"
             "c_h = %r\niota = %r\n" % (n_points, c_h, iota))
     assert run_command(parse_config(text), "check", str(tmp_path)) == 0
     constants = read_json(tmp_path / "conditions.json")["constants"]
     assert constants["c_half"] == 2.0 * constants["c1"] * c_h ** 2 * iota ** 2
-    assert len(calls) == 1
+    assert calls == [1.0]
 
 
 def test_check_c_half_formula_with_numeric_c1_runs_no_lanczos(tmp_path,
@@ -1305,9 +1354,9 @@ def test_check_c_half_formula_with_numeric_c1_runs_no_lanczos(tmp_path,
     # the c1 of the certificate, not c1_emp, and no spectral estimate
     import diracbvp.spectral
 
-    def refuse(sd):
-        raise AssertionError("estimate_constants ran")
-    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_maxima", refuse)
+    def refuse(sd, s):
+        raise AssertionError("a Rayleigh maximum ran")
+    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_max", refuse)
     text = ("[model]\nn_points = 64\n[constants]\nc1 = 3\n"
             "c_half = formula\nc_h = 2\niota = 0.5\n")
     assert run_command(parse_config(text), "check", str(tmp_path)) == 0
@@ -1316,6 +1365,47 @@ def test_check_c_half_formula_with_numeric_c1_runs_no_lanczos(tmp_path,
         == (3.0, 6.0)
     assert (payload["provenance"]["c1"], payload["provenance"]["c_half"]) \
         == ("assumed", "computed")
+
+
+@pytest.mark.parametrize("command, constants, runs", [
+    ("check", "c1 = empirical\nc_half = formula\n", ["c1_emp"]),
+    ("check", "c1 = empirical\nc_half = 3\n", ["c1_emp"]),
+    ("check", "c1 = 2\nc_half = empirical\n", ["c_half_emp"]),
+    ("check", "c1 = 2\nc_half = 3\n", []),
+    ("check", "", ["c1_emp", "c_half_emp"]),
+    ("spectrum", "c1 = 2\nc_half = 3\n", ["c1_emp", "c_half_emp"]),
+    ("solve", "c1 = empirical\nc_half = formula\n", ["c1_emp"]),
+    ("sweep", "", ["c1_emp", "c_half_emp"]),
+    ("sweep", "c1 = 2\nc_half = empirical\n", ["c_half_emp"])])
+def test_lanczos_runs_per_command(tmp_path, monkeypatch, command, constants,
+                                  runs):
+    # each constant runs its Lanczos only when read: by spectrum, or by a
+    # certificate whose key says empirical, and once per decomposition,
+    # however many sweep points read it
+    import diracbvp.spectral
+    names = []
+    lanczos_max = diracbvp.spectral._lanczos_max
+    monkeypatch.setattr(diracbvp.spectral, "_lanczos_max",
+                        lambda matvec, m, what: names.append(what.split()[0])
+                        or lanczos_max(matvec, m, what))
+    text = ("[model]\nn_points = 64\n[scheme]\nlambda = 0.5\n"
+            "g = const(0.1)\n[constants]\n%s[sweep]\nparam = scheme.lambda\n"
+            "min = 0\nmax = 0.5\ncount = 3\n" % constants)
+    assert run_command(parse_config(text), command, str(tmp_path)) == 0
+    assert names == runs
+
+
+def test_c_half_alone_refuses_an_overflowing_model(tmp_path, capsys):
+    # 1 + lambda_k^2 overflows, 1 + |lambda_k| does not: c_half_emp is
+    # refused as c1_emp is, by one line, before any Lanczos step
+    cfg_path = write_cfg(tmp_path, "[model]\nlength = 1e-155\n"
+                                   "n_points = 16\n[constants]\nc1 = 2\n"
+                                   "c_half = empirical\n")
+    assert main(["check", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err \
+        == ("error: 1 + lambda_k^2 or 1 + |lambda_k| overflows at "
+            "model.length = 1e-155, model.n_points = 16\n")
 
 
 COMMANDS = ("spectrum", "solve", "check", "sweep", "bootstrap", "functional")

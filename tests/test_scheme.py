@@ -128,6 +128,20 @@ def test_overflowing_datum_diverges_from_state_0(anti_sd, anti_spec):
     assert rep.states[0].h1t_norm == rep.states[0].pde_residual == np.inf
 
 
+def test_blow_up_cap_skips_state_0():
+    # the L2 cap 10 max(Xi, Lambda_cap, 1) = 10 judges the iterates, not
+    # the start: at lambda = 0 one step solves the linear problem from
+    # f0 = const(100), so the run converges, with its bounds not held
+    spec = ModelSpec(Grid1D(1.0, 64), BoundaryCondition("antiperiodic"))
+    cfg = SchemeConfig(lam=0.0, p=4, g=mode_field(spec.grid, scale=0.1),
+                       f0=SpinorField(spec.grid, np.full(64, 100.0 + 0j)))
+    rep = run(decompose(assemble(spec)), cfg)
+    assert rep.states[0].l2t_norm == pytest.approx(100.0, rel=1e-12)
+    assert (rep.verdict, rep.iterations, rep.bounds_held) \
+        == ("converged", 1, False)
+    assert all(st.l2t_norm < 1e-12 for st in rep.states[1:])
+
+
 def test_overflowing_nonlinearity_keeps_u_H1(anti_sd, anti_spec):
     # |u|^398 u leaves the floats but D u does not: state 0 keeps its
     # u_H1, and the first step, which needs N(u_0), ends the run

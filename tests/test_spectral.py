@@ -399,20 +399,21 @@ def test_estimate_constants_computed_once_per_decomposition(anti_spec_128,
     import diracbvp.spectral
     from diracbvp import assemble
     calls = []
-    maxima = diracbvp.spectral._rayleigh_maxima
+    rayleigh_max = diracbvp.spectral._rayleigh_max
 
-    def counting(sd):
-        calls.append(sd)
-        return maxima(sd)
+    def counting(sd, s):
+        calls.append((sd, s))
+        return rayleigh_max(sd, s)
 
-    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_maxima", counting)
+    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_max", counting)
     sd = decompose(assemble(anti_spec_128))
     first = estimate_constants(sd)
     assert estimate_constants(sd) == first
-    assert calls == [sd]
+    assert (sd.c1_emp, sd.c_half_emp) == first
+    assert calls == [(sd, 1.0), (sd, 0.5)]
     # a new decomposition of the same model computes them afresh
     assert estimate_constants(decompose(assemble(anti_spec_128))) == first
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("kind", ["antiperiodic", "bag1d"])
