@@ -8,7 +8,8 @@ _run_scheme; sweep evaluates its points one after another, reusing the
 decomposed model and the fields g and f0 while consecutive points share
 the [model] section; --workers is accepted for compatibility and changes
 nothing (the key run.workers is refused).  A certificate that raises is
-a `warning:` line on stderr.  Outputs are deterministic for a fixed
+a `warning:` line on stderr; a sweep point that raises, or runs out of
+memory, is that point's error row.  Outputs are deterministic for a fixed
 config; JSON is strict.
 
 Each command imports the array layers it uses when it runs, so
@@ -150,7 +151,9 @@ def cmd_sweep(cfg, out_dir):
                      repr(max(rep.ratios, default=0.0)),
                      str(bool(rep.conditions_certified)).lower(),
                      str(bool(rep.bounds_held)).lower()]
-        except DiracBVPError as exc:
+        except (DiracBVPError, MemoryError) as exc:
+            if isinstance(exc, MemoryError):
+                exc = _out_of_memory(point, exc)
             cells = ["error: %s" % exc, 0, "nan", "nan", "false", "false"]
         rows.append([idx] + [repr(float(v)) for v in values] + cells)
     _write_csv(os.path.join(out_dir, "sweep.csv"), header, rows)
@@ -186,6 +189,12 @@ def cmd_functional(cfg, out_dir):
     return 0
 
 
+def _out_of_memory(cfg, exc):
+    """A MemoryError of cfg's run as the error naming its model.n_points."""
+    return DiracBVPError("model.n_points = %d: %s" % (
+        cfg.values["model"]["n_points"], str(exc) or "out of memory"))
+
+
 _COMMANDS = {"spectrum": cmd_spectrum, "solve": cmd_solve, "check": cmd_check,
              "sweep": cmd_sweep, "bootstrap": cmd_bootstrap,
              "functional": cmd_functional}
@@ -200,10 +209,7 @@ def run_command(cfg, command, out_dir=None):
     try:
         return _COMMANDS[command](cfg, out_dir)
     except MemoryError as exc:
-        message = str(exc) or "out of memory"
-        raise DiracBVPError("model.n_points = %d: %s"
-                            % (cfg.values["model"]["n_points"],
-                               message)) from exc
+        raise _out_of_memory(cfg, exc) from exc
 
 
 def main(argv=None):

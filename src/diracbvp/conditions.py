@@ -258,7 +258,8 @@ def estimate_gn_ratio(grid, variant, n, p=None, p_A=None, trials=100, seed=0,
     'second' bounds K_GN2 (target L^{2n/(n-1)}), both with the source
     norm W^{1,q}, q = 2n/(n+1), from the trial fields' exact derivative;
     'fractional' bounds K_FGN (source norm H^{1/2}_D through sd, which is
-    then required).
+    then required).  Each trial measures ||f||_Lq once, for the
+    denominator and for the W^{1,q} source norm alike.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -284,16 +285,16 @@ def estimate_gn_ratio(grid, variant, n, p=None, p_A=None, trials=100, seed=0,
             m = sd.size
             c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             f = sd.operator.embed(c)
-            source = graph_norm(sd, 0.5, f)
+        elif trial == 0:  # constant field: a clean deterministic sample
+            f = SpinorField(grid, np.ones(grid.n_points, dtype=complex))
+            df = SpinorField.zero(grid)
         else:
-            if trial == 0:  # constant field: a clean deterministic sample
-                f = SpinorField(grid, np.ones(grid.n_points, dtype=complex))
-                df = SpinorField.zero(grid)
-            else:
-                f, df = _random_smooth_field(grid, rng)
-            source = w1q(f, df, q)
+            f, df = _random_smooth_field(grid, rng)
+        f_q = lp_norm(f, q)
+        source = (graph_norm(sd, 0.5, f) if variant == VARIANT_FRACTIONAL
+                  else w1q(f_q, lp_norm(df, q), q))
         num = lp_norm(f, target)
-        den = lp_norm(f, q) ** (1.0 - theta) * source ** theta
+        den = f_q ** (1.0 - theta) * source ** theta
         if den > 0:
             best = max(best, num / den)
     return best

@@ -331,9 +331,10 @@ class RunConfig:
         c1 is a number or sd.c1_emp; then c_half is a number,
         sd.c_half_emp or formula, 2 c1 c_h^2 iota^2 with that c1.  Each
         of sd's constants is read, and so computed, only for a key set to
-        empirical.  g and D g, applied once for Dg_L2 and g_H1T, are
-        measured under the np.errstate of scheme.run; a D g past the
-        floats is an InvalidFieldError naming scheme.g.
+        empirical.  D g is applied once, and g and D g are each measured
+        once, under the np.errstate of scheme.run: g_L2T and Dg_L2, and
+        g_H1T = grids.w1q of the two; a D g past the floats is an
+        InvalidFieldError naming scheme.g.
         """
         import numpy as np
         from .conditions import AnalyticConstants
@@ -357,11 +358,10 @@ class RunConfig:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 dg = apply_D(spec, g)
-                norms = {"Dg_L2": lp_norm(dg, 2), "g_L2T": lp_norm(g, 2),
-                         "g_H1T": w1q(g, dg, 2)}
             except InvalidFieldError as exc:
                 raise InvalidFieldError("scheme.g: D g is out of "
                                         "floating-point range") from exc
+            g_l2, dg_l2 = lp_norm(g, 2), lp_norm(dg, 2)
         for name in ("lambda1_abs", "Dg_L2", "g_L2T", "g_H1T", "lambda_abs"):
             provenance[name] = "computed"
         return AnalyticConstants(
@@ -370,7 +370,8 @@ class RunConfig:
             K_GN=consts["k_gn"], K_GN2=consts["k_gn2"],
             K_FGN=consts["k_fgn"],
             lambda_abs=abs(scheme_cfg.lam),
-            lambda1_abs=abs(sd.lambda1), **norms,
+            lambda1_abs=abs(sd.lambda1), Dg_L2=dg_l2, g_L2T=g_l2,
+            g_H1T=w1q(g_l2, dg_l2, 2),
             Xi=scheme_cfg.Xi, Lambda_cap=scheme_cfg.Lambda_cap,
             provenance=provenance)
 

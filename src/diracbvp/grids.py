@@ -95,9 +95,6 @@ class SpinorField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return SpinorField(self.grid, -self.values)
-
 
 def check_compatible(f, g):
     if f.grid != g.grid:
@@ -115,10 +112,10 @@ def lp_norm(f, p):
     return float(np.sum(w * f.modulus() ** p) ** (1.0 / p))
 
 
-def w1q(f, df, q):
-    """(||f||_Lq^q + ||df||_Lq^q)^(1/q): the W^{1,q} norm of f, df its
-    derivative, however the caller measured it."""
-    return float((lp_norm(f, q) ** q + lp_norm(df, q) ** q) ** (1.0 / q))
+def w1q(f_norm, df_norm, q):
+    """(f_norm^q + df_norm^q)^(1/q): the W^{1,q} norm of f from its caller's
+    f_norm = ||f||_Lq and df_norm = ||df||_Lq, df the derivative of f."""
+    return float((f_norm ** q + df_norm ** q) ** (1.0 / q))
 
 
 def _fft_size(n):

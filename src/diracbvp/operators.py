@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .grids import Grid1D, SpinorField, check_compatible, w1q
+from .grids import Grid1D, SpinorField, check_compatible, lp_norm, w1q
 from .names import ANTIPERIODIC, BAG1D, MODELS, PERIODIC
 
 # bag1d endpoint kernel directions: <sigma_1 v, v> = 0 at both ends, which
@@ -320,9 +320,9 @@ def w1q_norm(spec, f, q):
     """(||f||_Lq^q + ||D f||_Lq^q)^(1/q), D the model's operator.
 
     sigma_1 is unitary, so |D f| = |df/dx| pointwise on every model: this
-    is grids.w1q with D's own derivative.
+    is grids.w1q of ||f||_Lq and ||D f||_Lq, D's own derivative.
     """
-    return w1q(f, apply_D(spec, f), q)
+    return w1q(lp_norm(f, q), lp_norm(apply_D(spec, f), q), q)
 
 
 def derivative_form(spec, v):

@@ -140,9 +140,10 @@ def run(sd, cfg):
     c_0 = sd.to_coeffs(f0 - g) (f0 may lie off the constraint space): a
     step is one transform pair, and the increment's H^{1/2}_D norm is
     (sum_j |c_k - c_{k-1}|_j^2 (1 + |lambda_j|))^{1/2}.  D g is computed
-    once per run, D u_k and N(u_k) once per state (N(u_k) serves its
-    pde_residual and the next step).  Each iterate is recorded as an
-    IterationState and only the last is kept, as report.u: a run holds
+    once per run, D u_k, N(u_k) and ||u_k||_L2 once per state (N(u_k)
+    serves its pde_residual and the next step, ||u_k||_L2 is u_L2 and,
+    with ||D u_k||_L2, gives u_H1 by grids.w1q).  Each iterate is kept
+    as an IterationState and only the last as report.u: a run holds
     O(N) memory whatever max_iter is.  The run ends as "diverged" when a
     step leaves the floats, when the increment is not finite, or when
     the L2 norm of an iterate u_k, k >= 1, exceeds 10 max(Xi,
@@ -158,18 +159,19 @@ def run(sd, cfg):
     def make_state(k, u_cur, delta, prev):
         """State k and N(u_k); a D u or N(u) past the floats reads as inf
         norms (each apart) and N(u_k) as None."""
+        l2t_norm = lp_norm(u_cur, 2)
         h1t_norm = pde_residual = math.inf
         du = nu = None
         with suppress(InvalidFieldError):
             du = apply_D(spec, u_cur)
-            h1t_norm = w1q(u_cur, du, 2)
+            h1t_norm = w1q(l2t_norm, lp_norm(du, 2), 2)
         with suppress(InvalidFieldError):
             nu = nonlinearity(u_cur, cfg.p)
             if du is not None:
                 pde_residual = _pde_residual(cfg, du, nu)
         return IterationState(
             k=k, delta_norm_H12D=delta, ratio=delta / prev if prev else None,
-            l2t_norm=lp_norm(u_cur, 2), h1t_norm=h1t_norm,
+            l2t_norm=l2t_norm, h1t_norm=h1t_norm,
             pde_residual=pde_residual), nu
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -302,6 +302,19 @@ def test_exp_mode_out_of_the_floats_names_its_key(tmp_path, capsys, model,
                 "floating-point range at model.length = %r\n" % (key, length))
 
 
+@pytest.mark.parametrize("boundary", ["antiperiodic", "bag1d"])
+def test_check_refuses_d_g_out_of_the_floats(tmp_path, capsys, boundary):
+    # g = exp_mode(1, 1e308) is finite, but D g, of size pi 1e308 / L, is
+    # not: the certificate names scheme.g, with no numpy warning
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = %s\nn_points = 64\n"
+                                   "[scheme]\ng = exp_mode(1, 1e308)\n"
+                                   % boundary)
+    assert main(["check", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err \
+        == "error: scheme.g: D g is out of floating-point range\n"
+
+
 @pytest.mark.parametrize("boundary", ["antiperiodic", "periodic"])
 @pytest.mark.parametrize("k", ["1", "-3", "1e300", "2.5e307"])
 def test_finite_exp_mode_fields_are_unchanged(boundary, k):
@@ -505,7 +518,8 @@ def test_solve_computes_each_operand_once(tmp_path, monkeypatch):
     # D u per state (u_H1 and the residual share it) and one D g per run.
     # nonlinearity: one N(u) per state, shared by its residual and the
     # next step.  graph_norm: none, the increment is read off the
-    # coefficients that run keeps
+    # coefficients that run keeps.  lp_norm: u, D u and the residual per
+    # state (u_H1 is w1q of the first two), g and D g for the certificate
     import importlib.util
     path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "benchmarks", "workloads.py")
@@ -520,12 +534,14 @@ def test_solve_computes_each_operand_once(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, "diracbvp.operators", "apply_D")
     nonlinear = count_calls(monkeypatch, "diracbvp.grids", "nonlinearity")
     graph = count_calls(monkeypatch, "diracbvp.spectral", "graph_norm")
+    norms = count_calls(monkeypatch, "diracbvp.grids", "lp_norm")
     assert run_command(cfg, "solve", str(tmp_path / "out")) == 0
     states = len(read_csv(tmp_path / "out" / "trace.csv")) - 1
     assert states == 4
     assert len(calls) == 1 + 1 + states + 1 == 7
     assert len(nonlinear) == states == 4
     assert len(graph) == 0
+    assert len(norms) == 3 * states + 2 == 14
 
 
 def test_certificate_applies_D_once(monkeypatch):
@@ -541,10 +557,12 @@ def test_certificate_applies_D_once(monkeypatch):
                                               + consts.Dg_L2 ** 2, rel=1e-14)
 
 
-def test_cmd_check(tmp_path):
+def test_cmd_check(tmp_path, monkeypatch):
     cfg = parse_config(BASE)
     out = tmp_path / "check"
+    norms = count_calls(monkeypatch, "diracbvp.grids", "lp_norm")
     assert run_command(cfg, "check", str(out)) == 0
+    assert len(norms) == 2  # g_L2T and Dg_L2; g_H1T is w1q of the two
     payload = read_json(out / "conditions.json")
     assert set(payload["conditions"]) == {"C1", "C2", "C3"}
     assert payload["provenance"]["c1"] == "computed"
@@ -1284,6 +1302,23 @@ def test_main_sweep_point_out_of_range_is_an_error_row(tmp_path):
     assert rows[1][2:] == ["error: scheme.p: must be >= 2, got 1.0", "0",
                            "nan", "nan", "false", "false"]
     assert [row[2] for row in rows[2:]] == ["converged"] * 3
+
+
+def test_main_sweep_point_out_of_memory_is_an_error_row(tmp_path):
+    # the 10**15-point model (16 PB) fails its first allocation at once:
+    # its row names its own n_points, and the row before it is kept
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 64\n[scheme]\n"
+                                   "g = exp_mode(1, 0.1)\n[constants]\n"
+                                   "c1 = 2\nc_half = 2\n[sweep]\n"
+                                   "param = model.n_points\nmin = 64\n"
+                                   "max = 1e15\ncount = 2\n")
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert len(rows) == 3
+    assert rows[1][2] == "converged"
+    assert rows[2][2].startswith("error: model.n_points = 1000000000000000: ")
+    assert rows[2][3:] == ["0", "nan", "nan", "false", "false"]
 
 
 @pytest.mark.parametrize("constants, message", [
