@@ -23,7 +23,8 @@ def bootstrap_exponents(n, p, l0, max_steps=64):
 
     Exact rational arithmetic keeps the recursion and the closed form
     (p-1)^M (1/l0 - 1/(n(p-2))) + 1/(n(p-2)) in lockstep, including at the
-    fixed point of the affine map.
+    fixed point of the affine map.  NumericalError, naming bootstrap.l0
+    and M, when a 1/l^{(M)} leaves the floats (a tiny l0).
     """
     if n < 3:
         raise ParameterError("bootstrap needs n >= 3, got %r" % (n,))
@@ -46,9 +47,15 @@ def bootstrap_exponents(n, p, l0, max_steps=64):
         if x < 0:  # the exponent l itself turned negative
             m_star = m
             break
-    trace = BootstrapTrace(reciprocals=[float(v) for v in rec],
-                           closed_form=[float(v) for v in closed],
-                           m_star=m_star)
     if any(a != b for a, b in zip(rec, closed)):
         raise NumericalError("bootstrap recursion/closed-form mismatch")
-    return trace
+    values = []  # of rec, and so of closed, which equals it exactly
+    for m, v in enumerate(rec):
+        try:
+            values.append(float(v))
+        except OverflowError:
+            raise NumericalError(
+                "1/l^(M) leaves the floating-point range at M = %d for "
+                "bootstrap.l0 = %r" % (m, l0)) from None
+    return BootstrapTrace(reciprocals=values, closed_form=list(values),
+                          m_star=m_star)

@@ -118,9 +118,9 @@ def decompose(op):
     ModelSpec.structure: no dense matrix and no eigh.  The transform is
     checked once on the probe c = _fixed_unit_vector(m): D_P c through
     the eigenexpansion must match project(apply_D(embed(c))) to
-    1e-9 max |lambda|, else NumericalError.  A model whose
-    eigenvalues or probe leave the floats (a tiny model.length) raises
-    NumericalError too, naming model.length and model.n_points.
+    1e-9 max |lambda|, else NumericalError, as when the eigenvalues or
+    the probe leave the floats (a tiny model.length); each names
+    model.length and model.n_points.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         freqs = op.spec.structure.freqs
@@ -135,14 +135,13 @@ def decompose(op):
             ref = math.inf
         resid = np.max(np.abs(sd._synthesize(sd.eigenvalues * sd._analyze(c))
                               - ref))
-    if not np.isfinite(resid):
+    if not np.isfinite(resid) or resid > 1e-9 * np.max(np.abs(freqs)):
         grid = op.spec.grid
-        raise NumericalError(
-            "the eigenvalues of D_P or its Fourier probe are not finite at "
-            "model.length = %r, model.n_points = %d"
-            % (grid.length, grid.n_points))
-    if resid > 1e-9 * np.max(np.abs(freqs)):
-        raise NumericalError("Fourier probe residual %.3e too large" % resid)
+        why = ("Fourier probe residual %.3e too large" % resid
+               if np.isfinite(resid) else
+               "the eigenvalues of D_P or its Fourier probe are not finite")
+        raise NumericalError("%s at model.length = %r, model.n_points = %d"
+                             % (why, grid.length, grid.n_points))
     return sd
 
 
@@ -290,73 +289,61 @@ def _lanczos_max(matvec, m, what):
 
     The plain three-term Lanczos recurrence from the fixed start vector
     _fixed_unit_vector(m), with no reorthogonalization: it keeps the last
-    two basis vectors and the tridiagonal's entries only, so its memory
-    is O(m) however many steps it takes.  Every _LANCZOS_CHECK_EVERY
-    steps, and at the last step allowed, the top Ritz pair (theta, s) of
-    the tridiagonal is computed to the last bit by _top_ritz_pair, and
-    the run stops when its residual beta_k |s_k| is at most 1e-10 theta.
-    Lost orthogonality does not spoil that test for the top eigenvalue
-    (Paige, Lin. Alg. Appl. 34, 1980): it brings only copies of Ritz
-    values that have already converged.  Nor is step m an exit, since
-    the basis is no longer orthogonal by then: a run may go on past m
-    steps.  NumericalError, naming `what` and the cap, when
-    LANCZOS_MAX_STEPS * ceil(sqrt(m / 4096)) steps do not converge.
+    two basis vectors and the tridiagonal T = (a, b) of Python floats
+    only, so its memory is O(m) however many steps it takes.  Every
+    _LANCZOS_CHECK_EVERY steps, and at the last step allowed, it bisects
+    T's top Ritz value theta to the last bit (_bisect_top), finds the
+    last entry s of its vector (_last_component), and stops when the
+    residual beta_k |s| is at most 1e-10 theta.  Both are O(k) scalar
+    recurrences, with no LAPACK call: LAPACK on a k x k matrix hands its
+    inner products to the threaded BLAS once k passes about 100, and on
+    two threads the wake-ups of the BLAS workers cost more than the
+    whole check and vary tenfold from one run to the next.  Lost
+    orthogonality does not spoil the test for the top eigenvalue (Paige,
+    Lin. Alg. Appl. 34, 1980): it brings only copies of Ritz values that
+    have already converged.  Nor is step m an exit, since the basis is
+    no longer orthogonal by then: a run may go on past m steps.
+    NumericalError, naming `what` and the cap, when LANCZOS_MAX_STEPS *
+    ceil(sqrt(m / 4096)) steps do not converge.
     """
     cap = LANCZOS_MAX_STEPS * math.ceil(math.sqrt(m / 4096))
-    alpha, beta = [], []
+    a, b, b2 = [], [], []
     q, q_prev = _fixed_unit_vector(m), None
     for k in range(cap):
         v = matvec(q)
         if k:
-            v -= beta[-1] * q_prev
-        alpha.append(np.vdot(q, v).real)
-        v -= alpha[-1] * q
-        beta.append(np.linalg.norm(v))
-        if ((k + 1) % _LANCZOS_CHECK_EVERY == 0 or beta[-1] == 0.0
-                or k + 1 == cap):
-            theta, s = _top_ritz_pair(alpha, beta[:-1])
-            resid = beta[-1] * abs(s)
+            v -= b[-1] * q_prev
+        a.append(float(np.vdot(q, v).real))
+        v -= a[-1] * q
+        beta = float(np.linalg.norm(v))
+        if (k + 1) % _LANCZOS_CHECK_EVERY == 0 or beta == 0.0 or k + 1 == cap:
+            theta = _bisect_top(a, b, b2)
+            resid = beta * abs(_last_component(a, b, b2, theta))
             if resid <= 1e-10 * theta:
-                return float(theta)
-        q_prev, q = q, v / beta[-1]
+                return theta
+        b.append(beta)
+        b2.append(beta * beta)
+        q_prev, q = q, v / beta
     raise NumericalError("Lanczos did not converge in %d steps for %s "
                          "(residual %.3e of %.6e)"
                          % (cap, what, resid, theta))
 
 
-def _top_ritz_pair(alpha, beta):
-    """Top eigenvalue of the Lanczos tridiagonal T, last entry of its vector.
+def _bisect_top(a, b, b2):
+    """Top eigenvalue of T = (a, b), b2 = b^2, bisected to the last bit.
 
-    Both come from O(k) scalar recurrences on the entries of T, with no
-    LAPACK call: LAPACK on a k x k matrix hands its inner products to
-    the threaded BLAS once k passes about 100, and on two threads the
-    wake-ups of the BLAS workers cost more than the whole check and vary
-    tenfold from one run to the next.  theta is found by _bisect_top to
-    the last bit, the least float above which T has no eigenvalue, and
-    the vector by _last_component.
+    Bisection by _above_spectrum from max(a), a Rayleigh quotient of T,
+    and the Gershgorin bound (b holds norms: no abs) until no float lies
+    strictly between the ends (Demmel, Dhillon & Ren, ETNA 3, 1995);
+    returns the upper end, the least float above which T has no eigenvalue.
     """
-    a, b = [float(x) for x in alpha], [float(x) for x in beta]
-    theta = _bisect_top(a, b)
-    return theta, _last_component(a, b, theta)
-
-
-def _bisect_top(a, b):
-    """Top eigenvalue of T = (a, b), bisected to the last bit.
-
-    Bisection on Sturm counts between max(a), a Rayleigh quotient of T,
-    and the Gershgorin bound, until no float lies strictly between the
-    ends; returns the upper end, the least float above which T has no
-    eigenvalue.
-    """
-    b2 = [x * x for x in b]
-    mag = [abs(x) for x in b]
     lo = max(a)
     hi = max(ai + right + left for ai, right, left
-             in zip(a, mag + [0.0], [0.0] + mag))
-    pivmin = np.finfo(float).tiny * max(b2 + [1.0])
+             in zip(a, b + [0.0], [0.0] + b))
+    pivmin = float(np.finfo(float).tiny) * max(b2 + [1.0])
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if _count_below(a, b2, mid, pivmin) == len(a):
+        if _above_spectrum(a, b2, mid, pivmin):
             hi = mid
         else:
             lo = mid
@@ -364,17 +351,16 @@ def _bisect_top(a, b):
     return hi
 
 
-def _last_component(a, b, theta):
+def _last_component(a, b, b2, theta):
     """Last entry of T's top eigenvector, by inverse iteration near theta.
 
     Two steps of inverse iteration with sigma I - T, sigma =
     theta (1 + 1e-11) above the spectrum when theta >= lambda_1, so the
     system is positive definite and is solved without pivoting.  T's
-    off-diagonal beta is positive, so its top eigenvector is positive
-    (Perron-Frobenius) and the start vector of ones is never orthogonal
-    to it.
+    off-diagonal b (b2 its squares) is positive, so its top eigenvector
+    is positive (Perron-Frobenius) and the start vector of ones is never
+    orthogonal to it.
     """
-    b2 = [x * x for x in b]
     # pivots of sigma I - T = L diag(piv) L^T, then two solves with it
     sigma = theta * (1.0 + 1e-11)
     piv = [sigma - a[0]]
@@ -392,20 +378,20 @@ def _last_component(a, b, theta):
     return x[-1]
 
 
-def _count_below(a, b2, sigma, pivmin):
-    """Sturm count: eigenvalues of the tridiagonal (a, sqrt(b2)) below sigma.
+def _above_spectrum(a, b2, sigma, pivmin):
+    """Whether sigma lies above every eigenvalue of T = (a, sqrt(b2)).
 
-    The number of negative pivots of the LDL^T factorization of
-    T - sigma I; a pivot smaller than pivmin in modulus is replaced by
-    -pivmin, as in LAPACK's dlaebz.
+    That is, whether the Sturm count of T - sigma I is len(a): whether
+    every pivot of its LDL^T factorization is negative once a pivot
+    smaller than pivmin in modulus is replaced by -pivmin, as in
+    LAPACK's dlaebz.  Returns at the first pivot that is not.
     """
-    count, d = 0, a[0] - sigma
+    d = a[0] - sigma
     for ai, bi2 in zip(a[1:], b2):
-        # chained comparisons and a branch: no call in this hot loop
-        if -pivmin < d < pivmin:
+        # comparisons and a branch: no call in this hot loop
+        if d >= pivmin:
+            return False
+        if d > -pivmin:
             d = -pivmin
-        if d < 0.0:
-            count += 1
         d = ai - sigma - bi2 / d
-    return count + (d < pivmin)
-
+    return d < pivmin

@@ -735,6 +735,23 @@ def test_cmd_bootstrap(tmp_path):
     assert meta["agreement"] == 0.0
 
 
+@pytest.mark.parametrize("p, l0, step", [("3", "1e-320", 0),
+                                          ("3.9999999999", "1e-300", 18)])
+def test_bootstrap_refuses_a_reciprocal_out_of_the_floats(tmp_path, p, l0,
+                                                          step):
+    # 1/l0 = 1e320 at once, or 1e300 growing about threefold a step: one
+    # line naming l0 and the step, no traceback, under warnings as errors
+    cfg_path = write_cfg(tmp_path, "[bootstrap]\nn = 3\np = %s\nl0 = %s\n"
+                         % (p, l0))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "diracbvp.cli", "bootstrap",
+         "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        env=fresh_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: 1/l^(M) leaves the floating-point range at M = %d for "
+           "bootstrap.l0 = %s\n" % (step, l0))
+
+
 def test_cmd_functional(tmp_path):
     text = BASE + "[functional]\nm = 6\n"
     out = tmp_path / "func"
@@ -1156,6 +1173,19 @@ def test_main_spectrum_out_of_the_floats(tmp_path, capsys, model, length,
     assert (status == 0) == (command == "solve" and length == "1e-155")
     assert (err or warning + "\n").endswith(
         " at model.length = %r, model.n_points = 16\n" % float(length))
+
+
+def test_spectrum_probe_residual_names_the_model(tmp_path, capsys):
+    # at L = 1e250 the probe residual passes its tolerance, relative to
+    # max |lambda|: the refusal names the model as a non-finite one does
+    cfg_path = write_cfg(tmp_path, "[model]\nlength = 1e250\n"
+                                   "n_points = 16\n")
+    assert main(["spectrum", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Fourier probe residual ")
+    assert err.endswith(" too large at model.length = 1e+250, "
+                        "model.n_points = 16\n")
 
 
 def test_check_on_a_long_interval_uses_the_true_lambda1(tmp_path):

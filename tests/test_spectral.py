@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (decompose_dense, dense_eigenvectors, dense_matrix,
                       dense_rayleigh_maxima, mode_field,
@@ -14,8 +16,9 @@ from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SchemeConfig,
 from diracbvp.cli import run_command
 from diracbvp.config import parse_config
 from diracbvp.errors import DiracBVPError, NumericalError, ParameterError
-from diracbvp.spectral import (_count_below, _fixed_unit_vector,
-                               _lanczos_max, _order_spectrum, _top_ritz_pair)
+from diracbvp.spectral import (_above_spectrum, _bisect_top,
+                               _fixed_unit_vector, _lanczos_max,
+                               _last_component, _order_spectrum)
 
 
 # ------------------------------------------------------------ decompose
@@ -480,14 +483,17 @@ def test_lanczos_cap_raises(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 7, 64, 137])
 def test_top_ritz_pair_matches_eigh(k):
-    # the recurrences against LAPACK on the dense tridiagonal
+    # theta and s by the recurrences against LAPACK on the dense tridiagonal
     rng = np.random.default_rng(k)
     for scale in (1e-3, 1.0, 1e4):
         alpha = scale * rng.uniform(0.5, 3.0, k)
         beta = scale * rng.uniform(1e-3, 1.0, k - 1)
         vals, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
                                     + np.diag(beta, -1))
-        theta, s = _top_ritz_pair(alpha, beta)
+        a, b = alpha.tolist(), beta.tolist()
+        b2 = [x * x for x in b]
+        theta = _bisect_top(a, b, b2)
+        s = _last_component(a, b, b2, theta)
         assert theta == pytest.approx(vals[-1], rel=1e-14)
         assert abs(s) == pytest.approx(abs(vecs[-1, -1]), rel=1e-9, abs=1e-14)
 
@@ -554,22 +560,60 @@ def test_fixed_unit_vector_is_splitmix64():
         assert _fixed_unit_vector(m).tobytes() == z.tobytes()
 
 
-def test_count_below_is_the_sturm_count():
+def sturm_count(a, b2, sigma, pivmin):
+    """Negative pivots of T - sigma I, each clamped as dlaebz does."""
+    count, d = 0, a[0] - sigma
+    for i in range(len(a)):
+        if i:
+            d = a[i] - sigma - b2[i - 1] / d
+        if abs(d) < pivmin:
+            d = -pivmin
+        count += d < 0.0
+    return count
+
+
+def test_above_spectrum_is_the_full_sturm_count():
     rng = np.random.default_rng(3)
     alpha, beta = rng.uniform(-2.0, 2.0, 40), rng.uniform(0.1, 1.0, 39)
     vals = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1)
                               + np.diag(beta, -1))
     shifts = np.concatenate([vals - 1e-9, vals + 1e-9, [-10.0, 10.0]])
     for sigma in shifts:
-        assert _count_below(alpha.tolist(), (beta ** 2).tolist(), sigma,
-                            1e-300) == np.sum(vals < sigma)
+        assert _above_spectrum(alpha.tolist(), (beta ** 2).tolist(), sigma,
+                               1e-300) == (np.sum(vals < sigma) == 40)
 
 
-def test_count_below_clamps_a_zero_pivot():
+def test_above_spectrum_clamps_a_zero_pivot():
     # [[0, 1], [1, 0]] at sigma = 0: the first pivot is exactly 0, taken
-    # as -pivmin, so the count stays that of the eigenvalues -1 and 1
-    for sigma, count in ((-1.5, 0), (0.0, 1), (1.5, 2)):
-        assert _count_below([0.0, 0.0], [1.0], sigma, 1e-300) == count
+    # as -pivmin, so the count stays that of the eigenvalues -1 and 1;
+    # at sigma = 1 the last pivot is exactly 0, so 1 counts as below.
+    # diag(0, -1) at sigma = 0: a zero pivot, then a negative one, so an
+    # exit on the zero pivot would answer wrongly
+    for sigma, above in ((-1.5, False), (0.0, False), (1.0, True),
+                         (1.5, True)):
+        assert _above_spectrum([0.0, 0.0], [1.0], sigma, 1e-300) is above
+    assert _above_spectrum([0.0, -1.0], [0.0], 0.0, 1e-300) is True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2)),
+                min_size=1, max_size=12),
+       st.one_of(st.integers(-4, 4).map(float),
+                 st.floats(-8.0, 8.0), st.integers(0, 11)))
+def test_above_spectrum_is_the_sturm_count_on_random_tridiagonals(rows,
+                                                                  sigma):
+    # small integer entries give exact zero pivots, first, inner and
+    # last; an int sigma picks an eigenvalue of T.  The predicate must
+    # return exactly when the full count reaches len(a)
+    a = [float(x) for x, _ in rows]
+    b2 = [float(y * y) for _, y in rows[1:]]
+    if isinstance(sigma, int):
+        vals = np.linalg.eigvalsh(np.diag(a) + np.diag(np.sqrt(b2), 1)
+                                  + np.diag(np.sqrt(b2), -1))
+        sigma = float(vals[sigma % len(a)])
+    pivmin = float(np.finfo(float).tiny) * max(b2 + [1.0])
+    assert _above_spectrum(a, b2, sigma, pivmin) \
+        == (sturm_count(a, b2, sigma, pivmin) == len(a))
 
 
 def test_estimate_constants_calls_no_lapack(monkeypatch):
