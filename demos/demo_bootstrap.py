@@ -4,7 +4,9 @@ Starting from an a-priori exponent l0 the recursion
 1/l^{(M)} = (p-1)/l^{(M-1)} - 1/n improves integrability step by step;
 once the reciprocal turns negative the iterate is in L^infinity and the
 regularity argument closes after M* steps.  The recursion runs in exact
-rational arithmetic and is checked against its closed form.
+rational arithmetic and is checked, step by step, against its closed
+form.  A reciprocal of exactly zero (u in W^{1,n}, the borderline case
+that misses L^infinity) takes one more step.
 """
 
 from diracbvp import bootstrap_exponents
@@ -13,11 +15,10 @@ from diracbvp import bootstrap_exponents
 def show(n, p, l0):
     tr = bootstrap_exponents(n, p, l0)
     print("n = %s, p = %s, l0 = %s" % (n, p, l0))
-    print("  M   1/l^(M)       closed form")
-    for m, (rec, cl) in enumerate(zip(tr.reciprocals, tr.closed_form)):
-        print("  %-3d % .8f   % .8f" % (m, rec, cl))
-    print("  M* = %s, recursion/closed-form disagreement = %.1e\n"
-          % (tr.m_star, tr.agreement()))
+    print("  M   1/l^(M)")
+    for m, rec in enumerate(tr.reciprocals):
+        print("  %-3d % .8f" % (m, rec))
+    print("  M* = %s\n" % (tr.m_star,))
 
 
 def main():

@@ -10,21 +10,19 @@ from .errors import NumericalError, ParameterError
 @dataclass
 class BootstrapTrace:
     reciprocals: list     # 1/l^{(M)} from the recursion
-    closed_form: list     # corrected closed-form values
-    m_star: int           # first index with value <= 0, or None
-
-    def agreement(self):
-        return max(abs(a - b) for a, b in zip(self.reciprocals,
-                                              self.closed_form))
+    m_star: int           # first index with a negative value, or None
 
 
 def bootstrap_exponents(n, p, l0, max_steps=64):
-    """Iterate 1/l^{(M)} = (p-1)/l^{(M-1)} - 1/n until <= 0 or max_steps.
+    """Iterate 1/l^{(M)} = (p-1)/l^{(M-1)} - 1/n until < 0 or max_steps.
 
-    Exact rational arithmetic keeps the recursion and the closed form
-    (p-1)^M (1/l0 - 1/(n(p-2))) + 1/(n(p-2)) in lockstep, including at the
-    fixed point of the affine map.  NumericalError, naming bootstrap.l0
-    and M, when a 1/l^{(M)} leaves the floats (a tiny l0).
+    A value of 0 does not stop the run: 1/l = 0 puts u in W^{1,n}, the
+    borderline case that embeds into every L^r with r < inf but not into
+    L^inf, so one more step is needed.  Exact rational arithmetic checks
+    each value against the closed form (p-1)^M (1/l0 - 1/(n(p-2))) +
+    1/(n(p-2)), including at the fixed point of the affine map.
+    NumericalError, naming bootstrap.l0 and M, when a 1/l^{(M)} leaves
+    the floats (a tiny l0).
     """
     if n < 3:
         raise ParameterError("bootstrap needs n >= 3, got %r" % (n,))
@@ -36,26 +34,19 @@ def bootstrap_exponents(n, p, l0, max_steps=64):
     if pf >= Fraction(2 * n - 2, n - 2):
         raise ParameterError("p=%r at or above the admissible range" % (p,))
 
-    x = Fraction(1, 1) / Fraction(l0)
+    x, values = Fraction(1, 1) / Fraction(l0), []
     fixed = 1 / (n * (pf - 2))
-    rec, closed = [x], [x]
-    m_star = None
-    for m in range(1, max_steps + 1):
-        x = (pf - 1) * x - Fraction(1, n)
-        rec.append(x)
-        closed.append((pf - 1) ** m * (rec[0] - fixed) + fixed)
-        if x < 0:  # the exponent l itself turned negative
-            m_star = m
-            break
-    if any(a != b for a, b in zip(rec, closed)):
-        raise NumericalError("bootstrap recursion/closed-form mismatch")
-    values = []  # of rec, and so of closed, which equals it exactly
-    for m, v in enumerate(rec):
+    gap = x - fixed  # 1/l0 - 1/(n(p-2))
+    for m in range(max_steps + 1):
+        if x != (pf - 1) ** m * gap + fixed:
+            raise NumericalError("bootstrap recursion/closed-form mismatch")
         try:
-            values.append(float(v))
+            values.append(float(x))
         except OverflowError:
             raise NumericalError(
                 "1/l^(M) leaves the floating-point range at M = %d for "
                 "bootstrap.l0 = %r" % (m, l0)) from None
-    return BootstrapTrace(reciprocals=values, closed_form=list(values),
-                          m_star=m_star)
+        if x < 0:  # the exponent l itself turned negative
+            return BootstrapTrace(reciprocals=values, m_star=m)
+        x = (pf - 1) * x - Fraction(1, n)
+    return BootstrapTrace(reciprocals=values, m_star=None)

@@ -164,13 +164,10 @@ def cmd_bootstrap(cfg, out_dir):
     from .bootstrap import bootstrap_exponents
     boot = cfg.values["bootstrap"]
     trace = bootstrap_exponents(boot["n"], boot["p"], boot["l0"])
-    rows = [[m, repr(rec), repr(cl)] for m, (rec, cl)
-            in enumerate(zip(trace.reciprocals, trace.closed_form))]
-    _write_csv(os.path.join(out_dir, "bootstrap.csv"),
-               ["M", "reciprocal", "closed_form"], rows)
+    _write_csv(os.path.join(out_dir, "bootstrap.csv"), ["M", "reciprocal"],
+               [[m, repr(rec)] for m, rec in enumerate(trace.reciprocals)])
     _write_json(os.path.join(out_dir, "bootstrap.json"),
-                {"m_star": trace.m_star,
-                 "agreement": trace.agreement()})
+                {"m_star": trace.m_star})
     return 0
 
 

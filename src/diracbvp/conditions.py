@@ -182,9 +182,11 @@ def _c3_coefficient(kappa, theta_b):  # (C3): it times |lam|/|lam_1| < 1
 
 
 def c3_lambda_threshold(consts):
-    """Largest |lambda|/|lambda_1| ratio compatible with condition (C3)."""
+    """Largest |lambda|/|lambda_1| ratio compatible with condition (C3);
+    inf (unbounded) when its coefficient underflows to 0 (a tiny K_FGN)."""
     _, theta_b, _, kappa = derive_exponents(consts)
-    return 1.0 / _c3_coefficient(kappa, theta_b)
+    coefficient = _c3_coefficient(kappa, theta_b)
+    return 1.0 / coefficient if coefficient else math.inf
 
 
 def variational_functional(sd, phi, n):

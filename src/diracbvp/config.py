@@ -37,7 +37,7 @@ from configparser import ConfigParser
 from dataclasses import dataclass, replace
 
 from .errors import ConfigParseError, InvalidFieldError
-from .names import (ANTIPERIODIC, AUTO, CIRCLE, DIRAC_2SPINOR, MODE_A, MODE_B,
+from .names import (ANTIPERIODIC, CIRCLE, DIRAC_2SPINOR, MODE_A, MODE_B,
                     MODE_C, MODELS, SCALAR_DERIVATIVE)
 
 _EVAL_NAMES = {"pi": math.pi, "e": math.e}
@@ -191,10 +191,9 @@ def _axis(text, key) -> str:
     return text
 
 
-_R = _real_or(AUTO)  # AUTO is R = 2/|lambda_1|
 _C1 = _real_or("empirical")
 _C_HALF = _real_or("empirical", "formula")
-_NUMERIC = (_real, _int, _complex, _R, _C1, _C_HALF)
+_NUMERIC = (_real, _int, _complex, _C1, _C_HALF)
 _POS = _at_least(_real, 0, strict=True)
 
 # the keys of a sweep axis, in the order of its tuple in RunConfig.sweep
@@ -210,8 +209,8 @@ _SCHEMA = {
               "length": (_POS, 1.0), "n_points": (_at_least(_int, 8), 256)},
     "scheme": {"lambda": (_complex, 0j), "p": (_at_least(_real, 2), 4.0),
                "g": (_field, ("zero",)), "f0": (_start, ("g",)),
-               "a": (_complex, 0j), "r": (_at_least(_R, 0, True), 1.0),
-               "xi": (_POS, 1.0), "lambda_cap": (_POS, 1.0),
+               "a": (_complex, 0j), "xi": (_POS, 1.0),
+               "lambda_cap": (_POS, 1.0),
                "max_iter": (_at_least(_int, 1), 200),
                "tol_cauchy": (_POS, 1e-10), "tol_residual": (_POS, 1e-8)},
     "constants": {"n": (_at_least(_int, 2), 2), "p_a": (_real, None),
@@ -320,7 +319,7 @@ class RunConfig:
         scheme = self.values["scheme"]
         return SchemeConfig(
             lam=scheme["lambda"], p=scheme["p"], g=g, f0=f0,
-            a=scheme["a"], R=scheme["r"], Xi=scheme["xi"],
+            a=scheme["a"], Xi=scheme["xi"],
             Lambda_cap=scheme["lambda_cap"], max_iter=scheme["max_iter"],
             tol_cauchy=scheme["tol_cauchy"],
             tol_residual=scheme["tol_residual"])

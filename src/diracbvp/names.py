@@ -1,5 +1,6 @@
-"""The names a config may give, and the table of the three models,
-defined without numpy for the parser; the array layers use them too.
+"""The names of boundary and operator kinds, grid topologies and
+condition modes, and the table of the three models, defined without
+numpy for the parser; the array layers use them too.
 
 A model is its boundary kind: MODELS maps each to the operator kind,
 the grid topology and the fiber rank that go with it.
@@ -9,7 +10,6 @@ ANTIPERIODIC, PERIODIC, BAG1D = "antiperiodic", "periodic", "bag1d"
 SCALAR_DERIVATIVE, DIRAC_2SPINOR = "scalar_derivative", "dirac_2spinor"
 INTERVAL, CIRCLE = "interval", "circle"
 MODE_C, MODE_B, MODE_A = "C_final", "B_explicit", "A_raw"
-AUTO = "auto"  # scheme.r: R = 2 / |lambda_1|
 
 # boundary kind -> (operator kind, grid topology, fiber rank)
 MODELS = {ANTIPERIODIC: (SCALAR_DERIVATIVE, INTERVAL, 1),

@@ -1,14 +1,15 @@
 """Fixed-point iteration for D u = lambda |u|^{p-2} u, P u = P g.
 
-The homogenized iterate is utilde_k = u_k - g.  One step of the general
-(shifted by a, rescaled by R) scheme solves
+The homogenized iterate is utilde_k = u_k - g.  One step of the scheme
+shifted by a solves
 
-    (R D_P - a) utilde_{k+1} = R lambda |u_k|^{p-2} u_k - a utilde_k - R D g
+    (D_P - a) utilde_{k+1} = lambda |u_k|^{p-2} u_k - a utilde_k - D g
 
-in eigen-coefficients; with a = 0, R = 1 this is the plain Picard map
+in eigen-coefficients; with a = 0 this is the plain Picard map
 utilde_{k+1} = D_P^{-1}(lambda |u_k|^{p-2} u_k - D g).  True solutions are
-stationary for every admissible (a, R).  Convergence is monitored through
-the H^{1/2}_D graph norm of Delta_k = u_k - u_{k-1}, from coefficients.
+stationary for every admissible a; a rescaled R D_P - a iterates as the
+shift a/R.  Convergence is monitored through the H^{1/2}_D graph norm of
+Delta_k = u_k - u_{k-1}, from coefficients.
 
 Outside the smallness conditions the iteration may blow up; run reports
 that as the verdict "diverged", never as an error: an iterate, D g or a
@@ -25,7 +26,6 @@ import numpy as np
 
 from .errors import InvalidFieldError, ParameterError
 from .grids import SpinorField, lp_norm, nonlinearity, w1q
-from .names import AUTO
 from .operators import apply_D, boundary_residual
 from .spectral import graph_weight, shifted_spectrum
 
@@ -36,7 +36,6 @@ class SchemeConfig:
     p: float
     g: SpinorField
     a: complex = 0.0
-    R: object = 1.0  # positive real or AUTO
     f0: Optional[SpinorField] = None  # default: start from g
     Xi: float = 1.0
     Lambda_cap: float = 1.0
@@ -51,19 +50,8 @@ class SchemeConfig:
             raise ParameterError("max_iter must be >= 1")
         if self.tol_cauchy <= 0 or self.tol_residual <= 0:
             raise ParameterError("tolerances must be positive")
-        if self.R != AUTO and not (np.isreal(self.R) and float(np.real(self.R)) > 0):
-            raise ParameterError("R must be a positive real or 'auto'")
         if self.Xi <= 0 or self.Lambda_cap <= 0:
             raise ParameterError("Xi and Lambda_cap must be positive")
-
-    def resolve_R(self, sd):
-        if self.R == AUTO:
-            if not sd.invertible:
-                raise ParameterError(
-                    "scheme.r: 'auto' is 2/|lambda_1| and needs an "
-                    "invertible operator, but lambda_1 = %r" % sd.lambda1)
-            return 2.0 / abs(sd.lambda1)
-        return float(np.real(self.R))
 
 
 @dataclass
@@ -110,14 +98,12 @@ def step(sd, cfg, u_k, n_k, dg):
     """One iteration step: the coefficients c_{k+1} of utilde_{k+1}.
 
     n_k = |u_k|^{p-2} u_k and dg = D g are the caller's; the right-hand
-    side R lambda n_k - R dg - a utilde_k is one array (the SpinorField
+    side lambda n_k - dg - a utilde_k is one array (the SpinorField
     operations, in their order), checked finite once (InvalidFieldError).
-    Its coefficients are divided by shifted_spectrum(sd, R, a).
+    Its coefficients are divided by shifted_spectrum(sd, a).
     """
-    r_scale = cfg.resolve_R(sd)
-    shifted = shifted_spectrum(sd, r_scale, cfg.a)
-    rhs = n_k.values * (r_scale * cfg.lam) - dg.values * r_scale \
-        - (u_k.values - cfg.g.values) * cfg.a
+    shifted = shifted_spectrum(sd, cfg.a)
+    rhs = n_k.values * cfg.lam - dg.values - (u_k.values - cfg.g.values) * cfg.a
     return sd.to_coeffs(SpinorField(u_k.grid, rhs)) / shifted
 
 

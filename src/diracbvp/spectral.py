@@ -87,7 +87,7 @@ def _order_spectrum(vals):
     The order sorts by increasing modulus, the positive eigenvalue first
     on an exact tie.  lambda1 is the eigenvalue of smallest modulus, the
     positive one on a near-tie (1e-9 |lambda1|); invertible is
-    shifted_spectrum's rule at r = 1, a = 0.
+    shifted_spectrum's rule at a = 0.
     """
     order = np.lexsort((vals < 0, np.abs(vals)))
     vals = vals[order]
@@ -100,13 +100,13 @@ def _order_spectrum(vals):
     return order, float(lambda1), invertible
 
 
-def shifted_spectrum(sd, r, a):
-    """The spectrum r lambda_k - a of r D_P - a; ParameterError if singular."""
-    shifted = r * sd.eigenvalues - a
+def shifted_spectrum(sd, a):
+    """The spectrum lambda_k - a of D_P - a; ParameterError if singular."""
+    shifted = sd.eigenvalues - a
     k = int(np.argmin(np.abs(shifted)))
     if abs(shifted[k]) <= 1e-10 * np.max(np.abs(shifted)):  # scale-free
         raise ParameterError(
-            "R*lambda - a = %r too close to zero at eigenvalue %r"
+            "lambda - a = %r too close to zero at eigenvalue %r"
             % (complex(shifted[k]), float(sd.eigenvalues[k])))
     return shifted
 
@@ -182,7 +182,7 @@ def eigenfunction(sd, k):
 
 def apply_inverse(sd, f, a=0.0):
     """(D_P - a)^{-1} f by the eigenexpansion; shifted_spectrum guards a."""
-    return sd.from_coeffs(sd.to_coeffs(f) / shifted_spectrum(sd, 1.0, a))
+    return sd.from_coeffs(sd.to_coeffs(f) / shifted_spectrum(sd, a))
 
 
 def apply_fractional(sd, s, f):

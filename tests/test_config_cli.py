@@ -362,8 +362,7 @@ def test_sweep_grid():
         parse_config("[sweep]\nparam = scheme.nope\nmin = 0\nmax = 1\n"
                      "count = 3\n")
     # a key that may be a word or a number is a numeric axis too
-    for path in ("scheme.r", "constants.c1", "constants.p_a",
-                 "scheme.max_iter"):
+    for path in ("constants.c1", "constants.p_a", "scheme.max_iter"):
         assert parse_config("[sweep]\nparam = %s\nmin = 1\nmax = 2\n"
                             "count = 2\n" % path).sweep[0][0] == path
 
@@ -406,8 +405,8 @@ def _section_text(name, pairs):
 
 _SWEEP_AXIS = st.fixed_dictionaries({
     "param": st.sampled_from(["scheme.lambda", "scheme.p", "model.length",
-                              "model.n_points", "constants.c1", "scheme.r",
-                              "scheme.nope", "model.boundary",
+                              "model.n_points", "constants.c1",
+                              "constants.c_half", "scheme.nope", "model.boundary",
                               "run.output_dir", "sweep.count"]),
     "min": st.sampled_from(_NUMBERS), "max": st.sampled_from(_NUMBERS),
     "count": st.sampled_from(["2", "3", "11", "50", "1", "-2", "2.5",
@@ -727,12 +726,9 @@ def test_cmd_bootstrap(tmp_path):
     out = tmp_path / "boot"
     assert run_command(parse_config(text), "bootstrap", str(out)) == 0
     rows = read_csv(out / "bootstrap.csv")
-    assert rows[0] == ["M", "reciprocal", "closed_form"]
-    assert len(rows) == 4  # header + M = 0, 1, 2
-    assert float(rows[1][1]) == pytest.approx(1 / 6)
-    meta = read_json(out / "bootstrap.json")
-    assert meta["m_star"] == 2
-    assert meta["agreement"] == 0.0
+    assert rows == [["M", "reciprocal"], ["0", repr(1 / 6)], ["1", "0.0"],
+                    ["2", repr(-1 / 3)]]
+    assert read_json(out / "bootstrap.json") == {"m_star": 2}
 
 
 @pytest.mark.parametrize("p, l0, step", [("3", "1e-320", 0),
@@ -871,7 +867,7 @@ def test_main_singular_shift_message_has_plain_numbers(tmp_path, capsys):
     warning, err = capsys.readouterr().err.split("\n", 1)
     assert warning + "\n" == not_certified("estimate_constants needs an "
                                            "invertible operator")
-    assert err.startswith("error: R*lambda - a = ")
+    assert err.startswith("error: lambda - a = ")
     assert "np." not in err
 
 
@@ -900,7 +896,7 @@ AXIS = "[sweep]\nparam = scheme.lambda\nmin = 0\nmax = 0.1\ncount = 2\n"
 # a value out of range for every key whose parser checks one
 OUT_OF_RANGE = {
     "model.length": "0", "model.n_points": "4", "scheme.p": "1",
-    "scheme.r": "-1", "scheme.xi": "0", "scheme.lambda_cap": "-2",
+    "scheme.xi": "0", "scheme.lambda_cap": "-2",
     "scheme.max_iter": "0", "scheme.tol_cauchy": "0",
     "scheme.tol_residual": "-1e-8", "constants.n": "1",
     "constants.c_h": "0", "constants.big_c_h": "-1", "constants.k_gn": "0",
@@ -1264,6 +1260,22 @@ def test_main_check_writes_strict_json_without_bound(tmp_path):
     assert payload["contraction_bound"] is None
 
 
+@pytest.mark.parametrize("k_fgn", ["1e-160", "1e-300"])
+def test_main_check_reports_an_unbounded_c3_threshold(tmp_path, k_fgn):
+    # a tiny K_FGN makes the (C3) coefficient subnormal (1e-160) or 0
+    # (1e-300, which ended in a ZeroDivisionError): no lambda breaks (C3)
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = bag1d\nlength = 4\n"
+                                   "n_points = 16\n[scheme]\np = 8/3\n"
+                                   "g = const(4)\n[constants]\nn = 2\n"
+                                   "iota = 4\nk_fgn = %s\nc_half = 2\n"
+                                   % k_fgn)
+    out = tmp_path / "chk"
+    assert main(["check", "--config", str(cfg_path), "--out", str(out)]) == 0
+    payload = read_json(out / "conditions.json")
+    assert payload["c3_lambda_threshold"] is None
+    assert payload["conditions"]["C3"]["satisfied"] is True
+
+
 def test_main_solve_periodic_shifted(tmp_path):
     # the shifted scheme steps around the zero mode, and the H^{1/2}_D
     # graph norm of the increments is finite on it
@@ -1289,17 +1301,13 @@ def test_main_check_periodic_assumed_constants_refused(tmp_path, capsys):
         == "error: lambda1_abs must be positive"
 
 
-def test_main_auto_R_needs_invertible(tmp_path, capsys):
-    cfg_path = write_cfg(tmp_path, "[model]\nboundary = periodic\n"
-                                   "n_points = 32\n[scheme]\nlambda = 0.01\n"
-                                   "a = 0.5\nr = auto\n")
+def test_main_refuses_the_rescale_key(tmp_path, capsys):
+    # a rescale R iterates as the shift a/R, so scheme.a is the only key
+    cfg_path = write_cfg(tmp_path, "[scheme]\nr = 1\n")
     assert main(["solve", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 1
-    warning, err = capsys.readouterr().err.split("\n", 1)
-    assert warning + "\n" == not_certified("estimate_constants needs an "
-                                           "invertible operator")
-    assert err.startswith("error: scheme.r: ")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == "error: scheme.r: unknown key\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("model, text, where", [
