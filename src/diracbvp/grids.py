@@ -29,6 +29,10 @@ class Grid1D:
                                  % (self.length,))
         if self.n_points < 8:
             raise ParameterError("need n_points >= 8, got %d" % self.n_points)
+        if self.spacing == 0.0:  # each model's D divides by it
+            raise ParameterError("the grid spacing underflows to 0 at "
+                                 "model.length = %r, model.n_points = %d"
+                                 % (self.length, self.n_points))
 
     @property
     def spacing(self):

@@ -59,8 +59,9 @@ class IterationState:
     """One iterate u_k of a run: the scalars of its trace.csv row.
 
     delta_norm_H12D is ||u_k - u_{k-1}|| in the H^{1/2}_D graph norm, from
-    the eigen-coefficients of the two iterates (0 at k = 0), ratio is delta_k / delta_{k-1} (None when delta_{k-1} = 0,
-    always at k <= 1); u_k itself is not kept.
+    the eigen-coefficients of the two iterates (0 at k = 0), and ratio is
+    delta_k / delta_{k-1} (None when delta_{k-1} = 0, always at k <= 1);
+    u_k itself is not kept.
     """
     k: int
     delta_norm_H12D: float
@@ -94,15 +95,15 @@ class IterationReport:
                 if f.name not in ("states", "u")}
 
 
-def step(sd, cfg, u_k, n_k, dg):
-    """One iteration step: the coefficients c_{k+1} of utilde_{k+1}.
+def step(sd, cfg, u_k, n_k, dg, shifted):
+    """The Picard map T: the coefficients c_{k+1} of utilde_{k+1}.
 
-    n_k = |u_k|^{p-2} u_k and dg = D g are the caller's; the right-hand
-    side lambda n_k - dg - a utilde_k is one array (the SpinorField
-    operations, in their order), checked finite once (InvalidFieldError).
-    Its coefficients are divided by shifted_spectrum(sd, a).
+    n_k = |u_k|^{p-2} u_k, dg = D g and shifted = shifted_spectrum(sd, a)
+    are the caller's (run builds dg and shifted once per run).  The
+    right-hand side lambda n_k - dg - a utilde_k is one array (the
+    SpinorField operations, in their order), checked finite once
+    (InvalidFieldError); its coefficients are divided by shifted.
     """
-    shifted = shifted_spectrum(sd, cfg.a)
     rhs = n_k.values * cfg.lam - dg.values - (u_k.values - cfg.g.values) * cfg.a
     return sd.to_coeffs(SpinorField(u_k.grid, rhs)) / shifted
 
@@ -119,60 +120,68 @@ def verify_solution(sd, cfg, u):
             boundary_residual(spec, u, cfg.g))
 
 
+def _measure(spec, cfg, k, u, delta, prev):
+    """State k of iterate u, after increments prev and delta, and N(u):
+    D u, N(u) and ||u||_L2 once each.  A D u or N(u) past the floats reads
+    as inf norms (each apart), N(u) as None."""
+    l2t_norm = lp_norm(u, 2)
+    h1t_norm = pde_residual = math.inf
+    du = nu = None
+    with suppress(InvalidFieldError):
+        du = apply_D(spec, u)
+        h1t_norm = w1q(l2t_norm, lp_norm(du, 2), 2)
+    with suppress(InvalidFieldError):
+        nu = nonlinearity(u, cfg.p)
+        if du is not None:
+            pde_residual = _pde_residual(cfg, du, nu)
+    return IterationState(
+        k=k, delta_norm_H12D=delta, ratio=delta / prev if prev else None,
+        l2t_norm=l2t_norm, h1t_norm=h1t_norm,
+        pde_residual=pde_residual), nu
+
+
 def run(sd, cfg):
     """Iterate from f0 until Cauchy convergence, divergence or max_iter.
 
-    A run keeps the eigen-coefficients c_k of utilde_k = u_k - g, from
-    c_0 = sd.to_coeffs(f0 - g) (f0 may lie off the constraint space): a
-    step is one transform pair, and the increment's H^{1/2}_D norm is
-    (sum_j |c_k - c_{k-1}|_j^2 (1 + |lambda_j|))^{1/2}.  D g is computed
-    once per run, D u_k, N(u_k) and ||u_k||_L2 once per state (N(u_k)
-    serves its pde_residual and the next step, ||u_k||_L2 is u_L2 and,
-    with ||D u_k||_L2, gives u_H1 by grids.w1q).  Each iterate is kept
-    as an IterationState and only the last as report.u: a run holds
-    O(N) memory whatever max_iter is.  The run ends as "diverged" when a
-    step leaves the floats, when the increment is not finite, or when
-    the L2 norm of an iterate u_k, k >= 1, exceeds 10 max(Xi,
-    Lambda_cap, 1).  State 0 is recorded, a norm that overflows reading
-    inf, but the start is not held to that cap: at lambda = 0 one step
-    solves the linear problem from any f0.
+    A run keeps the eigen-coefficients c_k of utilde_k = u_k - g.  D g,
+    c_0 = sd.to_coeffs(f0 - g) (f0 may lie off the constraint space) and
+    the H^{1/2}_D weight 1 + |lambda_j| are built once, and the shifted
+    spectrum at the first step, where a singular shift raises.  One loop
+    body serves every state k: it measures u_k, applies the stop tests
+    from k = 1 on, and else steps to c_{k+1} = step(...) and u_{k+1},
+    taken only after a finite increment norm (sum_j |c_{k+1} - c_k|_j^2
+    (1 + |lambda_j|))^{1/2}.  Only the last iterate is kept, as report.u.
+    The run ends "diverged" when D g, N(u_k) or a step leaves the floats,
+    or when ||u_k||_L2, k >= 1, exceeds 10 max(Xi, Lambda_cap, 1) (state 0
+    is exempt: at lambda = 0 one step solves the problem from any f0).
     """
     u = cfg.f0 if cfg.f0 is not None else cfg.g
     spec = sd.operator.spec
     blow_up = 10.0 * max(cfg.Xi, cfg.Lambda_cap, 1.0)
     weight = graph_weight(sd.eigenvalues, 0.5)
-
-    def make_state(k, u_cur, delta, prev):
-        """State k and N(u_k); a D u or N(u) past the floats reads as inf
-        norms (each apart) and N(u_k) as None."""
-        l2t_norm = lp_norm(u_cur, 2)
-        h1t_norm = pde_residual = math.inf
-        du = nu = None
-        with suppress(InvalidFieldError):
-            du = apply_D(spec, u_cur)
-            h1t_norm = w1q(l2t_norm, lp_norm(du, 2), 2)
-        with suppress(InvalidFieldError):
-            nu = nonlinearity(u_cur, cfg.p)
-            if du is not None:
-                pde_residual = _pde_residual(cfg, du, nu)
-        return IterationState(
-            k=k, delta_norm_H12D=delta, ratio=delta / prev if prev else None,
-            l2t_norm=l2t_norm, h1t_norm=h1t_norm,
-            pde_residual=pde_residual), nu
-
+    states, verdict, prev, delta = [], "max_iter_exceeded", 0.0, 0.0
+    shifted = dg = coeffs = None  # D g or f0 - g past the floats: diverged
     with np.errstate(over="ignore", invalid="ignore"):
-        st, nu = make_state(0, u, 0.0, 0.0)
-        states = [st]
-        verdict = "max_iter_exceeded"
-        for k in range(1, cfg.max_iter + 1):
+        with suppress(InvalidFieldError):
+            dg, coeffs = apply_D(spec, cfg.g), sd.to_coeffs(u - cfg.g)
+        for k in range(cfg.max_iter + 1):
+            st, nu = _measure(spec, cfg, k, u, delta, prev)
+            states.append(st)
+            if k and st.l2t_norm > blow_up:
+                verdict = "diverged"
+            elif k and delta < cfg.tol_cauchy and (st.ratio or 0.0) < 1.0 \
+                    and st.pde_residual < cfg.tol_residual:
+                verdict = "converged"  # Cauchy alone iterates on to max_iter
+            if verdict != "max_iter_exceeded" or k == cfg.max_iter:
+                break
             try:
-                if k == 1:  # guarded like a step: diverged from state 0
-                    dg, coeffs = apply_D(spec, cfg.g), sd.to_coeffs(u - cfg.g)
-                if nu is None:
-                    raise InvalidFieldError("|u_k|^{p-2} u_k is not finite")
-                c_next = step(sd, cfg, u, nu, dg)
-                delta = float(np.sqrt(np.sum(np.abs(c_next - coeffs) ** 2
-                                             * weight)))
+                if nu is None or dg is None:
+                    raise InvalidFieldError("N(u_k) or D g is not finite")
+                if shifted is None:
+                    shifted = shifted_spectrum(sd, cfg.a)
+                c_next = step(sd, cfg, u, nu, dg, shifted)
+                prev, delta = delta, float(np.sqrt(np.sum(
+                    np.abs(c_next - coeffs) ** 2 * weight)))
                 u_next = sd.from_coeffs(c_next) + cfg.g
             except InvalidFieldError:
                 delta = math.inf
@@ -180,15 +189,6 @@ def run(sd, cfg):
                 verdict = "diverged"
                 break
             u, coeffs = u_next, c_next
-            st, nu = make_state(k, u, delta, states[-1].delta_norm_H12D)
-            states.append(st)
-            if st.l2t_norm > blow_up:
-                verdict = "diverged"
-                break
-            if (delta < cfg.tol_cauchy and (st.ratio is None or st.ratio < 1.0)
-                    and st.pde_residual < cfg.tol_residual):
-                verdict = "converged"  # Cauchy alone iterates on to max_iter
-                break
         # |u - g| past ~1e154 at an endpoint overflows the norm to inf
         boundary = boundary_residual(spec, u, cfg.g)
 

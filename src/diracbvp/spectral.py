@@ -291,20 +291,21 @@ def _lanczos_max(matvec, m, what):
     _fixed_unit_vector(m), with no reorthogonalization: it keeps the last
     two basis vectors and the tridiagonal T = (a, b) of Python floats
     only, so its memory is O(m) however many steps it takes.  Every
-    _LANCZOS_CHECK_EVERY steps, and at the last step allowed, it bisects
-    T's top Ritz value theta to the last bit (_bisect_top), finds the
-    last entry s of its vector (_last_component), and stops when the
-    residual beta_k |s| is at most 1e-10 theta.  Both are O(k) scalar
-    recurrences, with no LAPACK call: LAPACK on a k x k matrix hands its
-    inner products to the threaded BLAS once k passes about 100, and on
-    two threads the wake-ups of the BLAS workers cost more than the
-    whole check and vary tenfold from one run to the next.  Lost
-    orthogonality does not spoil the test for the top eigenvalue (Paige,
-    Lin. Alg. Appl. 34, 1980): it brings only copies of Ritz values that
-    have already converged.  Nor is step m an exit, since the basis is
-    no longer orthogonal by then: a run may go on past m steps.
-    NumericalError, naming `what` and the cap, when LANCZOS_MAX_STEPS *
-    ceil(sqrt(m / 4096)) steps do not converge.
+    _LANCZOS_CHECK_EVERY steps, at the last step allowed, and at a
+    beta_k = 0 (an invariant subspace: the residual is 0, so it returns
+    there), it bisects T's top Ritz value theta to the last bit
+    (_bisect_top), finds the last entry s of its vector
+    (_last_component), and stops when the residual beta_k |s| is at most
+    1e-10 theta.  Both are O(k) scalar recurrences, with no LAPACK call:
+    LAPACK on a k x k matrix hands its inner products to the threaded
+    BLAS once k passes about 100, and on two threads the wake-ups of the
+    BLAS workers cost more than the whole check and vary tenfold from one
+    run to the next.  Lost orthogonality does not spoil the test for the
+    top eigenvalue (Paige, Lin. Alg. Appl. 34, 1980): it brings only
+    copies of Ritz values that have already converged.  Nor is step m an
+    exit, since the basis is no longer orthogonal by then: a run may go on
+    past m steps.  NumericalError, naming `what` and the cap, when
+    LANCZOS_MAX_STEPS * ceil(sqrt(m / 4096)) steps do not converge.
     """
     cap = LANCZOS_MAX_STEPS * math.ceil(math.sqrt(m / 4096))
     a, b, b2 = [], [], []

@@ -10,7 +10,7 @@ from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpinorField,
 from diracbvp.errors import NumericalError, ParameterError
 from diracbvp.operators import (BAG_P_LEFT, BAG_P_RIGHT, _antiperiodic_freqs,
                                 _apply_D_values)
-from diracbvp.spectral import _order_spectrum
+from diracbvp.spectral import _order_spectrum, shifted_spectrum
 
 
 @pytest.fixture(scope="session")
@@ -65,9 +65,10 @@ def mode_field(grid, k=1, scale=1.0):
 
 def step_field(sd, cfg, u_k):
     """u_{k+1} = from_coeffs(c_{k+1}) + g, with c_{k+1} = scheme.step on
-    the operands N(u_k) and D g that run would give it."""
+    the operands N(u_k), D g and lambda_j - a that run would give it."""
     c_next = step(sd, cfg, u_k, nonlinearity(u_k, cfg.p),
-                  apply_D(sd.operator.spec, cfg.g))
+                  apply_D(sd.operator.spec, cfg.g),
+                  shifted_spectrum(sd, cfg.a))
     return sd.from_coeffs(c_next) + cfg.g
 
 

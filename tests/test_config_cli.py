@@ -1,15 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracbvp import Grid1D, SpinorField, config, save_field_csv
@@ -446,6 +449,125 @@ def test_every_config_text_parses_or_is_refused(text):
     assert grid and all(math.isfinite(v) for point in grid for v in point)
 
 
+# ---------------------------------------------------- property: commands
+
+# parseable extremes of each numeric key; model.n_points stays <= 64 and
+# the integer keys that set a run's length stay small
+_REALS = ["0", "5e-324", "-1e-320", "1e-300", "1e-155", "0.5", "1", "8/3",
+          "pi", "-1", "1e10", "1e155", "1e300", "1.7e308", "-1.7e308"]
+_POSITIVES = [v for v in _REALS if v != "0" and not v.startswith("-")]
+_COMPLEXES = _REALS + ["1j", "0.5-0.5j", "1e-320j", "-1e308j", "pi+1e300j"]
+_N_POINTS = ["8", "9", "16", "17", "33", "64"]
+_MAX_ITERS = ["1", "2", "3", "50", "200"]
+_FIELDS = (["zero"] + ["const(%s)" % v for v in _COMPLEXES]
+           + ["exp_mode(%s, %s)" % (k, v) for k in ("0", "1", "3", "10**300")
+              for v in _REALS])
+_COMMAND_KEYS = {
+    "model": {"boundary": ["antiperiodic", "periodic", "bag1d"],
+              "length": _POSITIVES},
+    "scheme": {"lambda": _COMPLEXES, "p": ["2", "8/3", "4", "400", "1e308"],
+               "g": _FIELDS, "f0": ["g"] + _FIELDS, "a": _COMPLEXES,
+               "xi": _POSITIVES, "lambda_cap": _POSITIVES,
+               "max_iter": _MAX_ITERS, "tol_cauchy": _POSITIVES,
+               "tol_residual": _POSITIVES},
+    "constants": {"n": ["2", "3", "4", "10**6"], "p_a": _REALS,
+                  "c_h": _POSITIVES, "big_c_h": _POSITIVES, "iota": _REALS,
+                  "k_gn": _POSITIVES, "k_gn2": _POSITIVES,
+                  "k_fgn": _POSITIVES, "c1": ["empirical"] + _POSITIVES,
+                  "c_half": ["empirical", "formula"] + _POSITIVES,
+                  "mode": ["C_final", "B_explicit", "A_raw"]},
+    "bootstrap": {"n": ["3", "4", "5", "100"],
+                  "p": ["8/3", "3", "2.0000001", "1e308"], "l0": _POSITIVES},
+    "functional": {"m": ["1", "3", "10", "10**300"]},
+}
+_AXIS_VALUES = {"model.n_points": _N_POINTS, "scheme.max_iter": _MAX_ITERS}
+
+
+def _optional_keys(keys, **required):
+    return st.fixed_dictionaries(
+        required, optional={key: st.sampled_from(vals)
+                            for key, vals in keys.items()})
+
+
+def _command_axis(param):
+    values = st.sampled_from(_AXIS_VALUES.get(param, _REALS))
+    return st.fixed_dictionaries({
+        "param": st.just(param), "min": values, "max": values,
+        "count": st.sampled_from(["2", "3"]),
+        "scale": st.sampled_from(["lin", "log"])})
+
+
+_COMMAND_AXIS = st.sampled_from(
+    ["model.length", "model.n_points"]
+    + ["scheme." + key for key in sorted(_COMMAND_KEYS["scheme"])
+       if key not in ("g", "f0")]
+    + ["constants." + key for key in sorted(_COMMAND_KEYS["constants"])
+       if key != "mode"]).flatmap(_command_axis)
+_COMMAND_SECTIONS = dict(
+    {name: _optional_keys(keys) for name, keys in _COMMAND_KEYS.items()},
+    model=_optional_keys(_COMMAND_KEYS["model"],
+                         n_points=st.sampled_from(_N_POINTS)))
+_SWEEP_AXES = st.tuples(_COMMAND_AXIS, st.none() | _COMMAND_AXIS).map(
+    lambda axes: dict(list(axes[0].items())
+                      + [(key + "2", val)
+                         for key, val in (axes[1] or {}).items()]))
+
+
+def _command_case(command):
+    """(command, config text); a sweep always has its [sweep] axes."""
+    sections = dict(_COMMAND_SECTIONS)
+    if command == "sweep":
+        sections["sweep"] = _SWEEP_AXES
+    return st.fixed_dictionaries(sections).map(lambda drawn: (command, "".join(
+        _section_text(name, sorted(keys.items()))
+        for name, keys in drawn.items() if keys)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(["spectrum", "solve", "check", "sweep",
+                             "bootstrap", "functional"]).flatmap(_command_case))
+# (C3)'s coefficient underflowed to 0, and the threshold divided by it
+@example(case=("check",
+               "[model]\nboundary = bag1d\nlength = 4\nn_points = 16\n"
+               "[scheme]\np = 8/3\ng = const(4)\n[constants]\nn = 2\n"
+               "iota = 4\nk_fgn = 1e-300\nc_half = 2\n"))
+# the grid spacing underflowed to 0, and the derivative divided by it
+@example(case=("solve", "[model]\nboundary = bag1d\nlength = 5e-324\n"
+                        "n_points = 16\n"))
+def test_every_command_exits_0_or_with_one_error_line(case):
+    # cli.main in process, warnings as errors: exit 0 with strict JSON and
+    # CSV artifacts, or exit 1 with one error line last on stderr; any
+    # other exception escapes and fails the test
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = os.path.join(tmp, "run.ini"), os.path.join(tmp, "out")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            status = main([command, "--config", cfg_path, "--out", out])
+        lines = err.getvalue().splitlines()
+        assert status in (0, 1)
+        if status == 1:
+            assert lines and lines.pop().startswith("error: ")
+        assert all(line.startswith("warning: ") for line in lines)
+        if status == 1:
+            return
+        for name in sorted(os.listdir(out)):
+            path = os.path.join(out, name)
+            if name.endswith(".json"):
+                with open(path, encoding="utf-8") as fh:
+                    json.load(fh, parse_constant=_refuse_constant)
+            else:
+                rows = read_csv(path)
+                assert rows and all(len(row) == len(rows[0]) for row in rows)
+
+
+def _refuse_constant(name):
+    raise ValueError("non-finite JSON constant %s" % name)
+
+
 # ----------------------------------------------------------- subcommands
 
 BASE = """
@@ -518,7 +640,8 @@ def test_solve_computes_each_operand_once(tmp_path, monkeypatch):
     # nonlinearity: one N(u) per state, shared by its residual and the
     # next step.  graph_norm: none, the increment is read off the
     # coefficients that run keeps.  lp_norm: u, D u and the residual per
-    # state (u_H1 is w1q of the first two), g and D g for the certificate
+    # state (u_H1 is w1q of the first two), g and D g for the certificate.
+    # shifted_spectrum: once per run; step: once per state after the first
     import importlib.util
     path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "benchmarks", "workloads.py")
@@ -530,6 +653,9 @@ def test_solve_computes_each_operand_once(tmp_path, monkeypatch):
                                                    256)
     with open(cmd.config, encoding="utf-8") as fh:
         cfg = parse_config(fh.read(), base_dir=str(tmp_path / "in"))
+    # scheme imports both names, so its bindings are the ones counted
+    shifted = count_calls(monkeypatch, "diracbvp.scheme", "shifted_spectrum")
+    steps = count_calls(monkeypatch, "diracbvp.scheme", "step")
     calls = count_calls(monkeypatch, "diracbvp.operators", "apply_D")
     nonlinear = count_calls(monkeypatch, "diracbvp.grids", "nonlinearity")
     graph = count_calls(monkeypatch, "diracbvp.spectral", "graph_norm")
@@ -541,6 +667,8 @@ def test_solve_computes_each_operand_once(tmp_path, monkeypatch):
     assert len(nonlinear) == states == 4
     assert len(graph) == 0
     assert len(norms) == 3 * states + 2 == 14
+    assert len(shifted) == 1
+    assert len(steps) == states - 1 == 3
 
 
 def test_certificate_applies_D_once(monkeypatch):
@@ -1258,6 +1386,40 @@ def test_main_check_writes_strict_json_without_bound(tmp_path):
     with open(out / "conditions.json", encoding="utf-8") as fh:
         payload = json.load(fh, parse_constant=reject)
     assert payload["contraction_bound"] is None
+
+
+@pytest.mark.parametrize("model, length, n_points",
+                         [("bag1d", "5e-324", 16),
+                          ("periodic", "1e-320", 65536),
+                          ("antiperiodic", "5e-324", 16)])
+def test_main_refuses_a_grid_spacing_of_0(tmp_path, capsys, model, length,
+                                          n_points):
+    # L / (N - 1), or L / N on the circle, underflows to 0: bag1d's
+    # derivative divided by it, and periodic's fftfreq took it as d = 0
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = %s\nlength = %s\n"
+                                   "n_points = %d\n" % (model, length,
+                                                        n_points))
+    for command in ("spectrum", "solve", "check", "functional"):
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err \
+            == "error: the grid spacing underflows to 0 at model.length = " \
+               "%s, model.n_points = %d\n" % (length, n_points)
+
+
+def test_sweep_refuses_a_grid_spacing_of_0_as_its_point_row(tmp_path):
+    cfg_path = write_cfg(tmp_path, "[model]\nboundary = bag1d\n"
+                                   "n_points = 16\n[constants]\nc1 = 2\n"
+                                   "c_half = 2\n[sweep]\n"
+                                   "param = model.length\nmin = 5e-324\n"
+                                   "max = 1\ncount = 2\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = read_csv(out / "sweep.csv")
+    assert [row[:3] for row in rows[1:]] == [
+        ["0", "5e-324", "error: the grid spacing underflows to 0 at "
+                        "model.length = 5e-324, model.n_points = 16"],
+        ["1", "1.0", "converged"]]
 
 
 @pytest.mark.parametrize("k_fgn", ["1e-160", "1e-300"])

@@ -54,6 +54,9 @@ def test_step_near_singular_shift(anti_sd, anti_spec):
     with pytest.raises(ParameterError, match=r"^lambda - a = .* too close "
                                              r"to zero at eigenvalue"):
         step_field(anti_sd, cfg, cfg.g)
+    with pytest.raises(ParameterError, match=r"^lambda - a = .* too close "
+                                             r"to zero at eigenvalue"):
+        run(anti_sd, cfg)
 
 
 def test_periodic_needs_shift(periodic_sd):
@@ -71,8 +74,8 @@ def test_periodic_needs_shift(periodic_sd):
                                       ("periodic", 0.5)])
 def test_step_matches_the_two_transform_formula(request, model, a):
     # the right-hand side is transformed once; the reference transforms
-    # R lambda N(u_k) - R D g and a utilde_k apart.  step returns the
-    # coefficients of utilde_{k+1}
+    # lambda N(u_k) - D g and a utilde_k apart.  step returns the
+    # coefficients of utilde_{k+1}, divided by the spectrum it is given
     sd = request.getfixturevalue(model + "_sd")
     grid = sd.operator.spec.grid
     x = grid.points() / grid.length
@@ -83,7 +86,7 @@ def test_step_matches_the_two_transform_formula(request, model, a):
     n_k, dg = nonlinearity(u_k, cfg.p), apply_D(sd.operator.spec, g)
     coeffs = sd.to_coeffs(cfg.lam * n_k - dg) - a * sd.to_coeffs(u_k - g)
     ref = coeffs / (sd.eigenvalues - a)
-    got = step(sd, cfg, u_k, n_k, dg)
+    got = step(sd, cfg, u_k, n_k, dg, sd.eigenvalues - a)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -98,11 +101,19 @@ def test_lambda_zero_run(anti_sd, anti_spec):
 
 
 def test_contraction_run(anti_sd, anti_spec):
-    rep = run(anti_sd, base_config(anti_spec.grid))
+    cfg = base_config(anti_spec.grid)
+    rep = run(anti_sd, cfg)
     assert rep.verdict == "converged"
     assert all(r < 1.0 for r in rep.ratios)
     assert rep.bounds_held
     assert rep.lambda1 == anti_sd.lambda1
+    # the last iterate is a fixed point of the Picard map T = step to
+    # within the Cauchy tolerance: ||T(u) - (u - g)|| in coefficients
+    u = rep.u
+    t_u = step(anti_sd, cfg, u, nonlinearity(u, cfg.p),
+               apply_D(anti_spec, cfg.g), anti_sd.eigenvalues - cfg.a)
+    assert np.linalg.norm(t_u - anti_sd.to_coeffs(u - cfg.g)) \
+        < cfg.tol_cauchy
 
 
 def test_divergence_at_large_lambda(anti_sd, anti_spec):
@@ -118,11 +129,13 @@ def test_divergence_at_large_lambda(anti_sd, anti_spec):
 
 def test_overflowing_datum_diverges_from_state_0(anti_sd, anti_spec):
     # the derivative of g and |g|^2 g leave the floats: state 0 is still
-    # recorded with those norms as inf, and the first step ends the run
-    rep = run(anti_sd, base_config(anti_spec.grid, scale=1e308))
-    assert rep.verdict == "diverged"
-    assert len(rep.states) == 1
-    assert rep.states[0].h1t_norm == rep.states[0].pde_residual == np.inf
+    # recorded with those norms as inf, and the first step ends the run,
+    # before the shift is checked (a = pi is an eigenvalue of D_P)
+    for a in (0.0, np.pi):
+        rep = run(anti_sd, base_config(anti_spec.grid, scale=1e308, a=a))
+        assert rep.verdict == "diverged"
+        assert len(rep.states) == 1
+        assert rep.states[0].h1t_norm == rep.states[0].pde_residual == np.inf
 
 
 def test_blow_up_cap_skips_state_0():
@@ -141,14 +154,18 @@ def test_blow_up_cap_skips_state_0():
 
 def test_overflowing_nonlinearity_keeps_u_H1(anti_sd, anti_spec):
     # |u|^398 u leaves the floats but D u does not: state 0 keeps its
-    # u_H1, and the first step, which needs N(u_0), ends the run
-    cfg = SchemeConfig(lam=0.5, p=400, g=mode_field(anti_spec.grid, scale=0.1),
-                       f0=mode_field(anti_spec.grid, scale=10.0))
-    rep = run(anti_sd, cfg)
-    assert rep.verdict == "diverged"
-    assert len(rep.states) == 1
-    assert rep.states[0].pde_residual == np.inf
-    assert rep.states[0].h1t_norm == w1q_norm(anti_spec, cfg.f0, 2) < np.inf
+    # u_H1, and the first step, which needs N(u_0), ends the run whatever
+    # the shift
+    for a in (0.0, np.pi):
+        cfg = SchemeConfig(lam=0.5, p=400, a=a,
+                           g=mode_field(anti_spec.grid, scale=0.1),
+                           f0=mode_field(anti_spec.grid, scale=10.0))
+        rep = run(anti_sd, cfg)
+        assert rep.verdict == "diverged"
+        assert len(rep.states) == 1
+        assert rep.states[0].pde_residual == np.inf
+        assert rep.states[0].h1t_norm \
+            == w1q_norm(anti_spec, cfg.f0, 2) < np.inf
 
 
 def test_huge_start_reports_an_infinite_boundary_residual(anti_sd, anti_spec):

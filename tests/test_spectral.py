@@ -9,10 +9,10 @@ from conftest import (decompose_dense, dense_eigenvectors, dense_matrix,
                       dense_rayleigh_maxima, mode_field,
                       random_constrained_field)
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SchemeConfig,
-                      SpectralData, SpinorField, apply_D, apply_fractional,
+                      SpectralData, SpinorField, apply_fractional,
                       apply_inverse, apply_operator, assemble, decompose,
                       eigenfunction, estimate_constants, graph_norm, lp_norm,
-                      nonlinearity, slobodeckij_norm, split_pm, step)
+                      run, slobodeckij_norm, split_pm)
 from diracbvp.cli import run_command
 from diracbvp.config import parse_config
 from diracbvp.errors import DiracBVPError, NumericalError, ParameterError
@@ -254,17 +254,16 @@ def test_inverse_near_singular_shift(anti_sd, periodic_sd):
 def test_singular_shift_guard_is_relative_on_a_long_interval():
     # at L = 1e12 every eigenvalue is below 1e-8: a shift 1e-6 of lambda_3
     # away is regular, one 1e-12 of it away is singular, for apply_inverse
-    # and scheme.step alike
+    # and scheme.run alike
     sd = decompose(assemble(ModelSpec(Grid1D(1e12, 256),
                                       BoundaryCondition("antiperiodic"))))
     lam3 = sd.eigenvalues[3]
     g = mode_field(sd.operator.spec.grid, scale=1e-7)
-    n_g, dg = nonlinearity(g, 4.0), apply_D(sd.operator.spec, g)
     for rel, singular in ((1e-12, True), (1e-6, False)):
         a = lam3 * (1.0 + rel)
         cfg = SchemeConfig(lam=0.5, p=4.0, g=g, a=a)
         for call in (lambda: apply_inverse(sd, g, a=a).values,
-                     lambda: step(sd, cfg, g, n_g, dg)):
+                     lambda: run(sd, cfg).u.values):
             if singular:
                 with pytest.raises(ParameterError,
                                    match="too close to zero at eigenvalue"):
