@@ -1,20 +1,19 @@
 """The Lebesgue-exponent bootstrap of the regularity argument, in exact
 rational arithmetic on scalars: this module imports no numpy."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NumericalError, ParameterError
 
+# reciprocals: 1/l^{(M)} from the recursion; m_star: the first M with a
+# negative value, or None when none is reached in MAX_STEPS steps
+BootstrapTrace = namedtuple("BootstrapTrace", "reciprocals m_star")
+MAX_STEPS = 64
 
-@dataclass
-class BootstrapTrace:
-    reciprocals: list     # 1/l^{(M)} from the recursion
-    m_star: int           # first index with a negative value, or None
 
-
-def bootstrap_exponents(n, p, l0, max_steps=64):
-    """Iterate 1/l^{(M)} = (p-1)/l^{(M-1)} - 1/n until < 0 or max_steps.
+def bootstrap_exponents(n, p, l0):
+    """Iterate 1/l^{(M)} = (p-1)/l^{(M-1)} - 1/n until < 0 or MAX_STEPS.
 
     A value of 0 does not stop the run: 1/l = 0 puts u in W^{1,n}, the
     borderline case that embeds into every L^r with r < inf but not into
@@ -37,7 +36,7 @@ def bootstrap_exponents(n, p, l0, max_steps=64):
     x, values = Fraction(1, 1) / Fraction(l0), []
     fixed = 1 / (n * (pf - 2))
     gap = x - fixed  # 1/l0 - 1/(n(p-2))
-    for m in range(max_steps + 1):
+    for m in range(MAX_STEPS + 1):
         if x != (pf - 1) ** m * gap + fixed:
             raise NumericalError("bootstrap recursion/closed-form mismatch")
         try:

@@ -13,12 +13,12 @@ memory, is that point's error row.  Outputs are deterministic for a fixed
 config; JSON is strict.
 
 Each command imports the array layers it uses when it runs, so
-`bootstrap`, `--help`, usage errors and refused configs load no numpy.
+`bootstrap`, `--help`, usage errors and refused configs load no numpy
+and no dataclasses; check builds no scheme, and loads no diracbvp.scheme.
 """
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -72,9 +72,9 @@ def cmd_spectrum(cfg, out_dir):
     return 0
 
 
-def _certify(cfg, sd, scheme_cfg):
+def _certify(cfg, sd, g):
     from . import conditions
-    consts = cfg.build_constants(sd, scheme_cfg)
+    consts = cfg.build_constants(sd, g)
     mode = cfg.values["constants"]["mode"]
     return conditions.check_conditions(consts, mode), consts
 
@@ -85,7 +85,7 @@ def _run_scheme(cfg, sd, g, f0, where=""):
     from . import scheme
     scheme_cfg = cfg.build_scheme(g, f0)
     try:
-        certified = _certify(cfg, sd, scheme_cfg)[0].certified
+        certified = _certify(cfg, sd, g)[0].certified
     except DiracBVPError as exc:
         certified = None
         print("warning: %sconditions not certified: %s" % (where, exc),
@@ -107,10 +107,11 @@ def cmd_solve(cfg, out_dir):
 
 
 def cmd_check(cfg, out_dir):
+    import dataclasses
     from . import conditions
     sd = _prepare(cfg)
-    scheme_cfg = cfg.build_scheme(*cfg.build_fields(sd.operator.spec))
-    cond_report, consts = _certify(cfg, sd, scheme_cfg)
+    g = cfg.build_fields(sd.operator.spec)[0]  # and f0, so a bad one is refused
+    cond_report, consts = _certify(cfg, sd, g)
     payload = cond_report.to_dict()
     payload["constants"] = dataclasses.asdict(consts)
     payload["provenance"] = payload["constants"].pop("provenance")

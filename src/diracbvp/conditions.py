@@ -233,16 +233,17 @@ def el_transform(sd, phi, q):
 VARIANT_FIRST = "first"
 VARIANT_SECOND = "second"
 VARIANT_FRACTIONAL = "fractional"
+MAX_MODE = 8  # the highest mode of a _random_smooth_field
 
 
-def _random_smooth_field(grid, rng, max_mode=8):
+def _random_smooth_field(grid, rng):
     """Band-limited random scalar trial field and its exact derivative.
 
-    sum_k c_k exp(i xi_k x), k = 0..max_mode, xi_k = 2 pi k/L on circles
+    sum_k c_k exp(i xi_k x), k = 0..MAX_MODE, xi_k = 2 pi k/L on circles
     and pi k/L on intervals, not boundary-constrained: a bare grid has no
     model D, so the derivative is taken term by term.
     """
-    k = np.arange(max_mode + 1)
+    k = np.arange(MAX_MODE + 1)
     z = rng.standard_normal(2 * k.size)
     c = (z[0::2] + 1j * z[1::2]) / (1.0 + k * k)
     xi = (2.0 if grid.topology == CIRCLE else 1.0) * np.pi * k / grid.length

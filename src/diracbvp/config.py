@@ -34,7 +34,6 @@ import math
 import os
 import sys
 from configparser import ConfigParser
-from dataclasses import dataclass, replace
 
 from .errors import ConfigParseError, InvalidFieldError
 from .names import (ANTIPERIODIC, CIRCLE, DIRAC_2SPINOR, MODE_A, MODE_B,
@@ -230,11 +229,12 @@ _SCHEMA = {
 }
 
 
-@dataclass
 class RunConfig:
-    values: dict  # section -> key -> value, as its _SCHEMA parser returns it
-    base_dir: str = "."
-    sweep: list = None  # the axes (param, min, max, count, scale), or None
+    """values: section -> key -> value, as its _SCHEMA parser returns it;
+    sweep: the axes (param, min, max, count, scale), or None."""
+
+    def __init__(self, values, base_dir=".", sweep=None):
+        self.values, self.base_dir, self.sweep = values, base_dir, sweep
 
     def with_override(self, path, value):
         """Copy with value, run through its key's parser, at path (a
@@ -244,7 +244,7 @@ class RunConfig:
         values = {s: dict(kv) for s, kv in self.values.items()}
         values[section][key] = _SCHEMA[section][key][0](repr(float(value)),
                                                         path)
-        return replace(self, values=values)
+        return RunConfig(values, self.base_dir, self.sweep)
 
     # -- builders -----------------------------------------------------
 
@@ -324,7 +324,7 @@ class RunConfig:
             tol_cauchy=scheme["tol_cauchy"],
             tol_residual=scheme["tol_residual"])
 
-    def build_constants(self, sd, scheme_cfg):
+    def build_constants(self, sd, g):
         """AnalyticConstants from the config plus measured quantities.
 
         c1 is a number or sd.c1_emp; then c_half is a number,
@@ -339,7 +339,7 @@ class RunConfig:
         from .conditions import AnalyticConstants
         from .grids import lp_norm, w1q
         from .operators import apply_D
-        consts = self.values["constants"]
+        consts, scheme = self.values["constants"], self.values["scheme"]
         c1, c_half = consts["c1"], consts["c_half"]
         provenance = {k: "assumed" for k in
                       ("c_h", "C_h", "K_GN", "K_GN2", "K_FGN", "c1", "c_half")}
@@ -353,10 +353,9 @@ class RunConfig:
         if isinstance(consts["c_half"], str):  # empirical or formula
             provenance["c_half"] = "computed"
 
-        g, spec = scheme_cfg.g, sd.operator.spec
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                dg = apply_D(spec, g)
+                dg = apply_D(sd.operator.spec, g)
             except InvalidFieldError as exc:
                 raise InvalidFieldError("scheme.g: D g is out of "
                                         "floating-point range") from exc
@@ -364,14 +363,14 @@ class RunConfig:
         for name in ("lambda1_abs", "Dg_L2", "g_L2T", "g_H1T", "lambda_abs"):
             provenance[name] = "computed"
         return AnalyticConstants(
-            n=consts["n"], p=scheme_cfg.p, p_A=consts["p_a"],
+            n=consts["n"], p=scheme["p"], p_A=consts["p_a"],
             c_h=consts["c_h"], C_h=consts["big_c_h"], c1=c1, c_half=c_half,
             K_GN=consts["k_gn"], K_GN2=consts["k_gn2"],
             K_FGN=consts["k_fgn"],
-            lambda_abs=abs(scheme_cfg.lam),
+            lambda_abs=abs(scheme["lambda"]),
             lambda1_abs=abs(sd.lambda1), Dg_L2=dg_l2, g_L2T=g_l2,
             g_H1T=w1q(g_l2, dg_l2, 2),
-            Xi=scheme_cfg.Xi, Lambda_cap=scheme_cfg.Lambda_cap,
+            Xi=scheme["xi"], Lambda_cap=scheme["lambda_cap"],
             provenance=provenance)
 
 

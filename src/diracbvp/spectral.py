@@ -275,8 +275,8 @@ def _rayleigh_max(sd, s):
 # Lanczos steps allowed per ceil(sqrt(m / 4096)) before _lanczos_max
 # gives up: 1024 up to m = 4096, 2048 up to 16384, 3072 up to 36864.
 # The c_half form of the antiperiodic model, the slowest, needs about
-# 6.5 sqrt(N): 104 steps at N=256, 216 at N=1024, 416 at N=4096, 592 at
-# N=8192 and 840 at N=16384; bag1d needs at most 16 up to N=4096, and
+# 6.5 sqrt(N): 96 steps at N=256, 208 at N=1024, 408 at N=4096, 584 at
+# N=8192 and 824 at N=16384; bag1d needs at most 16 up to N=4096, and
 # either model's c1 form converges at the first check.  Only
 # the run time grows with the steps; the memory stays O(m).
 LANCZOS_MAX_STEPS = 1024

@@ -129,17 +129,37 @@ def run_fresh(code, *args):
 def test_paths_without_arrays_load_no_numpy(tmp_path, argv, text, status,
                                             modules):
     # the module set, not a timing: bootstrap, --help and a refused
-    # config never import numpy or an array layer
+    # config never import numpy or an array layer, nor dataclasses and
+    # inspect, which the array layers' records need
     if text is not None:
         argv = argv + ["--config", str(write_cfg(tmp_path, text)),
                        "--out", str(tmp_path / "out")]
     code = ("import sys; from diracbvp.cli import main\n"
             "try:\n    rc = main(sys.argv[1:])\n"
             "except SystemExit as exc:\n    rc = exc.code\n"
-            "print(rc, sorted(m for m in sys.modules if m == 'numpy' "
+            "print(rc, sorted(m for m in sys.modules if m in "
+            "('numpy', 'dataclasses', 'inspect') "
             "or m.startswith('diracbvp')))")
     last = run_fresh(code, *argv).strip().splitlines()[-1]
     assert last == "%d %r" % (status, modules)
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("spectrum", False), ("check", False), ("functional", False),
+    ("solve", True), ("sweep", True)])
+def test_only_commands_that_iterate_load_the_scheme(tmp_path, command,
+                                                    loaded):
+    # check certifies from the [scheme] values and the datum g alone:
+    # it builds no SchemeConfig
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 16\n[sweep]\n"
+                                   "param = scheme.lambda\nmin = 0\n"
+                                   "max = 0.1\ncount = 2\n")
+    code = ("import sys; from diracbvp.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "print(rc, 'diracbvp.scheme' in sys.modules)")
+    out = run_fresh(code, command, "--config", str(cfg_path),
+                    "--out", str(tmp_path / "out"))
+    assert out.split() == ["0", str(loaded)]
 
 
 def test_package_exports_load_lazily():
@@ -676,9 +696,9 @@ def test_certificate_applies_D_once(monkeypatch):
     from diracbvp.cli import _prepare
     cfg = parse_config(BASE)
     sd = _prepare(cfg)
-    scheme_cfg = cfg.build_scheme(*cfg.build_fields(sd.operator.spec))
+    g = cfg.build_fields(sd.operator.spec)[0]
     calls = count_calls(monkeypatch, "diracbvp.operators", "apply_D")
-    consts = cfg.build_constants(sd, scheme_cfg)
+    consts = cfg.build_constants(sd, g)
     assert len(calls) == 1
     assert consts.g_H1T ** 2 == pytest.approx(consts.g_L2T ** 2
                                               + consts.Dg_L2 ** 2, rel=1e-14)
@@ -688,6 +708,7 @@ def test_cmd_check(tmp_path, monkeypatch):
     cfg = parse_config(BASE)
     out = tmp_path / "check"
     norms = count_calls(monkeypatch, "diracbvp.grids", "lp_norm")
+    monkeypatch.setattr(config.RunConfig, "build_scheme", None)  # not called
     assert run_command(cfg, "check", str(out)) == 0
     assert len(norms) == 2  # g_L2T and Dg_L2; g_H1T is w1q of the two
     payload = read_json(out / "conditions.json")
@@ -1237,6 +1258,17 @@ def test_main_bad_sample_file_names_its_key(tmp_path, capsys, header, row,
     err = capsys.readouterr().err
     assert err.startswith("error: scheme.%s: %s" % (key, data))
     assert err.count("\n") == 1 and where in err
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_main_refuses_a_missing_f0_file(tmp_path, capsys, command):
+    # check runs no scheme, but it builds f0 as solve does
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 8\n[scheme]\n"
+                                   "f0 = sample_file(missing.csv)\n")
+    assert main([command, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: scheme.f0: file %r does not " \
+        "exist\n" % str(tmp_path / "missing.csv")
 
 
 @pytest.mark.parametrize("key", ["g", "f0"])
