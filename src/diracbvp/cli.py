@@ -1,16 +1,17 @@
 """Batch front end: config-driven commands writing CSV/JSON artifacts.
 
 Commands: spectrum, solve, check, sweep, bootstrap, functional.  One
-parser takes the command and the flags --config <path>, --out <dir>,
---workers <k>, in any order.  Every config value is parsed and
-range-checked before a command starts.  solve and every sweep point run
-_run_scheme; sweep evaluates its points one after another, reusing the
-decomposed model and the fields g and f0 while consecutive points share
-the [model] section; --workers is accepted for compatibility and changes
-nothing (the key run.workers is refused).  A certificate that raises is
-a `warning:` line on stderr; a sweep point that raises, or runs out of
-memory, is that point's error row.  Outputs are deterministic for a fixed
-config; JSON is strict.
+parser takes the command and the flags --config <path>, --out <dir>
+(default out), --workers <k>, in any order.  Every config value is
+parsed and range-checked before a command starts.  solve, check and
+sweep get the decomposed model and the fields g and f0 from
+_model_and_fields; solve and every sweep point run _run_scheme.  sweep
+runs its points one after another, reusing the model and fields while
+consecutive points share the [model] section; --workers is accepted for
+compatibility and changes nothing (a [run] section is refused).  A
+certificate that raises is a `warning:` line on stderr; a sweep point
+that raises, or runs out of memory, is that point's error row.  Outputs
+are deterministic for a fixed config; JSON is strict.
 
 Each command imports the array layers it uses when it runs, so
 `bootstrap`, `--help`, usage errors and refused configs load no numpy
@@ -57,6 +58,18 @@ def _prepare(cfg):
     return spectral.decompose(operators.assemble(cfg.build_model()))
 
 
+def _model_and_fields(cfg, cache):
+    """(sd, g, f0): cfg's decomposed model and its fields g and f0, from
+    cache while the [model] section repeats (sweep points): sd keeps its
+    constant estimates, and no axis changes the fields g and f0."""
+    key = tuple(sorted(cfg.values["model"].items()))
+    if key not in cache:
+        cache.clear()
+        sd = _prepare(cfg)
+        cache[key] = (sd,) + cfg.build_fields(sd.operator.spec)
+    return cache[key]
+
+
 def cmd_spectrum(cfg, out_dir):
     from . import spectral
     sd = _prepare(cfg)
@@ -97,8 +110,7 @@ def _run_scheme(cfg, sd, g, f0, where=""):
 
 def cmd_solve(cfg, out_dir):
     from . import scheme
-    sd = _prepare(cfg)
-    report = _run_scheme(cfg, sd, *cfg.build_fields(sd.operator.spec))
+    report = _run_scheme(cfg, *_model_and_fields(cfg, {}))
     _write_csv(os.path.join(out_dir, "trace.csv"),
                ["k", "delta_H12D", "ratio", "u_L2", "u_H1", "pde_residual"],
                scheme.trace_rows(report))
@@ -109,8 +121,7 @@ def cmd_solve(cfg, out_dir):
 def cmd_check(cfg, out_dir):
     import dataclasses
     from . import conditions
-    sd = _prepare(cfg)
-    g = cfg.build_fields(sd.operator.spec)[0]  # and f0, so a bad one is refused
+    sd, g, _ = _model_and_fields(cfg, {})  # f0 too, so a bad one is refused
     cond_report, consts = _certify(cfg, sd, g)
     payload = cond_report.to_dict()
     payload["constants"] = dataclasses.asdict(consts)
@@ -118,18 +129,6 @@ def cmd_check(cfg, out_dir):
     payload["c3_lambda_threshold"] = conditions.c3_lambda_threshold(consts)
     _write_json(os.path.join(out_dir, "conditions.json"), payload)
     return 0
-
-
-def _sweep_model(point, cache):
-    """(sd, g, f0) of the point's [model] section, from cache while the
-    section repeats: sd keeps its constant estimates, and no axis changes
-    the fields g and f0."""
-    key = tuple(sorted(point.values["model"].items()))
-    if key not in cache:
-        cache.clear()
-        sd = _prepare(point)
-        cache[key] = (sd,) + point.build_fields(sd.operator.spec)
-    return cache[key]
 
 
 def cmd_sweep(cfg, out_dir):
@@ -146,7 +145,7 @@ def cmd_sweep(cfg, out_dir):
         try:
             for path, val in zip(names, values):
                 point = point.with_override(path, val)
-            rep = _run_scheme(point, *_sweep_model(point, cache),
+            rep = _run_scheme(point, *_model_and_fields(point, cache),
                               where="sweep point %d: " % idx)
             cells = [rep.verdict, rep.iterations, repr(rep.pde_residual),
                      repr(max(rep.ratios, default=0.0)),
@@ -198,11 +197,10 @@ _COMMANDS = {"spectrum": cmd_spectrum, "solve": cmd_solve, "check": cmd_check,
              "functional": cmd_functional}
 
 
-def run_command(cfg, command, out_dir=None):
-    """Dispatch a command; returns the process exit status."""
+def run_command(cfg, command, out_dir="out"):
+    """Dispatch a command writing into out_dir; returns the exit status."""
     if command not in _COMMANDS:
         raise DiracBVPError("unknown command %r" % (command,))
-    out_dir = out_dir or cfg.values["run"]["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     try:
         return _COMMANDS[command](cfg, out_dir)
@@ -217,7 +215,7 @@ def main(argv=None):
                     "value problems on 1D model operators.")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
+    parser.add_argument("--out", default="out")
     parser.add_argument("--workers", type=int, default=None,
                         help="accepted for compatibility; no effect")
     args = parser.parse_args(argv)

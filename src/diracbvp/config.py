@@ -108,12 +108,6 @@ def _complex(text, key) -> complex:
     return complex(eval_number(text, key))
 
 
-def _text(text, key) -> str:
-    if not text:
-        raise ConfigParseError("empty value", key=key)
-    return text
-
-
 def _word(*words):
     """Parser of one of the enumerated words."""
     def parse(text, key) -> str:
@@ -219,7 +213,6 @@ _SCHEMA = {
                   "c1": (_at_least(_C1, 0, True), "empirical"),
                   "c_half": (_at_least(_C_HALF, 0, True), "empirical"),
                   "mode": (_word(MODE_C, MODE_B, MODE_A), MODE_C)},
-    "run": {"output_dir": (_text, "out")},
     "sweep": {key + suffix: entry for suffix in ("", "2")
               for key, entry in _AXIS_KEYS.items()},
     "bootstrap": {"n": (_at_least(_int, 3), 4),

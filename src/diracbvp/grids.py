@@ -79,9 +79,6 @@ class SpinorField:
     def zero(cls, grid, rank=1):
         return cls(grid, np.zeros((grid.n_points, rank), dtype=complex))
 
-    def copy(self):
-        return SpinorField(self.grid, self.values.copy())
-
     def modulus(self):
         """Pointwise fiberwise Euclidean modulus, shape (N,)."""
         return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=1))
@@ -187,11 +184,10 @@ def _modulus_power(f, e):
 
 
 def nonlinearity(f, p):
-    """Pointwise |f|^(p-2) f, with |0|^(p-2)*0 := 0 for p > 2."""
+    """Pointwise |f|^(p-2) f, with |0|^(p-2)*0 := 0: f's values at p = 2,
+    up to the sign of a zero."""
     if p < 2:
         raise ParameterError("nonlinearity needs p >= 2, got %r" % (p,))
-    if p == 2:
-        return f.copy()
     return _modulus_power(f, p - 2.0)
 
 

@@ -191,14 +191,14 @@ def _bag_structure(spec):
     row_in, row_out = _bag_cycle(n)
     cols = np.empty(2 * n, dtype=np.intp)
     cols[row_in] = cols[row_out] = np.arange(m)
+    w = np.repeat(grid.weights(), 2)
     vals = np.concatenate([BAG_V_LEFT, np.ones(2 * n - 4), BAG_V_RIGHT]) \
-        / np.sqrt(np.repeat(grid.weights(), 2))
+        / np.sqrt(w)
     row_next = np.roll(row_in, -1)
     point = np.arange(2 * n) // 2
     probes = np.zeros((2 * n, 3), dtype=complex)
     probes[np.arange(2 * n), point % 3] = vals
     dq = _apply_D_values(spec, probes.reshape(n, 2, 3)).reshape(2 * n, 3)
-    w = np.repeat(grid.weights(), 2)
 
     def entry(row, other):
         # <V_a, W D V_b>, a the column of `row` and b that of `other`: the
@@ -247,10 +247,6 @@ class AssembledOperator:
     def weights(self):
         return np.repeat(self.spec.grid.weights(), self.spec.rank)
 
-    @cached_property
-    def n_constrained(self):
-        return self.spec.structure.freqs.size
-
     def embed(self, coeffs):
         """Constrained coordinates -> full-grid SpinorField."""
         v = self.spec.structure
@@ -270,7 +266,7 @@ class AssembledOperator:
         """V^H y for a flattened full-grid vector y: gather and bincount."""
         v = self.spec.structure
         terms = v.vals.conj() * flat
-        m = self.n_constrained
+        m = v.freqs.size
         return np.bincount(v.cols, terms.real, m) \
             + 1j * np.bincount(v.cols, terms.imag, m)
 

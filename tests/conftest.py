@@ -126,7 +126,8 @@ def random_constrained_field(sd, rng):
 def dense_constraint_map(op):
     """The dense N*rank x m constraint map V of an AssembledOperator."""
     cols, vals = op.spec.structure.cols, op.spec.structure.vals
-    vmap = np.zeros((cols.size, op.n_constrained), dtype=complex)
+    vmap = np.zeros((cols.size, op.spec.structure.freqs.size),
+                    dtype=complex)
     vmap[np.arange(cols.size), cols] = vals
     return vmap
 

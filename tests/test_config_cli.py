@@ -123,9 +123,10 @@ def run_fresh(code, *args):
                     "boundary = antiperiodic\n", 1, CLI_MODULES),
     (["spectrum"], "[model]\noperator = dirac_2spinor\n"
                    "boundary = antiperiodic\n", 1, CLI_MODULES),
+    (["solve"], "[run]\noutput_dir = x\n", 1, CLI_MODULES),
 ], ids=["bootstrap", "help", "unknown-key", "bad-boundary", "orphan-sweep",
         "bad-xi", "bad-field", "word-axis", "mismatch-bootstrap",
-        "mismatch-spectrum"])
+        "mismatch-spectrum", "run-section"])
 def test_paths_without_arrays_load_no_numpy(tmp_path, argv, text, status,
                                             modules):
     # the module set, not a timing: bootstrap, --help and a refused
@@ -188,7 +189,7 @@ def test_defaults():
     assert cfg.values["model"]["operator"] == "scalar_derivative"
     assert cfg.values["model"]["boundary"] == "antiperiodic"
     assert cfg.values["scheme"]["p"] == 4.0
-    assert cfg.values["run"] == {"output_dir": "out"}
+    assert "run" not in cfg.values  # --out alone names the output directory
     assert cfg.sweep is None
     model = cfg.build_model()
     assert model.grid.n_points == 256 and model.grid.length == 1.0
@@ -269,7 +270,7 @@ def test_unknown_key_names_path():
     assert exc.value.key == "model.boundary"
     with pytest.raises(ConfigParseError) as exc:
         parse_config("[run]\nworkers = 3\n")
-    assert exc.value.key == "run.workers"
+    assert exc.value.key == "run"
 
 
 def test_scheme_values_evaluated():
@@ -413,7 +414,7 @@ _WORDS = ["", "x", "lin", "log", "zero", "g", "const(1)", "exp_mode(1)",
           "exp_mode(1, 0.5)", "exp_mode(1, 2, 3)", "sample_file(g.csv)",
           "auto", "empirical", "formula", "scheme.lambda", "scheme.p",
           "model.n_points", "model.length", "model.bogus", "sweep.min",
-          "scheme.g", "run.output_dir", "antiperiodic", "bag1d", "C_final",
+          "scheme.g", "antiperiodic", "bag1d", "C_final",
           "[model]", "=", "%", "\\"]
 _KEYS = sorted({key for keys in config._SCHEMA.values() for key in keys}
                | {"bogus"})
@@ -430,7 +431,7 @@ _SWEEP_AXIS = st.fixed_dictionaries({
     "param": st.sampled_from(["scheme.lambda", "scheme.p", "model.length",
                               "model.n_points", "constants.c1",
                               "constants.c_half", "scheme.nope", "model.boundary",
-                              "run.output_dir", "sweep.count"]),
+                              "sweep.count"]),
     "min": st.sampled_from(_NUMBERS), "max": st.sampled_from(_NUMBERS),
     "count": st.sampled_from(["2", "3", "11", "50", "1", "-2", "2.5",
                               "10**12"]),
@@ -751,7 +752,7 @@ def test_cmd_sweep_decomposes_once_per_model(tmp_path, monkeypatch):
     decompose = diracbvp.spectral.decompose
 
     def counting(op):
-        calls.append(op.n_constrained)
+        calls.append(op.spec.structure.freqs.size)
         return decompose(op)
 
     monkeypatch.setattr(diracbvp.spectral, "decompose", counting)
@@ -772,13 +773,13 @@ def test_cmd_sweep_model_axis_matches_uncached(tmp_path, monkeypatch):
                    "max2 = 0.2\ncount2 = 2\n")
     cached, uncached = tmp_path / "cached", tmp_path / "uncached"
     assert run_command(parse_config(text), "sweep", str(cached)) == 0
-    sweep_model = diracbvp.cli._sweep_model
+    model_and_fields = diracbvp.cli._model_and_fields
 
     def emptied(point, cache):
         cache.clear()
-        return sweep_model(point, cache)
+        return model_and_fields(point, cache)
 
-    monkeypatch.setattr(diracbvp.cli, "_sweep_model", emptied)
+    monkeypatch.setattr(diracbvp.cli, "_model_and_fields", emptied)
     assert run_command(parse_config(text), "sweep", str(uncached)) == 0
     assert (cached / "sweep.csv").read_bytes() \
         == (uncached / "sweep.csv").read_bytes()
@@ -1075,10 +1076,8 @@ def test_main_malformed_value_names_the_key(tmp_path, capsys, command,
     # by sweep as an error row per point with exit status 0.  So is a
     # value out of its key's range: big_c_h = -1 was dropped by solve,
     # and p = 1 or n_points = 4 named no key
-    parse = config._SCHEMA[section][key][0]
-    values = ("",) if parse is config._text else ("", "abc")
     out_of_range = OUT_OF_RANGE.get("%s.%s" % (section, key))
-    for value in values + ((out_of_range,) if out_of_range else ()):
+    for value in ("", "abc") + ((out_of_range,) if out_of_range else ()):
         text = "[%s]\n%s = %s\n" % (section, key, value)
         cfg_path = write_cfg(tmp_path, text if section == "sweep"
                              else text + AXIS)
@@ -1782,6 +1781,30 @@ def test_write_json_writes_non_finite_floats_as_null(tmp_path):
     assert json.loads((tmp_path / "x.json").read_text(encoding="utf-8")) \
         == {"a": None, "b": [1.5, None, {"c": None}], "d": [None, 2],
             "e": True, "f": "inf"}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "solve", "check", "sweep",
+                                     "bootstrap", "functional"])
+def test_main_refuses_the_run_section(tmp_path, capsys, command):
+    # its one key, output_dir, duplicated --out
+    cfg_path = write_cfg(tmp_path, "[run]\noutput_dir = x\n")
+    assert main([command, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: run: unknown section\n"
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "x").exists()
+
+
+def test_out_defaults_to_out_in_the_working_directory(tmp_path, monkeypatch):
+    cfg_path = write_cfg(tmp_path, "[bootstrap]\nn = 4\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["bootstrap", "--config", str(cfg_path)]) == 0
+    written = (tmp_path / "out" / "bootstrap.json").read_bytes()
+    assert "m_star" in read_json(tmp_path / "out" / "bootstrap.json")
+    # an existing ./out is written into, as an existing --out is
+    (tmp_path / "out" / "bootstrap.json").unlink()
+    assert run_command(parse_config(""), "bootstrap") == 0
+    assert (tmp_path / "out" / "bootstrap.json").read_bytes() == written
 
 
 def test_run_command_refuses_an_unknown_command(tmp_path):

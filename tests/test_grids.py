@@ -173,7 +173,9 @@ def test_nonlinearity_zero_point_and_p2():
     f = SpinorField(g, vals)
     out = nonlinearity(f, 3.0)
     assert out.values[0, 0] == 0.0 and out.values[3, 0] == 4.0
-    assert np.allclose(nonlinearity(f, 2).values, f.values)
+    linear = nonlinearity(f, 2)  # a new field with f's values
+    assert np.array_equal(linear.values, f.values)
+    assert not np.shares_memory(linear.values, f.values)
     with pytest.raises(ParameterError):
         nonlinearity(f, 1.9)
 
