@@ -14,23 +14,21 @@ import numpy as np
 
 from diracbvp import (AnalyticConstants, BoundaryCondition, Grid1D, ModelSpec,
                       SchemeConfig, SpinorField, apply_D, assemble,
-                      c3_lambda_threshold, check_conditions, decompose,
-                      estimate_constants, lp_norm, run, w1q_norm)
+                      check_conditions, decompose, lp_norm, run, w1q_norm)
 
 
 def main():
     grid = Grid1D(1.0, 256)
     spec = ModelSpec(grid, BoundaryCondition("antiperiodic"))
     sd = decompose(assemble(spec))
-    est = estimate_constants(sd)
 
     g = SpinorField(grid, 0.05 * np.exp(1j * np.pi * grid.points()))
-    base = AnalyticConstants(n=2, c1=est.c1_emp, c_half=est.c_half_emp,
+    base = AnalyticConstants(n=2, c1=sd.c1_emp, c_half=sd.c_half_emp,
                              lambda1_abs=abs(sd.lambda1),
                              g_L2T=lp_norm(g, 2), g_H1T=w1q_norm(spec, g, 2),
                              Dg_L2=lp_norm(apply_D(spec, g), 2))
-    thr = c3_lambda_threshold(base) * abs(sd.lambda1)
-    print("empirical c1 = %.4f, c_half = %.4f" % (est.c1_emp, est.c_half_emp))
+    thr = check_conditions(base).c3_lambda_threshold * abs(sd.lambda1)
+    print("empirical c1 = %.4f, c_half = %.4f" % (sd.c1_emp, sd.c_half_emp))
     print("certified lambda threshold: %.6f (= %.5f * lambda_1)\n"
           % (thr, thr / abs(sd.lambda1)))
 

@@ -8,8 +8,7 @@ of 2 pi / L including a zero mode (so it is not invertible).
 
 import numpy as np
 
-from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, assemble,
-                      decompose, estimate_constants)
+from diracbvp import BoundaryCondition, Grid1D, ModelSpec, assemble, decompose
 
 
 def show(title, spec, n_eigs=6):
@@ -18,10 +17,9 @@ def show(title, spec, n_eigs=6):
     print("  smallest eigenvalues:",
           np.array2string(sd.eigenvalues[:n_eigs], precision=6))
     print("  lambda_1 = %.6f   invertible = %s" % (sd.lambda1, sd.invertible))
-    if sd.invertible:
-        est = estimate_constants(sd)
+    if sd.invertible:  # each computed by estimate_constants when first read
         print("  empirical constants: c1 = %.4f, c_half = %.4f"
-              % (est.c1_emp, est.c_half_emp))
+              % (sd.c1_emp, sd.c_half_emp))
     print()
     return sd
 

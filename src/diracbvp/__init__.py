@@ -11,9 +11,9 @@ import importlib
 # submodule -> the public names it defines
 _EXPORTS = {
     "bootstrap": "BootstrapTrace bootstrap_exponents",
-    "conditions": "AnalyticConstants ConditionReport c3_lambda_threshold "
-                  "check_conditions derive_exponents el_transform "
-                  "estimate_gn_ratio variational_functional",
+    "conditions": "AnalyticConstants ConditionReport check_conditions "
+                  "derive_exponents el_transform estimate_gn_ratio "
+                  "variational_functional",
     "grids": "Grid1D SpinorField load_field_csv lp_norm nonlinearity "
              "save_field_csv slobodeckij_norm",
     "operators": "AssembledOperator BoundaryCondition ModelSpec apply_D "

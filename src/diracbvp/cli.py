@@ -71,16 +71,14 @@ def _model_and_fields(cfg, cache):
 
 
 def cmd_spectrum(cfg, out_dir):
-    from . import spectral
     sd = _prepare(cfg)
     rows = [[k, repr(float(lam))] for k, lam in enumerate(sd.eigenvalues)]
     _write_csv(os.path.join(out_dir, "eigenvalues.csv"), ["k", "lambda_k"],
                rows)
     summary = {"lambda1": sd.lambda1, "invertible": sd.invertible}
     if sd.invertible:
-        est = spectral.estimate_constants(sd)
-        summary["c1_emp"] = est.c1_emp
-        summary["c_half_emp"] = est.c_half_emp
+        summary["c1_emp"] = sd.c1_emp
+        summary["c_half_emp"] = sd.c_half_emp
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return 0
 
@@ -120,13 +118,11 @@ def cmd_solve(cfg, out_dir):
 
 def cmd_check(cfg, out_dir):
     import dataclasses
-    from . import conditions
     sd, g, _ = _model_and_fields(cfg, {})  # f0 too, so a bad one is refused
     cond_report, consts = _certify(cfg, sd, g)
     payload = cond_report.to_dict()
     payload["constants"] = dataclasses.asdict(consts)
     payload["provenance"] = payload["constants"].pop("provenance")
-    payload["c3_lambda_threshold"] = conditions.c3_lambda_threshold(consts)
     _write_json(os.path.join(out_dir, "conditions.json"), payload)
     return 0
 
@@ -201,7 +197,11 @@ def run_command(cfg, command, out_dir="out"):
     """Dispatch a command writing into out_dir; returns the exit status."""
     if command not in _COMMANDS:
         raise DiracBVPError("unknown command %r" % (command,))
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise DiracBVPError("--out %r: cannot make the directory: %s"
+                            % (out_dir, exc.strerror or exc)) from exc
     try:
         return _COMMANDS[command](cfg, out_dir)
     except MemoryError as exc:

@@ -92,6 +92,16 @@ def derive_exponents(consts):
 
 @dataclass
 class ConditionReport:
+    """check_conditions' verdict on one set of constants in one mode.
+
+    check_conditions computes every field once; nothing recomputes one.
+    theta_A, theta_B, p_B and kappa come from derive_exponents.
+    c3_lambda_threshold, in every mode, is the largest ratio
+    |lambda|/|lambda_1| that (C3) admits, 1/(kappa 2^{3/2} 3^{theta_B}),
+    or inf when that coefficient underflows to 0 (a tiny K_FGN).
+    certified is read off conditions; to_dict is the payload of `check`'s
+    conditions.json, to which `check` adds the constants and provenance.
+    """
     mode: str
     conditions: dict  # name -> {"lhs":, "rhs":, "satisfied":, "strict":}
     theta_A: float
@@ -102,6 +112,7 @@ class ConditionReport:
     B: float
     eps: float
     contraction_bound: float  # sqrt(2)*B/(1-A), inf when A >= 1
+    c3_lambda_threshold: float  # (C3) holds iff |lam|/|lam_1| is below it
 
     @property
     def certified(self):
@@ -150,6 +161,7 @@ def check_conditions(consts, mode=MODE_C):
                * _pow("Xi", xi, 1.0 / (n - 1.0))
                * _pow("Lambda_cap", cap, n / (n - 1.0)))
     source = gn_term + consts.Dg_L2
+    c3 = kappa * 2.0 ** 1.5 * 3.0 ** theta_b  # (C3): c3 |lam|/|lam_1| < 1
     l2_cap = _cond(consts.C_h * inv1 * source + consts.g_L2T, xi,
                    strict=False)  # (C1), (B1) and (A2); xi = 1 in mode C
     root_c1 = math.sqrt(consts.c1)
@@ -157,8 +169,7 @@ def check_conditions(consts, mode=MODE_C):
         conds = {"C1": l2_cap,
                  "C2": _cond(4.0 * root_c1 * inv1 * source + consts.g_H1T,
                              cap, strict=False),
-                 "C3": _cond(_c3_coefficient(kappa, theta_b) * lam * inv1,
-                             1.0, strict=True)}
+                 "C3": _cond(c3 * lam * inv1, 1.0, strict=True)}
     elif mode == MODE_B:
         conds = {"B1": l2_cap,
                  "B2": _cond(3.0 * root_c1 * inv1 * source + consts.g_H1T,
@@ -174,19 +185,8 @@ def check_conditions(consts, mode=MODE_C):
 
     return ConditionReport(mode=mode, conditions=conds, theta_A=theta_a,
                            theta_B=theta_b, p_B=p_b, kappa=kappa, A=a_val,
-                           B=b_val, eps=eps, contraction_bound=bound)
-
-
-def _c3_coefficient(kappa, theta_b):  # (C3): it times |lam|/|lam_1| < 1
-    return kappa * 2.0 ** 1.5 * 3.0 ** theta_b
-
-
-def c3_lambda_threshold(consts):
-    """Largest |lambda|/|lambda_1| ratio compatible with condition (C3);
-    inf (unbounded) when its coefficient underflows to 0 (a tiny K_FGN)."""
-    _, theta_b, _, kappa = derive_exponents(consts)
-    coefficient = _c3_coefficient(kappa, theta_b)
-    return 1.0 / coefficient if coefficient else math.inf
+                           B=b_val, eps=eps, contraction_bound=bound,
+                           c3_lambda_threshold=1.0 / c3 if c3 else math.inf)
 
 
 def variational_functional(sd, phi, n):

@@ -17,7 +17,6 @@ transform, the constraint map and O(N log N) grid stencils.
 
 import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,8 +25,6 @@ import numpy as np
 from .errors import InvalidFieldError, NumericalError, ParameterError
 from .grids import slobodeckij_operator
 from .operators import apply_D, derivative_form
-
-ConstantEstimates = namedtuple("ConstantEstimates", ["c1_emp", "c_half_emp"])
 
 
 @dataclass
@@ -41,8 +38,10 @@ class SpectralData:
     constrained coordinates y, _analyze is y -> fft(conj(phase) y,
     norm="ortho") with the bins sorted into eigenvalue order, and
     _synthesize its inverse; to_coeffs and from_coeffs add project and
-    embed.  c1_emp and c_half_emp (estimate_constants) are computed
-    when first read and kept.
+    embed.  c1_emp and c_half_emp are estimate_constants(self, 1) and
+    estimate_constants(self, 1/2), computed when first read and kept by
+    cached_property, so each runs its Lanczos at most once per
+    decomposition.
     """
     operator: object
     eigenvalues: np.ndarray = field(repr=False)
@@ -56,11 +55,11 @@ class SpectralData:
 
     @cached_property
     def c1_emp(self):
-        return _rayleigh_max(self, 1.0)
+        return estimate_constants(self, 1.0)
 
     @cached_property
     def c_half_emp(self):
-        return _rayleigh_max(self, 0.5)
+        return estimate_constants(self, 0.5)
 
     def to_coeffs(self, f):
         """Eigen-coefficients of a SpinorField."""
@@ -222,21 +221,17 @@ def graph_norm(sd, s, f):
                                 * graph_weight(sd.eigenvalues, s))))
 
 
-def estimate_constants(sd):
-    """Empirical regularity constants as generalized Rayleigh quotients.
+def estimate_constants(sd, s):
+    """Empirical regularity constant c1_emp (s = 1) or c_half_emp (s = 1/2).
 
-    c1_emp maximizes ||psi||_{W^{1,2}}^2 / (||psi||_{L2}^2 + ||D_P psi||^2)
-    over the constraint space; c_half_emp does the same with the s = 1/2
-    Slobodeckij numerator and |D_P|^{1/2} denominator: SpectralData's
-    c1_emp and c_half_emp, each computed when first read.
-    """
-    return ConstantEstimates(sd.c1_emp, sd.c_half_emp)
+    The largest generalized Rayleigh quotient y^H N y / y^H Den y over the
+    constraint space: ||psi||_{W^{1,2}}^2 / (||psi||_{L2}^2 + ||D_P psi||^2)
+    at s = 1, the Slobodeckij H^{1/2} norm over the |D_P|^{1/2} graph norm
+    at s = 1/2.  It is the one function that runs the Lanczos for a
+    constant, afresh on each call: SpectralData.c1_emp and c_half_emp
+    call it when first read and keep the value.
 
-
-def _rayleigh_max(sd, s):
-    """c1_emp (s = 1) or c_half_emp: the max of y^H N y / y^H Den y.
-
-    y runs over the constraint space.  Den = I + |D_P|^{2s} is
+    Den = I + |D_P|^{2s} is
     U diag(d) U^H (d = graph_weight), so the maximum is the top
     eigenvalue of d^{-1/2} U^H N U d^{-1/2}, which _lanczos_max finds
     from products with it alone: synthesize, embed, apply the numerator

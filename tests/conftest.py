@@ -189,11 +189,11 @@ class DenseSpectralData:
 
     @cached_property
     def c1_emp(self):
-        return spectral._rayleigh_max(self, 1.0)
+        return spectral.estimate_constants(self, 1.0)
 
     @cached_property
     def c_half_emp(self):
-        return spectral._rayleigh_max(self, 0.5)
+        return spectral.estimate_constants(self, 0.5)
 
     def to_coeffs(self, f):
         return self._analyze(self.operator.project(f))

@@ -20,8 +20,7 @@ from conftest import (closed_form_solution, dense_eigenvectors, dense_matrix,
                       mode_field, random_constrained_field, step_field)
 from diracbvp import (AnalyticConstants, BoundaryCondition, Grid1D, ModelSpec,
                       SchemeConfig, apply_fractional, apply_inverse, assemble,
-                      bootstrap_exponents, c3_lambda_threshold,
-                      check_conditions, decompose, estimate_constants,
+                      bootstrap_exponents, check_conditions, decompose,
                       graph_norm, lp_norm, run, scale_problem,
                       slobodeckij_norm, split_pm, variational_functional,
                       verify_solution)
@@ -67,11 +66,10 @@ def test_03_linear_base_case(anti_sd, anti_spec):
 
 def test_04_certified_contraction(anti_sd, anti_spec):
     start = time.monotonic()
-    est = estimate_constants(anti_sd)
     lam1 = abs(anti_sd.lambda1)
-    base = AnalyticConstants(n=2, c1=est.c1_emp, c_half=est.c_half_emp,
-                             lambda1_abs=lam1)
-    lam_max = 0.95 * c3_lambda_threshold(base) * lam1
+    base = AnalyticConstants(n=2, c1=anti_sd.c1_emp,
+                             c_half=anti_sd.c_half_emp, lambda1_abs=lam1)
+    lam_max = 0.95 * check_conditions(base).c3_lambda_threshold * lam1
     g = mode_field(anti_spec.grid, scale=0.05)
     from diracbvp import apply_D, w1q_norm
     dg_l2 = lp_norm(apply_D(anti_spec, g), 2)
@@ -153,7 +151,7 @@ def test_09_condition_arithmetic():
     rep = check_conditions(consts)
     assert abs(rep.kappa - 6.0) <= 1e-12
     hand = 1.0 / (6.0 * 2.0 ** 1.5 * 3.0)
-    assert abs(c3_lambda_threshold(consts) - hand) <= 1e-12
+    assert abs(rep.c3_lambda_threshold - hand) <= 1e-12
 
 
 def test_10_variational_functional(anti_sd):

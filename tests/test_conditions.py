@@ -5,9 +5,9 @@ import pytest
 
 from conftest import dense_eigenvectors, mode_field
 from diracbvp import (AnalyticConstants, BoundaryCondition, ModelSpec,
-                      assemble, bootstrap_exponents, c3_lambda_threshold,
-                      check_conditions, decompose, eigenfunction,
-                      el_transform, estimate_gn_ratio, variational_functional)
+                      assemble, bootstrap_exponents, check_conditions,
+                      decompose, eigenfunction, el_transform,
+                      estimate_gn_ratio, variational_functional)
 from diracbvp.conditions import MODE_A, MODE_B, MODE_C, derive_exponents
 from diracbvp.errors import ParameterError
 from diracbvp.grids import Grid1D, SpinorField
@@ -76,12 +76,12 @@ def test_trivial_data_certifies_everywhere():
 
 def test_c3_threshold_value_unit_constants():
     consts = AnalyticConstants(n=2)
-    thr = c3_lambda_threshold(consts)
+    thr = check_conditions(consts).c3_lambda_threshold
     assert thr == pytest.approx(1.0 / (36.0 * math.sqrt(2.0)), rel=1e-14)
 
 
 def test_c3_sharp_at_threshold():
-    thr = c3_lambda_threshold(AnalyticConstants(n=2))
+    thr = check_conditions(AnalyticConstants(n=2)).c3_lambda_threshold
     lam1 = np.pi
     below = AnalyticConstants(n=2, lambda_abs=0.999 * thr * lam1,
                               lambda1_abs=lam1)
@@ -89,6 +89,33 @@ def test_c3_sharp_at_threshold():
                               lambda1_abs=lam1)
     assert check_conditions(below, MODE_C).conditions["C3"]["satisfied"]
     assert not check_conditions(above, MODE_C).conditions["C3"]["satisfied"]
+
+
+@pytest.mark.parametrize("mode", [MODE_C, MODE_B, MODE_A])
+def test_c3_threshold_decides_c3_in_every_mode(mode):
+    # the reported threshold is the (C3) verdict itself: C3 holds exactly
+    # when |lambda|/|lambda_1| lies below it, in whichever mode it is read.
+    # K_FGN = 1e-300 underflows the (C3) coefficient: no lambda breaks C3
+    spread = [dict(n=2), dict(n=3), dict(n=2, c_half=4.0, c_h=0.5),
+              dict(n=2, K_FGN=3.0, K_GN2=2.0, C_h=1.5), dict(n=4, p_A=3.5),
+              dict(n=2, lambda1_abs=0.2),
+              dict(n=3, lambda1_abs=40.0, K_FGN=1e-3),
+              dict(n=2, K_FGN=1e-300)]
+    verdicts = []
+    for kwargs in spread:
+        thr = check_conditions(AnalyticConstants(**kwargs),
+                               mode).c3_lambda_threshold
+        assert (thr == math.inf) == (kwargs.get("K_FGN") == 1e-300)
+        for lam in np.geomspace(1e-4, 10.0, 41):
+            consts = AnalyticConstants(**kwargs, lambda_abs=lam)
+            ratio = lam / consts.lambda1_abs
+            if abs(ratio / thr - 1.0) <= 1e-9:
+                continue
+            assert check_conditions(consts, mode).c3_lambda_threshold == thr
+            c3 = check_conditions(consts, MODE_C).conditions["C3"]
+            assert c3["satisfied"] == (ratio < thr)
+            verdicts.append(c3["satisfied"])
+    assert len(verdicts) > 200 and set(verdicts) == {True, False}
 
 
 def test_c_mode_norm_caps():
@@ -141,7 +168,7 @@ def test_report_serialization():
     d = rep.to_dict()
     assert set(d) == {"mode", "conditions", "theta_A", "theta_B", "p_B",
                       "kappa", "A", "B", "eps", "contraction_bound",
-                      "certified"}
+                      "c3_lambda_threshold", "certified"}
     assert d["mode"] == MODE_C
     assert set(d["conditions"]) == {"C1", "C2", "C3"}
     assert d["certified"] == rep.certified

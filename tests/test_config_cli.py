@@ -124,17 +124,22 @@ def run_fresh(code, *args):
     (["spectrum"], "[model]\noperator = dirac_2spinor\n"
                    "boundary = antiperiodic\n", 1, CLI_MODULES),
     (["solve"], "[run]\noutput_dir = x\n", 1, CLI_MODULES),
+    # --out names the config file itself, relative to the working directory
+    (["spectrum", "--out", "run.ini"], "[model]\nn_points = 8\n", 1,
+     CLI_MODULES),
 ], ids=["bootstrap", "help", "unknown-key", "bad-boundary", "orphan-sweep",
         "bad-xi", "bad-field", "word-axis", "mismatch-bootstrap",
-        "mismatch-spectrum", "run-section"])
-def test_paths_without_arrays_load_no_numpy(tmp_path, argv, text, status,
-                                            modules):
+        "mismatch-spectrum", "run-section", "out-is-a-file"])
+def test_paths_without_arrays_load_no_numpy(tmp_path, monkeypatch, argv,
+                                            text, status, modules):
     # the module set, not a timing: bootstrap, --help and a refused
-    # config never import numpy or an array layer, nor dataclasses and
-    # inspect, which the array layers' records need
+    # config or --out never import numpy or an array layer, nor
+    # dataclasses and inspect, which the array layers' records need.
+    # The case's own flags come last, so its --out wins
+    monkeypatch.chdir(tmp_path)
     if text is not None:
-        argv = argv + ["--config", str(write_cfg(tmp_path, text)),
-                       "--out", str(tmp_path / "out")]
+        argv = ["--config", str(write_cfg(tmp_path, text)),
+                "--out", str(tmp_path / "out")] + argv
     code = ("import sys; from diracbvp.cli import main\n"
             "try:\n    rc = main(sys.argv[1:])\n"
             "except SystemExit as exc:\n    rc = exc.code\n"
@@ -1604,9 +1609,9 @@ def test_check_c_half_formula_with_empirical_c1(tmp_path, monkeypatch,
     # no c_half_emp
     import diracbvp.spectral
     calls = []
-    rayleigh_max = diracbvp.spectral._rayleigh_max
-    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_max",
-                        lambda sd, s: calls.append(s) or rayleigh_max(sd, s))
+    estimate = diracbvp.spectral.estimate_constants
+    monkeypatch.setattr(diracbvp.spectral, "estimate_constants",
+                        lambda sd, s: calls.append(s) or estimate(sd, s))
     text = ("[model]\nn_points = %d\n[constants]\nc_half = formula\n"
             "c_h = %r\niota = %r\n" % (n_points, c_h, iota))
     assert run_command(parse_config(text), "check", str(tmp_path)) == 0
@@ -1622,7 +1627,7 @@ def test_check_c_half_formula_with_numeric_c1_runs_no_lanczos(tmp_path,
 
     def refuse(sd, s):
         raise AssertionError("a Rayleigh maximum ran")
-    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_max", refuse)
+    monkeypatch.setattr(diracbvp.spectral, "estimate_constants", refuse)
     text = ("[model]\nn_points = 64\n[constants]\nc1 = 3\n"
             "c_half = formula\nc_h = 2\niota = 0.5\n")
     assert run_command(parse_config(text), "check", str(tmp_path)) == 0
@@ -1642,23 +1647,29 @@ def test_check_c_half_formula_with_numeric_c1_runs_no_lanczos(tmp_path,
     ("spectrum", "c1 = 2\nc_half = 3\n", ["c1_emp", "c_half_emp"]),
     ("solve", "c1 = empirical\nc_half = formula\n", ["c1_emp"]),
     ("sweep", "", ["c1_emp", "c_half_emp"]),
-    ("sweep", "c1 = 2\nc_half = empirical\n", ["c_half_emp"])])
+    ("sweep", "c1 = 2\nc_half = empirical\n", ["c_half_emp"]),
+    ("solve", "c1 = 2\nc_half = 3\n", [])])
 def test_lanczos_runs_per_command(tmp_path, monkeypatch, command, constants,
                                   runs):
     # each constant runs its Lanczos only when read: by spectrum, or by a
     # certificate whose key says empirical, and once per decomposition,
-    # however many sweep points read it
+    # however many sweep points read it; every run enters through
+    # estimate_constants(sd, s)
     import diracbvp.spectral
-    names = []
+    names, entries = [], []
     lanczos_max = diracbvp.spectral._lanczos_max
     monkeypatch.setattr(diracbvp.spectral, "_lanczos_max",
                         lambda matvec, m, what: names.append(what.split()[0])
                         or lanczos_max(matvec, m, what))
+    estimate = diracbvp.spectral.estimate_constants
+    monkeypatch.setattr(diracbvp.spectral, "estimate_constants",
+                        lambda sd, s: entries.append(s) or estimate(sd, s))
     text = ("[model]\nn_points = 64\n[scheme]\nlambda = 0.5\n"
             "g = const(0.1)\n[constants]\n%s[sweep]\nparam = scheme.lambda\n"
             "min = 0\nmax = 0.5\ncount = 3\n" % constants)
     assert run_command(parse_config(text), command, str(tmp_path)) == 0
     assert names == runs
+    assert entries == [{"c1_emp": 1.0, "c_half_emp": 0.5}[n] for n in runs]
 
 
 def test_c_half_alone_refuses_an_overflowing_model(tmp_path, capsys):
@@ -1805,6 +1816,22 @@ def test_out_defaults_to_out_in_the_working_directory(tmp_path, monkeypatch):
     (tmp_path / "out" / "bootstrap.json").unlink()
     assert run_command(parse_config(""), "bootstrap") == 0
     assert (tmp_path / "out" / "bootstrap.json").read_bytes() == written
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("afile", "File exists"), ("", "No such file or directory")])
+def test_main_names_out_when_its_directory_cannot_be_made(tmp_path,
+                                                          monkeypatch, capsys,
+                                                          out, reason):
+    # one line naming the flag and its value, not the bare OSError, and
+    # the regular file in the way is left as it was
+    cfg_path = write_cfg(tmp_path, "[bootstrap]\nn = 4\n")
+    (tmp_path / "afile").write_text("kept", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["bootstrap", "--config", str(cfg_path), "--out", out]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --out %r: cannot make the directory: %s\n" % (out, reason))
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
 
 
 def test_run_command_refuses_an_unknown_command(tmp_path):

@@ -118,9 +118,9 @@ def assert_backends_agree(fast, dense, seed):
         for part_fast, part_dense in zip(split_pm(fast, f),
                                          split_pm(dense, f)):
             assert close(part_fast, part_dense)
-        for c_fast, c_dense in zip(estimate_constants(fast),
-                                   estimate_constants(dense)):
-            assert c_fast == pytest.approx(c_dense, rel=1e-10)
+        for s in (1.0, 0.5):
+            assert estimate_constants(fast, s) \
+                == pytest.approx(estimate_constants(dense, s), rel=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["antiperiodic", "periodic"])
@@ -385,15 +385,14 @@ def test_graph_norm_parseval(anti_sd):
 # ---------------------------------------------------- estimate_constants
 
 def test_estimate_constants_antiperiodic(anti_sd, anti_spec):
-    est = estimate_constants(anti_sd)
     # the maximum dominates the quotient of each single eigenfunction;
     # on exponential modes that quotient is about (1+lam^2)/(1+lam^2) = 1
     f = mode_field(anti_spec.grid)
     from diracbvp import w1q_norm
     quotient = w1q_norm(anti_spec, f, 2) ** 2 / (1.0 + np.pi ** 2)
-    assert est.c1_emp >= quotient - 1e-12
-    assert est.c1_emp >= 0.99
-    assert est.c_half_emp > 0
+    assert anti_sd.c1_emp >= quotient - 1e-12
+    assert anti_sd.c1_emp >= 0.99
+    assert anti_sd.c_half_emp > 0
 
 
 def test_estimate_constants_computed_once_per_decomposition(anti_spec_128,
@@ -401,20 +400,20 @@ def test_estimate_constants_computed_once_per_decomposition(anti_spec_128,
     import diracbvp.spectral
     from diracbvp import assemble
     calls = []
-    rayleigh_max = diracbvp.spectral._rayleigh_max
+    estimate = diracbvp.spectral.estimate_constants
 
     def counting(sd, s):
         calls.append((sd, s))
-        return rayleigh_max(sd, s)
+        return estimate(sd, s)
 
-    monkeypatch.setattr(diracbvp.spectral, "_rayleigh_max", counting)
+    monkeypatch.setattr(diracbvp.spectral, "estimate_constants", counting)
     sd = decompose(assemble(anti_spec_128))
-    first = estimate_constants(sd)
-    assert estimate_constants(sd) == first
+    first = (sd.c1_emp, sd.c_half_emp)
     assert (sd.c1_emp, sd.c_half_emp) == first
     assert calls == [(sd, 1.0), (sd, 0.5)]
     # a new decomposition of the same model computes them afresh
-    assert estimate_constants(decompose(assemble(anti_spec_128))) == first
+    again = decompose(assemble(anti_spec_128))
+    assert (again.c1_emp, again.c_half_emp) == first
     assert len(calls) == 4
 
 
@@ -423,10 +422,9 @@ def test_estimate_constants_computed_once_per_decomposition(anti_spec_128,
 def test_estimate_constants_match_dense_standard_form(kind, n_points):
     # Lanczos on products against eigvalsh of the dense standard forms
     sd = decompose(model_op(kind, n_points))
-    est = estimate_constants(sd)
     c1, c_half = dense_rayleigh_maxima(sd)
-    assert est.c1_emp == pytest.approx(c1, rel=1e-10)
-    assert est.c_half_emp == pytest.approx(c_half, rel=1e-10)
+    assert sd.c1_emp == pytest.approx(c1, rel=1e-10)
+    assert sd.c_half_emp == pytest.approx(c_half, rel=1e-10)
 
 
 @pytest.mark.parametrize("n_points", [33, 64, 257, 512])
@@ -434,7 +432,7 @@ def test_c1_emp_is_one_on_the_antiperiodic_model(n_points):
     # the numerator measures psi' with D itself, and D V = V D_P: the c1
     # standard form is the identity, as in the continuum
     spec = ModelSpec(Grid1D(1.0, n_points), BoundaryCondition("antiperiodic"))
-    assert estimate_constants(decompose(assemble(spec))).c1_emp \
+    assert decompose(assemble(spec)).c1_emp \
         == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
 
@@ -445,7 +443,7 @@ def test_bag_c1_emp_grows_like_n(n_points, c1_emp):
     # the SBP boundary rows, not the doubler modes, set c1 with D's own
     # stencil: about 1.52 N at L = 1
     spec = ModelSpec(Grid1D(1.0, n_points), BoundaryCondition("bag1d"))
-    assert estimate_constants(decompose(assemble(spec))).c1_emp \
+    assert decompose(assemble(spec)).c1_emp \
         == pytest.approx(c1_emp, rel=1e-8)
 
 
@@ -456,7 +454,7 @@ def test_c_half_emp_refines_like_n_to_the_minus_half():
     for n_points in (65, 129, 257, 513):
         spec = ModelSpec(Grid1D(1.0, n_points),
                          BoundaryCondition("antiperiodic"))
-        values.append(estimate_constants(decompose(assemble(spec))).c_half_emp)
+        values.append(decompose(assemble(spec)).c_half_emp)
     steps = np.diff(values)
     assert np.all(steps > 0)
     ratios = steps[1:] / steps[:-1]
@@ -472,12 +470,12 @@ def test_lanczos_cap_raises(monkeypatch):
     monkeypatch.setattr(diracbvp.spectral, "LANCZOS_MAX_STEPS", 1)
     with pytest.raises(NumericalError, match="did not converge in 1 steps "
                        r"for c1_emp at model\.n_points = 64 \(residual"):
-        estimate_constants(decompose(model_op("bag1d", 64)))
+        estimate_constants(decompose(model_op("bag1d", 64)), 1.0)
     # c1_emp converges within 40 steps at this size, c_half_emp does not
     monkeypatch.setattr(diracbvp.spectral, "LANCZOS_MAX_STEPS", 40)
     with pytest.raises(NumericalError, match="did not converge in 40 steps "
                        r"for c_half_emp at model\.n_points = 64 \("):
-        estimate_constants(decompose(model_op("antiperiodic", 64)))
+        estimate_constants(decompose(model_op("antiperiodic", 64)), 0.5)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 64, 137])
@@ -530,7 +528,8 @@ def test_lanczos_memory_does_not_grow_with_the_steps():
     sd = decompose(model_op("antiperiodic", 2048))
     tracemalloc.start()
     try:
-        estimate_constants(sd)
+        for s in (1.0, 0.5):
+            estimate_constants(sd, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -623,8 +622,7 @@ def test_estimate_constants_calls_no_lapack(monkeypatch):
         raise AssertionError("LAPACK call in estimate_constants")
     for name in ("eigvalsh", "eigh", "solve", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    est = estimate_constants(sd)
-    assert est.c1_emp > 1.0 and est.c_half_emp > 1.0
+    assert sd.c1_emp > 1.0 and sd.c_half_emp > 1.0
 
 
 # ------------------------------------------- fractional regularity ratio
