@@ -63,10 +63,10 @@ class SpinorField:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim == 1:
             v = v[:, None]
-        if v.ndim != 2 or v.shape[0] != self.grid.n_points:
+        if v.ndim != 2 or v.shape[0] != self.grid.n_points or not v.shape[1]:
             raise InvalidFieldError(
-                "values shape %s incompatible with grid of %d points"
-                % (v.shape, self.grid.n_points))
+                "values shape %s incompatible with grid of %d points and a "
+                "rank >= 1" % (v.shape, self.grid.n_points))
         if not np.all(np.isfinite(v)):
             raise InvalidFieldError("field contains non-finite entries")
         self.values = v

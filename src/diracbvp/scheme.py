@@ -1,20 +1,23 @@
 """Fixed-point iteration for D u = lambda |u|^{p-2} u, P u = P g.
 
-The homogenized iterate is utilde_k = u_k - g.  One step of the scheme
-shifted by a solves
+The iterates u_k = g + utilde_k keep P u_k = P g, and a run iterates on
+the eigen-coefficients c_k of utilde_k.  One step of the scheme shifted
+by a corrects them by the residual r_k = D u_k - lambda |u_k|^{p-2} u_k:
 
-    (D_P - a) utilde_{k+1} = lambda |u_k|^{p-2} u_k - a utilde_k - D g
+    c_{k+1} = c_k - (D_P - a)^{-1} P r_k,
 
-in eigen-coefficients; with a = 0 this is the plain Picard map
-utilde_{k+1} = D_P^{-1}(lambda |u_k|^{p-2} u_k - D g).  True solutions are
-stationary for every admissible a; a rescaled R D_P - a iterates as the
-shift a/R.  Convergence is monitored through the H^{1/2}_D graph norm of
-Delta_k = u_k - u_{k-1}, from coefficients.
+which on P u_k = P g is the map (D_P - a) utilde_{k+1} =
+P(lambda |u_k|^{p-2} u_k - D g) - a utilde_k, Picard's at a = 0, with no
+D g to build.  True solutions (r = 0) are stationary for every admissible
+a; a rescaled R D_P - a iterates as the shift a/R.  Convergence is
+monitored through the H^{1/2}_D graph norm of Delta_k = u_k - u_{k-1},
+read off the correction.
 
 Outside the smallness conditions the iteration may blow up; run reports
-that as the verdict "diverged", never as an error: an iterate, D g or a
-field computed from them (a nonlinearity, a step's right-hand side) that
-leaves the floats, a non-finite increment, or an L2 norm past the blow-up cap.
+that as the verdict "diverged", never as an error: a start f0 - g, an
+iterate or a field computed from it (D u, the nonlinearity, the
+residual) that leaves the floats, a non-finite increment, or an L2 norm
+past the blow-up cap.
 """
 
 import math
@@ -59,7 +62,7 @@ class IterationState:
     """One iterate u_k of a run: the scalars of its trace.csv row.
 
     delta_norm_H12D is ||u_k - u_{k-1}|| in the H^{1/2}_D graph norm, from
-    the eigen-coefficients of the two iterates (0 at k = 0), and ratio is
+    the eigen-coefficients of the correction (0 at k = 0), and ratio is
     delta_k / delta_{k-1} (None when delta_{k-1} = 0, always at k <= 1);
     u_k itself is not kept.
     """
@@ -95,77 +98,72 @@ class IterationReport:
                 if f.name not in ("states", "u")}
 
 
-def step(sd, cfg, u_k, n_k, dg, shifted):
-    """The Picard map T: the coefficients c_{k+1} of utilde_{k+1}.
-
-    n_k = |u_k|^{p-2} u_k, dg = D g and shifted = shifted_spectrum(sd, a)
-    are the caller's (run builds dg and shifted once per run).  The
-    right-hand side lambda n_k - dg - a utilde_k is one array (the
-    SpinorField operations, in their order), checked finite once
-    (InvalidFieldError); its coefficients are divided by shifted.
-    """
-    rhs = n_k.values * cfg.lam - dg.values - (u_k.values - cfg.g.values) * cfg.a
-    return sd.to_coeffs(SpinorField(u_k.grid, rhs)) / shifted
+def step(sd, r_k, shifted):
+    """The Picard map T as a correction: c_{k+1} - c_k = -(D_P - a)^{-1} P r_k,
+    from state k's residual r_k = D u_k - lambda |u_k|^{p-2} u_k and
+    shifted = shifted_spectrum(sd, a), which run builds once per run."""
+    return -sd.to_coeffs(r_k) / shifted
 
 
-def _pde_residual(cfg, du, nu):
-    """||du - lambda nu||_L2: the strong residual, du = D u, nu = N(u)."""
-    return lp_norm(du - cfg.lam * nu, 2)
+def _residual(cfg, u, du):
+    """r = D u - lambda |u|^{p-2} u, given du = D u."""
+    return du - cfg.lam * nonlinearity(u, cfg.p)
 
 
 def verify_solution(sd, cfg, u):
-    """Strong PDE residual and boundary residual of a candidate solution."""
+    """Strong PDE residual ||r||_L2 and boundary residual of a candidate."""
     spec = sd.operator.spec
-    return (_pde_residual(cfg, apply_D(spec, u), nonlinearity(u, cfg.p)),
+    return (lp_norm(_residual(cfg, u, apply_D(spec, u)), 2),
             boundary_residual(spec, u, cfg.g))
 
 
 def _measure(spec, cfg, k, u, delta, prev):
-    """State k of iterate u, after increments prev and delta, and N(u):
-    D u, N(u) and ||u||_L2 once each.  A D u or N(u) past the floats reads
-    as inf norms (each apart), N(u) as None."""
+    """State k of iterate u, after increments prev and delta, and its
+    residual r: D u, N(u) and ||u||_L2 once each.  A D u, N(u) or r past
+    the floats gives r = None and an inf pde_residual (and u_H1, for D u)."""
     l2t_norm = lp_norm(u, 2)
     h1t_norm = pde_residual = math.inf
-    du = nu = None
+    r = None
     with suppress(InvalidFieldError):
         du = apply_D(spec, u)
         h1t_norm = w1q(l2t_norm, lp_norm(du, 2), 2)
-    with suppress(InvalidFieldError):
-        nu = nonlinearity(u, cfg.p)
-        if du is not None:
-            pde_residual = _pde_residual(cfg, du, nu)
+        r = _residual(cfg, u, du)
+        pde_residual = lp_norm(r, 2)
     return IterationState(
         k=k, delta_norm_H12D=delta, ratio=delta / prev if prev else None,
         l2t_norm=l2t_norm, h1t_norm=h1t_norm,
-        pde_residual=pde_residual), nu
+        pde_residual=pde_residual), r
 
 
 def run(sd, cfg):
     """Iterate from f0 until Cauchy convergence, divergence or max_iter.
 
-    A run keeps the eigen-coefficients c_k of utilde_k = u_k - g.  D g,
-    c_0 = sd.to_coeffs(f0 - g) (f0 may lie off the constraint space) and
-    the H^{1/2}_D weight 1 + |lambda_j| are built once, and the shifted
-    spectrum at the first step, where a singular shift raises.  One loop
-    body serves every state k: it measures u_k, applies the stop tests
-    from k = 1 on, and else steps to c_{k+1} = step(...) and u_{k+1},
-    taken only after a finite increment norm (sum_j |c_{k+1} - c_k|_j^2
+    A run keeps the eigen-coefficients c_k of utilde_k = u_k - g, from f0
+    projected onto the space the map acts on: c_0 = sd.to_coeffs(f0 - g)
+    and u_0 = g + from_coeffs(c_0), which is g when f0 = g.  The H^{1/2}_D
+    weight 1 + |lambda_j| is built once, and the shifted spectrum at the
+    first step, where a singular shift raises.  One loop body serves every
+    state k: it measures u_k and r_k, applies the stop tests from k = 1 on,
+    and else adds the correction step(sd, r_k, shifted) to c_k, taking
+    u_{k+1} only after a finite increment norm (sum_j |correction_j|^2
     (1 + |lambda_j|))^{1/2}.  Only the last iterate is kept, as report.u.
-    The run ends "diverged" when D g, N(u_k) or a step leaves the floats,
-    or when ||u_k||_L2, k >= 1, exceeds 10 max(Xi, Lambda_cap, 1) (state 0
-    is exempt: at lambda = 0 one step solves the problem from any f0).
+    The run ends "diverged" when f0 - g (state 0 is then f0), r_k or a step
+    leaves the floats, or when ||u_k||_L2, k >= 1, exceeds
+    10 max(Xi, Lambda_cap, 1) (state 0 is exempt: at lambda = 0 one step
+    solves the problem from any f0).
     """
     u = cfg.f0 if cfg.f0 is not None else cfg.g
     spec = sd.operator.spec
     blow_up = 10.0 * max(cfg.Xi, cfg.Lambda_cap, 1.0)
     weight = graph_weight(sd.eigenvalues, 0.5)
     states, verdict, prev, delta = [], "max_iter_exceeded", 0.0, 0.0
-    shifted = dg = coeffs = None  # D g or f0 - g past the floats: diverged
+    shifted = coeffs = None  # f0 - g past the floats: diverged
     with np.errstate(over="ignore", invalid="ignore"):
         with suppress(InvalidFieldError):
-            dg, coeffs = apply_D(spec, cfg.g), sd.to_coeffs(u - cfg.g)
+            c_0 = sd.to_coeffs(u - cfg.g)
+            u, coeffs = sd.from_coeffs(c_0) + cfg.g, c_0
         for k in range(cfg.max_iter + 1):
-            st, nu = _measure(spec, cfg, k, u, delta, prev)
+            st, r = _measure(spec, cfg, k, u, delta, prev)
             states.append(st)
             if k and st.l2t_norm > blow_up:
                 verdict = "diverged"
@@ -175,13 +173,14 @@ def run(sd, cfg):
             if verdict != "max_iter_exceeded" or k == cfg.max_iter:
                 break
             try:
-                if nu is None or dg is None:
-                    raise InvalidFieldError("N(u_k) or D g is not finite")
+                if r is None or coeffs is None:
+                    raise InvalidFieldError("r_k or f0 - g is not finite")
                 if shifted is None:
                     shifted = shifted_spectrum(sd, cfg.a)
-                c_next = step(sd, cfg, u, nu, dg, shifted)
+                correction = step(sd, r, shifted)
                 prev, delta = delta, float(np.sqrt(np.sum(
-                    np.abs(c_next - coeffs) ** 2 * weight)))
+                    np.abs(correction) ** 2 * weight)))
+                c_next = coeffs + correction
                 u_next = sd.from_coeffs(c_next) + cfg.g
             except InvalidFieldError:
                 delta = math.inf

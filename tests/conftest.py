@@ -64,11 +64,12 @@ def mode_field(grid, k=1, scale=1.0):
 
 
 def step_field(sd, cfg, u_k):
-    """u_{k+1} = from_coeffs(c_{k+1}) + g, with c_{k+1} = scheme.step on
-    the operands N(u_k), D g and lambda_j - a that run would give it."""
-    c_next = step(sd, cfg, u_k, nonlinearity(u_k, cfg.p),
-                  apply_D(sd.operator.spec, cfg.g),
-                  shifted_spectrum(sd, cfg.a))
+    """u_{k+1} = from_coeffs(c_k + scheme.step(...)) + g, c_k the
+    coefficients of u_k - g, with the operands run would give step: the
+    residual D u_k - lambda |u_k|^{p-2} u_k and lambda_j - a."""
+    r_k = apply_D(sd.operator.spec, u_k) - cfg.lam * nonlinearity(u_k, cfg.p)
+    c_next = sd.to_coeffs(u_k - cfg.g) \
+        + step(sd, r_k, shifted_spectrum(sd, cfg.a))
     return sd.from_coeffs(c_next) + cfg.g
 
 

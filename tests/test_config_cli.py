@@ -661,11 +661,11 @@ def count_calls(monkeypatch, module_name, name):
 
 def test_solve_computes_each_operand_once(tmp_path, monkeypatch):
     # the seed-0 solve_ladder antiperiodic N = 256 solve of the benchmark.
-    # apply_D: decompose's Fourier probe, one D g for the certificate, one
-    # D u per state (u_H1 and the residual share it) and one D g per run.
-    # nonlinearity: one N(u) per state, shared by its residual and the
-    # next step.  graph_norm: none, the increment is read off the
-    # coefficients that run keeps.  lp_norm: u, D u and the residual per
+    # apply_D: decompose's Fourier probe, one D g for the certificate and
+    # one D u per state (u_H1 and the residual share it); the run applies
+    # no D to g.  nonlinearity: one N(u) per state, in the residual that
+    # the next step corrects by.  graph_norm: none, the increment is read
+    # off the correction.  lp_norm: u, D u and the residual per
     # state (u_H1 is w1q of the first two), g and D g for the certificate.
     # shifted_spectrum: once per run; step: once per state after the first
     import importlib.util
@@ -689,7 +689,7 @@ def test_solve_computes_each_operand_once(tmp_path, monkeypatch):
     assert run_command(cfg, "solve", str(tmp_path / "out")) == 0
     states = len(read_csv(tmp_path / "out" / "trace.csv")) - 1
     assert states == 4
-    assert len(calls) == 1 + 1 + states + 1 == 7
+    assert len(calls) == 1 + 1 + states == 6
     assert len(nonlinear) == states == 4
     assert len(graph) == 0
     assert len(norms) == 3 * states + 2 == 14
@@ -1514,6 +1514,7 @@ def test_main_refuses_the_rescale_key(tmp_path, capsys):
     ("[model]\noperator = dirac_2spinor\nboundary = bag1d\n",
      "x,re_0,im_0\n" + "0.0,1.0,0.0\n" * 8,
      "has 1 components, the model needs 2"),
+    ("[model]\n", "x\n" + "0.0\n" * 8, "has 0 components, the model needs 1"),
 ])
 def test_main_sample_file_does_not_fit(tmp_path, capsys, model, text, where):
     # the file parses, but its values cannot be a datum of the model

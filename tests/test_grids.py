@@ -45,12 +45,19 @@ def test_weights_sum_to_length():
         assert np.sum(g.weights()) == pytest.approx(2.5, rel=1e-14)
 
 
-def test_field_validation():
+def test_field_validation(tmp_path):
     g = Grid1D(1.0, 16)
     with pytest.raises(InvalidFieldError):
         SpinorField(g, np.full(16, np.nan))
     with pytest.raises(InvalidFieldError):
         SpinorField(g, np.ones(15))
+    # a field of rank 0, also as a CSV whose header is only `x`
+    with pytest.raises(InvalidFieldError, match=r"shape \(16, 0\)"):
+        SpinorField(g, np.zeros((16, 0)))
+    path = tmp_path / "x_only.csv"
+    path.write_text("x\n" + "0.0\n" * 16, encoding="utf-8")
+    with pytest.raises(InvalidFieldError, match=r"rank >= 1"):
+        load_field_csv(g, path)
     with pytest.raises(ParameterError, match="fields live on different grids"):
         random_field(g) + random_field(Grid1D(1.0, 17))
     with pytest.raises(ParameterError, match="fields have ranks 1 and 2"):
