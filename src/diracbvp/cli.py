@@ -53,9 +53,9 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _prepare(cfg):
+def _prepare(spec):
     from . import operators, spectral
-    return spectral.decompose(operators.assemble(cfg.build_model()))
+    return spectral.decompose(operators.assemble(spec))
 
 
 def _model_and_fields(cfg, cache):
@@ -65,13 +65,14 @@ def _model_and_fields(cfg, cache):
     key = tuple(sorted(cfg.values["model"].items()))
     if key not in cache:
         cache.clear()
-        sd = _prepare(cfg)
-        cache[key] = (sd,) + cfg.build_fields(sd.operator.spec)
+        spec = cfg.build_model()
+        fields = cfg.build_fields(spec)  # a bad one ends before decompose
+        cache[key] = (_prepare(spec),) + fields
     return cache[key]
 
 
 def cmd_spectrum(cfg, out_dir):
-    sd = _prepare(cfg)
+    sd = _prepare(cfg.build_model())
     rows = [[k, repr(float(lam))] for k, lam in enumerate(sd.eigenvalues)]
     _write_csv(os.path.join(out_dir, "eigenvalues.csv"), ["k", "lambda_k"],
                rows)
@@ -170,7 +171,7 @@ def cmd_bootstrap(cfg, out_dir):
 def cmd_functional(cfg, out_dir):
     from . import conditions, spectral
     n = cfg.values["constants"]["n"]
-    sd = _prepare(cfg)
+    sd = _prepare(cfg.build_model())
     m = min(cfg.values["functional"]["m"], sd.size)
     rows = []
     for k in range(m):

@@ -4,9 +4,9 @@ Everything in this module is arithmetic on scalars plus a few quadrature
 evaluations: the Hoelder/Gagliardo-Nirenberg exponents theta_A, theta_B,
 p_B, the constant kappa, the condition families (A1)-(A4), (B1)-(B3),
 (C1)-(C3) (their names MODE_A/B/C live in `names`), the functional
-F(phi) whose critical values are the eigenvalue moduli, and empirical
-lower-bound estimators for the Gagliardo-Nirenberg constants.  The
-Lebesgue-exponent bootstrap recursion is the `bootstrap` module.
+F(phi) whose critical values are the eigenvalue moduli, and lower bounds
+for the Gagliardo-Nirenberg constants witnessed by fixed trial fields.
+The Lebesgue-exponent bootstrap recursion is the `bootstrap` module.
 """
 
 import math
@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .grids import CIRCLE, SpinorField, _modulus_power, lp_norm, w1q
+from .grids import SpinorField, _modulus_power, lp_norm, w1q
 from .names import MODE_A, MODE_B, MODE_C
-from .spectral import apply_operator, graph_norm
+from .spectral import apply_operator, eigenfunction, graph_norm
 
 
 @dataclass
@@ -233,39 +233,37 @@ def el_transform(sd, phi, q):
 VARIANT_FIRST = "first"
 VARIANT_SECOND = "second"
 VARIANT_FRACTIONAL = "fractional"
-MAX_MODE = 8  # the highest mode of a _random_smooth_field
 
 
-def _random_smooth_field(grid, rng):
-    """Band-limited random scalar trial field and its exact derivative.
+def _bumps(grid):
+    """The 'first' and 'second' trials (f, g, w), f' = g/w: the constant
+    field (g = 0), then f = exp(-t^2), g = -2 t f, t = d/w, for w = 2^j
+    from about 4h up to L/4, d = x - L/2 (on a circle the arc distance
+    from the middle, as |d| <= L/2).  |g| < 1, so no sample leaves the
+    floats at any L, and lp_norm(g, q)/w is the L^q norm of f'."""
+    ones = np.ones(grid.n_points)
+    yield SpinorField(grid, ones), SpinorField.zero(grid), 1.0
+    d = grid.points() - grid.length / 2.0
+    for j in range(math.ceil(math.log2(4.0 * grid.spacing)),
+                   math.floor(math.log2(grid.length / 4.0)) + 1):
+        w = math.ldexp(1.0, j)
+        t = d / w
+        f = np.exp(-t * t)
+        yield SpinorField(grid, f), SpinorField(grid, -2.0 * t * f), w
 
-    sum_k c_k exp(i xi_k x), k = 0..MAX_MODE, xi_k = 2 pi k/L on circles
-    and pi k/L on intervals, not boundary-constrained: a bare grid has no
-    model D, so the derivative is taken term by term.
+
+def estimate_gn_ratio(grid, variant, n, p=None, p_A=None, sd=None):
+    """Witnessed LOWER bound for a Gagliardo-Nirenberg constant.
+
+    The largest ||f||_r / (||f||_q^{1-theta} S(f)^theta), theta = n/(n+1),
+    q = 2n/(n+1), over fixed trial fields f, the same on every call.
+    'first' bounds K_GN (r = p(n+1)/(n-1)) and 'second' K_GN2 (r =
+    2n/(n-1)) over the _bumps trials, S the W^{1,q} norm from their exact
+    derivatives; 'fractional' bounds K_FGN (r = p_A) over the
+    eigenfunctions phi_k, k < 16, of sd (then required) and the sums
+    phi_0 + phi_k, 0 < k < 8, S the H^{1/2}_D graph norm.  Each trial
+    measures ||f||_q once, for the denominator and for S alike.
     """
-    k = np.arange(MAX_MODE + 1)
-    z = rng.standard_normal(2 * k.size)
-    c = (z[0::2] + 1j * z[1::2]) / (1.0 + k * k)
-    xi = (2.0 if grid.topology == CIRCLE else 1.0) * np.pi * k / grid.length
-    modes = np.exp(1j * np.outer(grid.points(), xi))
-    return (SpinorField(grid, modes @ c),
-            SpinorField(grid, modes @ (1j * xi * c)))
-
-
-def estimate_gn_ratio(grid, variant, n, p=None, p_A=None, trials=100, seed=0,
-                      sd=None):
-    """Empirical LOWER bound for a Gagliardo-Nirenberg constant.
-
-    Maximizes the relevant norm ratio over random band-limited trial
-    fields.  variants: 'first' bounds K_GN (target L^{p(n+1)/(n-1)}...),
-    'second' bounds K_GN2 (target L^{2n/(n-1)}), both with the source
-    norm W^{1,q}, q = 2n/(n+1), from the trial fields' exact derivative;
-    'fractional' bounds K_FGN (source norm H^{1/2}_D through sd, which is
-    then required).  Each trial measures ||f||_Lq once, for the
-    denominator and for the W^{1,q} source norm alike.
-    """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
     if variant not in (VARIANT_FIRST, VARIANT_SECOND, VARIANT_FRACTIONAL):
         raise ParameterError("unknown variant %r" % (variant,))
     if variant == VARIANT_FRACTIONAL and sd is None:
@@ -280,24 +278,18 @@ def estimate_gn_ratio(grid, variant, n, p=None, p_A=None, trials=100, seed=0,
         if p_A is None:
             raise ParameterError("variant %r needs p_A" % (variant,))
         target = 2.0 * n / (n - 1.0) if variant == VARIANT_SECOND else p_A
-
-    rng = np.random.default_rng(seed)
+    if variant == VARIANT_FRACTIONAL:
+        phi = [eigenfunction(sd, k) for k in range(min(sd.size, 16))]
+        trials = [(f, None, None)
+                  for f in phi + [phi[0] + f for f in phi[1:8]]]
+    else:
+        trials = _bumps(grid)
     best = 0.0
-    for trial in range(trials):
-        if variant == VARIANT_FRACTIONAL:
-            m = sd.size
-            c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            f = sd.operator.embed(c)
-        elif trial == 0:  # constant field: a clean deterministic sample
-            f = SpinorField(grid, np.ones(grid.n_points, dtype=complex))
-            df = SpinorField.zero(grid)
-        else:
-            f, df = _random_smooth_field(grid, rng)
+    for f, g, w in trials:
         f_q = lp_norm(f, q)
         source = (graph_norm(sd, 0.5, f) if variant == VARIANT_FRACTIONAL
-                  else w1q(f_q, lp_norm(df, q), q))
-        num = lp_norm(f, target)
+                  else w1q(f_q, lp_norm(g, q) / w, q))
         den = f_q ** (1.0 - theta) * source ** theta
         if den > 0:
-            best = max(best, num / den)
+            best = max(best, lp_norm(f, target) / den)
     return best

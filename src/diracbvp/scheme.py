@@ -35,6 +35,9 @@ from .spectral import graph_weight, shifted_spectrum
 
 @dataclass
 class SchemeConfig:
+    """D u = lam |u|^{p-2} u, P u = P g; each step inverts D_P - a.  On
+    the periodic model a step scales the zero mode's error by
+    1 - lam (p-1)|u|^{p-2}/a, so a needs the sign of Re lam there."""
     lam: complex
     p: float
     g: SpinorField
@@ -150,7 +153,8 @@ def run(sd, cfg):
     The run ends "diverged" when f0 - g (state 0 is then f0), r_k or a step
     leaves the floats, or when ||u_k||_L2, k >= 1, exceeds
     10 max(Xi, Lambda_cap, 1) (state 0 is exempt: at lambda = 0 one step
-    solves the problem from any f0).
+    solves the problem from any f0), as on the periodic model when the
+    shift a and Re lambda differ in sign (see SchemeConfig).
     """
     u = cfg.f0 if cfg.f0 is not None else cfg.g
     spec = sd.operator.spec

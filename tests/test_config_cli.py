@@ -701,8 +701,9 @@ def test_certificate_applies_D_once(monkeypatch):
     # Dg_L2 and g_H1T share one D g
     from diracbvp.cli import _prepare
     cfg = parse_config(BASE)
-    sd = _prepare(cfg)
-    g = cfg.build_fields(sd.operator.spec)[0]
+    spec = cfg.build_model()
+    sd = _prepare(spec)
+    g = cfg.build_fields(spec)[0]
     calls = count_calls(monkeypatch, "diracbvp.operators", "apply_D")
     consts = cfg.build_constants(sd, g)
     assert len(calls) == 1
@@ -1026,6 +1027,23 @@ def test_main_singular_shift_message_has_plain_numbers(tmp_path, capsys):
     assert "np." not in err
 
 
+def test_periodic_shift_needs_the_sign_of_lambda(tmp_path, capsys):
+    # on the periodic model a step multiplies a zero-mode error by
+    # 1 - lambda (p-1)|u|^{p-2}/a: with a against Re lambda it grows
+    cfg = ("[model]\nboundary = periodic\nlength = 2*pi\nn_points = 64\n"
+           "[scheme]\nlambda = -0.1\na = %s\ng = exp_mode(1, 0.3)\n")
+    ends = {}
+    for a in ("0.5", "-0.5"):
+        cfg_path = write_cfg(tmp_path, cfg % a)
+        assert main(["solve", "--config", str(cfg_path),
+                     "--out", str(tmp_path / a)]) == 0
+        report = read_json(tmp_path / a / "report.json")
+        ends[a] = report["verdict"], report["iterations"]
+    assert ends == {"0.5": ("diverged", 31), "-0.5": ("converged", 21)}
+    assert capsys.readouterr().err == 2 * not_certified(
+        "estimate_constants needs an invertible operator")
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("scheme", "lambda", "1/0"),
     ("scheme", "lambda", "10.0**400"),
@@ -1273,6 +1291,28 @@ def test_main_refuses_a_missing_f0_file(tmp_path, capsys, command):
                  "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: scheme.f0: file %r does not " \
         "exist\n" % str(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "sweep"])
+def test_a_refused_field_costs_no_decomposition(tmp_path, capsys,
+                                                 monkeypatch, command):
+    # the fields are built on the model spec before the model is
+    # decomposed, so a bad scheme.g ends at once on a large model too
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 64\n[scheme]\n"
+                                   "g = sample_file(missing.csv)\n[sweep]\n"
+                                   "param = scheme.lambda\nmin = 0\n"
+                                   "max = 0.1\ncount = 2\n")
+    decompose = count_calls(monkeypatch, "diracbvp.spectral", "decompose")
+    status = main([command, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+    error = "error: scheme.g: file %r does not exist" \
+        % str(tmp_path / "missing.csv")
+    if command == "sweep":  # each point's row
+        rows = read_csv(tmp_path / "out" / "sweep.csv")[1:]
+        assert status == 0 and [row[2] for row in rows] == [error] * 2
+    else:
+        assert status == 1 and capsys.readouterr().err == error + "\n"
+    assert decompose == []
 
 
 @pytest.mark.parametrize("key", ["g", "f0"])
