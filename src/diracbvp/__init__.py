@@ -12,8 +12,8 @@ import importlib
 _EXPORTS = {
     "bootstrap": "BootstrapTrace bootstrap_exponents",
     "conditions": "AnalyticConstants ConditionReport check_conditions "
-                  "derive_exponents el_transform estimate_gn_ratio "
-                  "variational_functional",
+                  "derive_exponents el_transform k_fgn_witness k_gn2_witness "
+                  "k_gn_witness variational_functional",
     "grids": "Grid1D SpinorField load_field_csv lp_norm nonlinearity "
              "save_field_csv slobodeckij_norm",
     "operators": "AssembledOperator BoundaryCondition ModelSpec apply_D "

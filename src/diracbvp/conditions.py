@@ -4,8 +4,9 @@ Everything in this module is arithmetic on scalars plus a few quadrature
 evaluations: the Hoelder/Gagliardo-Nirenberg exponents theta_A, theta_B,
 p_B, the constant kappa, the condition families (A1)-(A4), (B1)-(B3),
 (C1)-(C3) (their names MODE_A/B/C live in `names`), the functional
-F(phi) whose critical values are the eigenvalue moduli, and lower bounds
-for the Gagliardo-Nirenberg constants witnessed by fixed trial fields.
+F(phi) whose critical values are the eigenvalue moduli, and one witness
+per Gagliardo-Nirenberg constant, k_gn_witness, k_gn2_witness and
+k_fgn_witness: a lower bound from fixed trial fields.
 The Lebesgue-exponent bootstrap recursion is the `bootstrap` module.
 """
 
@@ -201,10 +202,8 @@ def variational_functional(sd, phi, n):
     as F; NumericalError, naming model.length and model.n_points, when F
     itself is not finite.
     """
-    if n < 2:
-        raise ParameterError("need n >= 2, got %r" % (n,))
+    q = _gn_exponent(n)
     dphi = apply_operator(sd, phi)
-    q = 2.0 * n / (n + 1.0)
     grid = phi.grid
     s = np.ldexp(1.0, np.frexp(np.max(np.abs(dphi.values)))[1] - 1)
     dphi = SpinorField(grid, dphi.values / s)
@@ -230,66 +229,65 @@ def el_transform(sd, phi, q):
     return _modulus_power(apply_operator(sd, phi), q - 2.0)
 
 
-VARIANT_FIRST = "first"
-VARIANT_SECOND = "second"
-VARIANT_FRACTIONAL = "fractional"
+def _gn_exponent(n):
+    """q = 2n/(n+1), the Lebesgue exponent of F and of every GN quotient."""
+    if n < 2:
+        raise ParameterError("need n >= 2, got %r" % (n,))
+    return 2.0 * n / (n + 1.0)
 
 
-def _bumps(grid):
-    """The 'first' and 'second' trials (f, g, w), f' = g/w: the constant
-    field (g = 0), then f = exp(-t^2), g = -2 t f, t = d/w, for w = 2^j
-    from about 4h up to L/4, d = x - L/2 (on a circle the arc distance
-    from the middle, as |d| <= L/2).  |g| < 1, so no sample leaves the
-    floats at any L, and lp_norm(g, q)/w is the L^q norm of f'."""
-    ones = np.ones(grid.n_points)
-    yield SpinorField(grid, ones), SpinorField.zero(grid), 1.0
+def _bumps(grid, q):
+    """The K_GN and K_GN2 trials (f, ||f||_q, S), S the W^{1,q} norm of f
+    from its exact derivative f' = g/w: the constant field (g = 0), then
+    f = exp(-t^2), g = -2 t f, t = d/w, for w = 2^j from about 4h up to
+    L/4, d = x - L/2 (on a circle the arc distance from the middle, as
+    |d| <= L/2).  |g| < 1, so no sample leaves the floats at any L, and
+    lp_norm(g, q)/w is the L^q norm of f'."""
+    def trial(f, df_q):
+        f = SpinorField(grid, f)
+        f_q = lp_norm(f, q)
+        return f, f_q, w1q(f_q, df_q, q)
+    yield trial(np.ones(grid.n_points), 0.0)
     d = grid.points() - grid.length / 2.0
     for j in range(math.ceil(math.log2(4.0 * grid.spacing)),
                    math.floor(math.log2(grid.length / 4.0)) + 1):
         w = math.ldexp(1.0, j)
         t = d / w
         f = np.exp(-t * t)
-        yield SpinorField(grid, f), SpinorField(grid, -2.0 * t * f), w
+        yield trial(f, lp_norm(SpinorField(grid, -2.0 * t * f), q) / w)
 
 
-def estimate_gn_ratio(grid, variant, n, p=None, p_A=None, sd=None):
-    """Witnessed LOWER bound for a Gagliardo-Nirenberg constant.
-
-    The largest ||f||_r / (||f||_q^{1-theta} S(f)^theta), theta = n/(n+1),
-    q = 2n/(n+1), over fixed trial fields f, the same on every call.
-    'first' bounds K_GN (r = p(n+1)/(n-1)) and 'second' K_GN2 (r =
-    2n/(n-1)) over the _bumps trials, S the W^{1,q} norm from their exact
-    derivatives; 'fractional' bounds K_FGN (r = p_A) over the
-    eigenfunctions phi_k, k < 16, of sd (then required) and the sums
-    phi_0 + phi_k, 0 < k < 8, S the H^{1/2}_D graph norm.  Each trial
-    measures ||f||_q once, for the denominator and for S alike.
-    """
-    if variant not in (VARIANT_FIRST, VARIANT_SECOND, VARIANT_FRACTIONAL):
-        raise ParameterError("unknown variant %r" % (variant,))
-    if variant == VARIANT_FRACTIONAL and sd is None:
-        raise ParameterError("fractional variant needs spectral data")
+def _witness(trials, n, r):
+    """The largest ||f||_r / (||f||_q^{1-theta} S^theta), theta = n/(n+1),
+    over the trials (f, ||f||_q, S): a witnessed LOWER bound for the
+    Gagliardo-Nirenberg constant of that quotient.  The trials are fixed
+    fields, so a witness is the same on every call."""
     theta = n / (n + 1.0)
-    q = 2.0 * n / (n + 1.0)
-    if variant == VARIANT_FIRST:
-        if p is None:
-            raise ParameterError("first variant needs p")
-        target = p * (n + 1.0) / (n - 1.0)
-    else:
-        if p_A is None:
-            raise ParameterError("variant %r needs p_A" % (variant,))
-        target = 2.0 * n / (n - 1.0) if variant == VARIANT_SECOND else p_A
-    if variant == VARIANT_FRACTIONAL:
-        phi = [eigenfunction(sd, k) for k in range(min(sd.size, 16))]
-        trials = [(f, None, None)
-                  for f in phi + [phi[0] + f for f in phi[1:8]]]
-    else:
-        trials = _bumps(grid)
     best = 0.0
-    for f, g, w in trials:
-        f_q = lp_norm(f, q)
-        source = (graph_norm(sd, 0.5, f) if variant == VARIANT_FRACTIONAL
-                  else w1q(f_q, lp_norm(g, q) / w, q))
+    for f, f_q, source in trials:
         den = f_q ** (1.0 - theta) * source ** theta
         if den > 0:
-            best = max(best, lp_norm(f, target) / den)
+            best = max(best, lp_norm(f, r) / den)
     return best
+
+
+def k_gn_witness(grid, n, p):
+    """Lower bound for K_GN over the _bumps trials, r = p(n+1)/(n-1)."""
+    q = _gn_exponent(n)
+    return _witness(_bumps(grid, q), n, p * (n + 1.0) / (n - 1.0))
+
+
+def k_gn2_witness(grid, n):
+    """Lower bound for K_GN2 over the _bumps trials, r = 2n/(n-1)."""
+    q = _gn_exponent(n)
+    return _witness(_bumps(grid, q), n, 2.0 * n / (n - 1.0))
+
+
+def k_fgn_witness(sd, n, p_A):
+    """Lower bound for K_FGN, r = p_A, S the H^{1/2}_D graph norm, over
+    sd's eigenfunctions phi_k, k < 16, and the sums phi_0 + phi_k,
+    0 < k < 8, on sd's own grid."""
+    q = _gn_exponent(n)
+    phi = [eigenfunction(sd, k) for k in range(min(sd.size, 16))]
+    return _witness(((f, lp_norm(f, q), graph_norm(sd, 0.5, f))
+                     for f in phi + [phi[0] + f for f in phi[1:8]]), n, p_A)

@@ -24,7 +24,7 @@ class Grid1D:
     def __post_init__(self):
         if self.topology not in (INTERVAL, CIRCLE):
             raise ParameterError("unknown topology %r" % (self.topology,))
-        if self.length <= 0:
+        if not 0 < self.length < np.inf:  # NaN fails both comparisons
             raise ParameterError("length must be positive, got %r"
                                  % (self.length,))
         if self.n_points < 8:

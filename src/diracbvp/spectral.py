@@ -243,6 +243,8 @@ def estimate_constants(sd, s):
     1.52 N.  Both refuse a model whose 1 + lambda_k^2 overflows, by one
     NumericalError naming model.length and model.n_points.
     """
+    if not 0.0 < s <= 1.0:
+        raise ParameterError("s must lie in (0,1], got %r" % (s,))
     op = sd.operator
     if not sd.invertible:
         raise ParameterError("estimate_constants needs an invertible operator")

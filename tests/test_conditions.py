@@ -10,7 +10,8 @@ from conftest import dense_eigenvectors, mode_field
 from diracbvp import (AnalyticConstants, BoundaryCondition, ModelSpec,
                       assemble, bootstrap_exponents, check_conditions,
                       decompose, eigenfunction, el_transform,
-                      estimate_gn_ratio, variational_functional)
+                      k_fgn_witness, k_gn2_witness, k_gn_witness,
+                      variational_functional)
 from diracbvp.conditions import MODE_A, MODE_B, MODE_C, derive_exponents
 from diracbvp.errors import ParameterError
 from diracbvp.grids import Grid1D, SpinorField
@@ -302,8 +303,7 @@ def test_gn_ratio_dominates_constant_trial():
     for topology in ("interval", "circle"):
         for length in (1.0, 0.01, 100.0):
             grid = Grid1D(length, 128, topology=topology)
-            found = (estimate_gn_ratio(grid, "first", n=2, p=4),
-                     estimate_gn_ratio(grid, "second", n=2, p_A=4))
+            found = (k_gn_witness(grid, n=2, p=4), k_gn2_witness(grid, n=2))
             closed = _constant_field_ratios(grid)
             if length > 1.0:  # bumps beat it on a long domain
                 assert found[0] > closed[0] and found[1] > closed[1]
@@ -315,8 +315,8 @@ def test_gn_ratio_on_a_circle():
     # the bumps sit at the middle of the circle, in the arc distance, so
     # a circle and an interval of one length witness about the same bound
     for length in (1.0, 10.0, 100.0):
-        line, circle = (estimate_gn_ratio(Grid1D(length, 256, topology=t),
-                                          "first", n=2, p=4)
+        line, circle = (k_gn_witness(Grid1D(length, 256, topology=t),
+                                     n=2, p=4)
                         for t in ("interval", "circle"))
         assert circle == pytest.approx(line, rel=1e-2)
 
@@ -325,15 +325,19 @@ def test_gn_ratio_resolves_a_long_interval():
     # a random search over modes up to 8 gave 0.082 here; the bumps of
     # widths 2 to 16 at h = 0.39 are resolved, and witness more
     grid = Grid1D(100.0, 256)
-    assert estimate_gn_ratio(grid, "first", n=2, p=4) >= 0.35
+    assert k_gn_witness(grid, n=2, p=4) >= 0.35
 
 
-def test_gn_ratio_is_the_same_on_every_call(anti_sd, anti_spec):
-    grid = anti_spec.grid
-    for variant, kw in (("first", {"p": 3}), ("second", {"p_A": 6}),
-                        ("fractional", {"p_A": 4, "sd": anti_sd})):
-        assert (estimate_gn_ratio(grid, variant, n=2, **kw)
-                == estimate_gn_ratio(grid, variant, n=2, **kw))
+def _witness_calls(sd, n):
+    """One call of each witness, K_GN, K_GN2 and K_FGN, on sd's grid."""
+    grid = sd.operator.spec.grid
+    return (lambda: k_gn_witness(grid, n, 3), lambda: k_gn2_witness(grid, n),
+            lambda: k_fgn_witness(sd, n, 4))
+
+
+def test_gn_ratio_is_the_same_on_every_call(anti_sd):
+    for call in _witness_calls(anti_sd, 2):
+        assert call() == call()
 
 
 @pytest.mark.parametrize("topology", ["interval", "circle"])
@@ -344,16 +348,14 @@ def test_gn_ratio_stays_in_the_floats(topology):
     for length in (1e-300, 1e-200, 1e-10, 1.0, 1e10, 1e200, 1e300):
         for n_points in (8, 9, 64):
             grid = Grid1D(length, n_points, topology=topology)
-            for variant, kw in (("first", {"p": 4}), ("second", {"p_A": 4})):
-                value = estimate_gn_ratio(grid, variant, n=2, **kw)
+            for value in (k_gn_witness(grid, n=2, p=4),
+                          k_gn2_witness(grid, n=2)):
                 assert math.isfinite(value) and value > 0
 
 
-def test_gn_ratio_fractional(anti_sd, anti_spec):
+def test_gn_ratio_fractional(anti_sd):
     # phi_0 + phi_k on N = 256; white-noise trials gave 0.175 here
-    est = estimate_gn_ratio(anti_spec.grid, "fractional", n=2, p_A=4,
-                            sd=anti_sd)
-    assert est >= 0.69
+    assert k_fgn_witness(anti_sd, n=2, p_A=4) >= 0.69
 
 
 def test_gn_ratio_draws_no_random_numbers():
@@ -362,12 +364,13 @@ def test_gn_ratio_draws_no_random_numbers():
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracbvp.__file__)))
     code = ("import sys\n"
             "from diracbvp import (BoundaryCondition, Grid1D, ModelSpec,\n"
-            "                      assemble, decompose, estimate_gn_ratio)\n"
+            "                      assemble, decompose, k_fgn_witness,\n"
+            "                      k_gn2_witness, k_gn_witness)\n"
             "spec = ModelSpec(Grid1D(1.0, 64), BoundaryCondition('bag1d'))\n"
             "sd = decompose(assemble(spec))\n"
-            "for v, kw in (('first', {'p': 4}), ('second', {'p_A': 4}),\n"
-            "              ('fractional', {'p_A': 4, 'sd': sd})):\n"
-            "    assert estimate_gn_ratio(spec.grid, v, 2, **kw) > 0\n"
+            "assert k_gn_witness(spec.grid, 2, 4) > 0\n"
+            "assert k_gn2_witness(spec.grid, 2) > 0\n"
+            "assert k_fgn_witness(sd, 2, 4) > 0\n"
             "print('numpy.random' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          env=dict(os.environ, PYTHONPATH=src),
@@ -375,13 +378,10 @@ def test_gn_ratio_draws_no_random_numbers():
     assert out.strip() == "False"
 
 
-def test_gn_ratio_validation(anti_spec):
-    grid = anti_spec.grid
-    with pytest.raises(ParameterError):
-        estimate_gn_ratio(grid, "third", n=2, p=4)
-    with pytest.raises(ParameterError):
-        estimate_gn_ratio(grid, "first", n=2)  # missing p
-    with pytest.raises(ParameterError):
-        estimate_gn_ratio(grid, "second", n=2)  # missing p_A
-    with pytest.raises(ParameterError):
-        estimate_gn_ratio(grid, "fractional", n=2, p_A=4)  # missing sd
+def test_gn_ratio_validation(anti_sd):
+    # the exponents r = p(n+1)/(n-1) and 2n/(n-1) divide by n - 1: every
+    # witness refuses n < 2, where K_GN's raised a ZeroDivisionError
+    for n in (1, 0):
+        for call in _witness_calls(anti_sd, n):
+            with pytest.raises(ParameterError, match="need n >= 2"):
+                call()

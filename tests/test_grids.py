@@ -32,9 +32,10 @@ def test_grid_spacing_reproduces_length():
 def test_grid_validation():
     with pytest.raises(ParameterError, match="need n_points >= 8, got 4"):
         Grid1D(1.0, 4)
-    with pytest.raises(ParameterError,
-                       match="length must be positive, got -1.0"):
-        Grid1D(-1.0, 64)
+    for length in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError,
+                           match="length must be positive, got %r" % length):
+            Grid1D(length, 64)
     with pytest.raises(ParameterError, match="unknown topology 'weird'"):
         Grid1D(1.0, 64, "weird")
 

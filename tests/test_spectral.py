@@ -395,6 +395,14 @@ def test_estimate_constants_antiperiodic(anti_sd, anti_spec):
     assert anti_sd.c_half_emp > 0
 
 
+def test_estimate_constants_refuses_s_outside_0_1(anti_sd):
+    # no Lanczos runs for an order outside (0, 1], whose error would
+    # name c_half_emp
+    for s in (0.0, -0.5, 2.0):
+        with pytest.raises(ParameterError, match="s must lie in"):
+            estimate_constants(anti_sd, s)
+
+
 def test_estimate_constants_computed_once_per_decomposition(anti_spec_128,
                                                            monkeypatch):
     import diracbvp.spectral
