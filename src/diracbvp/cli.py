@@ -86,14 +86,15 @@ def cmd_spectrum(cfg, out_dir):
 
 def _certify(cfg, sd, g):
     from . import conditions
-    consts = cfg.build_constants(sd, g)
+    consts, provenance = cfg.build_constants(sd, g)
     mode = cfg.values["constants"]["mode"]
-    return conditions.check_conditions(consts, mode), consts
+    return conditions.check_conditions(consts, mode), consts, provenance
 
 
 def _run_scheme(cfg, sd, g, f0, where=""):
-    """Build cfg's scheme from datum g and start f0, certify it (advisory: an
-    error gives None and a `warning:` line, after where) and run it on sd."""
+    """(report, certified): cfg's scheme built from datum g and start f0
+    and run on sd, and whether its conditions are certified (advisory:
+    an error gives None and a `warning:` line, after where)."""
     from . import scheme
     scheme_cfg = cfg.build_scheme(g, f0)
     try:
@@ -102,29 +103,28 @@ def _run_scheme(cfg, sd, g, f0, where=""):
         certified = None
         print("warning: %sconditions not certified: %s" % (where, exc),
               file=sys.stderr)
-    report = scheme.run(sd, scheme_cfg)
-    report.conditions_certified = certified
-    return report
+    return scheme.run(sd, scheme_cfg), certified
 
 
 def cmd_solve(cfg, out_dir):
     from . import scheme
-    report = _run_scheme(cfg, *_model_and_fields(cfg, {}))
+    report, certified = _run_scheme(cfg, *_model_and_fields(cfg, {}))
     _write_csv(os.path.join(out_dir, "trace.csv"),
                ["k", "delta_H12D", "ratio", "u_L2", "u_H1", "pde_residual"],
                scheme.trace_rows(report))
-    _write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    _write_json(os.path.join(out_dir, "report.json"),
+                dict(report.to_dict(), conditions_certified=certified))
     return 0
 
 
 def cmd_check(cfg, out_dir):
     import dataclasses
     sd, g, _ = _model_and_fields(cfg, {})  # f0 too, so a bad one is refused
-    cond_report, consts = _certify(cfg, sd, g)
-    payload = cond_report.to_dict()
-    payload["constants"] = dataclasses.asdict(consts)
-    payload["provenance"] = payload["constants"].pop("provenance")
-    _write_json(os.path.join(out_dir, "conditions.json"), payload)
+    cond_report, consts, provenance = _certify(cfg, sd, g)
+    _write_json(os.path.join(out_dir, "conditions.json"),
+                dict(cond_report.to_dict(),
+                     constants=dataclasses.asdict(consts),
+                     provenance=provenance))
     return 0
 
 
@@ -142,11 +142,12 @@ def cmd_sweep(cfg, out_dir):
         try:
             for path, val in zip(names, values):
                 point = point.with_override(path, val)
-            rep = _run_scheme(point, *_model_and_fields(point, cache),
-                              where="sweep point %d: " % idx)
+            rep, certified = _run_scheme(
+                point, *_model_and_fields(point, cache),
+                where="sweep point %d: " % idx)
             cells = [rep.verdict, rep.iterations, repr(rep.pde_residual),
                      repr(max(rep.ratios, default=0.0)),
-                     str(bool(rep.conditions_certified)).lower(),
+                     str(bool(certified)).lower(),
                      str(bool(rep.bounds_held)).lower()]
         except (DiracBVPError, MemoryError) as exc:
             if isinstance(exc, MemoryError):

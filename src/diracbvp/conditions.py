@@ -11,7 +11,7 @@ The Lebesgue-exponent bootstrap recursion is the `bootstrap` module.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .spectral import apply_operator, eigenfunction, graph_norm
 
 @dataclass
 class AnalyticConstants:
+    """The numbers check_conditions reads; RunConfig.build_constants
+    returns their provenance (assumed or computed) beside them."""
     n: int
     p: float = None  # default: critical exponent 2n/(n-1)
     p_A: float = None
@@ -40,7 +42,6 @@ class AnalyticConstants:
     g_H1T: float = 0.0
     Xi: float = 1.0
     Lambda_cap: float = 1.0
-    provenance: dict = field(default_factory=dict)  # name -> assumed/computed
 
     def __post_init__(self):
         if self.n < 2:

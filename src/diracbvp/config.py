@@ -318,7 +318,8 @@ class RunConfig:
             tol_residual=scheme["tol_residual"])
 
     def build_constants(self, sd, g):
-        """AnalyticConstants from the config plus measured quantities.
+        """(AnalyticConstants, provenance) from the config plus measured
+        quantities; provenance maps each name to assumed or computed.
 
         c1 is a number or sd.c1_emp; then c_half is a number,
         sd.c_half_emp or formula, 2 c1 c_h^2 iota^2 with that c1.  Each
@@ -363,8 +364,7 @@ class RunConfig:
             lambda_abs=abs(scheme["lambda"]),
             lambda1_abs=abs(sd.lambda1), Dg_L2=dg_l2, g_L2T=g_l2,
             g_H1T=w1q(g_l2, dg_l2, 2),
-            Xi=scheme["xi"], Lambda_cap=scheme["lambda_cap"],
-            provenance=provenance)
+            Xi=scheme["xi"], Lambda_cap=scheme["lambda_cap"]), provenance
 
 
 def parse_config(text, base_dir="."):

@@ -79,7 +79,8 @@ class IterationState:
 
 @dataclass
 class IterationReport:
-    """A run's states, its last iterate u and the summaries of the states."""
+    """A run's states, its last iterate u and the summaries of the states;
+    whether its conditions were certified is the caller's to keep."""
     states: list
     u: SpinorField
     verdict: str
@@ -88,7 +89,6 @@ class IterationReport:
     boundary_residual: float
     bounds_held: bool
     lambda1: float
-    conditions_certified: Optional[bool] = None
 
     @property
     def ratios(self):

@@ -32,10 +32,11 @@ class SpectralData:
     """Eigenvalues of D_P and the eigen-coefficient transform.
 
     eigenvalues are sorted by increasing modulus, the positive one first
-    on a tie.  The eigenvectors are diag(phase) F^H / sqrt(m), never
-    stored: order[k] is the FFT bin of eigenvalue k, and phase is the
-    modulation of the model's structure (operators.model_structure).  On
-    constrained coordinates y, _analyze is y -> fft(conj(phase) y,
+    on a tie; lambda1 (eigenvalues[0]) and invertible (_near_zero's rule)
+    are read off them.  The eigenvectors are diag(phase) F^H / sqrt(m),
+    never stored: order[k] is the FFT bin of eigenvalue k, and phase is
+    the modulation of the model's structure (operators.model_structure).
+    On constrained coordinates y, _analyze is y -> fft(conj(phase) y,
     norm="ortho") with the bins sorted into eigenvalue order, and
     _synthesize its inverse; to_coeffs and from_coeffs add project and
     embed.  c1_emp and c_half_emp are estimate_constants(self, 1) and
@@ -45,13 +46,19 @@ class SpectralData:
     """
     operator: object
     eigenvalues: np.ndarray = field(repr=False)
-    lambda1: float
-    invertible: bool
     order: np.ndarray = field(repr=False)
 
     @property
     def size(self):
         return self.eigenvalues.size
+
+    @property
+    def lambda1(self):
+        return float(self.eigenvalues[0])
+
+    @property
+    def invertible(self):
+        return _near_zero(self.eigenvalues) is None
 
     @cached_property
     def c1_emp(self):
@@ -80,30 +87,19 @@ class SpectralData:
         return phase * np.fft.ifft(bins, norm="ortho")
 
 
-def _order_spectrum(vals):
-    """Eigenvalue order, lambda1 and invertibility of a real spectrum.
-
-    The order sorts by increasing modulus, the positive eigenvalue first
-    on an exact tie.  lambda1 is the eigenvalue of smallest modulus, the
-    positive one on a near-tie (1e-9 |lambda1|); invertible is
-    shifted_spectrum's rule at a = 0.
-    """
-    order = np.lexsort((vals < 0, np.abs(vals)))
-    vals = vals[order]
-    invertible = bool(abs(vals[0]) > 1e-10 * np.max(np.abs(vals)))
-    # on a near-tie at the smallest modulus, report the positive eigenvalue
-    lambda1 = vals[0]
-    close = np.abs(np.abs(vals) - abs(vals[0])) <= 1e-9 * abs(vals[0])
-    if np.any(vals[close] > 0):
-        lambda1 = float(np.max(vals[close] * (vals[close] > 0)))
-    return order, float(lambda1), invertible
+def _near_zero(values):
+    """Index of the value nearest 0 when its modulus is at most 1e-10
+    times the largest one (a scale-free test for zero), else None."""
+    moduli = np.abs(values)
+    k = int(np.argmin(moduli))
+    return k if moduli[k] <= 1e-10 * np.max(moduli) else None
 
 
 def shifted_spectrum(sd, a):
     """The spectrum lambda_k - a of D_P - a; ParameterError if singular."""
     shifted = sd.eigenvalues - a
-    k = int(np.argmin(np.abs(shifted)))
-    if abs(shifted[k]) <= 1e-10 * np.max(np.abs(shifted)):  # scale-free
+    k = _near_zero(shifted)
+    if k is not None:
         raise ParameterError(
             "lambda - a = %r too close to zero at eigenvalue %r"
             % (complex(shifted[k]), float(sd.eigenvalues[k])))
@@ -123,10 +119,8 @@ def decompose(op):
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         freqs = op.spec.structure.freqs
-        order, lambda1, invertible = _order_spectrum(freqs)
-        sd = SpectralData(operator=op, eigenvalues=freqs[order],
-                          lambda1=lambda1, invertible=invertible,
-                          order=order)
+        order = np.lexsort((freqs < 0, np.abs(freqs)))  # + first on a tie
+        sd = SpectralData(operator=op, eigenvalues=freqs[order], order=order)
         c = _fixed_unit_vector(sd.size)
         try:
             ref = op.project(apply_D(op.spec, op.embed(c)))

@@ -10,7 +10,7 @@ from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SpinorField,
 from diracbvp.errors import NumericalError, ParameterError
 from diracbvp.operators import (BAG_P_LEFT, BAG_P_RIGHT, _antiperiodic_freqs,
                                 _apply_D_values)
-from diracbvp.spectral import _order_spectrum, shifted_spectrum
+from diracbvp.spectral import shifted_spectrum
 
 
 @pytest.fixture(scope="session")
@@ -207,6 +207,26 @@ class DenseSpectralData:
 
     def _synthesize(self, coeff):
         return self.eigenvectors @ coeff
+
+
+def _order_spectrum(vals):
+    """Eigenvalue order, lambda1 and invertibility of a real spectrum.
+
+    The order sorts by increasing modulus, the positive eigenvalue first
+    on an exact tie.  lambda1 is the eigenvalue of smallest modulus, the
+    positive one on a near-tie (1e-9 |lambda1|): eigh's +- pairs differ
+    in the last bits, where decompose's Fourier ones are exact.
+    invertible is shifted_spectrum's rule at a = 0.
+    """
+    order = np.lexsort((vals < 0, np.abs(vals)))
+    vals = vals[order]
+    invertible = bool(abs(vals[0]) > 1e-10 * np.max(np.abs(vals)))
+    # on a near-tie at the smallest modulus, report the positive eigenvalue
+    lambda1 = vals[0]
+    close = np.abs(np.abs(vals) - abs(vals[0])) <= 1e-9 * abs(vals[0])
+    if np.any(vals[close] > 0):
+        lambda1 = float(np.max(vals[close] * (vals[close] > 0)))
+    return order, float(lambda1), invertible
 
 
 def decompose_dense(op):

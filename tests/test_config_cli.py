@@ -705,7 +705,7 @@ def test_certificate_applies_D_once(monkeypatch):
     sd = _prepare(spec)
     g = cfg.build_fields(spec)[0]
     calls = count_calls(monkeypatch, "diracbvp.operators", "apply_D")
-    consts = cfg.build_constants(sd, g)
+    consts, _ = cfg.build_constants(sd, g)
     assert len(calls) == 1
     assert consts.g_H1T ** 2 == pytest.approx(consts.g_L2T ** 2
                                               + consts.Dg_L2 ** 2, rel=1e-14)

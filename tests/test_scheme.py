@@ -438,13 +438,10 @@ def test_trace_and_report_serialization(anti_sd, anti_spec):
     rows = trace_rows(rep)
     assert len(rows) == len(rep.states)
     assert rows[0][0] == 0 and rows[0][2] == ""  # no ratio at step 0
-    rep.conditions_certified = True
     payload = rep.to_dict()
     assert payload["verdict"] == "converged"
-    assert payload["conditions_certified"] is True
     assert set(payload) == {"verdict", "iterations", "pde_residual",
-                            "boundary_residual", "bounds_held", "lambda1",
-                            "conditions_certified"}
+                            "boundary_residual", "bounds_held", "lambda1"}
 
 
 def test_bound_violation_flagged(anti_sd, anti_spec):

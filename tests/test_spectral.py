@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (decompose_dense, dense_eigenvectors, dense_matrix,
-                      dense_rayleigh_maxima, mode_field,
+from conftest import (_order_spectrum, decompose_dense, dense_eigenvectors,
+                      dense_matrix, dense_rayleigh_maxima, mode_field,
                       random_constrained_field)
 from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SchemeConfig,
                       SpectralData, SpinorField, apply_fractional,
@@ -18,7 +18,7 @@ from diracbvp.config import parse_config
 from diracbvp.errors import DiracBVPError, NumericalError, ParameterError
 from diracbvp.spectral import (_above_spectrum, _bisect_top,
                                _fixed_unit_vector, _lanczos_max,
-                               _last_component, _order_spectrum)
+                               _last_component)
 
 
 # ------------------------------------------------------------ decompose
