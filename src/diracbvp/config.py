@@ -322,8 +322,9 @@ class RunConfig:
         quantities; provenance maps each name to assumed or computed.
 
         c1 is a number or sd.c1_emp; then c_half is a number,
-        sd.c_half_emp or formula, 2 c1 c_h^2 iota^2 with that c1.  Each
-        of sd's constants is read, and so computed, only for a key set to
+        sd.c_half_emp or formula, 2 c1 c_h^2 iota^2 with that c1, refused
+        as constants.c_half when it leaves the floats.  Each of sd's
+        constants is read, and so computed, only for a key set to
         empirical.  D g is applied once, and g and D g are each measured
         once, under the np.errstate of scheme.run: g_L2T and Dg_L2, and
         g_H1T = grids.w1q of the two; a D g past the floats is an
@@ -344,6 +345,10 @@ class RunConfig:
         elif c_half == "formula":
             c_h, iota = consts["c_h"], consts["iota"]
             c_half = 2.0 * c1 * (c_h * c_h) * (iota * iota)
+            if not math.isfinite(c_half):
+                raise ConfigParseError(
+                    "formula 2 c1 c_h^2 iota^2 = %r is out of floating-point "
+                    "range" % c_half, key="constants.c_half")
         if isinstance(consts["c_half"], str):  # empirical or formula
             provenance["c_half"] = "computed"
 

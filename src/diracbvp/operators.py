@@ -258,8 +258,11 @@ class AssembledOperator:
         """Full-grid SpinorField -> constrained coordinates.
 
         Adjoint of embed in the quadrature inner product; acts as the
-        orthogonal projection onto the discrete kernel of P.
+        orthogonal projection onto the discrete kernel of P.  The one
+        gate from fields to coefficients: a field off spec's grid or
+        rank is refused, as by apply_D.
         """
+        _check_field(self.spec, f)
         return self.adjoint(self.weights * f.values.reshape(-1))
 
     def adjoint(self, flat):
@@ -305,10 +308,14 @@ def _apply_D_values(spec, v):
     return -1j * _sbp_derivative(v, spec.grid.spacing)[:, ::-1]
 
 
-def apply_D(spec, f):
-    """Apply the unconstrained differential operator (no boundary condition)."""
+def _check_field(spec, f):
     if f.grid != spec.grid or f.rank != spec.rank:
         raise ParameterError("field does not match the model spec")
+
+
+def apply_D(spec, f):
+    """Apply the unconstrained differential operator (no boundary condition)."""
+    _check_field(spec, f)
     return SpinorField(f.grid, _apply_D_values(spec, f.values))
 
 

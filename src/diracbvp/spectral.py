@@ -158,7 +158,17 @@ def _fixed_unit_vector(m):
     x = z.astype(">u8").view(">u4") * 2.0 ** -32
     x -= 0.5 - 2.0 ** -33
     c = x.view(complex)
-    return c / np.linalg.norm(c)
+    return c / math.sqrt(_real_inner(c, c))
+
+
+def _real_inner(x, y):
+    """Re <x, y> = sum(x.re y.re + x.im y.im), by numpy's pairwise sum.
+
+    np.vdot and np.linalg.norm call BLAS, which OpenBLAS threads past
+    about 10 000 entries, and then their last bits, and the certificate's
+    with them, depend on OPENBLAS_NUM_THREADS; this sum does not.
+    """
+    return float(np.sum(x.real * y.real + x.imag * y.imag))
 
 
 def apply_operator(sd, f):
@@ -167,7 +177,11 @@ def apply_operator(sd, f):
 
 
 def eigenfunction(sd, k):
-    """Normalized eigenfunction k (eigenvalue order) as a SpinorField."""
+    """Normalized eigenfunction k (eigenvalue order) as a SpinorField;
+    ParameterError unless k is an integer in 0..size-1."""
+    if not isinstance(k, (int, np.integer)) or not 0 <= k < sd.size:
+        raise ParameterError("eigenfunction index must be an integer in "
+                             "0..%d, got %r" % (sd.size - 1, k))
     coeff = np.zeros(sd.size)
     coeff[k] = 1.0
     return sd.from_coeffs(coeff)
@@ -281,7 +295,8 @@ def _lanczos_max(matvec, m, what):
     The plain three-term Lanczos recurrence from the fixed start vector
     _fixed_unit_vector(m), with no reorthogonalization: it keeps the last
     two basis vectors and the tridiagonal T = (a, b) of Python floats
-    only, so its memory is O(m) however many steps it takes.  Every
+    only, so its memory is O(m) however many steps it takes, and takes
+    its inner products by _real_inner, not BLAS.  Every
     _LANCZOS_CHECK_EVERY steps, at the last step allowed, and at a
     beta_k = 0 (an invariant subspace: the residual is 0, so it returns
     there), it bisects T's top Ritz value theta to the last bit
@@ -305,9 +320,9 @@ def _lanczos_max(matvec, m, what):
         v = matvec(q)
         if k:
             v -= b[-1] * q_prev
-        a.append(float(np.vdot(q, v).real))
+        a.append(_real_inner(q, v))
         v -= a[-1] * q
-        beta = float(np.linalg.norm(v))
+        beta = math.sqrt(_real_inner(v, v))
         if (k + 1) % _LANCZOS_CHECK_EVERY == 0 or beta == 0.0 or k + 1 == cap:
             theta = _bisect_top(a, b, b2)
             resid = beta * abs(_last_component(a, b, b2, theta))

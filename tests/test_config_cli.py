@@ -1601,8 +1601,12 @@ def test_main_sweep_point_out_of_memory_is_an_error_row(tmp_path):
 @pytest.mark.parametrize("constants, message", [
     ("c_half = 2\nc_h = 1e-200", "c_h = 1e-200: c_h ** -4.0 overflows"),
     ("c_half = 2\nk_fgn = 1e200", "K_FGN = 1e+200: K_FGN ** 2 overflows"),
-    # the formula overflows to inf, which the spectrum never reads
-    ("c_half = formula\niota = 1e200", "kappa = inf is not finite"),
+    # the formula 2 c1 c_h^2 iota^2 overflows: it used to reach kappa,
+    # as inf (iota) or, times c_h^-4 = 0, as nan (c_h)
+    ("c_half = formula\niota = 1e200", "constants.c_half: formula "
+     "2 c1 c_h^2 iota^2 = inf is out of floating-point range"),
+    ("c_half = formula\nc_h = 1e200", "constants.c_half: formula "
+     "2 c1 c_h^2 iota^2 = inf is out of floating-point range"),
 ])
 def test_main_extreme_constants_fail_certification(tmp_path, capsys,
                                                    constants, message):
@@ -1677,6 +1681,24 @@ def test_check_c_half_formula_with_numeric_c1_runs_no_lanczos(tmp_path,
         == (3.0, 6.0)
     assert (payload["provenance"]["c1"], payload["provenance"]["c_half"]) \
         == ("assumed", "computed")
+
+
+def test_certificate_does_not_depend_on_the_blas_threads(tmp_path):
+    # at N = 10241 the Lanczos vectors pass OpenBLAS's threading threshold:
+    # np.vdot and np.linalg.norm gave c1 = 1.000000000005466 at 1 thread
+    # and 1.000000000003249 at 2
+    cfg_path = write_cfg(tmp_path, "[model]\nn_points = 10241\n"
+                                   "[constants]\nc1 = empirical\n"
+                                   "c_half = formula\n")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "diracbvp.cli", "check",
+                        "--config", str(cfg_path), "--out", str(out)],
+                       env=dict(fresh_env(), OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True)
+        written.append((out / "conditions.json").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("command, constants, runs", [

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -12,13 +14,13 @@ from diracbvp import (BoundaryCondition, Grid1D, ModelSpec, SchemeConfig,
                       SpectralData, SpinorField, apply_fractional,
                       apply_inverse, apply_operator, assemble, decompose,
                       eigenfunction, estimate_constants, graph_norm, lp_norm,
-                      run, slobodeckij_norm, split_pm)
+                      run, slobodeckij_norm, split_pm, step)
 from diracbvp.cli import run_command
 from diracbvp.config import parse_config
 from diracbvp.errors import DiracBVPError, NumericalError, ParameterError
 from diracbvp.spectral import (_above_spectrum, _bisect_top,
                                _fixed_unit_vector, _lanczos_max,
-                               _last_component)
+                               _last_component, shifted_spectrum)
 
 
 # ------------------------------------------------------------ decompose
@@ -44,6 +46,77 @@ def test_decompose_diag():
 
 def test_positive_tie_break():
     assert _order_spectrum(np.array([-1.0, 1.0, 2.0]))[1] == 1.0
+
+
+def test_fourier_spectrum_ties_are_exact():
+    # decompose reads lambda1 off eigenvalues[0], positive first on an
+    # exact tie, with no near-tie search: so eigenvalues whose moduli
+    # agree to 1e-9 must agree to the last bit, on every model, size and
+    # length (a dense eigh spectrum does not: its +- pairs differ)
+    for kind, n_points, length in itertools.product(
+            ("antiperiodic", "periodic", "bag1d"),
+            (8, 9, 32, 63, 256, 1001, 4097), (1e-6, 1e-3, 1.0, 1e3, 1e6)):
+        grid = Grid1D(length, n_points,
+                      "circle" if kind == "periodic" else "interval")
+        sd = decompose(assemble(ModelSpec(grid, BoundaryCondition(kind))))
+        moduli = np.abs(sd.eigenvalues)  # sorted: adjacent pairs suffice
+        near = np.abs(np.diff(moduli)) <= 1e-9 * moduli[1:]
+        assert np.array_equal(moduli[1:][near], moduli[:-1][near]), \
+            (kind, n_points, length)
+        if kind == "periodic":
+            assert sd.lambda1 == 0.0 and not sd.invertible
+        else:
+            assert sd.lambda1 > 0.0 and sd.invertible
+        try:
+            shifted_spectrum(sd, 0.0)
+            singular = False
+        except ParameterError:
+            singular = True
+        assert sd.invertible is not singular
+
+
+def test_spectral_data_holds_only_what_decompose_computes(anti_sd):
+    # lambda1 and invertible are read off the spectrum, not stored
+    assert [f.name for f in dataclasses.fields(SpectralData)] \
+        == ["operator", "eigenvalues", "order"]
+    assert anti_sd.lambda1 == float(anti_sd.eigenvalues[0])
+    with pytest.raises(AttributeError):
+        anti_sd.lambda1 = 1.0
+
+
+def test_a_field_off_the_model_is_refused():
+    # graph_norm used to apply the model's weights to another grid's
+    # samples (2.035), and 65 points or rank 2 ended in a numpy
+    # broadcasting ValueError: project, the one gate from fields to
+    # coefficients, refuses each as apply_D does
+    sd = decompose(assemble(ModelSpec(Grid1D(1.0, 64),
+                                      BoundaryCondition("antiperiodic"))))
+    shifted = shifted_spectrum(sd, 0.0)
+    calls = [lambda f: graph_norm(sd, 0.5, f),
+             lambda f: apply_operator(sd, f),
+             lambda f: apply_inverse(sd, f),
+             lambda f: apply_fractional(sd, 0.5, f),
+             lambda f: split_pm(sd, f),
+             lambda f: step(sd, f, shifted)]
+    fields = [SpinorField.zero(Grid1D(2.0, 64)),
+              SpinorField.zero(Grid1D(1.0, 65)),
+              SpinorField.zero(Grid1D(1.0, 64), rank=2)]
+    for call, f in itertools.product(calls, fields):
+        with pytest.raises(ParameterError,
+                           match="^field does not match the model spec$"):
+            call(f)
+
+
+@pytest.mark.parametrize("k", [-1, 63, 1.0, "0", None, np.int64(-3)])
+def test_eigenfunction_refuses_an_index_off_the_spectrum(k):
+    # N = 64 has 63 eigenvalues: -1 used to give the top mode and 63 a
+    # bare IndexError
+    sd = decompose(assemble(ModelSpec(Grid1D(1.0, 64),
+                                      BoundaryCondition("antiperiodic"))))
+    with pytest.raises(ParameterError, match=r"integer in 0\.\.62, got "):
+        eigenfunction(sd, k)
+    assert lp_norm(eigenfunction(sd, np.int64(62)), 2) \
+        == pytest.approx(1.0, rel=1e-12)
 
 
 def test_eigenvector_gram(anti_sd, bag_sd):
